@@ -29,13 +29,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    FederationCfg,
+    load_config,
+    parse_field,
+    to_jsonable,
+)
 from .evaluation import compare_aggregations, summarize_metrics
 from .federation import (
     ExperimentReport,
     RunError,
     build_data,
-    fedavg_baseline,
     incremental_sweep,
     partition_both,
     run_experiment,
@@ -112,32 +118,13 @@ def _write_csv(path: str, cfg: ExperimentConfig, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return "inf" if math.isinf(value) else value
-    if isinstance(value, (AggregationMethod, Divergence)):
-        return value.value
-    return value
-
-
 def _write_json(path: str, cfg: ExperimentConfig, payload: dict):
     _, digest = _config_blob(cfg)
     doc = {
         "config_sha256": digest,
         "resolved_config": cfg.to_json_dict(include_execution=True),
     }
-    doc.update(_jsonable(payload))
+    doc.update(to_jsonable(payload))
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -191,17 +178,15 @@ def _summary_rows(report: ExperimentReport):
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", "must be >= 0")
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads", "must be >= 1")
+    if args.seed is not None:
+        seeds = parse_field(ExperimentConfig, "seeds", [args.seed], "--seed")
+        cfg = dataclasses.replace(cfg, seeds=seeds)
+    if args.threads is not None:
+        threads = parse_field(FederationCfg, "threads", args.threads, "--threads")
         cfg = dataclasses.replace(
-            cfg, federation=dataclasses.replace(cfg.federation, threads=args.threads)
+            cfg, federation=dataclasses.replace(cfg.federation, threads=threads)
         )
-    if getattr(args, "out_dir", None):
+    if args.out_dir:
         cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
     return cfg
 

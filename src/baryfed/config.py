@@ -1,21 +1,40 @@
 """Experiment configuration: JSON in, validated frozen dataclasses out.
 
-Parsing is strict: unknown keys, wrong types, and out-of-range values raise
-ConfigError with the dotted path of the offending field. The resolved
-configuration can be serialized back to a JSON-safe dict (infinity becomes
-the string "inf") so runs can embed exactly what they executed.
+The dataclasses below are the schema, and one walker over their fields
+parses every section. A field's default is its dataclass default and its
+type is its annotation. Its single-field checks sit in its ``metadata``:
+
+- ``check``: validator of the whole parsed value;
+- ``each``: validator of every element of a tuple field; errors then name
+  the element (``personalization.lambdas[1]``), otherwise the field;
+- ``synth``: validator that applies only to synthetic datasets;
+- ``inf``: the float also accepts +infinity, written "inf" in JSON.
+
+A validator is a function ``(value, path) -> value`` that raises ConfigError
+and may normalize the value. Parsing is strict: unknown keys, wrong types,
+non-finite numbers and out-of-range values raise ConfigError with the dotted
+path of the offending field. The resolved configuration serializes back to
+a JSON-safe dict (infinity becomes the string "inf") that parses back to
+the same configuration, so runs can embed exactly what they executed.
 """
 
-from __future__ import annotations
+# The parser reads field annotations as runtime types, so this module must
+# not postpone their evaluation (no ``from __future__ import annotations``).
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
+
+import numpy as np
 
 from .geometry import AggregationMethod, Divergence
 
 DEFAULT_LAMBDAS = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, math.inf)
+DEFAULT_W_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 
 class ConfigError(ValueError):
@@ -24,137 +43,150 @@ class ConfigError(ValueError):
         self.path = path
 
 
-class _Section:
-    """Dict wrapper that tracks consumed keys and errors on leftovers."""
+def _rule(ok, detail: str):
+    """Validator raising ConfigError(path, detail) unless ``ok(value)``."""
 
-    def __init__(self, raw: dict, path: str):
-        if not isinstance(raw, dict):
-            raise ConfigError(path or "<root>", f"expected an object, got {type(raw).__name__}")
-        self.raw = dict(raw)
-        self.path = path
-
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key: str, kind, default=..., required: bool = False):
-        if key not in self.raw:
-            if required or default is ...:
-                raise ConfigError(self._at(key), "required field is missing")
-            return default
-        value = self.raw.pop(key)
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is not None and not isinstance(value, kind):
-            raise ConfigError(
-                self._at(key),
-                f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
-            )
-        if kind in (int, float) and isinstance(value, bool):
-            raise ConfigError(self._at(key), "expected a number, got a bool")
+    def check(value, path):
+        if not ok(value):
+            raise ConfigError(path, f"{detail}, got {json.dumps(to_jsonable(value))}")
         return value
 
-    def section(self, key: str, required: bool = True) -> "_Section | None":
-        if key not in self.raw:
-            if required:
-                raise ConfigError(self._at(key), "required section is missing")
-            return None
-        return _Section(self.raw.pop(key), self._at(key))
-
-    def finish(self):
-        if self.raw:
-            extra = sorted(self.raw)
-            raise ConfigError(
-                self._at(extra[0]), f"unknown key(s): {', '.join(extra)}"
-            )
+    return check
 
 
-def _positive(value, path: str, kind: str = "value"):
-    if value <= 0:
-        raise ConfigError(path, f"{kind} must be > 0, got {value}")
-    return value
+def _one_of(*options):
+    return _rule(lambda v: v in options, f"expected one of {list(options)}")
+
+
+def _ascending(values) -> bool:
+    return len(values) > 0 and all(a < b for a, b in zip(values, values[1:]))
+
+
+POSITIVE = _rule(lambda v: v > 0, "must be > 0")
+NON_NEGATIVE = _rule(lambda v: v >= 0, "must be >= 0")
+ASCENDING = _rule(_ascending, "must be non-empty and strictly ascending")
+BETA = _rule(lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class DatasetCfg:
-    kind: str  # "synth" or "idx"
-    n_per_class: int = 60
-    classes: int = 10
-    dim: int = 8
-    spread: float = 0.12
-    seed: int = 0  # fixes the drawn dataset and split across master seeds
-    test_fraction: float = 0.25
+    kind: str = field(metadata={"check": _one_of("synth", "idx")})
+    n_per_class: int = field(default=60, metadata={"synth": POSITIVE})
+    classes: int = field(default=10, metadata={"synth": _rule(lambda v: v >= 2, "must be >= 2")})
+    dim: int = field(default=8, metadata={"synth": POSITIVE})
+    spread: float = field(default=0.12, metadata={"synth": POSITIVE})
+    # fixes the drawn dataset and split across master seeds
+    seed: int = field(default=0, metadata={"synth": NON_NEGATIVE})
+    test_fraction: float = field(
+        default=0.25, metadata={"synth": _rule(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")}
+    )
     train_images: str = ""
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    limit: int = 0  # 0 keeps every example
+    limit: int = field(default=0, metadata={"check": NON_NEGATIVE})  # 0 keeps every example
+
+
+def _check_dataset(cfg: DatasetCfg, path: str) -> DatasetCfg:
+    """Rules that depend on ``kind``: idx needs its files, synth its bounds."""
+    if cfg.kind == "idx":
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            if not getattr(cfg, name):
+                raise ConfigError(f"{path}.{name}", "required for kind 'idx'")
+        return cfg
+    for f in dataclasses.fields(cfg):
+        if "synth" in f.metadata:
+            f.metadata["synth"](getattr(cfg, f.name), f"{path}.{f.name}")
+    return cfg
 
 
 @dataclass(frozen=True)
 class ModelCfg:
-    hidden: tuple[int, ...] = (32,)
+    hidden: tuple[int, ...] = field(
+        default=(32,),
+        metadata={"check": _rule(lambda v: all(h > 0 for h in v), "expected positive integers")},
+    )
 
 
 @dataclass(frozen=True)
 class PartitionCfg:
-    n_clients: int = 10
-    beta: float = 0.5
-    min_shard: int = 10
+    n_clients: int = field(default=10, metadata={"check": POSITIVE})
+    beta: float = field(default=0.5, metadata={"check": POSITIVE})
+    min_shard: int = field(default=10, metadata={"check": POSITIVE})
     shared_test_draw: bool = True
 
 
 @dataclass(frozen=True)
 class OptimizerCfg:
-    lr_initial: float = 0.1
-    lr_final: float = 0.01
-    weight_decay: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.99999
-    h0: float = 5.0
-    clip_radius: float | None = None
-    mc_train_samples: int = 1
+    lr_initial: float = field(default=0.1, metadata={"check": POSITIVE})
+    lr_final: float = field(default=0.01, metadata={"check": POSITIVE})
+    weight_decay: float = field(default=2e-4, metadata={"check": NON_NEGATIVE})
+    beta1: float = field(default=0.9, metadata={"check": BETA})
+    beta2: float = field(default=0.99999, metadata={"check": BETA})
+    h0: float = field(default=5.0, metadata={"check": POSITIVE})
+    clip_radius: float | None = field(default=None, metadata={"check": POSITIVE})
+    mc_train_samples: int = field(default=1, metadata={"check": POSITIVE})
 
 
 @dataclass(frozen=True)
 class FederationCfg:
-    rounds: int = 20
-    local_epochs: int = 2
-    batch_size: int = 64
+    rounds: int = field(default=20, metadata={"check": POSITIVE})
+    local_epochs: int = field(default=2, metadata={"check": NON_NEGATIVE})
+    batch_size: int = field(default=64, metadata={"check": POSITIVE})
     aggregation: AggregationMethod = AggregationMethod.W2B
-    algorithm: str = "bayes"  # or "fedavg"
-    frozen_var: float = 1e-4
-    threads: int = 1
+    algorithm: str = field(default="bayes", metadata={"check": _one_of("bayes", "fedavg")})
+    frozen_var: float = field(default=1e-4, metadata={"check": POSITIVE})
+    threads: int = field(default=1, metadata={"check": POSITIVE})
 
 
 @dataclass(frozen=True)
 class PersonalizationCfg:
-    divergence: Divergence = Divergence.W2SQ
-    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
+    divergence: Divergence = field(
+        default=Divergence.W2SQ,
+        metadata={
+            "check": _rule(
+                lambda d: d is not Divergence.KL,
+                "forward kl admits no two-point pullback; use rkl or w2sq",
+            )
+        },
+    )
+    lambdas: tuple[float, ...] = field(
+        default=DEFAULT_LAMBDAS, metadata={"inf": True, "each": NON_NEGATIVE, "check": ASCENDING}
+    )
 
 
 @dataclass(frozen=True)
 class EvalCfg:
-    mc_samples: int = 10
-    ece_bins: int = 15
-
-
-DEFAULT_W_GRID = tuple(round(0.1 * i, 1) for i in range(11))
+    mc_samples: int = field(default=10, metadata={"check": POSITIVE})
+    ece_bins: int = field(default=15, metadata={"check": POSITIVE})
 
 
 @dataclass(frozen=True)
 class IncrementalCfg:
-    w_grid: tuple[float, ...] = DEFAULT_W_GRID
-    split_class: int | None = None  # None: lower half of the classes is task A
+    w_grid: tuple[float, ...] = field(
+        default=DEFAULT_W_GRID,
+        metadata={
+            "each": _rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+            "check": ASCENDING,
+        },
+    )
+    # None: the lower half of the classes is task A
+    split_class: int | None = field(
+        default=None, metadata={"check": _rule(lambda v: v >= 1, "must be >= 1")}
+    )
 
 
 @dataclass(frozen=True)
 class CompareCfg:
-    methods: tuple[str, ...] = ("eaa", "w2b", "rklb")
+    methods: tuple[str, ...] = field(
+        default=("eaa", "w2b", "rklb"),
+        metadata={"each": lambda m, path: _enum(AggregationMethod, m, path).value.lower()},
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetCfg
+    dataset: DatasetCfg = field(metadata={"check": _check_dataset})
     model: ModelCfg = ModelCfg()
     partition: PartitionCfg = PartitionCfg()
     optimizer: OptimizerCfg = OptimizerCfg()
@@ -163,7 +195,15 @@ class ExperimentConfig:
     eval: EvalCfg = EvalCfg()
     incremental: IncrementalCfg = IncrementalCfg()
     compare: CompareCfg = CompareCfg()
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = field(
+        default=(0,),
+        metadata={
+            "check": _rule(
+                lambda v: len(v) > 0 and all(s >= 0 for s in v),
+                "expected a non-empty list of non-negative integers",
+            )
+        },
+    )
     out_dir: str = "runs/out"
 
     def to_json_dict(self, include_execution: bool = True) -> dict:
@@ -173,261 +213,141 @@ class ExperimentConfig:
         results (output directory, thread count) so artifacts embedding the
         config stay byte-identical across execution modes.
         """
-
-        def scrub(value):
-            if isinstance(value, dict):
-                return {k: scrub(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [scrub(v) for v in value]
-            if isinstance(value, float) and math.isinf(value):
-                return "inf"
-            if isinstance(value, (AggregationMethod, Divergence)):
-                return value.value
-            return value
-
-        out = scrub(dataclasses.asdict(self))
+        out = to_jsonable(self)
         if not include_execution:
             out.pop("out_dir", None)
             out["federation"].pop("threads", None)
         return out
 
 
-def _parse_lambda(value, path: str) -> float:
+def to_jsonable(value):
+    """JSON-safe copy: dataclasses become dicts, tuples and arrays lists,
+    NumPy scalars Python numbers, enums their value, infinities "inf"."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return to_jsonable(value.tolist())
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return "inf" if math.isinf(value) else value
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+# -- parsing ------------------------------------------------------------------
+
+
+def _enum(kind, value, path: str):
+    """Case-insensitive enum member by value."""
     if isinstance(value, str):
-        if value.lower() == "inf":
+        try:
+            return kind(value.upper())
+        except ValueError:
+            pass
+    options = [m.value.lower() for m in kind]
+    raise ConfigError(path, f"expected one of {options}, got {value!r}")
+
+
+def _scalar(kind, value, path: str, inf_ok: bool):
+    """One JSON scalar as ``kind``; ints widen to float, bools are not numbers."""
+    if issubclass(kind, Enum):
+        return _enum(kind, value, path)
+    if kind is float:
+        if inf_ok and isinstance(value, str) and value.lower() == "inf":
             return math.inf
-        raise ConfigError(path, f"expected a number or 'inf', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number or 'inf', got {type(value).__name__}")
-    if value < 0:
-        raise ConfigError(path, f"lambda must be >= 0, got {value}")
-    return float(value)
-
-
-def _parse_dataset(sec: _Section) -> DatasetCfg:
-    kind = sec.take("kind", str, required=True)
-    if kind not in ("synth", "idx"):
-        raise ConfigError(sec._at("kind"), f"expected 'synth' or 'idx', got {kind!r}")
-    cfg = DatasetCfg(
-        kind=kind,
-        n_per_class=sec.take("n_per_class", int, 60),
-        classes=sec.take("classes", int, 10),
-        dim=sec.take("dim", int, 8),
-        spread=sec.take("spread", float, 0.12),
-        seed=sec.take("seed", int, 0),
-        test_fraction=sec.take("test_fraction", float, 0.25),
-        train_images=sec.take("train_images", str, ""),
-        train_labels=sec.take("train_labels", str, ""),
-        test_images=sec.take("test_images", str, ""),
-        test_labels=sec.take("test_labels", str, ""),
-        limit=sec.take("limit", int, 0),
-    )
-    sec.finish()
-    if kind == "idx":
-        for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not getattr(cfg, name):
-                raise ConfigError(f"dataset.{name}", "required for kind 'idx'")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = float(value)
+            if math.isnan(value) or (math.isinf(value) and not inf_ok):
+                raise ConfigError(path, f"must be a finite number, got {value}")
+            return value
+        expected = "a number or 'inf'" if inf_ok else "a number"
+    elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
     else:
-        _positive(cfg.n_per_class, "dataset.n_per_class")
-        _positive(cfg.spread, "dataset.spread")
-        if not 0.0 < cfg.test_fraction < 1.0:
-            raise ConfigError("dataset.test_fraction", "must lie in (0, 1)")
-    return cfg
+        expected = kind.__name__
+    raise ConfigError(path, f"expected {expected}, got {value!r}")
 
 
-def _parse_optimizer(sec: _Section) -> OptimizerCfg:
-    clip = sec.take("clip_radius", None, None)
-    if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))):
-        raise ConfigError(
-            "optimizer.clip_radius", f"expected a number or null, got {type(clip).__name__}"
-        )
-    cfg = OptimizerCfg(
-        lr_initial=sec.take("lr_initial", float, 0.1),
-        lr_final=sec.take("lr_final", float, 0.01),
-        weight_decay=sec.take("weight_decay", float, 2e-4),
-        beta1=sec.take("beta1", float, 0.9),
-        beta2=sec.take("beta2", float, 0.99999),
-        h0=sec.take("h0", float, 5.0),
-        clip_radius=None if clip is None else float(clip),
-        mc_train_samples=sec.take("mc_train_samples", int, 1),
-    )
-    sec.finish()
-    _positive(cfg.lr_initial, "optimizer.lr_initial")
-    _positive(cfg.lr_final, "optimizer.lr_final")
-    _positive(cfg.h0, "optimizer.h0")
-    _positive(cfg.mc_train_samples, "optimizer.mc_train_samples")
-    if cfg.weight_decay < 0:
-        raise ConfigError("optimizer.weight_decay", "must be >= 0")
-    for name in ("beta1", "beta2"):
-        if not 0.0 <= getattr(cfg, name) < 1.0:
-            raise ConfigError(f"optimizer.{name}", "must lie in [0, 1)")
-    if cfg.clip_radius is not None and cfg.clip_radius <= 0:
-        raise ConfigError("optimizer.clip_radius", "must be > 0 or null")
-    return cfg
+class _Spec(typing.NamedTuple):
+    field: dataclasses.Field
+    kind: type  # scalar type, section class, or a tuple's element type
+    many: bool  # tuple field
+    nullable: bool  # "T | None"
+    section: bool  # kind is a nested section
+
+
+@functools.cache
+def _schema(cls) -> tuple[_Spec, ...]:
+    """The fields of ``cls`` with their annotations resolved, once per class."""
+    specs = []
+    for f in dataclasses.fields(cls):
+        hint, args = f.type, typing.get_args(f.type)
+        nullable = type(None) in args
+        if nullable:
+            hint = args[0]
+        many = typing.get_origin(hint) is tuple
+        kind = typing.get_args(hint)[0] if many else hint
+        specs.append(_Spec(f, kind, many, nullable, dataclasses.is_dataclass(kind)))
+    return tuple(specs)
+
+
+def _parse(spec: _Spec, value, path: str):
+    """Parse one JSON value against a field's schema entry and metadata rules."""
+    if spec.nullable and value is None:
+        return None
+    rules = spec.field.metadata
+    inf_ok = rules.get("inf", False)
+    if spec.section:
+        value = _parse_section(spec.kind, value, path)
+    elif spec.many:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {type(value).__name__}")
+        each = rules.get("each")
+        items = []
+        for i, item in enumerate(value):
+            at = f"{path}[{i}]" if each else path
+            item = _scalar(spec.kind, item, at, inf_ok)
+            items.append(each(item, at) if each else item)
+        value = tuple(items)
+    else:
+        value = _scalar(spec.kind, value, path, inf_ok)
+    check = rules.get("check")
+    return check(value, path) if check else value
+
+
+def _parse_section(cls, raw, path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<root>", f"expected an object, got {type(raw).__name__}")
+    raw = dict(raw)
+    values = {}
+    for spec in _schema(cls):
+        name = spec.field.name
+        at = f"{path}.{name}" if path else name
+        if name in raw:
+            values[name] = _parse(spec, raw.pop(name), at)
+        elif spec.field.default is dataclasses.MISSING:
+            raise ConfigError(at, f"required {'section' if spec.section else 'field'} is missing")
+    if raw:
+        extra = sorted(raw)
+        at = f"{path}.{extra[0]}" if path else extra[0]
+        raise ConfigError(at, f"unknown key(s): {', '.join(extra)}")
+    return cls(**values)
+
+
+def parse_field(cls, name: str, value, path: str):
+    """Parse ``value`` as field ``name`` of section ``cls``; errors name ``path``."""
+    return _parse(next(s for s in _schema(cls) if s.field.name == name), value, path)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    root = _Section(obj, "")
-
-    dataset = _parse_dataset(root.section("dataset"))
-
-    model = ModelCfg()
-    sec = root.section("model", required=False)
-    if sec is not None:
-        hidden = sec.take("hidden", list, [32])
-        sec.finish()
-        if not all(isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden):
-            raise ConfigError("model.hidden", "expected a list of positive integers")
-        model = ModelCfg(hidden=tuple(hidden))
-
-    partition = PartitionCfg()
-    sec = root.section("partition", required=False)
-    if sec is not None:
-        partition = PartitionCfg(
-            n_clients=sec.take("n_clients", int, 10),
-            beta=sec.take("beta", float, 0.5),
-            min_shard=sec.take("min_shard", int, 10),
-            shared_test_draw=sec.take("shared_test_draw", bool, True),
-        )
-        sec.finish()
-        _positive(partition.n_clients, "partition.n_clients")
-        _positive(partition.beta, "partition.beta")
-        _positive(partition.min_shard, "partition.min_shard")
-
-    optimizer = OptimizerCfg()
-    sec = root.section("optimizer", required=False)
-    if sec is not None:
-        optimizer = _parse_optimizer(sec)
-
-    federation = FederationCfg()
-    sec = root.section("federation", required=False)
-    if sec is not None:
-        agg = sec.take("aggregation", str, "w2b")
-        try:
-            agg_method = AggregationMethod(agg.upper())
-        except ValueError:
-            raise ConfigError(
-                "federation.aggregation",
-                f"expected one of {[m.value.lower() for m in AggregationMethod]}, got {agg!r}",
-            ) from None
-        algorithm = sec.take("algorithm", str, "bayes")
-        if algorithm not in ("bayes", "fedavg"):
-            raise ConfigError("federation.algorithm", f"expected 'bayes' or 'fedavg', got {algorithm!r}")
-        federation = FederationCfg(
-            rounds=sec.take("rounds", int, 20),
-            local_epochs=sec.take("local_epochs", int, 2),
-            batch_size=sec.take("batch_size", int, 64),
-            aggregation=agg_method,
-            algorithm=algorithm,
-            frozen_var=sec.take("frozen_var", float, 1e-4),
-            threads=sec.take("threads", int, 1),
-        )
-        sec.finish()
-        _positive(federation.rounds, "federation.rounds")
-        _positive(federation.batch_size, "federation.batch_size")
-        _positive(federation.frozen_var, "federation.frozen_var")
-        _positive(federation.threads, "federation.threads")
-        if federation.local_epochs < 0:
-            raise ConfigError("federation.local_epochs", "must be >= 0")
-
-    personalization = PersonalizationCfg()
-    sec = root.section("personalization", required=False)
-    if sec is not None:
-        div = sec.take("divergence", str, "w2sq")
-        try:
-            div_method = Divergence(div.upper())
-        except ValueError:
-            raise ConfigError(
-                "personalization.divergence",
-                f"expected one of {[d.value.lower() for d in Divergence]}, got {div!r}",
-            ) from None
-        if div_method is Divergence.KL:
-            raise ConfigError(
-                "personalization.divergence",
-                "forward kl admits no two-point pullback; use rkl or w2sq",
-            )
-        raw = sec.take("lambdas", list, list(DEFAULT_LAMBDAS))
-        sec.finish()
-        lambdas = tuple(
-            _parse_lambda(v, f"personalization.lambdas[{i}]") for i, v in enumerate(raw)
-        )
-        if len(lambdas) < 1:
-            raise ConfigError("personalization.lambdas", "must not be empty")
-        if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-            raise ConfigError("personalization.lambdas", "must be strictly ascending")
-        personalization = PersonalizationCfg(divergence=div_method, lambdas=lambdas)
-
-    eval_cfg = EvalCfg()
-    sec = root.section("eval", required=False)
-    if sec is not None:
-        eval_cfg = EvalCfg(
-            mc_samples=sec.take("mc_samples", int, 10),
-            ece_bins=sec.take("ece_bins", int, 15),
-        )
-        sec.finish()
-        _positive(eval_cfg.mc_samples, "eval.mc_samples")
-        _positive(eval_cfg.ece_bins, "eval.ece_bins")
-
-    incremental = IncrementalCfg()
-    sec = root.section("incremental", required=False)
-    if sec is not None:
-        raw_grid = sec.take("w_grid", list, list(DEFAULT_W_GRID))
-        split = sec.take("split_class", int, None)
-        sec.finish()
-        grid = []
-        for i, v in enumerate(raw_grid):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"incremental.w_grid[{i}]", "expected a number")
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"incremental.w_grid[{i}]", f"must lie in [0, 1], got {v}")
-            grid.append(float(v))
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("incremental.w_grid", "must be non-empty and strictly ascending")
-        if split is not None and split < 1:
-            raise ConfigError("incremental.split_class", "must be >= 1")
-        incremental = IncrementalCfg(w_grid=tuple(grid), split_class=split)
-
-    compare = CompareCfg()
-    sec = root.section("compare", required=False)
-    if sec is not None:
-        raw_methods = sec.take("methods", list, ["eaa", "w2b", "rklb"])
-        sec.finish()
-        methods = []
-        for i, m in enumerate(raw_methods):
-            if not isinstance(m, str):
-                raise ConfigError(f"compare.methods[{i}]", "expected a string")
-            try:
-                AggregationMethod(m.upper())
-            except ValueError:
-                raise ConfigError(
-                    f"compare.methods[{i}]",
-                    f"expected one of {[a.value.lower() for a in AggregationMethod]}, got {m!r}",
-                ) from None
-            methods.append(m.lower())
-        compare = CompareCfg(methods=tuple(methods))
-
-    seeds = root.take("seeds", list, [0])
-    if not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
-    ):
-        raise ConfigError("seeds", "expected a non-empty list of non-negative integers")
-
-    out_dir = root.take("out_dir", str, "runs/out")
-    root.finish()
-
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        partition=partition,
-        optimizer=optimizer,
-        federation=federation,
-        personalization=personalization,
-        eval=eval_cfg,
-        incremental=incremental,
-        compare=compare,
-        seeds=tuple(seeds),
-        out_dir=out_dir,
-    )
+    return _parse_section(ExperimentConfig, obj, "")
 
 
 def load_config(path: str) -> ExperimentConfig:

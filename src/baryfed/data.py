@@ -229,11 +229,6 @@ def partition_with_draw(
     return _split_by_proportions(ds, draw.proportions, rng)
 
 
-def dirichlet_partition(ds: Dataset, cfg: PartitionConfig) -> list[Dataset]:
-    shards, _ = partition_indices(ds, cfg)
-    return [ds.subset(idx, name=f"{ds.name}/client{k}") for k, idx in enumerate(shards)]
-
-
 def train_test_split(
     ds: Dataset, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:

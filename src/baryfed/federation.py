@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, OptimizerCfg
 from .data import (
     Dataset,
     PartitionConfig,
@@ -88,13 +88,11 @@ class ClientState:
     test_shard: Dataset
     optimizer: IvonState
     local_posterior: DiagGaussian
-    ess: int
 
 
 @dataclass
 class ServerState:
     global_posterior: DiagGaussian
-    round: int
     method: AggregationMethod
     client_weights: np.ndarray
 
@@ -123,18 +121,38 @@ class ExperimentReport:
     final_locals: tuple = ()
 
 
-def _train_one_client(
+def _ivon_hyper(opt: OptimizerCfg, ess: int) -> IvonHyper:
+    """Optimizer hyperparameters for a training set of ``ess`` examples."""
+    return IvonHyper(
+        ess=ess,
+        lr=opt.lr_initial,
+        weight_decay=opt.weight_decay,
+        beta1=opt.beta1,
+        beta2=opt.beta2,
+        h0=opt.h0,
+        clip_radius=opt.clip_radius,
+    )
+
+
+def _restart(post: DiagGaussian, hyper: IvonHyper, hess: np.ndarray) -> IvonState:
+    """Optimizer state at the mean of ``post``; momentum and step count restart."""
+    return IvonState(
+        mean=post.mean.copy(), hess=hess, grad_momentum=np.zeros(post.dim), hyper=hyper
+    )
+
+
+def _train(
     spec: MlpSpec,
-    client: ClientState,
+    state: IvonState,
+    ds: Dataset,
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
     lr_by_epoch: list[float],
     mc_train: int,
     deterministic: bool,
-) -> tuple[ClientState, list[float]]:
-    state = client.optimizer
-    ds = client.train_shard
+) -> tuple[IvonState, list[float]]:
+    """Local training on ``ds``; returns the final state and per-epoch mean NLL."""
     trace = []
     for epoch in range(epochs):
         lr = lr_by_epoch[epoch]
@@ -159,8 +177,7 @@ def _train_one_client(
                 state = ivon_step(state, grads, thetas, lr=lr)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
-    client.optimizer = state
-    return client, trace
+    return state, trace
 
 
 def client_update(
@@ -189,17 +206,18 @@ def client_update(
         if deterministic
         else hessian_of(global_posterior, hyper.ess, hyper.weight_decay)
     )
-    client.optimizer = IvonState(
-        mean=global_posterior.mean.copy(),
-        hess=hess,
-        grad_momentum=np.zeros(global_posterior.dim),
-        hyper=hyper,
-        step_count=0,
-    )
     if lr_by_epoch is None:
         lr_by_epoch = [hyper.lr] * epochs
-    client, trace = _train_one_client(
-        spec, client, epochs, batch_size, rng, lr_by_epoch, mc_train, deterministic
+    client.optimizer, trace = _train(
+        spec,
+        _restart(global_posterior, hyper, hess),
+        client.train_shard,
+        epochs,
+        batch_size,
+        rng,
+        lr_by_epoch,
+        mc_train,
+        deterministic,
     )
     if deterministic:
         client.local_posterior = DiagGaussian(
@@ -217,12 +235,7 @@ def server_aggregate(server: ServerState, posteriors: list[DiagGaussian]) -> Ser
             f"got {len(posteriors)} posteriors for {len(server.client_weights)} clients"
         )
     merged = aggregate(server.method, posteriors, server.client_weights)
-    return ServerState(
-        global_posterior=merged,
-        round=server.round + 1,
-        method=server.method,
-        client_weights=server.client_weights,
-    )
+    return dataclasses.replace(server, global_posterior=merged)
 
 
 def personalize_all(
@@ -341,16 +354,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     clients = []
     for k, (tr_i, te_i) in enumerate(zip(train_idx, test_idx)):
         shard = train.subset(tr_i, name=f"client{k}/train")
-        hyper = IvonHyper(
-            ess=shard.n,
-            lr=opt.lr_initial,
-            weight_decay=opt.weight_decay,
-            beta1=opt.beta1,
-            beta2=opt.beta2,
-            h0=opt.h0,
-            clip_radius=opt.clip_radius,
-        )
-        state = ivon_init(dim, hyper, mean=theta0)
+        state = ivon_init(dim, _ivon_hyper(opt, shard.n), mean=theta0)
         clients.append(
             ClientState(
                 id=k,
@@ -358,11 +362,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
                 test_shard=test.subset(te_i, name=f"client{k}/test"),
                 optimizer=state,
                 local_posterior=posterior_of(state),
-                ess=shard.n,
             )
         )
 
-    sizes = np.array([c.ess for c in clients], dtype=np.float64)
+    sizes = np.array([c.train_shard.n for c in clients], dtype=np.float64)
     weights = sizes / sizes.sum()
     if fedavg:
         var0 = np.full(dim, cfg.federation.frozen_var)
@@ -371,7 +374,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
         var0 = np.full(dim, 1.0 / (mean_ess * (opt.h0 + opt.weight_decay)))
     server = ServerState(
         global_posterior=DiagGaussian(mean=theta0.copy(), var=var0),
-        round=0,
         method=cfg.federation.aggregation,
         client_weights=weights,
     )
@@ -432,7 +434,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
         aggregation=cfg.federation.aggregation.value.lower(),
         divergence=div.value.lower(),
         lambda_grid=cfg.personalization.lambdas,
-        client_sizes=[c.ess for c in clients],
+        client_sizes=[c.train_shard.n for c in clients],
         client_label_counts=[c.train_shard.label_counts().tolist() for c in clients],
         rounds=rounds_out,
         metrics=metrics,
@@ -488,14 +490,6 @@ def _evaluate_all(
     return rows
 
 
-def fedavg_baseline(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
-    """Same protocol with deterministic training and a frozen shared variance."""
-    forced = dataclasses.replace(
-        cfg, federation=dataclasses.replace(cfg.federation, algorithm="fedavg")
-    )
-    return run_experiment(forced, seed)
-
-
 @dataclass(frozen=True)
 class IncrementalRow:
     w: float
@@ -524,39 +518,23 @@ def _train_single(
     rng: np.random.Generator,
 ) -> DiagGaussian:
     opt = cfg.optimizer
-    hyper = IvonHyper(
-        ess=ds.n,
-        lr=opt.lr_initial,
-        weight_decay=opt.weight_decay,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        h0=opt.h0,
-        clip_radius=opt.clip_radius,
-    )
-    state = ivon_init(start.dim, hyper, mean=start.mean)
-    client = ClientState(
-        id=0,
-        train_shard=ds,
-        test_shard=ds,
-        optimizer=state,
-        local_posterior=posterior_of(state),
-        ess=ds.n,
-    )
+    hyper = _ivon_hyper(opt, ds.n)
     epochs = cfg.federation.rounds * cfg.federation.local_epochs
     lrs = [
         linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)
     ]
-    client, _ = client_update(
-        client,
-        start,
+    state, _ = _train(
+        spec,
+        _restart(start, hyper, hessian_of(start, ds.n, opt.weight_decay)),
+        ds,
         epochs,
         cfg.federation.batch_size,
         rng,
-        spec,
-        lr_by_epoch=lrs,
-        mc_train=opt.mc_train_samples,
+        lrs,
+        opt.mc_train_samples,
+        deterministic=False,
     )
-    return client.local_posterior
+    return posterior_of(state)
 
 
 def incremental_sweep(
@@ -577,7 +555,9 @@ def incremental_sweep(
     if split_class is None:
         split_class = classes // 2
     if not 0 < split_class < classes:
-        raise ValueError(f"split_class must split {classes} classes into two groups")
+        raise ConfigError(
+            "incremental.split_class", f"must split {classes} classes into two groups"
+        )
     a_classes = np.arange(split_class)
     b_classes = np.arange(split_class, classes)
 

@@ -15,10 +15,8 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,9 +26,6 @@ log = logging.getLogger(__name__)
 
 VAR_FLOOR = 1e-12
 WEIGHT_SUM_TOL = 1e-9
-
-MAGIC = b"BFLG"
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -80,52 +75,6 @@ class DiagGaussian:
             and np.allclose(self.mean, other.mean, rtol=rtol, atol=atol)
             and np.allclose(self.var, other.var, rtol=rtol, atol=atol)
         )
-
-    # --- wire formats -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Flat binary layout: magic, u32 version, u64 dim, mean, var.
-
-        All integers and the float payload are little-endian; floats are
-        64-bit.
-        """
-        header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", self.dim)
-        body = self.mean.astype("<f8").tobytes() + self.var.astype("<f8").tobytes()
-        return header + body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DiagGaussian":
-        if len(blob) < 16:
-            raise ValueError("posterior blob truncated: header incomplete")
-        if blob[:4] != MAGIC:
-            raise ValueError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", blob[4:8])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        (dim,) = struct.unpack("<Q", blob[8:16])
-        expected = 16 + 16 * dim
-        if len(blob) != expected:
-            raise ValueError(
-                f"posterior blob truncated: expected {expected} bytes, got {len(blob)}"
-            )
-        mean = np.frombuffer(blob, dtype="<f8", count=dim, offset=16)
-        var = np.frombuffer(blob, dtype="<f8", count=dim, offset=16 + 8 * dim)
-        return cls(mean=mean.copy(), var=var.copy())
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "var": self.var.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DiagGaussian":
-        return cls(mean=np.asarray(obj["mean"]), var=np.asarray(obj["var"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagGaussian":
-        return cls.from_json_dict(json.loads(text))
-
 
 class Divergence(str, Enum):
     """Scalar divergence on pairs of diagonal Gaussians."""

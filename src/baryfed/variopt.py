@@ -12,19 +12,14 @@ mean moves along the momentum direction preconditioned by the Hessian.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiagGaussian, Divergence, divergence
+from .geometry import DiagGaussian
 
 log = logging.getLogger(__name__)
-
-# The posterior over parameters shared as the ELBO anchor by all clients.
-Prior = DiagGaussian
-
 
 @dataclass(frozen=True)
 class IvonHyper:
@@ -64,13 +59,11 @@ class IvonState:
     step_count: int = 0
 
 
-def ivon_init(dim: int, hyper: IvonHyper, seed: int = 0, mean=None) -> IvonState:
+def ivon_init(dim: int, hyper: IvonHyper, mean=None) -> IvonState:
     """Fresh state: Hessian filled with h0, momentum zero, step count zero.
 
     ``mean`` is the model initializer's flat parameter vector; when omitted
-    the mean starts at zero (useful for non-network objectives). The seed is
-    recorded for reproducibility of any downstream sampling but draws nothing
-    here.
+    the mean starts at zero (useful for non-network objectives).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -79,7 +72,6 @@ def ivon_init(dim: int, hyper: IvonHyper, seed: int = 0, mean=None) -> IvonState
     mean = np.asarray(mean, dtype=np.float64).copy()
     if mean.shape != (dim,):
         raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
-    del seed
     return IvonState(
         mean=mean,
         hess=np.full(dim, float(hyper.h0)),
@@ -171,80 +163,9 @@ def ivon_step(
     )
 
 
-def negative_elbo(
-    state: IvonState,
-    prior: Prior,
-    mc_nll: float,
-    rng_samples: int = 1,
-) -> float:
-    """Variational objective value: mc_nll + KL(posterior || prior).
-
-    ``mc_nll`` is the caller's Monte-Carlo estimate of the expected negative
-    log-likelihood, averaged over ``rng_samples`` posterior draws.
-    """
-    if rng_samples < 1:
-        raise ValueError("rng_samples must be >= 1")
-    post = posterior_of(state)
-    if post.dim != prior.dim:
-        raise ValueError(f"dimension mismatch with prior: {post.dim} vs {prior.dim}")
-    return float(mc_nll) + divergence(Divergence.KL, post, prior)
-
-
-def default_prior(dim: int, ess: int, weight_decay: float) -> Prior:
-    """Isotropic zero-mean prior with variance 1/(N*delta).
-
-    This is the prior implied by treating the weight-decay term as the
-    regularizer of the variational objective, so the optimizer fixed point
-    matches the analytic posterior in conjugate settings.
-    """
-    if weight_decay <= 0:
-        raise ValueError("weight_decay must be > 0 to induce a proper prior")
-    var = 1.0 / (ess * weight_decay)
-    return DiagGaussian(mean=np.zeros(dim), var=np.full(dim, var))
-
-
 def linear_lr(initial: float, final: float, step: int, total_steps: int) -> float:
     """Linearly decayed learning rate; clamps outside [0, total_steps]."""
     if total_steps <= 0:
         return final
     frac = min(max(step / total_steps, 0.0), 1.0)
     return initial + (final - initial) * frac
-
-
-def save_state(state: IvonState, path_prefix: str):
-    """Checkpoint: posterior in binary form plus a JSON sidecar.
-
-    The sidecar records Hessian summary statistics, the step count, and the
-    hyperparameters; the full Hessian is reconstructed from the posterior
-    variance on load.
-    """
-    post = posterior_of(state)
-    with open(path_prefix + ".bflg", "wb") as fh:
-        fh.write(post.to_bytes())
-    sidecar = {
-        "hess": {
-            "min": float(state.hess.min()),
-            "max": float(state.hess.max()),
-            "mean": float(state.hess.mean()),
-        },
-        "step_count": state.step_count,
-        "hyper": dataclasses.asdict(state.hyper),
-    }
-    with open(path_prefix + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def load_state(path_prefix: str) -> IvonState:
-    """Rebuild a state from a checkpoint; gradient momentum restarts at zero."""
-    with open(path_prefix + ".bflg", "rb") as fh:
-        post = DiagGaussian.from_bytes(fh.read())
-    with open(path_prefix + ".json") as fh:
-        sidecar = json.load(fh)
-    hyper = IvonHyper(**sidecar["hyper"])
-    return IvonState(
-        mean=post.mean.copy(),
-        hess=hessian_of(post, hyper.ess, hyper.weight_decay),
-        grad_momentum=np.zeros(post.dim),
-        hyper=hyper,
-        step_count=int(sidecar["step_count"]),
-    )

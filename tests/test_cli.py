@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -212,6 +213,28 @@ class TestErrors:
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", cfg, "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, over, path",
+        [
+            ("run", {"dataset": {**BASE_CONFIG["dataset"], "classes": 1}}, "dataset.classes"),
+            ("run", {"dataset": {**BASE_CONFIG["dataset"], "dim": 0}}, "dataset.dim"),
+            ("run", {"dataset": {**BASE_CONFIG["dataset"], "seed": -1}}, "dataset.seed"),
+            ("run", {"dataset": {**BASE_CONFIG["dataset"], "limit": -1}}, "dataset.limit"),
+            ("incremental", {"incremental": {"split_class": 3}}, "incremental.split_class"),
+            ("run", {"personalization": {"lambdas": [0, math.nan]}}, "personalization.lambdas[1]"),
+        ],
+        ids=["classes", "dim", "seed", "limit", "split_class", "nan_lambda"],
+    )
+    def test_range_error_exit_2(self, tmp_path, capsys, command, over, path):
+        cfg = write_config(tmp_path, **over)
+        assert main([command, cfg]) == 2
+        assert f"'{path}'" in capsys.readouterr().err
+
+    def test_bad_threads_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["run", cfg, "--threads", "0"]) == 2
+        assert "'--threads'" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,45 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from baryfed.config import ConfigError, load_config, parse_config
+from baryfed.config import ConfigError, ExperimentConfig, load_config, parse_config
 from baryfed.geometry import AggregationMethod, Divergence
 
 MINIMAL = {"dataset": {"kind": "synth"}}
+
+# every field of every section away from its default
+FULL = {
+    "dataset": {
+        "kind": "synth", "n_per_class": 50, "classes": 4, "dim": 3, "spread": 0.2,
+        "seed": 7, "test_fraction": 0.3, "train_images": "a", "train_labels": "b",
+        "test_images": "c", "test_labels": "d", "limit": 5,
+    },
+    "model": {"hidden": [16, 8]},
+    "partition": {"n_clients": 5, "beta": 2.0, "min_shard": 3, "shared_test_draw": False},
+    "optimizer": {
+        "lr_initial": 0.5, "lr_final": 0.05, "weight_decay": 0.0, "beta1": 0.5,
+        "beta2": 0.99, "h0": 1.0, "clip_radius": 2.5, "mc_train_samples": 3,
+    },
+    "federation": {
+        "rounds": 3, "local_epochs": 0, "batch_size": 32, "aggregation": "rklb",
+        "algorithm": "fedavg", "frozen_var": 1e-3, "threads": 2,
+    },
+    "personalization": {"divergence": "rkl", "lambdas": [0, 0.5, "inf"]},
+    "eval": {"mc_samples": 3, "ece_bins": 5},
+    "incremental": {"w_grid": [0, 0.5, 1], "split_class": 2},
+    "compare": {"methods": ["EAA", "rklb"]},
+    "seeds": [3, 1],
+    "out_dir": "elsewhere",
+}
+
+DEFAULTS = parse_config(MINIMAL)
+SECTIONS = [
+    f.name
+    for f in dataclasses.fields(DEFAULTS)
+    if dataclasses.is_dataclass(getattr(DEFAULTS, f.name))
+]
 
 
 def with_section(name, body):
@@ -147,6 +180,60 @@ class TestSerialization:
         assert "threads" not in doc["federation"]
         full = cfg.to_json_dict(include_execution=True)
         assert "out_dir" in full and "threads" in full["federation"]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("obj", [MINIMAL, FULL], ids=["minimal", "full"])
+    def test_json_round_trip(self, obj):
+        cfg = parse_config(obj)
+        assert parse_config(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+    def test_full_config_leaves_no_default(self):
+        cfg = parse_config(FULL)
+        for name in SECTIONS:
+            section = getattr(cfg, name)
+            for f in dataclasses.fields(section):
+                assert getattr(section, f.name) != f.default, f"{name}.{f.name}"
+        assert cfg.seeds != ExperimentConfig.seeds and cfg.out_dir != ExperimentConfig.out_dir
+
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_empty_section_is_defaults(self, name):
+        body = {"kind": "synth"} if name == "dataset" else {}
+        cfg = parse_config({**MINIMAL, name: body})
+        assert getattr(cfg, name) == type(getattr(DEFAULTS, name))(**body)
+
+
+def write_json(tmp_path, obj) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))  # writes NaN and Infinity as JSON literals
+    return str(path)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "section, body, path",
+        [
+            ("personalization", {"lambdas": [0, math.nan]}, "personalization.lambdas[1]"),
+            ("optimizer", {"lr_initial": math.nan}, "optimizer.lr_initial"),
+            ("optimizer", {"weight_decay": math.nan}, "optimizer.weight_decay"),
+            ("optimizer", {"h0": math.inf}, "optimizer.h0"),
+            ("optimizer", {"clip_radius": math.nan}, "optimizer.clip_radius"),
+            ("dataset", {"kind": "synth", "spread": math.inf}, "dataset.spread"),
+            ("partition", {"beta": math.nan}, "partition.beta"),
+            ("federation", {"frozen_var": math.inf}, "federation.frozen_var"),
+        ],
+    )
+    def test_rejected_with_field_path(self, tmp_path, section, body, path):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_json(tmp_path, with_section(section, body)))
+        assert exc.value.path == path
+        assert "finite" in str(exc.value)
+
+    @pytest.mark.parametrize("top", ["inf", math.inf], ids=["string", "literal"])
+    def test_lambda_accepts_infinity(self, tmp_path, top):
+        path = write_json(tmp_path, with_section("personalization", {"lambdas": [0, top]}))
+        cfg = load_config(path)
+        assert cfg.personalization.lambdas == (0.0, math.inf)
 
 
 class TestLoadConfig:

@@ -7,7 +7,6 @@ from baryfed.data import (
     Dataset,
     IdxFormatError,
     PartitionConfig,
-    dirichlet_partition,
     draw_proportions,
     load_idx,
     partition_indices,
@@ -189,12 +188,6 @@ class TestPartition:
         cfg = PartitionConfig(n_clients=10, beta=0.1, seed=8, min_shard=10)
         with pytest.raises(ValueError, match="min_shard"):
             partition_indices(ds, cfg)
-
-    def test_dirichlet_partition_datasets(self):
-        ds = synth_blobs(classes=3, dim=2, n_per_class=60, spread=0.1, seed=9)
-        parts = dirichlet_partition(ds, PartitionConfig(n_clients=3, beta=2.0, seed=9))
-        assert sum(p.n for p in parts) == ds.n
-        assert all(isinstance(p, Dataset) for p in parts)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

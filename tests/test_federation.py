@@ -21,7 +21,6 @@ from baryfed.federation import (
     build_data,
     client_rng,
     derived_seed,
-    fedavg_baseline,
     incremental_sweep,
     partition_both,
     personalize_all,
@@ -223,7 +222,8 @@ class TestTrainingBehavior:
     def test_fedavg_within_band_of_bayes(self):
         cfg = bench_cfg()
         bayes = run_experiment(cfg, seed=0)
-        avg = fedavg_baseline(cfg, seed=0)
+        fedavg = dataclasses.replace(cfg.federation, algorithm="fedavg")
+        avg = run_experiment(dataclasses.replace(cfg, federation=fedavg), seed=0)
         assert avg.algorithm == "fedavg"
         acc = lambda rep: next(m.accuracy for m in rep.metrics if m.setting == "GM-GD")
         assert abs(acc(bayes) - acc(avg)) <= 5.0

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -48,27 +47,6 @@ class TestDiagGaussian:
             p.mean[0] = 3.0
         assert p.dim == 2
         assert np.allclose(p.std, np.sqrt(p.var))
-
-    def test_binary_round_trip(self):
-        p = g([1.5, -2.25, 1e-9], [0.125, 3.0, 4e8])
-        q = DiagGaussian.from_bytes(p.to_bytes())
-        assert np.array_equal(p.mean, q.mean)
-        assert np.array_equal(p.var, q.var)
-
-    def test_binary_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            DiagGaussian.from_bytes(b"nope")
-        blob = g(0.0, 1.0).to_bytes()
-        with pytest.raises(ValueError):
-            DiagGaussian.from_bytes(blob[:-4])
-
-    def test_json_round_trip(self):
-        p = g([0.1, 0.2], [1.0, 2.0])
-        q = DiagGaussian.from_json(p.to_json())
-        assert p.allclose(q)
-        obj = json.loads(p.to_json())
-        assert set(obj) >= {"mean", "var"}
-
 
 class TestDivergences:
     def test_kl_pinned_values(self):
