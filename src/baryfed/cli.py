@@ -410,9 +410,6 @@ def cmd_partition(args) -> int:
 
 # -- geometry property suite ------------------------------------------------
 
-MUTATIONS = ("w2b-var-eaa",)
-
-
 def _random_instance(rng: np.random.Generator) -> tuple[DiagGaussian, DiagGaussian]:
     mus = rng.uniform(-1.0, 1.0, size=2)
     sds = rng.uniform(0.3, 1.3, size=2)
@@ -452,18 +449,7 @@ def _barycenter_objective(
     return total
 
 
-def _mutated_aggregate(method, posts, weights, mutation):
-    if mutation == "w2b-var-eaa" and method is AggregationMethod.W2B:
-        w = np.asarray(weights)
-        mean = sum(wk * p.mean for wk, p in zip(w, posts))
-        var = sum(wk * p.var for wk, p in zip(w, posts))
-        return DiagGaussian(mean=mean, var=var)
-    return aggregate(method, posts, weights)
-
-
-def validate_geometry_suite(
-    n_instances: int = 100, seed: int = 0, mutation: str | None = None
-) -> tuple[bool, list[str]]:
+def validate_geometry_suite(n_instances: int = 100, seed: int = 0) -> tuple[bool, list[str]]:
     """Randomized 1-D checks; returns (all_passed, report_lines)."""
     rng = np.random.default_rng(seed)
     failures: dict[str, list[str]] = {
@@ -488,7 +474,7 @@ def validate_geometry_suite(
         cand_mu, cand_sd = np.meshgrid(mus, sds, indexing="ij")
 
         for method in AggregationMethod:
-            closed = _mutated_aggregate(method, posts, weights, mutation)
+            closed = aggregate(method, posts, weights)
             best_grid = float(
                 _barycenter_objective(method, cand_mu, cand_sd, posts, weights).min()
             )
@@ -548,7 +534,7 @@ def validate_geometry_suite(
 
 
 def cmd_validate_geometry(args) -> int:
-    ok, lines = validate_geometry_suite(args.instances, args.seed or 0, args.mutation)
+    ok, lines = validate_geometry_suite(args.instances, args.seed or 0)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -583,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-geometry", help="randomized geometry property suite")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutation", choices=MUTATIONS, default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_validate_geometry)
     return parser
 

@@ -19,6 +19,7 @@ import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .evaluation import MetricsReport, evaluate
 from .geometry import (
     AggregationMethod,
     DiagGaussian,
-    Divergence,
     aggregate,
     project,
     projection_divergence,
@@ -47,7 +47,6 @@ from .variopt import (
     IvonHyper,
     IvonState,
     hessian_of,
-    ivon_init,
     ivon_step,
     linear_lr,
     posterior_of,
@@ -81,22 +80,6 @@ class RunError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class ClientState:
-    id: int
-    train_shard: Dataset
-    test_shard: Dataset
-    optimizer: IvonState
-    local_posterior: DiagGaussian
-
-
-@dataclass
-class ServerState:
-    global_posterior: DiagGaussian
-    method: AggregationMethod
-    client_weights: np.ndarray
-
-
 @dataclass(frozen=True)
 class RoundReport:
     round: int
@@ -110,15 +93,14 @@ class ExperimentReport:
     seed: int
     algorithm: str
     aggregation: str
-    divergence: str
     lambda_grid: tuple
     client_sizes: list
     client_label_counts: list
     rounds: list
     metrics: list
     wall_seconds: float
-    final_global: DiagGaussian | None = None
-    final_locals: tuple = ()
+    final_global: DiagGaussian
+    final_locals: tuple
 
 
 def _ivon_hyper(opt: OptimizerCfg, ess: int) -> IvonHyper:
@@ -134,38 +116,55 @@ def _ivon_hyper(opt: OptimizerCfg, ess: int) -> IvonHyper:
     )
 
 
-def _restart(post: DiagGaussian, hyper: IvonHyper, hess: np.ndarray) -> IvonState:
-    """Optimizer state at the mean of ``post``; momentum and step count restart."""
-    return IvonState(
-        mean=post.mean.copy(), hess=hess, grad_momentum=np.zeros(post.dim), hyper=hyper
-    )
+def _lr_schedule(opt: OptimizerCfg, epochs: int) -> list[float]:
+    """One learning rate per epoch, decayed linearly from lr_initial to lr_final."""
+    return [
+        linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)
+    ]
 
 
-def _train(
-    spec: MlpSpec,
-    state: IvonState,
-    ds: Dataset,
-    epochs: int,
+def client_update(
+    global_posterior: DiagGaussian,
+    shard: Dataset,
+    hyper: IvonHyper,
+    lrs: list[float],
     batch_size: int,
     rng: np.random.Generator,
-    lr_by_epoch: list[float],
+    spec: MlpSpec,
     mc_train: int,
-    deterministic: bool,
-) -> tuple[IvonState, list[float]]:
-    """Local training on ``ds``; returns the final state and per-epoch mean NLL."""
+    frozen_var: float | None,
+) -> tuple[DiagGaussian, list[float]]:
+    """One local phase from the broadcast posterior; one epoch per entry of ``lrs``.
+
+    The optimizer restarts at the global mean with the Hessian rebuilt from the
+    global variance under this client's own (N_k, delta); gradient momentum and
+    the step counter start from zero, so no optimizer state crosses rounds.
+    With ``frozen_var`` set (FedAvg) the gradient is taken at the mean, the
+    Hessian stays at h0, and the local posterior carries ``frozen_var`` on
+    every coordinate. Returns the local posterior and the per-epoch mean
+    minibatch NLL.
+    """
+    dim = global_posterior.dim
+    deterministic = frozen_var is not None
+    if deterministic:
+        hess = np.full(dim, float(hyper.h0))
+    else:
+        hess = hessian_of(global_posterior, hyper.ess, hyper.weight_decay)
+    state = IvonState(
+        mean=global_posterior.mean.copy(), hess=hess, grad_momentum=np.zeros(dim), hyper=hyper
+    )
     trace = []
-    for epoch in range(epochs):
-        lr = lr_by_epoch[epoch]
-        order = rng.permutation(ds.n)
+    for lr in lrs:
+        order = rng.permutation(shard.n)
         losses = []
-        for start in range(0, ds.n, batch_size):
+        for start in range(0, shard.n, batch_size):
             idx = order[start : start + batch_size]
-            batch = models.Batch(inputs=ds.inputs[idx], labels=ds.labels[idx])
+            batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
             if deterministic:
                 loss, grad = models.loss_and_grad(spec, state.mean, batch)
                 state = ivon_step(state, grad, state.mean, lr=lr, update_hessian=False)
             else:
-                grads = np.empty((mc_train, state.mean.shape[0]))
+                grads = np.empty((mc_train, dim))
                 thetas = np.empty_like(grads)
                 loss = 0.0
                 for s in range(mc_train):
@@ -177,78 +176,16 @@ def _train(
                 state = ivon_step(state, grads, thetas, lr=lr)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
-    return state, trace
-
-
-def client_update(
-    client: ClientState,
-    global_posterior: DiagGaussian,
-    epochs: int,
-    batch_size: int,
-    rng: np.random.Generator,
-    spec: MlpSpec,
-    lr_by_epoch: list[float] | None = None,
-    mc_train: int = 1,
-    deterministic: bool = False,
-    frozen_var: float | None = None,
-) -> tuple[ClientState, list[float]]:
-    """One local phase: install the broadcast posterior, then train.
-
-    The broadcast fixes the optimizer mean to the global mean and rebuilds the
-    Hessian from the global variance with this client's own (N_k, delta);
-    gradient momentum and the step counter restart. In deterministic mode the
-    gradient is taken at the mean and the Hessian is frozen, and the reported
-    local posterior keeps ``frozen_var`` on every coordinate.
-    """
-    hyper = client.optimizer.hyper
-    hess = (
-        client.optimizer.hess
-        if deterministic
-        else hessian_of(global_posterior, hyper.ess, hyper.weight_decay)
-    )
-    if lr_by_epoch is None:
-        lr_by_epoch = [hyper.lr] * epochs
-    client.optimizer, trace = _train(
-        spec,
-        _restart(global_posterior, hyper, hess),
-        client.train_shard,
-        epochs,
-        batch_size,
-        rng,
-        lr_by_epoch,
-        mc_train,
-        deterministic,
-    )
     if deterministic:
-        client.local_posterior = DiagGaussian(
-            mean=client.optimizer.mean.copy(),
-            var=np.full(global_posterior.dim, frozen_var),
-        )
-    else:
-        client.local_posterior = posterior_of(client.optimizer)
-    return client, trace
+        return DiagGaussian(mean=state.mean, var=np.full(dim, frozen_var)), trace
+    return posterior_of(state), trace
 
 
-def server_aggregate(server: ServerState, posteriors: list[DiagGaussian]) -> ServerState:
-    if len(posteriors) != len(server.client_weights):
-        raise ValueError(
-            f"got {len(posteriors)} posteriors for {len(server.client_weights)} clients"
-        )
-    merged = aggregate(server.method, posteriors, server.client_weights)
-    return dataclasses.replace(server, global_posterior=merged)
-
-
-def personalize_all(
-    server: ServerState,
-    clients: list[ClientState],
-    d: Divergence,
-    lam: float,
-) -> list[DiagGaussian]:
-    """Project the global posterior toward each local one; no data, no training."""
-    return [
-        project(d, server.global_posterior, client.local_posterior, lam)
-        for client in clients
-    ]
+def server_aggregate(
+    method: AggregationMethod, posteriors: list[DiagGaussian], weights: np.ndarray
+) -> DiagGaussian:
+    """Fuse the clients' local posteriors; the server sees posteriors and weights only."""
+    return aggregate(method, posteriors, weights)
 
 
 def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -256,7 +193,9 @@ def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
 
     Synthetic draws and the train/test split come from dataset.seed so reruns
     with different master seeds vary partitioning, initialization, and
-    training noise on identical data, mirroring a fixed benchmark split.
+    training noise on identical data, mirroring a fixed benchmark split. IDX
+    files share one class count, so a test file missing the top class still
+    pairs with its training file.
     """
     dcfg = cfg.dataset
     if dcfg.kind == "synth":
@@ -270,6 +209,9 @@ def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
         return train_test_split(ds, dcfg.test_fraction, derived_seed(dcfg.seed, _SPLIT_TAG))
     train = load_idx(dcfg.train_images, dcfg.train_labels, name="train")
     test = load_idx(dcfg.test_images, dcfg.test_labels, name="test")
+    classes = max(train.classes, test.classes)
+    train = dataclasses.replace(train, classes=classes)
+    test = dataclasses.replace(test, classes=classes)
     if dcfg.limit:
         train = train.subset(np.arange(min(train.n, dcfg.limit)))
         test = test.subset(np.arange(min(test.n, dcfg.limit)))
@@ -313,134 +255,99 @@ def model_spec(cfg: ExperimentConfig, ds: Dataset) -> MlpSpec:
     return MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
 
 
-def _lr_schedule(cfg: ExperimentConfig) -> list[list[float]]:
-    """Per-round lists of per-epoch learning rates, decayed linearly."""
-    rounds = cfg.federation.rounds
-    epochs = cfg.federation.local_epochs
-    total = rounds * epochs
-    out = []
-    step = 0
-    for _ in range(rounds):
-        row = []
-        for _ in range(epochs):
-            row.append(
-                linear_lr(cfg.optimizer.lr_initial, cfg.optimizer.lr_final, step, max(total - 1, 1))
-            )
-            step += 1
-        out.append(row)
-    return out
-
-
 def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     """Full protocol: R rounds of broadcast/train/aggregate, then evaluation.
 
-    Emits per-client metrics for the four settings (global or personalized
-    model, on local or pooled test data), with the personalization sweep over
-    the configured lambda grid applied to the final-round posteriors.
+    Each round maps the broadcast global posterior to one local posterior per
+    client and fuses those into the next global posterior; nothing else
+    carries over. Emits per-client metrics for the four settings (global or
+    personalized model, on local or pooled test data), with the
+    personalization sweep over the configured lambda grid applied to the
+    final-round posteriors.
     """
     t0 = time.perf_counter()
-    fedavg = cfg.federation.algorithm == "fedavg"
+    fed = cfg.federation
+    opt = cfg.optimizer
     try:
         train, test = build_data(cfg, seed)
         train_idx, test_idx = partition_both(cfg, train, test, seed)
     except Exception as exc:
         raise RunError(0, None, exc) from exc
+    train_shards = [train.subset(i, name=f"client{k}/train") for k, i in enumerate(train_idx)]
+    test_shards = [test.subset(i, name=f"client{k}/test") for k, i in enumerate(test_idx)]
+    hypers = [_ivon_hyper(opt, shard.n) for shard in train_shards]
 
     spec = model_spec(cfg, train)
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
-    dim = theta0.shape[0]
-    opt = cfg.optimizer
-
-    clients = []
-    for k, (tr_i, te_i) in enumerate(zip(train_idx, test_idx)):
-        shard = train.subset(tr_i, name=f"client{k}/train")
-        state = ivon_init(dim, _ivon_hyper(opt, shard.n), mean=theta0)
-        clients.append(
-            ClientState(
-                id=k,
-                train_shard=shard,
-                test_shard=test.subset(te_i, name=f"client{k}/test"),
-                optimizer=state,
-                local_posterior=posterior_of(state),
-            )
-        )
-
-    sizes = np.array([c.train_shard.n for c in clients], dtype=np.float64)
+    sizes = np.array([shard.n for shard in train_shards], dtype=np.float64)
     weights = sizes / sizes.sum()
-    if fedavg:
-        var0 = np.full(dim, cfg.federation.frozen_var)
-    else:
+    frozen_var = fed.frozen_var if fed.algorithm == "fedavg" else None
+    if frozen_var is None:
         mean_ess = float(np.mean(sizes))
-        var0 = np.full(dim, 1.0 / (mean_ess * (opt.h0 + opt.weight_decay)))
-    server = ServerState(
-        global_posterior=DiagGaussian(mean=theta0.copy(), var=var0),
-        method=cfg.federation.aggregation,
-        client_weights=weights,
-    )
+        var0 = np.full(theta0.shape[0], 1.0 / (mean_ess * (opt.h0 + opt.weight_decay)))
+    else:
+        var0 = np.full(theta0.shape[0], frozen_var)
+    p_g = DiagGaussian(mean=theta0, var=var0)
 
-    schedule = _lr_schedule(cfg)
+    lrs = _lr_schedule(opt, fed.rounds * fed.local_epochs)
     div = cfg.personalization.divergence
-    rounds_out = []
+    clients = range(len(train_shards))
 
-    def one_client(args):
-        r, client = args
-        return client_update(
-            client,
-            server.global_posterior,
-            cfg.federation.local_epochs,
-            cfg.federation.batch_size,
-            client_rng(seed, r, client.id),
-            spec,
-            lr_by_epoch=schedule[r - 1],
-            mc_train=opt.mc_train_samples,
-            deterministic=fedavg,
-            frozen_var=cfg.federation.frozen_var,
-        )
-
-    for r in range(1, cfg.federation.rounds + 1):
-        jobs = [(r, c) for c in clients]
+    def one_client(r: int, p_g: DiagGaussian, k: int) -> tuple[DiagGaussian, list[float]]:
         try:
-            if cfg.federation.threads > 1:
-                with ThreadPoolExecutor(max_workers=cfg.federation.threads) as pool:
-                    results = list(pool.map(one_client, jobs))
-            else:
-                results = [one_client(j) for j in jobs]
-        except RunError:
-            raise
+            return client_update(
+                p_g,
+                train_shards[k],
+                hypers[k],
+                lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs],
+                fed.batch_size,
+                client_rng(seed, r, k),
+                spec,
+                opt.mc_train_samples,
+                frozen_var,
+            )
         except Exception as exc:
-            raise RunError(r, None, exc) from exc
-        clients = [res[0] for res in results]
-        traces = [res[1] for res in results]
+            raise RunError(r, k, exc) from exc
+
+    rounds_out = []
+    for r in range(1, fed.rounds + 1):
+        work = partial(one_client, r, p_g)
+        if fed.threads > 1:
+            with ThreadPoolExecutor(max_workers=fed.threads) as pool:
+                results = list(pool.map(work, clients))
+        else:
+            results = list(map(work, clients))
+        locals_ = [res[0] for res in results]
 
         t_agg = time.perf_counter()
         try:
-            server = server_aggregate(server, [c.local_posterior for c in clients])
+            p_g = server_aggregate(fed.aggregation, locals_, weights)
         except Exception as exc:
             raise RunError(r, None, exc) from exc
         agg_seconds = time.perf_counter() - t_agg
 
-        divs = [
-            float(projection_divergence(div, c.local_posterior, server.global_posterior))
-            for c in clients
-        ]
         rounds_out.append(
-            RoundReport(round=r, nll_traces=traces, divergences=divs, agg_seconds=agg_seconds)
+            RoundReport(
+                round=r,
+                nll_traces=[res[1] for res in results],
+                divergences=[float(projection_divergence(div, p, p_g)) for p in locals_],
+                agg_seconds=agg_seconds,
+            )
         )
 
-    metrics = _evaluate_all(cfg, seed, spec, server, clients, test)
+    metrics = _evaluate_all(cfg, seed, spec, p_g, locals_, test_shards, test)
     return ExperimentReport(
         seed=seed,
-        algorithm=cfg.federation.algorithm,
-        aggregation=cfg.federation.aggregation.value.lower(),
-        divergence=div.value.lower(),
+        algorithm=fed.algorithm,
+        aggregation=fed.aggregation.value.lower(),
         lambda_grid=cfg.personalization.lambdas,
-        client_sizes=[c.train_shard.n for c in clients],
-        client_label_counts=[c.train_shard.label_counts().tolist() for c in clients],
+        client_sizes=[shard.n for shard in train_shards],
+        client_label_counts=[shard.label_counts().tolist() for shard in train_shards],
         rounds=rounds_out,
         metrics=metrics,
         wall_seconds=time.perf_counter() - t0,
-        final_global=server.global_posterior,
-        final_locals=tuple(c.local_posterior for c in clients),
+        final_global=p_g,
+        final_locals=tuple(locals_),
     )
 
 
@@ -448,18 +355,16 @@ def _evaluate_all(
     cfg: ExperimentConfig,
     seed: int,
     spec: MlpSpec,
-    server: ServerState,
-    clients: list[ClientState],
+    p_g: DiagGaussian,
+    locals_: list[DiagGaussian],
+    test_shards: list[Dataset],
     test_union: Dataset,
 ) -> list[MetricsReport]:
     mc = cfg.eval.mc_samples
     bins = cfg.eval.ece_bins
     eseed = derived_seed(seed, _EVAL_TAG)
-    method = (
-        "fedavg"
-        if cfg.federation.algorithm == "fedavg"
-        else cfg.federation.aggregation.value.lower()
-    )
+    fedavg = cfg.federation.algorithm == "fedavg"
+    method = "fedavg" if fedavg else cfg.federation.aggregation.value.lower()
 
     def tag(report: MetricsReport, setting, lam, client_id):
         return dataclasses.replace(
@@ -467,26 +372,22 @@ def _evaluate_all(
         )
 
     rows = []
-    p_g = server.global_posterior
-    for c in clients:
-        rows.append(
-            tag(evaluate(spec, p_g, c.test_shard, mc, bins, eseed), "GM-LD", None, c.id)
-        )
+    for k, shard in enumerate(test_shards):
+        rows.append(tag(evaluate(spec, p_g, shard, mc, bins, eseed), "GM-LD", None, k))
     rows.append(tag(evaluate(spec, p_g, test_union, mc, bins, eseed), "GM-GD", None, None))
 
-    if cfg.federation.algorithm == "fedavg":
-        sweep: list[tuple[float | None, list[DiagGaussian]]] = [
-            (None, [c.local_posterior for c in clients])
-        ]
+    d = cfg.personalization.divergence
+    if fedavg:
+        sweep = [(None, locals_)]
     else:
         sweep = [
-            (lam, personalize_all(server, clients, cfg.personalization.divergence, lam))
+            (lam, [project(d, p_g, p, lam) for p in locals_])
             for lam in cfg.personalization.lambdas
         ]
     for lam, posteriors in sweep:
-        for c, p in zip(clients, posteriors):
-            rows.append(tag(evaluate(spec, p, c.test_shard, mc, bins, eseed), "PM-LD", lam, c.id))
-            rows.append(tag(evaluate(spec, p, test_union, mc, bins, eseed), "PM-GD", lam, c.id))
+        for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
+            rows.append(tag(evaluate(spec, p, shard, mc, bins, eseed), "PM-LD", lam, k))
+            rows.append(tag(evaluate(spec, p, test_union, mc, bins, eseed), "PM-GD", lam, k))
     return rows
 
 
@@ -508,33 +409,6 @@ class IncrementalReport:
 def _filter_classes(ds: Dataset, keep: np.ndarray, name: str) -> Dataset:
     idx = np.flatnonzero(np.isin(ds.labels, keep))
     return ds.subset(idx, name=name)
-
-
-def _train_single(
-    spec: MlpSpec,
-    ds: Dataset,
-    start: DiagGaussian,
-    cfg: ExperimentConfig,
-    rng: np.random.Generator,
-) -> DiagGaussian:
-    opt = cfg.optimizer
-    hyper = _ivon_hyper(opt, ds.n)
-    epochs = cfg.federation.rounds * cfg.federation.local_epochs
-    lrs = [
-        linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)
-    ]
-    state, _ = _train(
-        spec,
-        _restart(start, hyper, hessian_of(start, ds.n, opt.weight_decay)),
-        ds,
-        epochs,
-        cfg.federation.batch_size,
-        rng,
-        lrs,
-        opt.mc_train_samples,
-        deterministic=False,
-    )
-    return posterior_of(state)
 
 
 def incremental_sweep(
@@ -572,8 +446,24 @@ def incremental_sweep(
     start_var = np.full(theta0.shape[0], 1.0 / (train_a.n * (opt.h0 + opt.weight_decay)))
     start = DiagGaussian(mean=theta0, var=start_var)
 
-    post_a = _train_single(spec, train_a, start, cfg, client_rng(seed, 1, 0))
-    post_b = _train_single(spec, train_b, post_a, cfg, client_rng(seed, 2, 0))
+    lrs = _lr_schedule(opt, cfg.federation.rounds * cfg.federation.local_epochs)
+
+    def train_task(ds: Dataset, prior: DiagGaussian, stream: int) -> DiagGaussian:
+        post, _ = client_update(
+            prior,
+            ds,
+            _ivon_hyper(opt, ds.n),
+            lrs,
+            cfg.federation.batch_size,
+            client_rng(seed, stream, 0),
+            spec,
+            opt.mc_train_samples,
+            None,
+        )
+        return post
+
+    post_a = train_task(train_a, start, 1)
+    post_b = train_task(train_b, post_a, 2)
 
     mc = cfg.eval.mc_samples
     bins = cfg.eval.ece_bins

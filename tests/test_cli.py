@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import struct
 
+import numpy as np
 import pytest
 
+from baryfed import cli
 from baryfed.cli import main
+from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate
 
 BASE_CONFIG = {
     "dataset": {"kind": "synth", "classes": 3, "dim": 2, "n_per_class": 40, "spread": 0.3},
@@ -164,6 +168,38 @@ class TestPartition:
         assert all(len(s["label_counts"]) == 3 for s in doc["shards"])
 
 
+def write_idx(tmp_path, name, labels):
+    """Tiny IDX image/label pair: 2x2 images whose pixels encode the label."""
+    rng = np.random.default_rng(len(labels))
+    labels = np.asarray(labels, dtype=np.uint8)
+    pixels = (labels[:, None] * 80 + rng.integers(0, 40, size=(len(labels), 4))).astype(np.uint8)
+    images = tmp_path / f"{name}-images.idx"
+    images.write_bytes(struct.pack(">4I", 0x803, len(labels), 2, 2) + pixels.tobytes())
+    labels_path = tmp_path / f"{name}-labels.idx"
+    labels_path.write_bytes(struct.pack(">2I", 0x801, len(labels)) + labels.tobytes())
+    return str(images), str(labels_path)
+
+
+class TestIdx:
+    def test_test_file_missing_top_class(self, tmp_path):
+        train_images, train_labels = write_idx(tmp_path, "train", [0, 1, 2] * 30)
+        test_images, test_labels = write_idx(tmp_path, "test", [0, 1] * 20)
+        cfg = write_config(
+            tmp_path,
+            dataset={
+                "kind": "idx",
+                "train_images": train_images,
+                "train_labels": train_labels,
+                "test_images": test_images,
+                "test_labels": test_labels,
+            },
+        )
+        assert main(["run", cfg]) == 0
+        doc = json.loads((tmp_path / "out" / "rounds_0.json").read_text())
+        assert len(doc["client_label_counts"]) == 4
+        assert all(len(counts) == 3 for counts in doc["client_label_counts"])
+
+
 class TestValidateGeometry:
     def test_clean_pass(self, capsys):
         assert main(["validate-geometry", "--instances", "10"]) == 0
@@ -173,8 +209,16 @@ class TestValidateGeometry:
         assert "geodesic-monotonicity" in out
         assert "FAIL" not in out
 
-    def test_mutation_detected(self, capsys):
-        assert main(["validate-geometry", "--instances", "10", "--mutation", "w2b-var-eaa"]) == 1
+    def test_mutation_detected(self, capsys, monkeypatch):
+        def w2b_with_eaa_variance(method, posts, weights):
+            if method is not AggregationMethod.W2B:
+                return aggregate(method, posts, weights)
+            mean = sum(w * p.mean for w, p in zip(weights, posts))
+            var = sum(w * p.var for w, p in zip(weights, posts))
+            return DiagGaussian(mean=mean, var=var)
+
+        monkeypatch.setattr(cli, "aggregate", w2b_with_eaa_variance)
+        assert main(["validate-geometry", "--instances", "10"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "counterexample" in out
@@ -209,6 +253,17 @@ class TestErrors:
         )
         assert main(["run", cfg]) == 1
         assert "round 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_run_failure_names_client(self, tmp_path, capsys, threads):
+        cfg = write_config(
+            tmp_path,
+            optimizer={"lr_initial": 1e6, "lr_final": 1e6, "h0": 1e-6, "weight_decay": 0},
+            federation={"rounds": 3, "local_epochs": 3, "batch_size": 8},
+        )
+        assert main(["run", cfg, "--threads", threads]) == 1
+        assert "run failed at round 1, client 0: " in capsys.readouterr().err
 
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

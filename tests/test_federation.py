@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +15,16 @@ from baryfed.config import (
     PartitionCfg,
     PersonalizationCfg,
 )
+from baryfed.evaluation import evaluate
 from baryfed.federation import (
+    _EVAL_TAG,
     RunError,
     build_data,
     client_rng,
     derived_seed,
     incremental_sweep,
+    model_spec,
     partition_both,
-    personalize_all,
     run_experiment,
 )
 from baryfed.geometry import DiagGaussian, Divergence, project
@@ -177,6 +178,8 @@ class TestRunExperiment:
 
 
 class TestPersonalizeAll:
+    """Personalization is one projection per client: no data, no training."""
+
     def stand_ins(self):
         rng = np.random.default_rng(0)
         g = DiagGaussian(mean=rng.normal(size=6), var=rng.uniform(0.5, 2.0, size=6))
@@ -184,30 +187,37 @@ class TestPersonalizeAll:
             DiagGaussian(mean=rng.normal(size=6), var=rng.uniform(0.5, 2.0, size=6))
             for _ in range(3)
         ]
-        server = SimpleNamespace(global_posterior=g)
-        clients = [SimpleNamespace(local_posterior=p) for p in locals_]
-        return server, clients, g, locals_
+        return g, locals_
 
     def test_endpoints_bit_exact(self):
-        server, clients, g, locals_ = self.stand_ins()
-        at_zero = personalize_all(server, clients, Divergence.W2SQ, 0.0)
-        at_inf = personalize_all(server, clients, Divergence.W2SQ, math.inf)
+        g, locals_ = self.stand_ins()
+        at_zero = [project(Divergence.W2SQ, g, p, 0.0) for p in locals_]
+        at_inf = [project(Divergence.W2SQ, g, p, math.inf) for p in locals_]
         for p in at_zero:
             assert np.array_equal(p.mean, g.mean) and np.array_equal(p.var, g.var)
         for p, loc in zip(at_inf, locals_):
             assert np.array_equal(p.mean, loc.mean) and np.array_equal(p.var, loc.var)
 
     def test_training_free(self):
-        server, clients, _, _ = self.stand_ins()
+        g, locals_ = self.stand_ins()
         models.reset_call_counts()
-        personalize_all(server, clients, Divergence.RKL, 1.0)
+        for p in locals_:
+            project(Divergence.RKL, g, p, 1.0)
         assert models.CALL_COUNTS == {"forward": 0, "loss_and_grad": 0}
 
     def test_matches_direct_projection(self):
-        server, clients, g, locals_ = self.stand_ins()
-        got = personalize_all(server, clients, Divergence.W2SQ, 2.0)
-        for p, loc in zip(got, locals_):
-            assert p.allclose(project(Divergence.W2SQ, g, loc, 2.0))
+        # the PM rows of a run score the projection of its final posteriors
+        cfg = make_cfg()
+        rep = run_experiment(cfg, seed=0)
+        train, test = build_data(cfg, seed=0)
+        spec = model_spec(cfg, train)
+        eseed = derived_seed(0, _EVAL_TAG)
+        rows = [m for m in rep.metrics if m.setting == "PM-GD" and m.lam == 1.0]
+        assert [m.client_id for m in rows] == list(range(len(rep.final_locals)))
+        for m, loc in zip(rows, rep.final_locals):
+            p = project(cfg.personalization.divergence, rep.final_global, loc, 1.0)
+            ref = evaluate(spec, p, test, cfg.eval.mc_samples, cfg.eval.ece_bins, eseed)
+            assert (m.accuracy, m.nll, m.ece) == (ref.accuracy, ref.nll, ref.ece)
 
 
 class TestTrainingBehavior:
