@@ -13,7 +13,6 @@ from .geometry import (
     DiagGaussian,
     Divergence,
     aggregate,
-    divergence,
     geodesic_sweep,
     numeric_projection_oracle,
     project,
@@ -25,7 +24,6 @@ __all__ = [
     "DiagGaussian",
     "Divergence",
     "aggregate",
-    "divergence",
     "geodesic_sweep",
     "numeric_projection_oracle",
     "project",

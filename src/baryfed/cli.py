@@ -30,6 +30,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    NON_NEGATIVE,
+    POSITIVE,
     ConfigError,
     ExperimentConfig,
     FederationCfg,
@@ -534,7 +536,9 @@ def validate_geometry_suite(n_instances: int = 100, seed: int = 0) -> tuple[bool
 
 
 def cmd_validate_geometry(args) -> int:
-    ok, lines = validate_geometry_suite(args.instances, args.seed or 0)
+    instances = POSITIVE(args.instances, "--instances")
+    seed = NON_NEGATIVE(args.seed, "--seed")
+    ok, lines = validate_geometry_suite(instances, seed)
     for line in lines:
         print(line)
     return 0 if ok else 1

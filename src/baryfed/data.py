@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .config import PartitionCfg
 
 log = logging.getLogger(__name__)
 
@@ -156,33 +158,11 @@ def synth_blobs(
 
 
 @dataclass(frozen=True)
-class PartitionConfig:
-    n_clients: int
-    beta: float
-    seed: int
-    min_shard: int = 10
-
-    def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.min_shard < 1:
-            raise ValueError("min_shard must be >= 1")
-
-
-@dataclass(frozen=True)
 class PartitionDraw:
     """Per-class client proportions; reusable across paired dataset splits."""
 
     proportions: np.ndarray  # (classes, n_clients)
     attempts: int = 1
-
-
-def draw_proportions(
-    classes: int, cfg: PartitionConfig, rng: np.random.Generator
-) -> np.ndarray:
-    return rng.dirichlet(np.full(cfg.n_clients, cfg.beta), size=classes)
 
 
 def _split_by_proportions(
@@ -201,20 +181,23 @@ def _split_by_proportions(
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
 
-def partition_indices(ds: Dataset, cfg: PartitionConfig) -> tuple[list[np.ndarray], PartitionDraw]:
+def partition_indices(
+    ds: Dataset, pcfg: PartitionCfg, seed: int
+) -> tuple[list[np.ndarray], PartitionDraw]:
     """Label-skewed shard indices plus the accepted Dirichlet draw.
 
+    Each draw gives every class a Dirichlet(beta) split over the n_clients.
     Draws are resampled until every shard holds at least min_shard examples,
     up to MAX_PARTITION_ATTEMPTS; features never influence the assignment.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_PARTITION_ATTEMPTS + 1):
-        proportions = draw_proportions(ds.classes, cfg, rng)
+        proportions = rng.dirichlet(np.full(pcfg.n_clients, pcfg.beta), size=ds.classes)
         shards = _split_by_proportions(ds, proportions, rng)
-        if min(len(s) for s in shards) >= cfg.min_shard:
+        if min(len(s) for s in shards) >= pcfg.min_shard:
             return shards, PartitionDraw(proportions=proportions, attempts=attempt)
     raise ValueError(
-        f"no draw met min_shard={cfg.min_shard} in {MAX_PARTITION_ATTEMPTS} attempts; "
+        f"no draw met min_shard={pcfg.min_shard} in {MAX_PARTITION_ATTEMPTS} attempts; "
         "increase beta, reduce n_clients, or lower min_shard"
     )
 

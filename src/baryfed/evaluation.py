@@ -23,8 +23,6 @@ from .models import MlpSpec
 PROB_FLOOR = 1e-12
 EXACT_MAX_N = 20
 
-SETTINGS = ("PM-LD", "PM-GD", "GM-LD", "GM-GD")
-
 
 @dataclass(frozen=True)
 class MetricsReport:

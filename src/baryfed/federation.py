@@ -27,7 +27,6 @@ from . import models
 from .config import ConfigError, ExperimentConfig, OptimizerCfg
 from .data import (
     Dataset,
-    PartitionConfig,
     load_idx,
     partition_indices,
     partition_with_draw,
@@ -44,9 +43,8 @@ from .geometry import (
 )
 from .models import MlpSpec
 from .variopt import (
-    IvonHyper,
-    IvonState,
-    hessian_of,
+    ivon_from_posterior,
+    ivon_init,
     ivon_step,
     linear_lr,
     posterior_of,
@@ -84,7 +82,7 @@ class RunError(RuntimeError):
 class RoundReport:
     round: int
     nll_traces: list  # per client, per epoch mean minibatch NLL
-    divergences: list  # divergence(d, p_k, p_g) per client
+    divergences: list  # projection_divergence(d, p_k, p_g) per client
     agg_seconds: float
 
 
@@ -103,19 +101,6 @@ class ExperimentReport:
     final_locals: tuple
 
 
-def _ivon_hyper(opt: OptimizerCfg, ess: int) -> IvonHyper:
-    """Optimizer hyperparameters for a training set of ``ess`` examples."""
-    return IvonHyper(
-        ess=ess,
-        lr=opt.lr_initial,
-        weight_decay=opt.weight_decay,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        h0=opt.h0,
-        clip_radius=opt.clip_radius,
-    )
-
-
 def _lr_schedule(opt: OptimizerCfg, epochs: int) -> list[float]:
     """One learning rate per epoch, decayed linearly from lr_initial to lr_final."""
     return [
@@ -126,33 +111,31 @@ def _lr_schedule(opt: OptimizerCfg, epochs: int) -> list[float]:
 def client_update(
     global_posterior: DiagGaussian,
     shard: Dataset,
-    hyper: IvonHyper,
+    opt: OptimizerCfg,
     lrs: list[float],
     batch_size: int,
     rng: np.random.Generator,
     spec: MlpSpec,
-    mc_train: int,
     frozen_var: float | None,
 ) -> tuple[DiagGaussian, list[float]]:
     """One local phase from the broadcast posterior; one epoch per entry of ``lrs``.
 
     The optimizer restarts at the global mean with the Hessian rebuilt from the
-    global variance under this client's own (N_k, delta); gradient momentum and
-    the step counter start from zero, so no optimizer state crosses rounds.
+    global variance under this client's own (N_k = shard.n, delta); gradient
+    momentum and the step counter start from zero, so no optimizer state
+    crosses rounds. Each step averages opt.mc_train_samples posterior draws.
     With ``frozen_var`` set (FedAvg) the gradient is taken at the mean, the
     Hessian stays at h0, and the local posterior carries ``frozen_var`` on
     every coordinate. Returns the local posterior and the per-epoch mean
     minibatch NLL.
     """
     dim = global_posterior.dim
+    mc_train = opt.mc_train_samples
     deterministic = frozen_var is not None
     if deterministic:
-        hess = np.full(dim, float(hyper.h0))
+        state = ivon_init(dim, opt, shard.n, mean=global_posterior.mean)
     else:
-        hess = hessian_of(global_posterior, hyper.ess, hyper.weight_decay)
-    state = IvonState(
-        mean=global_posterior.mean.copy(), hess=hess, grad_momentum=np.zeros(dim), hyper=hyper
-    )
+        state = ivon_from_posterior(global_posterior, opt, shard.n)
     trace = []
     for lr in lrs:
         order = rng.permutation(shard.n)
@@ -226,24 +209,16 @@ def partition_both(
     # retry with shifted seeds until every client also holds >= 1 test example
     last_err = None
     for attempt in range(20):
-        part = PartitionConfig(
-            n_clients=pcfg.n_clients,
-            beta=pcfg.beta,
-            seed=base + attempt,
-            min_shard=pcfg.min_shard,
-        )
         try:
-            train_idx, draw = partition_indices(train, part)
+            train_idx, draw = partition_indices(train, pcfg, base + attempt)
         except ValueError as exc:
             last_err = exc
             continue
         if pcfg.shared_test_draw:
             test_idx = partition_with_draw(test, draw, base + attempt)
         else:
-            test_part = PartitionConfig(
-                n_clients=pcfg.n_clients, beta=pcfg.beta, seed=base + attempt + 1, min_shard=1
-            )
-            test_idx, _ = partition_indices(test, test_part)
+            test_pcfg = dataclasses.replace(pcfg, min_shard=1)
+            test_idx, _ = partition_indices(test, test_pcfg, base + attempt + 1)
         if min(len(s) for s in test_idx) >= 1:
             return train_idx, test_idx
     raise ValueError(
@@ -275,7 +250,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
         raise RunError(0, None, exc) from exc
     train_shards = [train.subset(i, name=f"client{k}/train") for k, i in enumerate(train_idx)]
     test_shards = [test.subset(i, name=f"client{k}/test") for k, i in enumerate(test_idx)]
-    hypers = [_ivon_hyper(opt, shard.n) for shard in train_shards]
 
     spec = model_spec(cfg, train)
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
@@ -283,11 +257,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     weights = sizes / sizes.sum()
     frozen_var = fed.frozen_var if fed.algorithm == "fedavg" else None
     if frozen_var is None:
-        mean_ess = float(np.mean(sizes))
-        var0 = np.full(theta0.shape[0], 1.0 / (mean_ess * (opt.h0 + opt.weight_decay)))
+        p_g = posterior_of(ivon_init(theta0.shape[0], opt, float(np.mean(sizes)), mean=theta0))
     else:
-        var0 = np.full(theta0.shape[0], frozen_var)
-    p_g = DiagGaussian(mean=theta0, var=var0)
+        p_g = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], frozen_var))
 
     lrs = _lr_schedule(opt, fed.rounds * fed.local_epochs)
     div = cfg.personalization.divergence
@@ -298,12 +270,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
             return client_update(
                 p_g,
                 train_shards[k],
-                hypers[k],
+                opt,
                 lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs],
                 fed.batch_size,
                 client_rng(seed, r, k),
                 spec,
-                opt.mc_train_samples,
                 frozen_var,
             )
         except Exception as exc:
@@ -443,8 +414,7 @@ def incremental_sweep(
     spec = model_spec(cfg, train)
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
     opt = cfg.optimizer
-    start_var = np.full(theta0.shape[0], 1.0 / (train_a.n * (opt.h0 + opt.weight_decay)))
-    start = DiagGaussian(mean=theta0, var=start_var)
+    start = posterior_of(ivon_init(theta0.shape[0], opt, train_a.n, mean=theta0))
 
     lrs = _lr_schedule(opt, cfg.federation.rounds * cfg.federation.local_epochs)
 
@@ -452,12 +422,11 @@ def incremental_sweep(
         post, _ = client_update(
             prior,
             ds,
-            _ivon_hyper(opt, ds.n),
+            opt,
             lrs,
             cfg.federation.batch_size,
             client_rng(seed, stream, 0),
             spec,
-            opt.mc_train_samples,
             None,
         )
         return post

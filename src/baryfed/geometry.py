@@ -69,12 +69,6 @@ class DiagGaussian:
     def std(self) -> np.ndarray:
         return np.sqrt(self.var)
 
-    def allclose(self, other: "DiagGaussian", rtol=1e-12, atol=1e-15) -> bool:
-        return (
-            self.dim == other.dim
-            and np.allclose(self.mean, other.mean, rtol=rtol, atol=atol)
-            and np.allclose(self.var, other.var, rtol=rtol, atol=atol)
-        )
 
 class Divergence(str, Enum):
     """Scalar divergence on pairs of diagonal Gaussians."""
@@ -90,32 +84,6 @@ class AggregationMethod(str, Enum):
     EAA = "EAA"
     W2B = "W2B"
     RKLB = "RKLB"
-
-
-@dataclass(frozen=True)
-class ProjectionWeights:
-    """Two-point barycenter weights derived from the trade-off parameter.
-
-    w_g = 1/(lambda+1) weights the global posterior, w_k = lambda/(lambda+1)
-    the local one; they sum to 1.
-    """
-
-    w_g: float
-    w_k: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.w_g <= 1.0 and 0.0 <= self.w_k <= 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(self.w_g + self.w_k - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "ProjectionWeights":
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
-        if math.isinf(lam):
-            return cls(w_g=0.0, w_k=1.0)
-        return cls(w_g=1.0 / (lam + 1.0), w_k=lam / (lam + 1.0))
 
 
 def _check_same_dim(q: DiagGaussian, p: DiagGaussian):
@@ -141,16 +109,6 @@ def w2sq_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
     return float(np.sum((q.mean - p.mean) ** 2 + (q.std - p.std) ** 2))
 
 
-def divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float:
-    """Evaluate D(q || p) for the selected divergence; >= 0, zero iff q = p."""
-    d = Divergence(d)
-    if d is Divergence.KL:
-        return kl_gaussian(q, p)
-    if d is Divergence.RKL:
-        return kl_gaussian(p, q)
-    return w2sq_gaussian(q, p)
-
-
 def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float:
     """The divergence of a candidate q from a reference p as it enters the
     sphere constraint and projection objective.
@@ -169,7 +127,8 @@ def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> fl
     return kl_gaussian(q, p)
 
 
-def _prepare_weights(n: int, weights) -> np.ndarray:
+def _check_weights(n: int, weights) -> np.ndarray:
+    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != n:
         raise ValueError(f"need {n} weights, got shape {w.shape}")
@@ -177,9 +136,9 @@ def _prepare_weights(n: int, weights) -> np.ndarray:
         bad = int(np.argmax(w < 0.0))
         raise ValueError(f"negative weight at index {bad}")
     total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
-    return w / total
+    return w
 
 
 def _floor_variance(var: np.ndarray) -> np.ndarray:
@@ -213,13 +172,13 @@ def aggregate(
     for p in posteriors[1:]:
         if p.dim != dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
-    w = _prepare_weights(len(posteriors), weights)
+    w = _check_weights(len(posteriors), weights)
 
     keep = w > 0.0
     survivors = [p for p, k in zip(posteriors, keep) if k]
-    w = w[keep]
     if len(survivors) == 1:
         return survivors[0]
+    w = w[keep] / w[keep].sum()
 
     means = np.stack([p.mean for p in survivors])
     variances = np.stack([p.var for p in survivors])
@@ -266,12 +225,11 @@ def project(
     if d not in _PROJECTION_METHOD:
         raise ValueError(f"unsupported divergence for projection: {d.value}")
     _check_same_dim(p_g, p_k)
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if math.isinf(lam):
         return p_k
-    weights = ProjectionWeights.from_lambda(lam)
-    return aggregate(_PROJECTION_METHOD[d], [p_g, p_k], [weights.w_g, weights.w_k])
+    return aggregate(_PROJECTION_METHOD[d], [p_g, p_k], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
 
 
 def geodesic_sweep(

@@ -4,9 +4,6 @@ Networks are described by layer sizes only: ReLU between hidden layers,
 softmax read off the final logits. Parameters live in a single flat float64
 vector so the posterior machinery never needs to know the architecture;
 pack/unpack convert between the flat vector and per-layer (W, b) pairs.
-
-The module counts forward and gradient evaluations in CALL_COUNTS so callers
-can assert that a code path performed no training work.
 """
 
 from __future__ import annotations
@@ -16,14 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DiagGaussian
-
-CALL_COUNTS = {"forward": 0, "loss_and_grad": 0}
-
-
-def reset_call_counts():
-    for key in CALL_COUNTS:
-        CALL_COUNTS[key] = 0
-
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -113,7 +102,6 @@ def pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 def forward(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs; deterministic in (theta, inputs)."""
-    CALL_COUNTS["forward"] += 1
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.layer_sizes[0]:
         raise ValueError(
@@ -137,7 +125,6 @@ def loss_and_grad(
     spec: MlpSpec, theta: np.ndarray, batch: Batch
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its exact flat gradient."""
-    CALL_COUNTS["loss_and_grad"] += 1
     layers = unpack(theta, spec)
     if np.any(batch.labels < 0) or np.any(batch.labels >= spec.n_classes):
         raise ValueError("labels out of range for the output layer")

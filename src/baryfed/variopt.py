@@ -17,49 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OptimizerCfg
 from .geometry import DiagGaussian
 
 log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class IvonHyper:
-    """Scalar hyperparameters; ess is the client's training-set size."""
-
-    ess: int
-    lr: float = 0.1
-    weight_decay: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.99999
-    h0: float = 5.0
-    clip_radius: float | None = None
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.h0 <= 0:
-            raise ValueError(f"h0 must be > 0, got {self.h0}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.ess < 1:
-            raise ValueError("ess must be a positive integer")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.clip_radius is not None and self.clip_radius <= 0:
-            raise ValueError("clip_radius must be > 0 or None")
-
 
 @dataclass
 class IvonState:
-    """Per-coordinate optimizer state; owned by a single training loop."""
+    """Per-coordinate optimizer state for a training set of ``ess`` examples.
+
+    Owned by a single training loop; ``opt`` supplies beta1, beta2, h0, the
+    weight decay delta and the optional update clip radius.
+    """
 
     mean: np.ndarray
     hess: np.ndarray
     grad_momentum: np.ndarray
-    hyper: IvonHyper
+    opt: OptimizerCfg
+    ess: float
     step_count: int = 0
 
+    @property
+    def var(self) -> np.ndarray:
+        """Posterior variance implied by the Hessian: var = 1/(N*(h + delta))."""
+        return 1.0 / (self.ess * (self.hess + self.opt.weight_decay))
 
-def ivon_init(dim: int, hyper: IvonHyper, mean=None) -> IvonState:
+
+def ivon_init(dim: int, opt: OptimizerCfg, ess: float, mean=None) -> IvonState:
     """Fresh state: Hessian filled with h0, momentum zero, step count zero.
 
     ``mean`` is the model initializer's flat parameter vector; when omitted
@@ -73,21 +58,28 @@ def ivon_init(dim: int, hyper: IvonHyper, mean=None) -> IvonState:
     if mean.shape != (dim,):
         raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
     return IvonState(
-        mean=mean,
-        hess=np.full(dim, float(hyper.h0)),
-        grad_momentum=np.zeros(dim),
-        hyper=hyper,
-        step_count=0,
+        mean=mean, hess=np.full(dim, float(opt.h0)), grad_momentum=np.zeros(dim), opt=opt, ess=ess
+    )
+
+
+def ivon_from_posterior(post: DiagGaussian, opt: OptimizerCfg, ess: float) -> IvonState:
+    """Restart at ``post``: its mean, the Hessian its variance implies under
+    (ess, delta), and zero momentum and step count."""
+    return IvonState(
+        mean=post.mean.copy(),
+        hess=hessian_of(post, ess, opt.weight_decay),
+        grad_momentum=np.zeros(post.dim),
+        opt=opt,
+        ess=ess,
     )
 
 
 def posterior_of(state: IvonState) -> DiagGaussian:
-    """Posterior implied by the state: var = 1/(N*(h + delta))."""
-    var = 1.0 / (state.hyper.ess * (state.hess + state.hyper.weight_decay))
-    return DiagGaussian(mean=state.mean.copy(), var=var)
+    """Posterior implied by the state."""
+    return DiagGaussian(mean=state.mean.copy(), var=state.var)
 
 
-def hessian_of(post: DiagGaussian, ess: int, delta: float) -> np.ndarray:
+def hessian_of(post: DiagGaussian, ess: float, delta: float) -> np.ndarray:
     """Invert the variance relation: h = 1/(N*var) - delta, rectified at 0."""
     h = 1.0 / (ess * post.var) - delta
     if np.any(h < 0.0):
@@ -100,30 +92,30 @@ def hessian_of(post: DiagGaussian, ess: int, delta: float) -> np.ndarray:
 
 def sample_params(state: IvonState, rng: np.random.Generator) -> np.ndarray:
     """Draw one parameter vector from the current posterior."""
-    sigma = np.sqrt(1.0 / (state.hyper.ess * (state.hess + state.hyper.weight_decay)))
-    return state.mean + sigma * rng.standard_normal(state.mean.shape[0])
+    return state.mean + np.sqrt(state.var) * rng.standard_normal(state.mean.shape[0])
 
 
 def ivon_step(
     state: IvonState,
     grad: np.ndarray,
     theta_sampled: np.ndarray,
-    lr: float | None = None,
+    lr: float,
     update_hessian: bool = True,
 ) -> IvonState:
-    """One optimizer step from gradients evaluated at posterior samples.
+    """One optimizer step of size ``lr`` from gradients at posterior samples.
 
     ``grad`` and ``theta_sampled`` are either single flat vectors or stacked
     (samples, dim) arrays; multiple samples average both the gradient and the
     per-coordinate Hessian products grad * (theta_sampled - mean) / var, with
     var taken before the update. The Hessian estimate enters an EMA rectified
     at zero, then the mean moves along the bias-corrected gradient momentum
-    plus weight decay, preconditioned by 1/(hess + delta). ``lr`` overrides
-    the stored learning rate (scheduling hook); ``update_hessian=False``
-    freezes the curvature, which turns the rule into a deterministic
-    preconditioned momentum step.
+    plus weight decay, preconditioned by 1/(hess + delta).
+    ``update_hessian=False`` freezes the curvature, which turns the rule into
+    a deterministic preconditioned momentum step. A non-finite gradient, a
+    Hessian with h + delta <= 0 or a non-finite new mean raises ValueError
+    naming the step and the first bad coordinate.
     """
-    hyper = state.hyper
+    opt = state.opt
     grad = np.atleast_2d(np.asarray(grad, dtype=np.float64))
     theta_sampled = np.atleast_2d(np.asarray(theta_sampled, dtype=np.float64))
     dim = state.mean.shape[0]
@@ -131,35 +123,40 @@ def ivon_step(
         raise ValueError(
             f"gradient shape {grad.shape} incompatible with state dim {dim}"
         )
+    steps = state.step_count + 1
     if not np.all(np.isfinite(grad)):
         bad = int(np.argmax(np.any(~np.isfinite(grad), axis=0)))
-        raise ValueError(f"non-finite gradient at coordinate {bad}")
+        raise ValueError(f"optimizer step {steps}: non-finite gradient at coordinate {bad}")
 
     if update_hessian:
-        var = 1.0 / (hyper.ess * (state.hess + hyper.weight_decay))
-        hess_sample = np.mean(grad * (theta_sampled - state.mean), axis=0) / var
-        hess = np.maximum(hyper.beta2 * state.hess + (1.0 - hyper.beta2) * hess_sample, 0.0)
+        hess_sample = np.mean(grad * (theta_sampled - state.mean), axis=0) / state.var
+        hess = np.maximum(opt.beta2 * state.hess + (1.0 - opt.beta2) * hess_sample, 0.0)
     else:
         hess = state.hess
+    curvature = hess + opt.weight_decay
+    if not np.all(curvature > 0.0):
+        bad = int(np.argmin(curvature > 0.0))
+        raise ValueError(
+            f"optimizer step {steps}: h + delta = {curvature[bad]:g} at coordinate {bad}, "
+            "must be > 0"
+        )
 
     mean_grad = grad.mean(axis=0)
-    momentum = hyper.beta1 * state.grad_momentum + (1.0 - hyper.beta1) * mean_grad
-    steps = state.step_count + 1
-    debiased = momentum / (1.0 - hyper.beta1**steps)
+    momentum = opt.beta1 * state.grad_momentum + (1.0 - opt.beta1) * mean_grad
+    debiased = momentum / (1.0 - opt.beta1**steps)
 
-    step_lr = hyper.lr if lr is None else lr
-    update = step_lr * (debiased + hyper.weight_decay * state.mean) / (hess + hyper.weight_decay)
-    if hyper.clip_radius is not None:
+    update = lr * (debiased + opt.weight_decay * state.mean) / curvature
+    if opt.clip_radius is not None:
         norm = float(np.linalg.norm(update))
-        if norm > hyper.clip_radius:
-            update = update * (hyper.clip_radius / norm)
+        if norm > opt.clip_radius:
+            update = update * (opt.clip_radius / norm)
+    mean = state.mean - update
+    if not np.all(np.isfinite(mean)):
+        bad = int(np.argmin(np.isfinite(mean)))
+        raise ValueError(f"optimizer step {steps}: non-finite mean at coordinate {bad}")
 
     return dataclasses.replace(
-        state,
-        mean=state.mean - update,
-        hess=hess,
-        grad_momentum=momentum,
-        step_count=steps,
+        state, mean=mean, hess=hess, grad_momentum=momentum, step_count=steps
     )
 
 

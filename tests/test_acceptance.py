@@ -40,7 +40,6 @@ from baryfed.geometry import (
 )
 from baryfed.models import Batch, MlpSpec, init_params, loss_and_grad
 from baryfed.variopt import (
-    IvonHyper,
     hessian_of,
     ivon_init,
     ivon_step,
@@ -230,12 +229,12 @@ def test_criterion_04_variance_duality():
         n = int(rng.integers(10, 100000))
         h = float(rng.uniform(0.01, 50.0))
         delta = float(rng.uniform(1e-6, 1e-2))
-        st = ivon_init(3, IvonHyper(ess=n, weight_decay=delta, h0=h))
+        st = ivon_init(3, OptimizerCfg(weight_decay=delta, h0=h), n)
         post = posterior_of(st)
         assert np.allclose(post.var, 1.0 / (n * (h + delta)), rtol=1e-12)
         assert np.allclose(hessian_of(post, n, delta), h, rtol=1e-12)
 
-    pinned = ivon_init(1, IvonHyper(ess=1000, weight_decay=2e-4, h0=5.0))
+    pinned = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
     assert posterior_of(pinned).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
     verdict(4, "posterior-hessian-duality", t0)
 
@@ -253,7 +252,7 @@ def test_criterion_05_optimizer_convergence_and_gradients():
     prec = n * delta + np.einsum("ij,ij->j", X, X)
     analytic = DiagGaussian(mean=(X.T @ y) / prec, var=1.0 / prec)
 
-    state = ivon_init(dim, IvonHyper(ess=n, lr=0.1, weight_decay=delta, beta2=0.995, h0=5.0))
+    state = ivon_init(dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n)
     step_rng = np.random.default_rng(11)
     total = 2000
     for step in range(total):

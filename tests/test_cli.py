@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -209,6 +210,21 @@ class TestValidateGeometry:
         assert "geodesic-monotonicity" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--instances", "-3"], "--instances"),
+            (["--instances", "0"], "--instances"),
+            (["--seed", "-1"], "--seed"),
+        ],
+        ids=["negative_instances", "zero_instances", "negative_seed"],
+    )
+    def test_bad_flag_exit_2(self, capsys, flags, flag):
+        assert main(["validate-geometry", *flags]) == 2
+        out = capsys.readouterr()
+        assert f"'{flag}'" in out.err
+        assert "pass" not in out.out
+
     def test_mutation_detected(self, capsys, monkeypatch):
         def w2b_with_eaa_variance(method, posts, weights):
             if method is not AggregationMethod.W2B:
@@ -263,7 +279,9 @@ class TestErrors:
             federation={"rounds": 3, "local_epochs": 3, "batch_size": 8},
         )
         assert main(["run", cfg, "--threads", threads]) == 1
-        assert "run failed at round 1, client 0: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run failed at round 1, client 0: optimizer step " in err
+        assert re.search(r"h \+ delta = 0 at coordinate \d+, must be > 0", err)
 
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -278,8 +296,18 @@ class TestErrors:
             ("run", {"dataset": {**BASE_CONFIG["dataset"], "limit": -1}}, "dataset.limit"),
             ("incremental", {"incremental": {"split_class": 3}}, "incremental.split_class"),
             ("run", {"personalization": {"lambdas": [0, math.nan]}}, "personalization.lambdas[1]"),
+            ("run", {"optimizer": {"lr_initial": 0}}, "optimizer.lr_initial"),
+            ("run", {"optimizer": {"h0": -1}}, "optimizer.h0"),
+            ("run", {"optimizer": {"beta1": 1.0}}, "optimizer.beta1"),
+            ("run", {"optimizer": {"weight_decay": -1}}, "optimizer.weight_decay"),
+            ("run", {"partition": {"n_clients": 0}}, "partition.n_clients"),
+            ("run", {"partition": {"beta": 0}}, "partition.beta"),
+            ("run", {"partition": {"min_shard": 0}}, "partition.min_shard"),
         ],
-        ids=["classes", "dim", "seed", "limit", "split_class", "nan_lambda"],
+        ids=[
+            "classes", "dim", "seed", "limit", "split_class", "nan_lambda",
+            "lr_initial", "h0", "beta1", "weight_decay", "n_clients", "beta", "min_shard",
+        ],
     )
     def test_range_error_exit_2(self, tmp_path, capsys, command, over, path):
         cfg = write_config(tmp_path, **over)

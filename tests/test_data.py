@@ -3,11 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from baryfed.config import PartitionCfg
 from baryfed.data import (
     Dataset,
     IdxFormatError,
-    PartitionConfig,
-    draw_proportions,
     load_idx,
     partition_indices,
     partition_with_draw,
@@ -142,8 +141,8 @@ class TestSplit:
 class TestPartition:
     def test_min_shard_and_cover(self):
         ds = synth_blobs(classes=3, dim=2, n_per_class=100, spread=0.1, seed=4)
-        cfg = PartitionConfig(n_clients=6, beta=0.5, seed=4, min_shard=10)
-        shards, draw = partition_indices(ds, cfg)
+        cfg = PartitionCfg(n_clients=6, beta=0.5, min_shard=10)
+        shards, draw = partition_indices(ds, cfg, 4)
         assert len(shards) == 6
         assert min(len(s) for s in shards) >= 10
         joined = np.sort(np.concatenate(shards))
@@ -153,9 +152,9 @@ class TestPartition:
 
     def test_deterministic(self):
         ds = synth_blobs(classes=3, dim=2, n_per_class=50, spread=0.1, seed=5)
-        cfg = PartitionConfig(n_clients=4, beta=0.5, seed=9)
-        a, _ = partition_indices(ds, cfg)
-        b, _ = partition_indices(ds, cfg)
+        cfg = PartitionCfg(n_clients=4, beta=0.5)
+        a, _ = partition_indices(ds, cfg, 9)
+        b, _ = partition_indices(ds, cfg, 9)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_assignment_ignores_features(self):
@@ -165,16 +164,16 @@ class TestPartition:
             labels=base.labels,
             classes=base.classes,
         )
-        cfg = PartitionConfig(n_clients=4, beta=0.5, seed=6)
-        a, _ = partition_indices(base, cfg)
-        b, _ = partition_indices(other, cfg)
+        cfg = PartitionCfg(n_clients=4, beta=0.5)
+        a, _ = partition_indices(base, cfg, 6)
+        b, _ = partition_indices(other, cfg, 6)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_paired_test_split_reuses_draw(self):
         ds = synth_blobs(classes=3, dim=2, n_per_class=100, spread=0.1, seed=7)
         tr, te = train_test_split(ds, 0.25, seed=7)
-        cfg = PartitionConfig(n_clients=5, beta=1.0, seed=7)
-        tr_shards, draw = partition_indices(tr, cfg)
+        cfg = PartitionCfg(n_clients=5, beta=1.0)
+        tr_shards, draw = partition_indices(tr, cfg, 7)
         te_shards = partition_with_draw(te, draw, seed=8)
         assert len(te_shards) == 5
         # same Dirichlet draw: client shares of each class track between splits
@@ -185,21 +184,12 @@ class TestPartition:
 
     def test_unsatisfiable_min_shard(self):
         ds = synth_blobs(classes=2, dim=2, n_per_class=10, spread=0.1, seed=8)
-        cfg = PartitionConfig(n_clients=10, beta=0.1, seed=8, min_shard=10)
+        cfg = PartitionCfg(n_clients=10, beta=0.1, min_shard=10)
         with pytest.raises(ValueError, match="min_shard"):
-            partition_indices(ds, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PartitionConfig(n_clients=0, beta=0.5, seed=0)
-        with pytest.raises(ValueError):
-            PartitionConfig(n_clients=4, beta=0.0, seed=0)
-        with pytest.raises(ValueError):
-            PartitionConfig(n_clients=4, beta=0.5, seed=0, min_shard=0)
+            partition_indices(ds, cfg, 8)
 
     def test_draw_proportions_shape(self):
-        cfg = PartitionConfig(n_clients=7, beta=0.3, seed=1)
-        rng = np.random.default_rng(0)
-        props = draw_proportions(4, cfg, rng)
-        assert props.shape == (4, 7)
-        assert np.allclose(props.sum(axis=1), 1.0)
+        ds = synth_blobs(classes=4, dim=2, n_per_class=100, spread=0.1, seed=1)
+        _, draw = partition_indices(ds, PartitionCfg(n_clients=7, beta=0.3, min_shard=1), 1)
+        assert draw.proportions.shape == (4, 7)
+        assert np.allclose(draw.proportions.sum(axis=1), 1.0)

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baryfed.geometry import (
     AggregationMethod,
     DiagGaussian,
     Divergence,
-    ProjectionWeights,
     VAR_FLOOR,
     aggregate,
-    divergence,
     geodesic_sweep,
     kl_gaussian,
     numeric_projection_oracle,
@@ -26,6 +26,31 @@ def g(mean, var):
 
 
 STD_NORMAL = g(0.0, 1.0)
+
+
+# Property-test inputs. Means in [-10, 10] and variances in [1e-3, 1e3] keep
+# the rounding error of a reordered weighted sum far below the 1e-12 tolerance.
+DIM = 3
+METHODS = st.sampled_from(list(AggregationMethod))
+POSTERIORS = st.builds(
+    g,
+    st.lists(st.floats(-10.0, 10.0), min_size=DIM, max_size=DIM),
+    st.lists(st.floats(1e-3, 1e3), min_size=DIM, max_size=DIM),
+)
+
+
+@st.composite
+def weighted_sets(draw, min_size=1, max_size=12):
+    """Posteriors with positive weights normalized to sum to 1."""
+    k = draw(st.integers(min_size, max_size))
+    posts = draw(st.lists(POSTERIORS, min_size=k, max_size=k))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return posts, raw / raw.sum()
+
+
+def assert_close(a: DiagGaussian, b: DiagGaussian):
+    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(a.var, b.var, rtol=1e-12, atol=1e-12)
 
 
 class TestDiagGaussian:
@@ -69,14 +94,6 @@ class TestDivergences:
     def test_w2sq_symmetric(self):
         a, b = g(1.0, 2.0), g(-3.0, 0.25)
         assert w2sq_gaussian(a, b) == pytest.approx(w2sq_gaussian(b, a), abs=1e-15)
-
-    def test_rkl_is_flipped_kl(self):
-        a, b = g(0.3, 1.7), g(-1.0, 0.2)
-        assert divergence(Divergence.RKL, a, b) == pytest.approx(
-            kl_gaussian(b, a), abs=1e-15
-        )
-        assert divergence(Divergence.KL, a, b) == kl_gaussian(a, b)
-        assert divergence(Divergence.W2SQ, a, b) == w2sq_gaussian(a, b)
 
     def test_projection_divergence_is_candidate_first(self):
         # both KL-family entries score the candidate against the reference
@@ -132,12 +149,28 @@ class TestAggregate:
         out = aggregate(AggregationMethod.EAA, self.trio, [0.5, 0.5 + 1e-10])
         assert math.isfinite(out.mean[0])
 
-    def test_zero_weight_entry_is_bit_exact_identity(self):
-        keep, drop = g([0.3, -0.7], [1.2, 0.8]), g([9.0, 9.0], [100.0, 100.0])
-        for method in AggregationMethod:
-            out = aggregate(method, [keep, drop], [1.0, 0.0])
-            assert np.array_equal(out.mean, keep.mean)
-            assert np.array_equal(out.var, keep.var)
+    @settings(deadline=None)
+    @given(METHODS, weighted_sets(), POSTERIORS, st.data())
+    def test_zero_weight_entry_is_bit_exact_identity(self, method, members, extra, data):
+        posts, w = members
+        at = data.draw(st.integers(0, len(posts)))
+        out = aggregate(method, posts[:at] + [extra] + posts[at:], np.insert(w, at, 0.0))
+        ref = aggregate(method, posts, w)  # a lone member comes back as itself
+        assert np.array_equal(out.mean, ref.mean)
+        assert np.array_equal(out.var, ref.var)
+
+    @settings(deadline=None)
+    @given(METHODS, weighted_sets(min_size=2), st.data())
+    def test_permutation_invariant(self, method, members, data):
+        posts, w = members
+        perm = data.draw(st.permutations(range(len(posts))))
+        shuffled = aggregate(method, [posts[i] for i in perm], w[list(perm)])
+        assert_close(shuffled, aggregate(method, posts, w))
+
+    @settings(deadline=None)
+    @given(METHODS, POSTERIORS, st.floats(0.0, 1.0))
+    def test_self_aggregate_is_identity(self, method, p, w):
+        assert_close(aggregate(method, [p, p], [w, 1.0 - w]), p)
 
     def test_many_members_weighted(self):
         ps = [g(float(i), 1.0 + i) for i in range(4)]
@@ -154,21 +187,28 @@ class TestAggregate:
 
 
 class TestProjectionWeights:
+    """project is the barycenter of (p_g, p_k) with weights 1/(lam+1), lam/(lam+1)."""
+
+    p_g = g([0.0, 1.0], [1.0, 0.5])
+    p_k = g([4.0, -2.0], [9.0, 0.1])
+
     def test_from_lambda(self):
-        w = ProjectionWeights.from_lambda(1.0)
-        assert (w.w_g, w.w_k) == (0.5, 0.5)
-        w = ProjectionWeights.from_lambda(0.0)
-        assert (w.w_g, w.w_k) == (1.0, 0.0)
-        w = ProjectionWeights.from_lambda(math.inf)
-        assert (w.w_g, w.w_k) == (0.0, 1.0)
+        pairs = {
+            Divergence.W2SQ: AggregationMethod.W2B,
+            Divergence.RKL: AggregationMethod.RKLB,
+        }
+        for d, method in pairs.items():
+            for lam, w in ((1.0, [0.5, 0.5]), (0.0, [1.0, 0.0]), (3.0, [0.25, 0.75])):
+                out = project(d, self.p_g, self.p_k, lam)
+                ref = aggregate(method, [self.p_g, self.p_k], w)
+                assert np.array_equal(out.mean, ref.mean)
+                assert np.array_equal(out.var, ref.var)
+            assert project(d, self.p_g, self.p_k, math.inf) is self.p_k
 
     def test_from_lambda_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ProjectionWeights.from_lambda(-0.5)
-
-    def test_direct_validation(self):
-        with pytest.raises(ValueError):
-            ProjectionWeights(0.7, 0.7)
+        for lam in (-0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda must be >= 0"):
+                project(Divergence.W2SQ, self.p_g, self.p_k, lam)
 
 
 class TestProject:
@@ -180,17 +220,21 @@ class TestProject:
         assert out.mean[0] == pytest.approx(2.0, abs=1e-12)
         assert out.var[0] == pytest.approx(4.0, abs=1e-12)
 
-    def test_lambda_zero_is_global_bit_exact(self):
+    @settings(deadline=None)
+    @given(POSTERIORS, POSTERIORS)
+    def test_lambda_zero_is_global_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            out = project(d, self.p_g, self.p_k, 0.0)
-            assert np.array_equal(out.mean, self.p_g.mean)
-            assert np.array_equal(out.var, self.p_g.var)
+            out = project(d, p_g, p_k, 0.0)
+            assert np.array_equal(out.mean, p_g.mean)
+            assert np.array_equal(out.var, p_g.var)
 
-    def test_lambda_inf_is_local_bit_exact(self):
+    @settings(deadline=None)
+    @given(POSTERIORS, POSTERIORS)
+    def test_lambda_inf_is_local_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            out = project(d, self.p_g, self.p_k, math.inf)
-            assert np.array_equal(out.mean, self.p_k.mean)
-            assert np.array_equal(out.var, self.p_k.var)
+            out = project(d, p_g, p_k, math.inf)
+            assert np.array_equal(out.mean, p_k.mean)
+            assert np.array_equal(out.var, p_k.var)
 
     def test_forward_kl_rejected(self):
         with pytest.raises(ValueError):
@@ -263,3 +307,4 @@ class TestNumericOracle:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             numeric_projection_oracle(Divergence.W2SQ, self.p_g, self.p_k, -0.1)
+

@@ -4,7 +4,6 @@ import pytest
 from baryfed.geometry import DiagGaussian
 from baryfed.models import (
     Batch,
-    CALL_COUNTS,
     MlpSpec,
     forward,
     init_params,
@@ -12,7 +11,6 @@ from baryfed.models import (
     pack,
     param_count,
     predict_proba_mc,
-    reset_call_counts,
     unpack,
 )
 
@@ -166,13 +164,3 @@ class TestPredictiveAndCounters:
         post = DiagGaussian(mean=theta, var=np.full(theta.size, 1e-3))
         with pytest.raises(ValueError):
             predict_proba_mc(SMALL, post, np.zeros((1, 2)), samples=0, seed=0)
-
-    def test_call_counters(self):
-        reset_call_counts()
-        theta = init_params(SMALL, seed=5)
-        forward(SMALL, theta, np.zeros((1, 2)))
-        loss_and_grad(SMALL, theta, small_batch(2))
-        assert CALL_COUNTS["forward"] >= 1
-        assert CALL_COUNTS["loss_and_grad"] == 1
-        reset_call_counts()
-        assert CALL_COUNTS == {"forward": 0, "loss_and_grad": 0}

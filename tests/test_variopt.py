@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from baryfed.config import OptimizerCfg
 from baryfed.geometry import DiagGaussian, kl_gaussian
 from baryfed.variopt import (
-    IvonHyper,
     IvonState,
     hessian_of,
+    ivon_from_posterior,
     ivon_init,
     ivon_step,
     linear_lr,
@@ -16,23 +17,12 @@ from baryfed.variopt import (
 )
 
 
+LR = 0.1
+
+
 def fresh(dim=3, **kw):
-    hyper = IvonHyper(ess=kw.pop("ess", 100), **kw)
-    return ivon_init(dim, hyper)
-
-
-class TestHyper:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IvonHyper(ess=0)
-        with pytest.raises(ValueError):
-            IvonHyper(ess=10, lr=0.0)
-        with pytest.raises(ValueError):
-            IvonHyper(ess=10, h0=-1.0)
-        with pytest.raises(ValueError):
-            IvonHyper(ess=10, beta2=1.0)
-        with pytest.raises(ValueError):
-            IvonHyper(ess=10, clip_radius=0.0)
+    ess = kw.pop("ess", 100)
+    return ivon_init(dim, OptimizerCfg(**kw), ess)
 
 
 class TestDuality:
@@ -42,14 +32,14 @@ class TestDuality:
             n = int(rng.integers(10, 100000))
             h = float(rng.uniform(0.01, 50.0))
             d = float(rng.uniform(1e-6, 1e-2))
-            st = ivon_init(4, IvonHyper(ess=n, weight_decay=d, h0=h))
+            st = ivon_init(4, OptimizerCfg(weight_decay=d, h0=h), n)
             post = posterior_of(st)
             assert np.allclose(post.var, 1.0 / (n * (h + d)), rtol=1e-12)
             back = hessian_of(post, n, d)
             assert np.allclose(back, h, rtol=1e-12)
 
     def test_pinned_substitution(self):
-        st = ivon_init(1, IvonHyper(ess=1000, weight_decay=2e-4, h0=5.0))
+        st = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
         assert posterior_of(st).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
 
     def test_rectification_logs(self, caplog):
@@ -64,9 +54,9 @@ class TestStep:
     def test_first_step_direction(self):
         st = fresh()
         g = np.array([1.0, -2.0, 0.0])
-        out = ivon_step(st, g, st.mean, update_hessian=False)
+        out = ivon_step(st, g, st.mean, LR, update_hessian=False)
         # bias correction makes the first debiased momentum equal the gradient
-        expect = st.mean - st.hyper.lr * g / (st.hess + st.hyper.weight_decay)
+        expect = st.mean - LR * g / (st.hess + st.opt.weight_decay)
         assert np.allclose(out.mean, expect, atol=1e-12)
         assert out.step_count == 1
 
@@ -74,14 +64,14 @@ class TestStep:
         st = fresh()
         rng = np.random.default_rng(1)
         theta = sample_params(st, rng)
-        out = ivon_step(st, np.ones(3), theta, update_hessian=False)
+        out = ivon_step(st, np.ones(3), theta, LR, update_hessian=False)
         assert np.array_equal(out.hess, st.hess)
 
     def test_hessian_ema_moves_toward_sample(self):
         st = fresh(beta2=0.5)
         rng = np.random.default_rng(2)
         theta = sample_params(st, rng)
-        out = ivon_step(st, np.ones(3), theta)
+        out = ivon_step(st, np.ones(3), theta, LR)
         assert not np.array_equal(out.hess, st.hess)
         assert np.all(out.hess >= 0.0)
 
@@ -89,13 +79,13 @@ class TestStep:
         st = fresh()
         g = np.stack([np.ones(3), 3.0 * np.ones(3)])
         th = np.stack([st.mean, st.mean])
-        out = ivon_step(st, g, th, update_hessian=False)
-        single = ivon_step(st, 2.0 * np.ones(3), st.mean, update_hessian=False)
+        out = ivon_step(st, g, th, LR, update_hessian=False)
+        single = ivon_step(st, 2.0 * np.ones(3), st.mean, LR, update_hessian=False)
         assert np.allclose(out.mean, single.mean, atol=1e-15)
 
     def test_clip_radius(self):
         st = fresh(clip_radius=1e-6)
-        out = ivon_step(st, 100.0 * np.ones(3), st.mean, update_hessian=False)
+        out = ivon_step(st, 100.0 * np.ones(3), st.mean, LR, update_hessian=False)
         assert np.linalg.norm(out.mean - st.mean) <= 1e-6 + 1e-12
 
     def test_lr_override(self):
@@ -107,22 +97,47 @@ class TestStep:
     def test_shape_mismatch(self):
         st = fresh()
         with pytest.raises(ValueError):
-            ivon_step(st, np.ones(4), np.ones(4))
+            ivon_step(st, np.ones(4), np.ones(4), LR)
 
     def test_non_finite_gradient(self):
         st = fresh()
         g = np.array([1.0, np.nan, 0.0])
         with pytest.raises(ValueError, match="non-finite"):
-            ivon_step(st, g, st.mean)
+            ivon_step(st, g, st.mean, LR)
 
     def test_weight_decay_pulls_toward_zero(self):
-        hyper = IvonHyper(ess=100, weight_decay=0.5)
         st = IvonState(
             mean=np.array([10.0]), hess=np.array([5.0]),
-            grad_momentum=np.zeros(1), hyper=hyper,
+            grad_momentum=np.zeros(1), opt=OptimizerCfg(weight_decay=0.5), ess=100,
         )
-        out = ivon_step(st, np.zeros(1), st.mean, update_hessian=False)
+        out = ivon_step(st, np.zeros(1), st.mean, LR, update_hessian=False)
         assert out.mean[0] < 10.0
+
+    def test_zero_curvature_names_step_and_coordinate(self):
+        # delta = 0 and a Hessian rectified to 0: the update would divide by zero
+        st = IvonState(
+            mean=np.zeros(3), hess=np.array([5.0, 0.0, 0.0]),
+            grad_momentum=np.zeros(3), opt=OptimizerCfg(weight_decay=0.0), ess=100,
+            step_count=6,
+        )
+        with pytest.raises(ValueError, match=r"optimizer step 7: h \+ delta = 0 at coordinate 1,"):
+            ivon_step(st, np.ones(3), st.mean, LR, update_hessian=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mean_names_step_and_coordinate(self):
+        st = IvonState(
+            mean=np.zeros(3), hess=np.array([5.0, 5.0, 1e-300]),
+            grad_momentum=np.zeros(3), opt=OptimizerCfg(weight_decay=0.0), ess=100,
+        )
+        with pytest.raises(ValueError, match="optimizer step 1: non-finite mean at coordinate 2"):
+            ivon_step(st, np.ones(3), st.mean, 1e10, update_hessian=False)
+
+    def test_restart_from_posterior(self):
+        post = DiagGaussian(mean=np.array([0.5, -1.0]), var=np.array([1e-3, 2e-3]))
+        st = ivon_from_posterior(post, OptimizerCfg(weight_decay=0.01), 40)
+        assert np.array_equal(st.mean, post.mean) and st.step_count == 0
+        assert np.array_equal(st.hess, hessian_of(post, 40, 0.01))
+        assert np.allclose(posterior_of(st).var, post.var, rtol=1e-12)
 
 
 class TestObjective:
@@ -146,8 +161,7 @@ class TestConvergence:
         prec = n * delta + np.einsum("ij,ij->j", X, X)
         analytic = DiagGaussian(mean=(X.T @ y) / prec, var=1.0 / prec)
 
-        hyper = IvonHyper(ess=n, lr=0.1, weight_decay=delta, beta2=0.995, h0=5.0)
-        state = ivon_init(dim, hyper)
+        state = ivon_init(dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n)
         step_rng = np.random.default_rng(11)
         total = 2000
         for t in range(total):
