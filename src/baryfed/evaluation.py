@@ -3,9 +3,10 @@
 Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
-confidence bins. The Wilcoxon signed-rank test enumerates sign patterns
-exactly for small samples and falls back to a tie-corrected normal
-approximation for larger ones.
+confidence bins. The Wilcoxon signed-rank test takes its exact null
+distribution from a counting recurrence over doubled (integer) ranks for
+small samples and falls back to a tie-corrected normal approximation for
+larger ones.
 """
 
 from __future__ import annotations
@@ -63,13 +64,18 @@ def ece_of(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
     correct = (preds == labels).astype(np.float64)
     which = np.minimum((conf * bins).astype(np.int64), bins - 1)
     n = len(labels)
+    # a stable sort keeps each bin's members in their original order, so the
+    # pairwise sum of a contiguous slice equals the masked mean bit for bit
+    order = np.argsort(which, kind="stable")
+    conf, correct = conf[order], correct[order]
+    edges = np.searchsorted(which[order], np.arange(bins + 1))
     ece = 0.0
-    for b in range(bins):
-        mask = which == b
-        if not np.any(mask):
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        count = hi - lo
+        if count == 0:
             continue
-        gap = abs(conf[mask].mean() - correct[mask].mean())
-        ece += (mask.sum() / n) * gap
+        gap = abs(conf[lo:hi].sum() / count - correct[lo:hi].sum() / count)
+        ece += (count / n) * gap
     return float(ece)
 
 
@@ -107,9 +113,12 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
     """Two-sided paired test on x - y; zero differences are dropped.
 
     Ties among absolute differences get average ranks. The statistic is
-    min(W+, W-). For n <= 20 the p-value enumerates all 2^n sign patterns;
-    beyond that a normal approximation with tie correction is used. Pass
-    method="exact" or "normal" to force one path (exact is capped at n=20).
+    min(W+, W-). For n <= 20 the p-value is exact: it counts the sign
+    patterns whose rank sum is at most the statistic with a subset-sum
+    recurrence over doubled ranks, which are integers even for midranks, so
+    the count and the p-value 2*count/2^n carry no rounding. Beyond that a
+    normal approximation with tie correction is used. Pass method="exact"
+    or "normal" to force one path (exact is capped at n=20).
     """
     if method not in (None, "exact", "normal"):
         raise ValueError(f"method must be 'exact' or 'normal', got {method!r}")
@@ -130,13 +139,16 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
 
     use_exact = n <= EXACT_MAX_N if method is None else method == "exact"
     if use_exact and n > EXACT_MAX_N:
-        raise ValueError(f"exact enumeration supports n <= {EXACT_MAX_N}, got {n}")
+        raise ValueError(f"exact test supports n <= {EXACT_MAX_N}, got {n}")
     if use_exact:
-        totals = np.zeros(1 << n)
-        idx = np.arange(1 << n)
-        for j in range(n):
-            totals[(idx >> j) & 1 == 1] += ranks[j]
-        p = min(1.0, 2.0 * float(np.mean(totals <= stat + 1e-9)))
+        ranks2 = np.rint(2.0 * ranks).astype(np.int64)
+        # counts[s]: number of sign patterns whose doubled rank sum is s
+        counts = np.zeros(int(ranks2.sum()) + 1, dtype=np.int64)
+        counts[0] = 1
+        for r in ranks2:
+            counts[r:] += counts[:-r]
+        at_most = int(counts[: round(2.0 * stat) + 1].sum())
+        p = min(1.0, 2.0 * at_most / (1 << n))
         return WilcoxonResult(stat, p, n, "exact")
 
     mean = n * (n + 1) / 4.0

@@ -57,6 +57,8 @@ _PARTITION_TAG = 3
 _INIT_TAG = 4
 _EVAL_TAG = 5
 
+_TEST_SHARD_ATTEMPTS = 20  # partition seeds tried until no client's test shard is empty
+
 
 def derived_seed(master_seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([master_seed, tag]).generate_state(1)[0])
@@ -204,16 +206,16 @@ def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
 def partition_both(
     cfg: ExperimentConfig, train: Dataset, test: Dataset, seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Train and test shard indices for every client.
+
+    partition_indices already resamples the train draw until it meets
+    min_shard, so its failure propagates at once. Only an empty test shard
+    moves on to the next partition seed.
+    """
     base = derived_seed(seed, _PARTITION_TAG)
     pcfg = cfg.partition
-    # retry with shifted seeds until every client also holds >= 1 test example
-    last_err = None
-    for attempt in range(20):
-        try:
-            train_idx, draw = partition_indices(train, pcfg, base + attempt)
-        except ValueError as exc:
-            last_err = exc
-            continue
+    for attempt in range(_TEST_SHARD_ATTEMPTS):
+        train_idx, draw = partition_indices(train, pcfg, base + attempt)
         if pcfg.shared_test_draw:
             test_idx = partition_with_draw(test, draw, base + attempt)
         else:
@@ -222,7 +224,8 @@ def partition_both(
         if min(len(s) for s in test_idx) >= 1:
             return train_idx, test_idx
     raise ValueError(
-        f"could not partition train and test jointly: {last_err or 'empty test shard'}"
+        "could not partition train and test jointly: "
+        f"a test shard was empty in all {_TEST_SHARD_ATTEMPTS} attempts"
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class IvonState:
     """Per-coordinate optimizer state for a training set of ``ess`` examples.
 
     Owned by a single training loop; ``opt`` supplies beta1, beta2, h0, the
-    weight decay delta and the optional update clip radius.
+    weight decay delta and the optional update clip radius. A state is never
+    changed in place: ``ivon_step`` returns a new one, so ``var`` is computed
+    at most once per state.
     """
 
     mean: np.ndarray
@@ -38,7 +41,7 @@ class IvonState:
     ess: float
     step_count: int = 0
 
-    @property
+    @cached_property
     def var(self) -> np.ndarray:
         """Posterior variance implied by the Hessian: var = 1/(N*(h + delta))."""
         return 1.0 / (self.ess * (self.hess + self.opt.weight_decay))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from baryfed import cli
+from baryfed import data as data_mod
 from baryfed.cli import main
 from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate
 
@@ -282,6 +283,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "run failed at round 1, client 0: optimizer step " in err
         assert re.search(r"h \+ delta = 0 at coordinate \d+, must be > 0", err)
+
+    def test_unsatisfiable_min_shard_stops_after_one_search(self, tmp_path, capsys, monkeypatch):
+        splits = []
+        split = data_mod._split_by_proportions
+
+        def counting_split(*args):
+            splits.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(data_mod, "_split_by_proportions", counting_split)
+        cfg = write_config(
+            tmp_path,
+            dataset={**BASE_CONFIG["dataset"], "n_per_class": 20},
+            partition={"n_clients": 10, "beta": 1.0, "min_shard": 10},
+        )
+        assert main(["run", cfg]) == 1
+        assert "min_shard=10" in capsys.readouterr().err
+        assert len(splits) <= data_mod.MAX_PARTITION_ATTEMPTS
 
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

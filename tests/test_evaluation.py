@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.stats import norm, rankdata
+from scipy.stats import wilcoxon as scipy_wilcoxon
 
 from baryfed.evaluation import (
     EXACT_MAX_N,
@@ -17,6 +20,56 @@ from baryfed.evaluation import (
 )
 from baryfed.geometry import DiagGaussian
 from baryfed.models import MlpSpec, param_count
+
+
+def masked_ece(probs, labels, bins):
+    """Reference ECE: one boolean mask and one masked mean per bin."""
+    conf = probs.max(axis=1)
+    correct = (np.argmax(probs, axis=1) == labels).astype(np.float64)
+    which = np.minimum((conf * bins).astype(np.int64), bins - 1)
+    ece = 0.0
+    for b in range(bins):
+        mask = which == b
+        if not np.any(mask):
+            continue
+        gap = abs(conf[mask].mean() - correct[mask].mean())
+        ece += (mask.sum() / len(labels)) * gap
+    return float(ece)
+
+
+@st.composite
+def ece_cases(draw):
+    """Seeded random rows with some confidences set exactly to bin edges k/bins.
+
+    k = bins gives confidence 1.0. ece_of reads only each row's max and
+    argmax, so a row is [c, u*c] with u in [0, 1], its columns optionally
+    swapped. Bins hold up to hundreds of distinct values, where the order
+    of summation shows in the last bits.
+    """
+    bins = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conf = rng.uniform(0.0, 1.0, n)
+    for i, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, bins)))):
+        conf[i] = k / bins
+    probs = np.column_stack([conf, rng.uniform(0.0, 1.0, n) * conf])
+    swap = rng.random(n) < 0.5
+    probs[swap] = probs[swap][:, ::-1]
+    return probs, rng.integers(0, 2, n), bins
+
+
+def enumerated_p(x, y):
+    """Reference exact p-value: sum the ranks of all 2^n sign patterns."""
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    diff = diff[diff != 0.0]
+    n = len(diff)
+    ranks = rankdata(np.abs(diff))
+    stat = min(float(ranks[diff > 0].sum()), float(ranks[diff < 0].sum()))
+    totals = np.zeros(1 << n)
+    idx = np.arange(1 << n)
+    for j in range(n):
+        totals[(idx >> j) & 1 == 1] += ranks[j]
+    return min(1.0, 2.0 * float(np.mean(totals <= stat + 1e-9)))
 
 
 class TestMetrics:
@@ -64,6 +117,14 @@ class TestMetrics:
     def test_ece_bins_validation(self):
         with pytest.raises(ValueError):
             ece_of(np.array([[1.0, 0.0]]), np.array([0]), bins=0)
+
+    @given(ece_cases())
+    @example((np.array([[1.0, 0.0]]), np.array([1]), 1))
+    @example((np.array([[0.5, 0.5]]), np.array([0]), 15))
+    @example((np.array([[0.2, 0.0], [0.4, 0.1], [1.0, 0.0], [0.0, 0.6]]), np.array([0, 1, 0, 1]), 5))
+    def test_ece_matches_masked_loop(self, case):
+        probs, labels, bins = case
+        assert ece_of(probs, labels, bins) == masked_ece(probs, labels, bins)
 
 
 class TestEvaluate:
@@ -145,6 +206,36 @@ class TestWilcoxon:
             approx = wilcoxon_signed_rank(x, y, method="normal")
             worst = max(worst, abs(exact.p_two_sided - approx.p_two_sided))
         assert worst <= 0.01
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_exact_matches_enumeration_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            # rounding to one decimal makes tied |d| common
+            x = np.round(rng.normal(size=n), 1)
+            if np.all(x == 0.0):
+                continue
+            res = wilcoxon_signed_rank(x, np.zeros(n), method="exact")
+            assert res.p_two_sided == enumerated_p(x, np.zeros(n))
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 17, EXACT_MAX_N])
+    def test_exact_matches_scipy_without_ties(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            x = rng.normal(size=n)
+            y = rng.normal(size=n)
+            res = wilcoxon_signed_rank(x, y)
+            assert res.method == "exact"
+            ref = scipy_wilcoxon(x, y, method="exact").pvalue
+            assert res.p_two_sided == pytest.approx(ref, abs=1e-12)
+
+    def test_exact_counts_tied_ranks(self):
+        # five tied |d| share rank 3; W- = 3 and sign patterns with at most one
+        # positive sign give 6 of 32, so p = 12/32 (SciPy's exact path gives 10/32)
+        x = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+        res = wilcoxon_signed_rank(x, np.zeros(5))
+        assert res.statistic == 3.0
+        assert res.p_two_sided == 12.0 / 32.0
 
     def test_tie_correction_applied(self):
         x = np.array([1.0, 1.0, 1.0, -1.0, 2.0, 2.0])

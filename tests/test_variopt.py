@@ -75,6 +75,13 @@ class TestStep:
         assert not np.array_equal(out.hess, st.hess)
         assert np.all(out.hess >= 0.0)
 
+    def test_new_state_var_matches_its_hessian(self):
+        st = fresh(beta2=0.5, weight_decay=0.01)
+        rng = np.random.default_rng(3)
+        out = ivon_step(st, np.ones(3), sample_params(st, rng), LR)
+        assert not np.array_equal(out.hess, st.hess)
+        assert np.array_equal(out.var, 1.0 / (out.ess * (out.hess + 0.01)))
+
     def test_stacked_samples_average(self):
         st = fresh()
         g = np.stack([np.ones(3), 3.0 * np.ones(3)])
