@@ -11,10 +11,10 @@ larger ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from . import models
 from .data import Dataset
@@ -83,22 +83,33 @@ def evaluate(
     spec: MlpSpec,
     posterior: DiagGaussian,
     ds: Dataset,
-    mc_samples: int,
+    noise: np.ndarray,
     bins: int = 15,
-    seed: int = 0,
     setting: str = "",
 ) -> MetricsReport:
-    """All three metrics from one shared set of posterior draws."""
-    probs = models.predict_proba_mc(spec, posterior, ds.inputs, mc_samples, seed)
+    """All three metrics from the posterior draws mean + std * noise[s]."""
+    probs = models.predict_proba_mc(spec, posterior, ds.inputs, noise)
     return MetricsReport(
         accuracy=accuracy_of(probs, ds.labels),
         nll=nll_of(probs, ds.labels),
         ece=ece_of(probs, ds.labels, bins),
         n_examples=ds.n,
-        mc_samples=mc_samples,
+        mc_samples=noise.shape[0],
         setting=setting,
         bins=bins,
     )
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks where each run of tied values gets the run's mean rank."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -127,12 +138,14 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     diff = x - y
+    if np.isnan(diff).any():
+        raise ValueError("paired differences contain NaN")
     diff = diff[diff != 0.0]
     n = len(diff)
     if n == 0:
         raise ValueError("degenerate-sample: all paired differences are zero")
 
-    ranks = rankdata(np.abs(diff))
+    ranks = midranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks[diff < 0].sum())
     stat = min(w_plus, w_minus)
@@ -158,8 +171,9 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
     if var <= 0:
         raise ValueError("degenerate-sample: rank variance is zero")
     # continuity correction: stat <= mean by construction
-    z = (stat - mean + 0.5) / np.sqrt(var)
-    p = min(1.0, 2.0 * float(norm.cdf(z)))
+    z = (stat - mean + 0.5) / math.sqrt(var)
+    # 2 * Phi(z) = erfc(-z / sqrt(2))
+    p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
     return WilcoxonResult(stat, p, n, "normal")
 
 

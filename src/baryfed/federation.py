@@ -233,6 +233,12 @@ def model_spec(cfg: ExperimentConfig, ds: Dataset) -> MlpSpec:
     return MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
 
 
+def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
+    """The (mc_samples, P) standard normals that every evaluation of a run shares."""
+    rng = np.random.default_rng(derived_seed(seed, _EVAL_TAG))
+    return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     """Full protocol: R rounds of broadcast/train/aggregate, then evaluation.
 
@@ -334,21 +340,26 @@ def _evaluate_all(
     test_shards: list[Dataset],
     test_union: Dataset,
 ) -> list[MetricsReport]:
-    mc = cfg.eval.mc_samples
+    noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
-    eseed = derived_seed(seed, _EVAL_TAG)
     fedavg = cfg.federation.algorithm == "fedavg"
     method = "fedavg" if fedavg else cfg.federation.aggregation.value.lower()
 
-    def tag(report: MetricsReport, setting, lam, client_id):
+    # project returns p_g itself at lambda = 0, so those PM rows score pairs
+    # the GM rows already scored. Keys are ids: every keyed posterior and
+    # dataset stays alive until this function returns, so no id is reused.
+    scores: dict[tuple[int, int], MetricsReport] = {}
+
+    def row(p: DiagGaussian, ds: Dataset, setting, lam, client_id) -> MetricsReport:
+        key = (id(p), id(ds))
+        if key not in scores:
+            scores[key] = evaluate(spec, p, ds, noise, bins)
         return dataclasses.replace(
-            report, setting=setting, method=method, lam=lam, client_id=client_id, seed=seed
+            scores[key], setting=setting, method=method, lam=lam, client_id=client_id, seed=seed
         )
 
-    rows = []
-    for k, shard in enumerate(test_shards):
-        rows.append(tag(evaluate(spec, p_g, shard, mc, bins, eseed), "GM-LD", None, k))
-    rows.append(tag(evaluate(spec, p_g, test_union, mc, bins, eseed), "GM-GD", None, None))
+    rows = [row(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
+    rows.append(row(p_g, test_union, "GM-GD", None, None))
 
     d = cfg.personalization.divergence
     if fedavg:
@@ -360,8 +371,8 @@ def _evaluate_all(
         ]
     for lam, posteriors in sweep:
         for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
-            rows.append(tag(evaluate(spec, p, shard, mc, bins, eseed), "PM-LD", lam, k))
-            rows.append(tag(evaluate(spec, p, test_union, mc, bins, eseed), "PM-GD", lam, k))
+            rows.append(row(p, shard, "PM-LD", lam, k))
+            rows.append(row(p, test_union, "PM-GD", lam, k))
     return rows
 
 
@@ -437,9 +448,8 @@ def incremental_sweep(
     post_a = train_task(train_a, start, 1)
     post_b = train_task(train_b, post_a, 2)
 
-    mc = cfg.eval.mc_samples
+    noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
-    eseed = derived_seed(seed, _EVAL_TAG)
     method = cfg.federation.aggregation
 
     rows = []
@@ -449,8 +459,8 @@ def incremental_sweep(
         mixed = aggregate(method, [post_a, post_b], [1.0 - w, w])
         row = IncrementalRow(
             w=float(w),
-            task_a=evaluate(spec, mixed, test_a, mc, bins, eseed, setting="task-A"),
-            task_b=evaluate(spec, mixed, test_b, mc, bins, eseed, setting="task-B"),
+            task_a=evaluate(spec, mixed, test_a, noise, bins, setting="task-A"),
+            task_b=evaluate(spec, mixed, test_b, noise, bins, setting="task-B"),
         )
         rows.append(row)
     return IncrementalReport(

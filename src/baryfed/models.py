@@ -160,20 +160,22 @@ def predict_proba_mc(
     spec: MlpSpec,
     posterior: DiagGaussian,
     inputs: np.ndarray,
-    samples: int,
-    seed: int,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Posterior-averaged class probabilities over seeded parameter draws."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if posterior.dim != param_count(spec):
-        raise ValueError(
-            f"posterior dimension {posterior.dim} != parameter count {param_count(spec)}"
-        )
-    rng = np.random.default_rng(seed)
+    """Class probabilities averaged over the draws mean + std * noise[s].
+
+    ``noise`` is an (S, P) block of standard normals. Passing one block to
+    every call scores all posteriors on common random numbers.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    dim = param_count(spec)
+    if posterior.dim != dim:
+        raise ValueError(f"posterior dimension {posterior.dim} != parameter count {dim}")
+    if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != dim:
+        raise ValueError(f"noise must have shape (S >= 1, {dim}), got {noise.shape}")
     sigma = posterior.std
     probs = np.zeros((np.asarray(inputs).shape[0], spec.n_classes))
-    for _ in range(samples):
-        theta = posterior.mean + sigma * rng.standard_normal(posterior.dim)
+    for z in noise:
+        theta = posterior.mean + sigma * z
         probs += np.exp(_log_softmax(forward(spec, theta, inputs)))
-    return probs / samples
+    return probs / noise.shape[0]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from baryfed.evaluation import (
     compare_aggregations,
     ece_of,
     evaluate,
+    midranks,
     nll_of,
     summarize_metrics,
     wilcoxon_signed_rank,
@@ -136,7 +141,8 @@ class TestEvaluate:
         from baryfed.data import synth_blobs
 
         ds = synth_blobs(classes=3, dim=2, n_per_class=5, spread=0.1, seed=0)
-        rep = evaluate(spec, post, ds, mc_samples=4, bins=10, seed=3, setting="GM-GD")
+        noise = np.random.default_rng(3).standard_normal((4, post.dim))
+        rep = evaluate(spec, post, ds, noise, bins=10, setting="GM-GD")
         assert rep.n_examples == 15
         assert rep.mc_samples == 4
         assert rep.bins == 10
@@ -146,7 +152,45 @@ class TestEvaluate:
         assert 0.0 <= rep.ece <= 1.0
 
 
+class TestRuntimeDependencies:
+    def test_cli_import_leaves_scipy_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys, baryfed.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
+class TestMidranks:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]),
+                st.floats(0.0, 10.0, allow_nan=False),
+            ),
+            max_size=60,
+        )
+    )
+    @example([])
+    @example([1.0, 1.0, 1.0, 1.0])
+    @example([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
+    def test_equals_scipy_average_ranks(self, values):
+        values = np.array(values, dtype=np.float64)
+        ours, ref = midranks(values), rankdata(values)
+        assert ours.shape == ref.shape
+        assert np.all(ours == ref)
+
+
 class TestWilcoxon:
+    def test_nan_difference_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(np.array([1.0, math.nan, 3.0]), np.zeros(3))
+
     def test_exact_all_positive_n6(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         y = np.zeros(6)

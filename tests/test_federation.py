@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from baryfed import models
+from baryfed import federation, models
 from baryfed.config import (
     DatasetCfg,
     EvalCfg,
@@ -223,12 +223,59 @@ class TestPersonalizeAll:
         train, test = build_data(cfg, seed=0)
         spec = model_spec(cfg, train)
         eseed = derived_seed(0, _EVAL_TAG)
+        noise = np.random.default_rng(eseed).standard_normal(
+            (cfg.eval.mc_samples, models.param_count(spec))
+        )
         rows = [m for m in rep.metrics if m.setting == "PM-GD" and m.lam == 1.0]
         assert [m.client_id for m in rows] == list(range(len(rep.final_locals)))
         for m, loc in zip(rows, rep.final_locals):
             p = project(cfg.personalization.divergence, rep.final_global, loc, 1.0)
-            ref = evaluate(spec, p, test, cfg.eval.mc_samples, cfg.eval.ece_bins, eseed)
+            ref = evaluate(spec, p, test, noise, cfg.eval.ece_bins)
             assert (m.accuracy, m.nll, m.ece) == (ref.accuracy, ref.nll, ref.ece)
+
+
+class TestScoreOnce:
+    """Each (posterior, dataset) pair of a run is scored once."""
+
+    def counted_run(self, monkeypatch, cfg):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "evaluate", counting)
+        return run_experiment(cfg, seed=0), len(calls)
+
+    def test_bayes_endpoints_reuse_scores(self, monkeypatch):
+        cfg = make_cfg()
+        lams = cfg.personalization.lambdas
+        assert lams[0] == 0.0 and math.isinf(lams[-1])
+        rep, calls = self.counted_run(monkeypatch, cfg)
+        k = len(rep.final_locals)
+        assert len(rep.metrics) == k + 1 + 2 * k * len(lams)
+        # lambda = 0 projects to the global posterior: its 2K rows reuse GM scores
+        assert calls == k + 1 + 2 * k * (len(lams) - 1)
+
+    def test_fedavg_scores_every_row(self, monkeypatch):
+        cfg = make_cfg()
+        cfg = dataclasses.replace(
+            cfg, federation=dataclasses.replace(cfg.federation, algorithm="fedavg")
+        )
+        rep, calls = self.counted_run(monkeypatch, cfg)
+        assert calls == len(rep.metrics) == 3 * len(rep.final_locals) + 1
+
+    def test_lambda_zero_rows_equal_global_rows(self):
+        rep = run_experiment(make_cfg(), seed=0)
+        gm_ld = {m.client_id: m for m in rep.metrics if m.setting == "GM-LD"}
+        gm_gd = next(m for m in rep.metrics if m.setting == "GM-GD")
+        pm_ld = [m for m in rep.metrics if m.setting == "PM-LD" and m.lam == 0.0]
+        pm_gd = [m for m in rep.metrics if m.setting == "PM-GD" and m.lam == 0.0]
+        assert len(pm_ld) == len(pm_gd) == len(gm_ld)
+        for m in pm_ld:
+            assert dataclasses.replace(m, setting="GM-LD", lam=None) == gm_ld[m.client_id]
+        for m in pm_gd:
+            assert dataclasses.replace(m, setting="GM-GD", lam=None, client_id=None) == gm_gd
 
 
 class TestTrainingBehavior:

@@ -4,6 +4,7 @@ import pytest
 from baryfed.geometry import DiagGaussian
 from baryfed.models import (
     Batch,
+    _log_softmax,
     MlpSpec,
     forward,
     init_params,
@@ -147,20 +148,58 @@ class TestLossAndGrad:
         assert loss1 < loss0
 
 
+def reseeded_proba(spec, posterior, inputs, samples, seed):
+    """Reference predictive: reseed and draw one P-long vector per sample."""
+    rng = np.random.default_rng(seed)
+    sigma = posterior.std
+    probs = np.zeros((inputs.shape[0], spec.n_classes))
+    for _ in range(samples):
+        theta = posterior.mean + sigma * rng.standard_normal(posterior.dim)
+        probs += np.exp(_log_softmax(forward(spec, theta, inputs)))
+    return probs / samples
+
+
+def noise_block(samples, dim, seed):
+    return np.random.default_rng(seed).standard_normal((samples, dim))
+
+
 class TestPredictiveAndCounters:
-    def test_mc_probabilities(self):
+    def small_posterior(self):
         theta = init_params(SMALL, seed=5)
-        post = DiagGaussian(mean=theta, var=np.full(theta.size, 1e-3))
+        return DiagGaussian(mean=theta, var=np.full(theta.size, 1e-3))
+
+    def test_mc_probabilities(self):
+        post = self.small_posterior()
         x = np.random.default_rng(1).normal(size=(8, 2))
-        probs = predict_proba_mc(SMALL, post, x, samples=6, seed=7)
+        probs = predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 7))
         assert probs.shape == (8, 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(probs, predict_proba_mc(SMALL, post, x, samples=6, seed=7))
-        other = predict_proba_mc(SMALL, post, x, samples=6, seed=8)
+        assert np.array_equal(probs, predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 7)))
+        other = predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 8))
         assert not np.array_equal(probs, other)
 
+    @pytest.mark.parametrize(
+        "layers,samples,seed",
+        [((2, 3, 2), 1, 0), ((2, 3, 2), 6, 7), ((4, 5, 3), 10, 11), ((3, 8, 8, 4), 3, 2**40)],
+    )
+    def test_shared_block_matches_reseeded_draws(self, layers, samples, seed):
+        # one (S, P) block is the S successive P-long draws of a reseeded stream
+        spec = MlpSpec(layer_sizes=layers)
+        theta = init_params(spec, seed=1)
+        rng = np.random.default_rng(3)
+        post = DiagGaussian(mean=theta, var=rng.uniform(1e-3, 0.5, size=theta.size))
+        x = rng.normal(size=(9, layers[0]))
+        ref = reseeded_proba(spec, post, x, samples, seed)
+        probs = predict_proba_mc(spec, post, x, noise_block(samples, post.dim, seed))
+        assert np.array_equal(probs, ref)
+
     def test_sample_count_validated(self):
-        theta = init_params(SMALL, seed=5)
-        post = DiagGaussian(mean=theta, var=np.full(theta.size, 1e-3))
-        with pytest.raises(ValueError):
-            predict_proba_mc(SMALL, post, np.zeros((1, 2)), samples=0, seed=0)
+        # an empty noise block is zero samples
+        post = self.small_posterior()
+        with pytest.raises(ValueError, match="noise"):
+            predict_proba_mc(SMALL, post, np.zeros((1, 2)), np.zeros((0, post.dim)))
+
+    def test_noise_width_must_be_param_count(self):
+        post = self.small_posterior()
+        with pytest.raises(ValueError, match="noise"):
+            predict_proba_mc(SMALL, post, np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
