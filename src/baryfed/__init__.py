@@ -13,8 +13,6 @@ from .geometry import (
     DiagGaussian,
     Divergence,
     aggregate,
-    geodesic_sweep,
-    numeric_projection_oracle,
     project,
     projection_divergence,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "DiagGaussian",
     "Divergence",
     "aggregate",
-    "geodesic_sweep",
-    "numeric_projection_oracle",
     "project",
     "projection_divergence",
     "__version__",

@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .checks import validate_geometry_suite
 from .config import (
     NON_NEGATIVE,
     POSITIVE,
@@ -48,16 +49,7 @@ from .federation import (
     partition_both,
     run_experiment,
 )
-from .geometry import (
-    AggregationMethod,
-    DiagGaussian,
-    Divergence,
-    aggregate,
-    geodesic_sweep,
-    numeric_projection_oracle,
-    project,
-    projection_divergence,
-)
+from .geometry import AggregationMethod
 
 log = logging.getLogger(__name__)
 
@@ -357,9 +349,7 @@ def cmd_incremental(args) -> int:
     cfg = _prepare(args)
     rows = []
     for seed in cfg.seeds:
-        report = incremental_sweep(
-            cfg, seed, cfg.incremental.w_grid, cfg.incremental.split_class
-        )
+        report = incremental_sweep(cfg, seed)
         for row in report.rows:
             rows.append(
                 (
@@ -408,131 +398,6 @@ def cmd_partition(args) -> int:
         artifacts.append(name)
     _write_manifest(cfg.out_dir, cfg, "partition", artifacts)
     return 0
-
-
-# -- geometry property suite ------------------------------------------------
-
-def _random_instance(rng: np.random.Generator) -> tuple[DiagGaussian, DiagGaussian]:
-    mus = rng.uniform(-1.0, 1.0, size=2)
-    sds = rng.uniform(0.3, 1.3, size=2)
-    return (
-        DiagGaussian(mean=np.array([mus[0]]), var=np.array([sds[0] ** 2])),
-        DiagGaussian(mean=np.array([mus[1]]), var=np.array([sds[1] ** 2])),
-    )
-
-
-def _barycenter_objective(
-    method: AggregationMethod, cand_mu, cand_sd, posts, weights
-) -> np.ndarray:
-    """Weighted objective each closed form minimizes, on grid arrays.
-
-    EAA minimizes the squared distance between (mean, variance) statistics;
-    W2B the squared Wasserstein-2 distance; RKLB the mode-seeking direction
-    KL(candidate || p_k), whose minimizer is the precision fusion.
-    """
-    total = np.zeros_like(cand_mu)
-    for post, w in zip(posts, weights):
-        mu_k = float(post.mean[0])
-        sd_k = float(post.std[0])
-        if method is AggregationMethod.EAA:
-            term = (cand_mu - mu_k) ** 2 + (cand_sd**2 - sd_k**2) ** 2
-        elif method is AggregationMethod.W2B:
-            term = (cand_mu - mu_k) ** 2 + (cand_sd - sd_k) ** 2
-        else:
-            var_k = sd_k**2
-            cand_var = cand_sd**2
-            term = 0.5 * (
-                cand_var / var_k
-                + (cand_mu - mu_k) ** 2 / var_k
-                - 1.0
-                + np.log(var_k / cand_var)
-            )
-        total += w * term
-    return total
-
-
-def validate_geometry_suite(n_instances: int = 100, seed: int = 0) -> tuple[bool, list[str]]:
-    """Randomized 1-D checks; returns (all_passed, report_lines)."""
-    rng = np.random.default_rng(seed)
-    failures: dict[str, list[str]] = {
-        "barycenter-optimality": [],
-        "projection-oracle-equivalence": [],
-        "geodesic-monotonicity": [],
-    }
-    grid_lambdas = (0.0, 0.25, 1.0, 4.0, math.inf)
-
-    for i in range(n_instances):
-        p_g, p_k = _random_instance(rng)
-        w = float(rng.uniform(0.05, 0.95))
-        weights = [1.0 - w, w]
-        posts = [p_g, p_k]
-
-        mu_lo = min(float(p.mean[0]) for p in posts) - 0.01
-        mu_hi = max(float(p.mean[0]) for p in posts) + 0.01
-        sd_lo = max(min(float(p.std[0]) for p in posts) - 0.01, 1e-3)
-        sd_hi = max(float(p.std[0]) for p in posts) + 0.01
-        mus = np.arange(mu_lo, mu_hi + 1e-3, 1e-3)
-        sds = np.arange(sd_lo, sd_hi + 1e-3, 1e-3)
-        cand_mu, cand_sd = np.meshgrid(mus, sds, indexing="ij")
-
-        for method in AggregationMethod:
-            closed = aggregate(method, posts, weights)
-            best_grid = float(
-                _barycenter_objective(method, cand_mu, cand_sd, posts, weights).min()
-            )
-            ours = float(
-                _barycenter_objective(
-                    method,
-                    np.array([[float(closed.mean[0])]]),
-                    np.array([[float(np.sqrt(closed.var[0]))]]),
-                    posts,
-                    weights,
-                )[0, 0]
-            )
-            if ours > best_grid + 1e-9:
-                failures["barycenter-optimality"].append(
-                    f"instance {i} method={method.value} "
-                    f"pg=({p_g.mean[0]:.4f},{p_g.var[0]:.4f}) "
-                    f"pk=({p_k.mean[0]:.4f},{p_k.var[0]:.4f}) w={w:.4f} "
-                    f"closed={ours:.6e} grid={best_grid:.6e}"
-                )
-
-        for d in (Divergence.RKL, Divergence.W2SQ):
-            for lam in (0.25, 1.0, 4.0):
-                closed = project(d, p_g, p_k, lam)
-                radius = projection_divergence(d, closed, p_k)
-                oracle = numeric_projection_oracle(d, p_g, p_k, radius)
-                err = max(
-                    abs(float(closed.mean[0] - oracle.mean[0])),
-                    abs(float(np.sqrt(closed.var[0]) - np.sqrt(oracle.var[0]))),
-                )
-                if err > 2e-3:
-                    failures["projection-oracle-equivalence"].append(
-                        f"instance {i} d={d.value} lam={lam} err={err:.2e} "
-                        f"pg=({p_g.mean[0]:.4f},{p_g.var[0]:.4f}) "
-                        f"pk=({p_k.mean[0]:.4f},{p_k.var[0]:.4f})"
-                    )
-
-            path = geodesic_sweep(d, p_g, p_k, grid_lambdas)
-            to_k = [projection_divergence(d, q, p_k) for q in path]
-            to_g = [projection_divergence(d, q, p_g) for q in path]
-            if any(b > a + 1e-9 for a, b in zip(to_k, to_k[1:])):
-                failures["geodesic-monotonicity"].append(
-                    f"instance {i} d={d.value} distance-to-local not non-increasing: {to_k}"
-                )
-            if any(b < a - 1e-9 for a, b in zip(to_g, to_g[1:])):
-                failures["geodesic-monotonicity"].append(
-                    f"instance {i} d={d.value} distance-to-global not non-decreasing: {to_g}"
-                )
-
-    lines = []
-    ok = True
-    for prop, fails in failures.items():
-        status = "pass" if not fails else f"FAIL ({len(fails)})"
-        ok = ok and not fails
-        lines.append(f"{prop:34s} {n_instances:4d} instances  {status}")
-        lines.extend(f"  counterexample: {f}" for f in fails[:3])
-    return ok, lines
 
 
 def cmd_validate_geometry(args) -> int:

@@ -32,12 +32,12 @@ class MetricsReport:
     ece: float
     n_examples: int
     mc_samples: int
+    bins: int
     setting: str = ""
     method: str = ""
     lam: float | None = None
     client_id: int | None = None
     seed: int | None = None
-    bins: int = 15
 
 
 def accuracy_of(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -51,7 +51,7 @@ def nll_of(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
 
-def ece_of(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
+def ece_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> float:
     """Equal-width binning of max-probability confidence on [0, 1].
 
     Confidences exactly at a bin edge fall into the higher bin, except 1.0
@@ -84,7 +84,7 @@ def evaluate(
     posterior: DiagGaussian,
     ds: Dataset,
     noise: np.ndarray,
-    bins: int = 15,
+    bins: int,
     setting: str = "",
 ) -> MetricsReport:
     """All three metrics from the posterior draws mean + std * noise[s]."""

@@ -396,21 +396,21 @@ def _filter_classes(ds: Dataset, keep: np.ndarray, name: str) -> Dataset:
     return ds.subset(idx, name=name)
 
 
-def incremental_sweep(
-    cfg: ExperimentConfig, seed: int, w_grid, split_class: int | None = None
-) -> IncrementalReport:
+def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
     """Two-task sequential training, then a barycentric model merge.
 
-    Task A holds classes below ``split_class``, task B the rest. Posterior B
-    starts from posterior A (task-A data is gone by then). The sweep mixes
-    A and B with weights (1-w, w) under the configured aggregation and scores
-    every mixture on both task test sets.
+    Task A holds classes below ``cfg.incremental.split_class`` (default: the
+    lower half), task B the rest. Posterior B starts from posterior A (task-A
+    data is gone by then). The sweep mixes A and B with weights (1-w, w) for
+    each w of ``cfg.incremental.w_grid`` under the configured aggregation and
+    scores every mixture on both task test sets.
     """
     try:
         train, test = build_data(cfg, seed)
     except Exception as exc:
         raise RunError(0, None, exc) from exc
     classes = train.classes
+    split_class = cfg.incremental.split_class
     if split_class is None:
         split_class = classes // 2
     if not 0 < split_class < classes:
@@ -453,9 +453,7 @@ def incremental_sweep(
     method = cfg.federation.aggregation
 
     rows = []
-    for w in w_grid:
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"mixture weight must lie in [0, 1], got {w}")
+    for w in cfg.incremental.w_grid:
         mixed = aggregate(method, [post_a, post_b], [1.0 - w, w])
         row = IncrementalRow(
             w=float(w),

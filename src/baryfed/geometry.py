@@ -231,133 +231,3 @@ def project(
         return p_k
     return aggregate(_PROJECTION_METHOD[d], [p_g, p_k], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
 
-
-def geodesic_sweep(
-    d: Divergence,
-    p_g: DiagGaussian,
-    p_k: DiagGaussian,
-    lambdas,
-) -> list[DiagGaussian]:
-    """Project at each lambda of an ascending grid; endpoints are exact."""
-    lams = list(lambdas)
-    for a, b in zip(lams, lams[1:]):
-        if not a <= b:
-            raise ValueError("lambda grid must be sorted ascending")
-    if lams and lams[0] < 0:
-        raise ValueError("lambda grid must be non-negative")
-    return [project(d, p_g, p_k, lam) for lam in lams]
-
-
-def _feasible_var_window(mus, vk_mu_cost, v_ref, radius):
-    """Per-mu variance interval where the KL-family constraint holds.
-
-    For fixed mu the constraint c(v) = vk_mu_cost + (v/v_ref - ln(v/v_ref)
-    - 1)/2 is unimodal in v with its minimum at v = v_ref, so each side of
-    the interval is found by bisection. Infeasible mus get an empty window
-    (lo > hi).
-    """
-    slack = radius - vk_mu_cost
-    feasible = slack >= 0.0
-    # z - ln z - 1 = 2*slack in z = v/v_ref; bracket the two roots
-    z_hi0 = np.full_like(mus, 2.0 + 4.0 * max(radius, 1e-30))
-    z_lo0 = np.full_like(mus, math.exp(-(1.0 + 2.0 * max(radius, 1e-30))))
-
-    def g(z):
-        return 0.5 * (z - np.log(z) - 1.0)
-
-    lo_a, lo_b = z_lo0, np.ones_like(mus)
-    hi_a, hi_b = np.ones_like(mus), z_hi0
-    for _ in range(80):
-        mid = 0.5 * (lo_a + lo_b)
-        too_high = g(mid) > slack
-        lo_a = np.where(too_high, mid, lo_a)
-        lo_b = np.where(too_high, lo_b, mid)
-        mid = 0.5 * (hi_a + hi_b)
-        too_high = g(mid) > slack
-        hi_b = np.where(too_high, mid, hi_b)
-        hi_a = np.where(too_high, hi_a, mid)
-    v_lo = np.where(feasible, lo_b * v_ref, np.inf)
-    v_hi = np.where(feasible, hi_a * v_ref, -np.inf)
-    return v_lo, v_hi
-
-
-def _reduced_objective(
-    d: Divergence, mus: np.ndarray, p_g: DiagGaussian, p_k: DiagGaussian, radius: float
-):
-    """Objective minimized exactly over sigma for every candidate mu.
-
-    The sphere constraint pins sigma to an interval per mu (solved in closed
-    form for W2SQ, by bisection for the KL family), and the objective is
-    unimodal in sigma with a known unconstrained minimizer, so clipping that
-    minimizer into the interval is exact. Returns (values, sds); infeasible
-    mus carry +inf.
-    """
-    mg, vg = float(p_g.mean[0]), float(p_g.var[0])
-    mk, vk = float(p_k.mean[0]), float(p_k.var[0])
-    if d is Divergence.W2SQ:
-        sk = math.sqrt(vk)
-        sg = math.sqrt(vg)
-        gap = radius - (mus - mk) ** 2
-        feasible = gap >= 0.0
-        half = np.sqrt(np.maximum(gap, 0.0))
-        sd_lo = np.maximum(sk - half, 0.0)
-        sd_hi = sk + half
-        sd = np.clip(sg, sd_lo, sd_hi)
-        value = (mus - mg) ** 2 + (sd - sg) ** 2
-        return np.where(feasible, value, np.inf), sd
-    # KL family: constraint KL(cand || p_k) <= radius, objective KL(cand || p_g)
-    mu_cost_k = 0.5 * (mus - mk) ** 2 / vk
-    v_lo, v_hi = _feasible_var_window(mus, mu_cost_k, vk, radius)
-    v = np.clip(vg, v_lo, v_hi)
-    feasible = v_lo <= v_hi
-    v_safe = np.where(feasible, v, vg)
-    ratio = v_safe / vg
-    value = 0.5 * (ratio - np.log(ratio) - 1.0) + 0.5 * (mus - mg) ** 2 / vg
-    return np.where(feasible, value, np.inf), np.sqrt(v_safe)
-
-
-def numeric_projection_oracle(
-    d: Divergence,
-    p_g: DiagGaussian,
-    p_k: DiagGaussian,
-    radius: float,
-) -> DiagGaussian:
-    """Brute-force constrained projection for 1-D sanity checks.
-
-    Minimizes D(p || p_g) subject to D(p || p_k) <= radius, with both sides
-    evaluated by projection_divergence. The search scans mu on a grid (step
-    1e-3, then a 1e-6 refinement around the best point) and, for each mu,
-    resolves the optimal sigma exactly from the constraint interval, so the
-    result carries no sigma discretization error. Deliberately derivative-free
-    and independent of the closed-form path it validates.
-    """
-    d = Divergence(d)
-    if p_g.dim != 1 or p_k.dim != 1:
-        raise ValueError("oracle supports dimension 1 only")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if radius == 0.0:
-        return p_k
-    if projection_divergence(d, p_g, p_k) <= radius:
-        return p_g
-
-    mg, mk = float(p_g.mean[0]), float(p_k.mean[0])
-    mu_span = max(abs(mg - mk), 0.5)
-    mu_lo = min(mg, mk) - 3.0 * mu_span
-    mu_hi = max(mg, mk) + 3.0 * mu_span
-
-    step1 = 1e-3
-    mus = np.arange(mu_lo, mu_hi + step1, step1)
-    mus = np.concatenate([mus, [mg, mk]])  # the ball always contains mk
-    values, sds = _reduced_objective(d, mus, p_g, p_k, radius)
-    best = int(np.argmin(values))
-
-    step2 = 1e-6
-    fine = np.arange(mus[best] - 3.0 * step1, mus[best] + 3.0 * step1 + step2, step2)
-    values2, sds2 = _reduced_objective(d, fine, p_g, p_k, radius)
-    best2 = int(np.argmin(values2))
-    if values2[best2] <= values[best]:
-        mu_star, sd_star = float(fine[best2]), float(sds2[best2])
-    else:
-        mu_star, sd_star = float(mus[best]), float(sds[best])
-    return DiagGaussian(mean=np.array([mu_star]), var=np.array([sd_star**2]))

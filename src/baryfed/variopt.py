@@ -47,16 +47,11 @@ class IvonState:
         return 1.0 / (self.ess * (self.hess + self.opt.weight_decay))
 
 
-def ivon_init(dim: int, opt: OptimizerCfg, ess: float, mean=None) -> IvonState:
-    """Fresh state: Hessian filled with h0, momentum zero, step count zero.
-
-    ``mean`` is the model initializer's flat parameter vector; when omitted
-    the mean starts at zero (useful for non-network objectives).
-    """
+def ivon_init(dim: int, opt: OptimizerCfg, ess: float, mean) -> IvonState:
+    """Fresh state at ``mean`` (the model initializer's flat parameter
+    vector): Hessian filled with h0, momentum zero, step count zero."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if mean is None:
-        mean = np.zeros(dim)
     mean = np.asarray(mean, dtype=np.float64).copy()
     if mean.shape != (dim,):
         raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")

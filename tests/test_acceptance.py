@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from baryfed import models
+from baryfed import checks, models
 from baryfed.cli import main
 from baryfed.config import (
     DEFAULT_LAMBDAS,
@@ -32,11 +32,8 @@ from baryfed.geometry import (
     DiagGaussian,
     Divergence,
     aggregate,
-    geodesic_sweep,
     kl_gaussian,
-    numeric_projection_oracle,
     project,
-    projection_divergence,
 )
 from baryfed.models import Batch, MlpSpec, init_params, loss_and_grad
 from baryfed.variopt import (
@@ -82,15 +79,6 @@ def verdict(number: int, slug: str, t0: float):
     print(f"criterion {number:02d} {slug}: PASS ({time.perf_counter() - t0:.1f}s)")
 
 
-def random_pair(rng) -> tuple[DiagGaussian, DiagGaussian]:
-    mus = rng.uniform(-1.0, 1.0, size=2)
-    sds = rng.uniform(0.3, 1.3, size=2)
-    return (
-        DiagGaussian(mean=np.array([mus[0]]), var=np.array([sds[0] ** 2])),
-        DiagGaussian(mean=np.array([mus[1]]), var=np.array([sds[1] ** 2])),
-    )
-
-
 @pytest.fixture(scope="module")
 def bench_runs():
     t0 = time.perf_counter()
@@ -111,37 +99,15 @@ def test_criterion_01_projection_matches_numeric_oracle():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
-        p_g, p_k = random_pair(rng)
+        p_g, p_k = checks.random_instance(rng)
         for d in (Divergence.RKL, Divergence.W2SQ):
             for lam in (0.25, 1.0, 4.0):
-                closed = project(d, p_g, p_k, lam)
-                radius = projection_divergence(d, closed, p_k)
-                oracle = numeric_projection_oracle(d, p_g, p_k, radius)
-                err = max(
-                    abs(float(closed.mean[0] - oracle.mean[0])),
-                    abs(float(closed.std[0] - oracle.std[0])),
-                )
+                err = checks.projection_oracle_error(d, p_g, p_k, lam)
                 worst = max(worst, err)
                 assert err <= 2e-3, f"d={d.value} lam={lam} err={err:.2e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     verdict(1, f"projection-oracle-agreement (worst {worst:.1e})", t0)
-
-
-def barycenter_objective(method, mu, sd, posts, weights):
-    total = np.zeros_like(mu)
-    for p, w in zip(posts, weights):
-        mu_k, var_k = float(p.mean[0]), float(p.var[0])
-        if method is AggregationMethod.EAA:
-            term = (mu - mu_k) ** 2 + (sd**2 - var_k) ** 2
-        elif method is AggregationMethod.W2B:
-            term = (mu - mu_k) ** 2 + (sd - math.sqrt(var_k)) ** 2
-        else:
-            term = 0.5 * (
-                (sd**2 + (mu - mu_k) ** 2) / var_k - 1.0 + np.log(var_k / sd**2)
-            )
-        total += w * term
-    return total
 
 
 def test_criterion_02_barycenters_beat_grid():
@@ -167,30 +133,9 @@ def test_criterion_02_barycenters_beat_grid():
 
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p_g, p_k = random_pair(rng)
+        p_g, p_k = checks.random_instance(rng)
         w = float(rng.uniform(0.05, 0.95))
-        posts, weights = [p_g, p_k], [1.0 - w, w]
-        mu_lo = min(float(p.mean[0]) for p in posts) - 0.01
-        mu_hi = max(float(p.mean[0]) for p in posts) + 0.01
-        sd_lo = max(min(float(p.std[0]) for p in posts) - 0.01, 1e-3)
-        sd_hi = max(float(p.std[0]) for p in posts) + 0.01
-        mu, sd = np.meshgrid(
-            np.arange(mu_lo, mu_hi + 1e-3, 1e-3),
-            np.arange(sd_lo, sd_hi + 1e-3, 1e-3),
-            indexing="ij",
-        )
-        for method in AggregationMethod:
-            closed = aggregate(method, posts, weights)
-            ours = float(
-                barycenter_objective(
-                    method,
-                    np.array([[float(closed.mean[0])]]),
-                    np.array([[float(closed.std[0])]]),
-                    posts,
-                    weights,
-                )[0, 0]
-            )
-            best = float(barycenter_objective(method, mu, sd, posts, weights).min())
+        for method, (ours, best) in checks.barycenter_vs_grid([p_g, p_k], [1.0 - w, w]).items():
             assert ours <= best + 1e-9, f"{method.value}: closed {ours} vs grid {best}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -200,7 +145,6 @@ def test_criterion_02_barycenters_beat_grid():
 def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
     t0 = time.perf_counter()
     reports, _ = bench_runs
-    grid = DEFAULT_LAMBDAS
     for report in reports:
         p_g = report.final_global
         for p_k in report.final_locals:
@@ -212,13 +156,7 @@ def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
                 assert np.array_equal(at_inf.mean, p_k.mean)
                 assert np.array_equal(at_inf.var, p_k.var)
 
-                path = geodesic_sweep(d, p_g, p_k, grid)
-                to_k = [projection_divergence(d, q, p_k) for q in path]
-                to_g = [projection_divergence(d, q, p_g) for q in path]
-                for a, b in zip(to_k, to_k[1:]):
-                    assert b <= a, f"distance to local increased: {a} -> {b}"
-                for a, b in zip(to_g, to_g[1:]):
-                    assert b >= a, f"distance to global decreased: {a} -> {b}"
+                assert not checks.geodesic_monotonicity(d, p_g, p_k, DEFAULT_LAMBDAS)
     verdict(3, "pullback-endpoints-and-monotone-path", t0)
 
 
@@ -229,12 +167,12 @@ def test_criterion_04_variance_duality():
         n = int(rng.integers(10, 100000))
         h = float(rng.uniform(0.01, 50.0))
         delta = float(rng.uniform(1e-6, 1e-2))
-        st = ivon_init(3, OptimizerCfg(weight_decay=delta, h0=h), n)
+        st = ivon_init(3, OptimizerCfg(weight_decay=delta, h0=h), n, np.zeros(3))
         post = posterior_of(st)
         assert np.allclose(post.var, 1.0 / (n * (h + delta)), rtol=1e-12)
         assert np.allclose(hessian_of(post, n, delta), h, rtol=1e-12)
 
-    pinned = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
+    pinned = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000, np.zeros(1))
     assert posterior_of(pinned).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
     verdict(4, "posterior-hessian-duality", t0)
 
@@ -252,7 +190,9 @@ def test_criterion_05_optimizer_convergence_and_gradients():
     prec = n * delta + np.einsum("ij,ij->j", X, X)
     analytic = DiagGaussian(mean=(X.T @ y) / prec, var=1.0 / prec)
 
-    state = ivon_init(dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n)
+    state = ivon_init(
+        dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n, np.zeros(dim)
+    )
     step_rng = np.random.default_rng(11)
     total = 2000
     for step in range(total):
@@ -378,15 +318,14 @@ def test_criterion_08_signed_rank_and_comparison_matrix(tmp_path):
 
 def test_criterion_09_incremental_interior_dominance():
     t0 = time.perf_counter()
-    grid = tuple(round(0.1 * i, 1) for i in range(11))
-    report = incremental_sweep(INCREMENTAL_CFG, seed=0, w_grid=grid)
+    report = incremental_sweep(INCREMENTAL_CFG, seed=0)
     acc_a = [row.task_a.accuracy for row in report.rows]
     acc_b = [row.task_b.accuracy for row in report.rows]
     # each endpoint is strong on its own task; an interior mixture must beat
     # endpoint B on task A and endpoint A on task B simultaneously
     dominating = [
         i
-        for i in range(1, len(grid) - 1)
+        for i in range(1, len(report.rows) - 1)
         if acc_a[i] > acc_a[-1] and acc_b[i] > acc_b[0]
     ]
     assert dominating, f"no interior mixture dominates: A={acc_a} B={acc_b}"

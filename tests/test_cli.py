@@ -1,16 +1,15 @@
 import json
 import math
-import os
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from baryfed import cli
+from baryfed import checks
 from baryfed import data as data_mod
 from baryfed.cli import main
-from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate
+from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate, project
 
 BASE_CONFIG = {
     "dataset": {"kind": "synth", "classes": 3, "dim": 2, "n_per_class": 40, "spread": 0.3},
@@ -206,9 +205,7 @@ class TestValidateGeometry:
     def test_clean_pass(self, capsys):
         assert main(["validate-geometry", "--instances", "10"]) == 0
         out = capsys.readouterr().out
-        assert "barycenter-optimality" in out
-        assert "projection-oracle-equivalence" in out
-        assert "geodesic-monotonicity" in out
+        assert all(prop in out for prop in checks.PROPERTIES)
         assert "FAIL" not in out
 
     @pytest.mark.parametrize(
@@ -226,6 +223,16 @@ class TestValidateGeometry:
         assert f"'{flag}'" in out.err
         assert "pass" not in out.out
 
+    def assert_only_failure(self, capsys, failing):
+        """Exit 1, FAIL on the ``failing`` property's line, pass on the others."""
+        assert main(["validate-geometry", "--instances", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "counterexample" in out
+        status = {l.split()[0]: l for l in out.splitlines() if not l.startswith(" ")}
+        assert tuple(status) == checks.PROPERTIES
+        for prop, line in status.items():
+            assert ("FAIL" if prop == failing else "pass") in line, line
+
     def test_mutation_detected(self, capsys, monkeypatch):
         def w2b_with_eaa_variance(method, posts, weights):
             if method is not AggregationMethod.W2B:
@@ -234,11 +241,26 @@ class TestValidateGeometry:
             var = sum(w * p.var for w, p in zip(weights, posts))
             return DiagGaussian(mean=mean, var=var)
 
-        monkeypatch.setattr(cli, "aggregate", w2b_with_eaa_variance)
-        assert main(["validate-geometry", "--instances", "10"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "counterexample" in out
+        monkeypatch.setattr(checks, "aggregate", w2b_with_eaa_variance)
+        self.assert_only_failure(capsys, "barycenter-optimality")
+
+    def test_wrong_barycenter_in_projection_detected(self, capsys, monkeypatch):
+        def eaa_projection(d, p_g, p_k, lam):
+            if math.isinf(lam):
+                return p_k
+            weights = [1.0 / (lam + 1.0), lam / (lam + 1.0)]
+            return aggregate(AggregationMethod.EAA, [p_g, p_k], weights)
+
+        monkeypatch.setattr(checks, "project", eaa_projection)
+        self.assert_only_failure(capsys, "projection-oracle-equivalence")
+
+    def test_inverted_lambda_detected(self, capsys, monkeypatch):
+        # walks the path backwards: p_k at lambda = 0, p_g at lambda = inf
+        def inverted(d, p_g, p_k, lam):
+            return project(d, p_g, p_k, math.inf if lam == 0.0 else 1.0 / lam)
+
+        monkeypatch.setattr(checks, "project", inverted)
+        self.assert_only_failure(capsys, "geodesic-monotonicity")
 
 
 class TestErrors:

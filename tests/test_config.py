@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from baryfed.config import ConfigError, ExperimentConfig, load_config, parse_config
+from baryfed.config import ConfigError, ExperimentConfig, _schema, load_config, parse_config
 from baryfed.geometry import AggregationMethod, Divergence
 
 MINIMAL = {"dataset": {"kind": "synth"}}
@@ -166,6 +169,60 @@ class TestMisc:
             parse_config({"dataset": {"kind": "synth"}, "seeds": [0, -1]})
 
 
+# Words for the string fields that carry a rule; other strings are free text.
+WORDS = ("synth", "idx", "bayes", "fedavg", "eaa", "W2B", "rklb", "")
+REJECTED = object()
+
+
+def ruled(rule, value, path: str):
+    try:
+        return rule(value, path)
+    except ConfigError:
+        return REJECTED
+
+
+def passing(values, rule, path: str):
+    """Draws of ``values`` that ``rule`` accepts, as the rule returns them."""
+    return values.map(lambda v: ruled(rule, v, path)).filter(lambda v: v is not REJECTED)
+
+
+def field_values(spec, path: str):
+    """Values of one schema field as the parser stores them: a draw by type
+    (infinity only where the field allows it, tuples in drawn and in sorted
+    order, None for optional fields), then ``each``, ``synth`` and ``check``
+    as the parser runs them."""
+    kind, rules = spec.kind, spec.field.metadata
+    rule = rules.get("each" if spec.many else "check")
+    if spec.section:
+        one = sections(kind, path)
+    elif issubclass(kind, Enum):
+        one = st.sampled_from(list(kind))
+    elif kind is float:
+        one = st.floats(0.0, 1.0) | st.floats(-2.0, 50.0)
+        one = one | st.just(math.inf) if rules.get("inf") else one
+    elif kind is str:  # free text would almost never pass a rule
+        words = [w for w in WORDS if rule and ruled(rule, w, path) is not REJECTED]
+        one = st.sampled_from(words) if rule else st.text(max_size=8)
+    else:
+        one = st.booleans() if kind is bool else st.integers(0, 40)
+    if spec.many:
+        one = passing(one, rule, path) if rule else one
+        one = st.lists(one, max_size=4) | st.lists(one, max_size=4, unique=True).map(sorted)
+        one = one.map(tuple)
+    for name in ("synth", "check"):
+        one = passing(one, rules[name], path) if name in rules else one
+    return st.none() | one if spec.nullable else one
+
+
+def sections(cls, path: str = ""):
+    """Valid instances of a config section, built field by field from its schema."""
+    fields = {
+        s.field.name: field_values(s, f"{path}.{s.field.name}".lstrip("."))
+        for s in _schema(cls)
+    }
+    return st.fixed_dictionaries(fields).map(lambda values: cls(**values))
+
+
 class TestSerialization:
     def test_inf_survives_round_trip(self):
         cfg = parse_config(MINIMAL)
@@ -195,6 +252,11 @@ class TestRoundTrip:
             for f in dataclasses.fields(section):
                 assert getattr(section, f.name) != f.default, f"{name}.{f.name}"
         assert cfg.seeds != ExperimentConfig.seeds and cfg.out_dir != ExperimentConfig.out_dir
+
+    @settings(deadline=None, max_examples=50)  # each example draws ~50 fields
+    @given(sections(ExperimentConfig))
+    def test_generated_config_round_trip(self, cfg):
+        assert parse_config(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
 
     @pytest.mark.parametrize("name", SECTIONS)
     def test_empty_section_is_defaults(self, name):

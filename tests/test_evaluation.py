@@ -117,7 +117,7 @@ class TestMetrics:
     def test_ece_perfect_calibration_zero(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
-        assert ece_of(probs, labels) == pytest.approx(0.0)
+        assert ece_of(probs, labels, 15) == pytest.approx(0.0)
 
     def test_ece_bins_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +302,7 @@ class TestSummaries:
             ece=0.1,
             n_examples=10,
             mc_samples=4,
+            bins=15,
             setting="PM-LD",
             method="eaa",
             lam=lam,

@@ -10,6 +10,7 @@ from baryfed.config import (
     EvalCfg,
     ExperimentConfig,
     FederationCfg,
+    IncrementalCfg,
     ModelCfg,
     OptimizerCfg,
     PartitionCfg,
@@ -301,14 +302,15 @@ class TestTrainingBehavior:
 
 
 class TestIncrementalSweep:
-    def small_cfg(self):
+    def small_cfg(self, **incremental):
         return make_cfg(
             dataset=DatasetCfg(kind="synth", classes=4, dim=2, n_per_class=30, spread=0.3),
             federation=FederationCfg(rounds=2, local_epochs=2, batch_size=200),
+            incremental=IncrementalCfg(**incremental),
         )
 
     def test_rows_and_settings(self):
-        rep = incremental_sweep(self.small_cfg(), seed=0, w_grid=(0.0, 0.5, 1.0))
+        rep = incremental_sweep(self.small_cfg(w_grid=(0.0, 0.5, 1.0)), seed=0)
         assert rep.split_class == 2
         assert [r.w for r in rep.rows] == [0.0, 0.5, 1.0]
         assert all(r.task_a.setting == "task-A" for r in rep.rows)
@@ -317,23 +319,25 @@ class TestIncrementalSweep:
         assert rep.rows[0].task_a.n_examples > 0 and rep.rows[0].task_b.n_examples > 0
 
     def test_explicit_split(self):
-        rep = incremental_sweep(self.small_cfg(), seed=0, w_grid=(0.5,), split_class=1)
+        rep = incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=1), seed=0)
         assert rep.split_class == 1
 
     def test_invalid_split(self):
         with pytest.raises(ValueError, match="split_class"):
-            incremental_sweep(self.small_cfg(), seed=0, w_grid=(0.5,), split_class=0)
+            incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=0), seed=0)
 
     def test_invalid_weight(self):
-        with pytest.raises(ValueError, match="mixture weight"):
-            incremental_sweep(self.small_cfg(), seed=0, w_grid=(1.5,))
+        # a w the parser would reject still fails: 1 - w is a negative weight
+        with pytest.raises(ValueError, match="negative weight"):
+            incremental_sweep(self.small_cfg(w_grid=(1.5,)), seed=0)
 
     def test_endpoint_specialization(self):
         # w=0 keeps task-A's posterior, w=1 keeps task-B's; B trains after A
         cfg = bench_cfg(
-            dataset=DatasetCfg(kind="synth", classes=4, dim=2, n_per_class=150, spread=0.25)
+            dataset=DatasetCfg(kind="synth", classes=4, dim=2, n_per_class=150, spread=0.25),
+            incremental=IncrementalCfg(w_grid=(0.0, 1.0)),
         )
-        rep = incremental_sweep(cfg, seed=0, w_grid=(0.0, 1.0))
+        rep = incremental_sweep(cfg, seed=0)
         a_end, b_end = rep.rows[0], rep.rows[1]
         assert a_end.task_a.accuracy > b_end.task_a.accuracy
         assert b_end.task_b.accuracy > a_end.task_b.accuracy

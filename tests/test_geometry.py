@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baryfed.checks import geodesic_monotonicity, numeric_projection_oracle, projection_oracle_error
 from baryfed.geometry import (
     AggregationMethod,
     DiagGaussian,
     Divergence,
     VAR_FLOOR,
     aggregate,
-    geodesic_sweep,
     kl_gaussian,
-    numeric_projection_oracle,
     project,
     projection_divergence,
     w2sq_gaussian,
@@ -252,17 +251,7 @@ class TestProject:
     def test_monotone_along_grid(self):
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, math.inf]
         for d in (Divergence.RKL, Divergence.W2SQ):
-            sweep = geodesic_sweep(d, self.p_g, self.p_k, grid)
-            to_k = [projection_divergence(d, q, self.p_k) for q in sweep]
-            to_g = [projection_divergence(d, q, self.p_g) for q in sweep]
-            assert all(b <= a for a, b in zip(to_k, to_k[1:]))
-            assert all(b >= a for a, b in zip(to_g, to_g[1:]))
-
-    def test_geodesic_sweep_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            geodesic_sweep(Divergence.W2SQ, self.p_g, self.p_k, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            geodesic_sweep(Divergence.W2SQ, self.p_g, self.p_k, [-1.0, 0.5])
+            assert geodesic_monotonicity(d, self.p_g, self.p_k, grid) == []
 
 
 class TestNumericOracle:
@@ -281,22 +270,14 @@ class TestNumericOracle:
     @pytest.mark.parametrize("d", [Divergence.RKL, Divergence.W2SQ])
     @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
     def test_matches_closed_form(self, d, lam):
-        closed = project(d, self.p_g, self.p_k, lam)
-        radius = projection_divergence(d, closed, self.p_k)
-        got = numeric_projection_oracle(d, self.p_g, self.p_k, radius)
-        assert abs(got.mean[0] - closed.mean[0]) < 2e-3
-        assert abs(math.sqrt(got.var[0]) - math.sqrt(closed.var[0])) < 2e-3
+        assert projection_oracle_error(d, self.p_g, self.p_k, lam) < 2e-3
 
     def test_small_variance_instances(self):
         # tight posteriors stress the constrained search
         p_g, p_k = g(0.2739, 0.1163), g(-0.4604, 0.1002)
         for d in (Divergence.RKL, Divergence.W2SQ):
             for lam in (0.25, 1.0, 4.0):
-                closed = project(d, p_g, p_k, lam)
-                radius = projection_divergence(d, closed, p_k)
-                got = numeric_projection_oracle(d, p_g, p_k, radius)
-                assert abs(got.mean[0] - closed.mean[0]) < 2e-3
-                assert abs(math.sqrt(got.var[0]) - math.sqrt(closed.var[0])) < 2e-3
+                assert projection_oracle_error(d, p_g, p_k, lam) < 2e-3
 
     def test_rejects_multidim(self):
         with pytest.raises(ValueError):

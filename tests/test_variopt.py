@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ LR = 0.1
 
 def fresh(dim=3, **kw):
     ess = kw.pop("ess", 100)
-    return ivon_init(dim, OptimizerCfg(**kw), ess)
+    return ivon_init(dim, OptimizerCfg(**kw), ess, np.zeros(dim))
 
 
 class TestDuality:
@@ -32,14 +31,14 @@ class TestDuality:
             n = int(rng.integers(10, 100000))
             h = float(rng.uniform(0.01, 50.0))
             d = float(rng.uniform(1e-6, 1e-2))
-            st = ivon_init(4, OptimizerCfg(weight_decay=d, h0=h), n)
+            st = ivon_init(4, OptimizerCfg(weight_decay=d, h0=h), n, np.zeros(4))
             post = posterior_of(st)
             assert np.allclose(post.var, 1.0 / (n * (h + d)), rtol=1e-12)
             back = hessian_of(post, n, d)
             assert np.allclose(back, h, rtol=1e-12)
 
     def test_pinned_substitution(self):
-        st = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
+        st = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000, np.zeros(1))
         assert posterior_of(st).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
 
     def test_rectification_logs(self, caplog):
@@ -168,7 +167,9 @@ class TestConvergence:
         prec = n * delta + np.einsum("ij,ij->j", X, X)
         analytic = DiagGaussian(mean=(X.T @ y) / prec, var=1.0 / prec)
 
-        state = ivon_init(dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n)
+        state = ivon_init(
+            dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n, np.zeros(dim)
+        )
         step_rng = np.random.default_rng(11)
         total = 2000
         for t in range(total):
