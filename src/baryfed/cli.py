@@ -45,6 +45,7 @@ from .federation import (
     ExperimentReport,
     RunError,
     build_data,
+    failure_context,
     incremental_sweep,
     partition_both,
     run_experiment,
@@ -238,6 +239,10 @@ SWEEP_HEADER = (
 
 def cmd_sweep_lambda(args) -> int:
     cfg = _prepare(args)
+    if cfg.federation.algorithm != "bayes":
+        raise ConfigError(
+            "federation.algorithm", "sweep-lambda needs 'bayes': fedavg has no lambda path"
+        )
     rows = []
     artifacts = []
     for seed in cfg.seeds:
@@ -374,8 +379,9 @@ def cmd_partition(args) -> int:
     cfg = _prepare(args)
     artifacts = []
     for seed in cfg.seeds:
-        train, test = build_data(cfg, seed)
-        train_idx, test_idx = partition_both(cfg, train, test, seed)
+        with failure_context(0):
+            train, test = build_data(cfg, seed)
+            train_idx, test_idx = partition_both(cfg, train, test, seed)
         shards = []
         for k, (tr, te) in enumerate(zip(train_idx, test_idx)):
             shard = train.subset(tr)
@@ -417,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("config", help="path to a JSON experiment config")
+    def common(p):
+        p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the seed list")
         p.add_argument("--threads", type=int, default=None, help="client-update threads")
         p.add_argument("--out-dir", default=None, help="override the output directory")

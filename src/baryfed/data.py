@@ -9,15 +9,12 @@ training skew.
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PartitionCfg
-
-log = logging.getLogger(__name__)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -40,7 +37,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -66,13 +62,10 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            inputs=self.inputs[indices],
-            labels=self.labels[indices],
-            classes=self.classes,
-            name=self.name if name is None else name,
+            inputs=self.inputs[indices], labels=self.labels[indices], classes=self.classes
         )
 
     def label_counts(self) -> np.ndarray:
@@ -92,7 +85,7 @@ def _read_idx_header(raw: bytes, path: str, expected_magic: int, n_dims: int):
     return fields[1:], raw[header_len:]
 
 
-def load_idx(images_path: str, labels_path: str, name: str = "idx") -> Dataset:
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label pair; pixels are scaled from [0,255] to [0,1]."""
     with open(images_path, "rb") as fh:
         raw_images = fh.read()
@@ -123,17 +116,10 @@ def load_idx(images_path: str, labels_path: str, name: str = "idx") -> Dataset:
         )
     labels = np.frombuffer(lab_body[:n_lab], dtype=np.uint8).astype(np.int64)
     classes = int(labels.max()) + 1 if n_lab else 0
-    return Dataset(inputs=images, labels=labels, classes=max(classes, 2), name=name)
+    return Dataset(inputs=images, labels=labels, classes=max(classes, 2))
 
 
-def synth_blobs(
-    n_per_class: int,
-    classes: int,
-    dim: int,
-    spread: float,
-    seed: int,
-    name: str = "synth",
-) -> Dataset:
+def synth_blobs(n_per_class: int, classes: int, dim: int, spread: float, seed: int) -> Dataset:
     """Balanced Gaussian clusters at seeded random centers, scaled to [0, 1].
 
     ``spread`` is the cluster standard deviation relative to the unit cube the
@@ -154,7 +140,7 @@ def synth_blobs(
     span = inputs.max(axis=0) - lo
     span[span == 0.0] = 1.0
     inputs = (inputs - lo) / span
-    return Dataset(inputs=inputs, labels=labels, classes=classes, name=name)
+    return Dataset(inputs=inputs, labels=labels, classes=classes)
 
 
 @dataclass(frozen=True)
@@ -229,6 +215,4 @@ def train_test_split(
     mask = np.ones(ds.n, dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
-    return ds.subset(train_idx, name=f"{ds.name}/train"), ds.subset(
-        test_idx, name=f"{ds.name}/test"
-    )
+    return ds.subset(train_idx), ds.subset(test_idx)

@@ -18,8 +18,9 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -80,6 +81,21 @@ class RunError(RuntimeError):
         self.cause = cause
 
 
+@contextmanager
+def failure_context(round_index: int, client_id: int | None = None):
+    """Re-raise a failure in the block as RunError(round_index, client_id).
+
+    Round 0 is data set-up. A ConfigError passes through unwrapped, so a bad
+    config still exits 2.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise RunError(round_index, client_id, exc) from exc
+
+
 @dataclass(frozen=True)
 class RoundReport:
     round: int
@@ -111,59 +127,61 @@ def _lr_schedule(opt: OptimizerCfg, epochs: int) -> list[float]:
 
 
 def client_update(
-    global_posterior: DiagGaussian,
+    prior: DiagGaussian,
     shard: Dataset,
-    opt: OptimizerCfg,
+    cfg: ExperimentConfig,
     lrs: list[float],
-    batch_size: int,
-    rng: np.random.Generator,
     spec: MlpSpec,
-    frozen_var: float | None,
+    seed: int,
+    round_index: int,
+    client_id: int,
+    frozen_var: float | None = None,
 ) -> tuple[DiagGaussian, list[float]]:
     """One local phase from the broadcast posterior; one epoch per entry of ``lrs``.
 
-    The optimizer restarts at the global mean with the Hessian rebuilt from the
-    global variance under this client's own (N_k = shard.n, delta); gradient
-    momentum and the step counter start from zero, so no optimizer state
-    crosses rounds. Each step averages opt.mc_train_samples posterior draws.
-    With ``frozen_var`` set (FedAvg) the gradient is taken at the mean, the
-    Hessian stays at h0, and the local posterior carries ``frozen_var`` on
-    every coordinate. Returns the local posterior and the per-epoch mean
-    minibatch NLL.
+    Draws from client_rng(seed, round_index, client_id) and reads
+    cfg.optimizer and cfg.federation.batch_size. The optimizer restarts at the
+    prior mean with the Hessian rebuilt from the prior variance under this
+    client's own (N_k = shard.n, delta); gradient momentum and the step
+    counter start from zero, so no optimizer state crosses rounds. Each step
+    averages opt.mc_train_samples posterior draws. With ``frozen_var`` set
+    (FedAvg) the one draw is the mean, the Hessian stays at h0, and the local
+    posterior carries ``frozen_var`` on every coordinate. Returns the local
+    posterior and the per-epoch mean minibatch NLL; any failure is raised as
+    RunError(round_index, client_id).
     """
-    dim = global_posterior.dim
-    mc_train = opt.mc_train_samples
-    deterministic = frozen_var is not None
-    if deterministic:
-        state = ivon_init(dim, opt, shard.n, mean=global_posterior.mean)
-    else:
-        state = ivon_from_posterior(global_posterior, opt, shard.n)
-    trace = []
-    for lr in lrs:
-        order = rng.permutation(shard.n)
-        losses = []
-        for start in range(0, shard.n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
-            if deterministic:
-                loss, grad = models.loss_and_grad(spec, state.mean, batch)
-                state = ivon_step(state, grad, state.mean, lr=lr, update_hessian=False)
-            else:
-                grads = np.empty((mc_train, dim))
-                thetas = np.empty_like(grads)
+    with failure_context(round_index, client_id):
+        opt = cfg.optimizer
+        batch_size = cfg.federation.batch_size
+        rng = client_rng(seed, round_index, client_id)
+        deterministic = frozen_var is not None
+        if deterministic:
+            state = ivon_init(prior.dim, opt, shard.n, mean=prior.mean)
+        else:
+            state = ivon_from_posterior(prior, opt, shard.n)
+        trace = []
+        for lr in lrs:
+            order = rng.permutation(shard.n)
+            losses = []
+            for start in range(0, shard.n, batch_size):
+                idx = order[start : start + batch_size]
+                batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
+                if deterministic:
+                    draws = [state.mean]
+                else:
+                    draws = [sample_params(state, rng) for _ in range(opt.mc_train_samples)]
+                thetas = np.array(draws)
+                grads = np.empty_like(thetas)
                 loss = 0.0
-                for s in range(mc_train):
-                    theta = sample_params(state, rng)
-                    l, g = models.loss_and_grad(spec, theta, batch)
-                    loss += l / mc_train
-                    grads[s] = g
-                    thetas[s] = theta
-                state = ivon_step(state, grads, thetas, lr=lr)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-    if deterministic:
-        return DiagGaussian(mean=state.mean, var=np.full(dim, frozen_var)), trace
-    return posterior_of(state), trace
+                for s, theta in enumerate(draws):
+                    l, grads[s] = models.loss_and_grad(spec, theta, batch)
+                    loss += l / len(draws)
+                state = ivon_step(state, grads, thetas, lr=lr, update_hessian=not deterministic)
+                losses.append(loss)
+            trace.append(float(np.mean(losses)))
+        if deterministic:
+            return DiagGaussian(mean=state.mean, var=np.full(prior.dim, frozen_var)), trace
+        return posterior_of(state), trace
 
 
 def server_aggregate(
@@ -192,8 +210,8 @@ def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
             seed=derived_seed(dcfg.seed, _DATA_TAG),
         )
         return train_test_split(ds, dcfg.test_fraction, derived_seed(dcfg.seed, _SPLIT_TAG))
-    train = load_idx(dcfg.train_images, dcfg.train_labels, name="train")
-    test = load_idx(dcfg.test_images, dcfg.test_labels, name="test")
+    train = load_idx(dcfg.train_images, dcfg.train_labels)
+    test = load_idx(dcfg.test_images, dcfg.test_labels)
     classes = max(train.classes, test.classes)
     train = dataclasses.replace(train, classes=classes)
     test = dataclasses.replace(test, classes=classes)
@@ -252,13 +270,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     t0 = time.perf_counter()
     fed = cfg.federation
     opt = cfg.optimizer
-    try:
+    with failure_context(0):
         train, test = build_data(cfg, seed)
         train_idx, test_idx = partition_both(cfg, train, test, seed)
-    except Exception as exc:
-        raise RunError(0, None, exc) from exc
-    train_shards = [train.subset(i, name=f"client{k}/train") for k, i in enumerate(train_idx)]
-    test_shards = [test.subset(i, name=f"client{k}/test") for k, i in enumerate(test_idx)]
+    train_shards = [train.subset(i) for i in train_idx]
+    test_shards = [test.subset(i) for i in test_idx]
 
     spec = model_spec(cfg, train)
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
@@ -274,36 +290,23 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
     div = cfg.personalization.divergence
     clients = range(len(train_shards))
 
-    def one_client(r: int, p_g: DiagGaussian, k: int) -> tuple[DiagGaussian, list[float]]:
-        try:
-            return client_update(
-                p_g,
-                train_shards[k],
-                opt,
-                lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs],
-                fed.batch_size,
-                client_rng(seed, r, k),
-                spec,
-                frozen_var,
-            )
-        except Exception as exc:
-            raise RunError(r, k, exc) from exc
-
     rounds_out = []
     for r in range(1, fed.rounds + 1):
-        work = partial(one_client, r, p_g)
+        round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
+        args = (
+            repeat(p_g), train_shards, repeat(cfg), repeat(round_lrs),
+            repeat(spec), repeat(seed), repeat(r), clients, repeat(frozen_var),
+        )
         if fed.threads > 1:
             with ThreadPoolExecutor(max_workers=fed.threads) as pool:
-                results = list(pool.map(work, clients))
+                results = list(pool.map(client_update, *args))
         else:
-            results = list(map(work, clients))
+            results = list(map(client_update, *args))
         locals_ = [res[0] for res in results]
 
         t_agg = time.perf_counter()
-        try:
+        with failure_context(r):
             p_g = server_aggregate(fed.aggregation, locals_, weights)
-        except Exception as exc:
-            raise RunError(r, None, exc) from exc
         agg_seconds = time.perf_counter() - t_agg
 
         rounds_out.append(
@@ -391,9 +394,11 @@ class IncrementalReport:
     rows: list
 
 
-def _filter_classes(ds: Dataset, keep: np.ndarray, name: str) -> Dataset:
+def _task_subset(ds: Dataset, keep: np.ndarray, what: str) -> Dataset:
     idx = np.flatnonzero(np.isin(ds.labels, keep))
-    return ds.subset(idx, name=name)
+    if idx.size == 0:
+        raise ValueError(f"{what} has no examples of classes {keep.tolist()}")
+    return ds.subset(idx)
 
 
 def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
@@ -403,27 +408,25 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
     lower half), task B the rest. Posterior B starts from posterior A (task-A
     data is gone by then). The sweep mixes A and B with weights (1-w, w) for
     each w of ``cfg.incremental.w_grid`` under the configured aggregation and
-    scores every mixture on both task test sets.
+    scores every mixture on both task test sets. Task A trains as round 1
+    and task B as round 2, both as client 0, so a failure names its task.
     """
-    try:
+    with failure_context(0):
         train, test = build_data(cfg, seed)
-    except Exception as exc:
-        raise RunError(0, None, exc) from exc
-    classes = train.classes
-    split_class = cfg.incremental.split_class
-    if split_class is None:
-        split_class = classes // 2
-    if not 0 < split_class < classes:
-        raise ConfigError(
-            "incremental.split_class", f"must split {classes} classes into two groups"
-        )
-    a_classes = np.arange(split_class)
-    b_classes = np.arange(split_class, classes)
-
-    train_a = _filter_classes(train, a_classes, "taskA/train")
-    train_b = _filter_classes(train, b_classes, "taskB/train")
-    test_a = _filter_classes(test, a_classes, "taskA/test")
-    test_b = _filter_classes(test, b_classes, "taskB/test")
+        classes = train.classes
+        split_class = cfg.incremental.split_class
+        if split_class is None:
+            split_class = classes // 2
+        if not 0 < split_class < classes:
+            raise ConfigError(
+                "incremental.split_class", f"must split {classes} classes into two groups"
+            )
+        a_classes = np.arange(split_class)
+        b_classes = np.arange(split_class, classes)
+        train_a = _task_subset(train, a_classes, "task A train set")
+        train_b = _task_subset(train, b_classes, "task B train set")
+        test_a = _task_subset(test, a_classes, "task A test set")
+        test_b = _task_subset(test, b_classes, "task B test set")
 
     spec = model_spec(cfg, train)
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
@@ -431,22 +434,8 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
     start = posterior_of(ivon_init(theta0.shape[0], opt, train_a.n, mean=theta0))
 
     lrs = _lr_schedule(opt, cfg.federation.rounds * cfg.federation.local_epochs)
-
-    def train_task(ds: Dataset, prior: DiagGaussian, stream: int) -> DiagGaussian:
-        post, _ = client_update(
-            prior,
-            ds,
-            opt,
-            lrs,
-            cfg.federation.batch_size,
-            client_rng(seed, stream, 0),
-            spec,
-            None,
-        )
-        return post
-
-    post_a = train_task(train_a, start, 1)
-    post_b = train_task(train_b, post_a, 2)
+    post_a, _ = client_update(start, train_a, cfg, lrs, spec, seed, 1, 0)
+    post_b, _ = client_update(post_a, train_b, cfg, lrs, spec, seed, 2, 0)
 
     noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins

@@ -181,20 +181,21 @@ def write_idx(tmp_path, name, labels):
     return str(images), str(labels_path)
 
 
+def idx_dataset(tmp_path, train_labels, test_labels):
+    train_images, train_label_path = write_idx(tmp_path, "train", train_labels)
+    test_images, test_label_path = write_idx(tmp_path, "test", test_labels)
+    return {
+        "kind": "idx",
+        "train_images": train_images,
+        "train_labels": train_label_path,
+        "test_images": test_images,
+        "test_labels": test_label_path,
+    }
+
+
 class TestIdx:
     def test_test_file_missing_top_class(self, tmp_path):
-        train_images, train_labels = write_idx(tmp_path, "train", [0, 1, 2] * 30)
-        test_images, test_labels = write_idx(tmp_path, "test", [0, 1] * 20)
-        cfg = write_config(
-            tmp_path,
-            dataset={
-                "kind": "idx",
-                "train_images": train_images,
-                "train_labels": train_labels,
-                "test_images": test_images,
-                "test_labels": test_labels,
-            },
-        )
+        cfg = write_config(tmp_path, dataset=idx_dataset(tmp_path, [0, 1, 2] * 30, [0, 1] * 20))
         assert main(["run", cfg]) == 0
         doc = json.loads((tmp_path / "out" / "rounds_0.json").read_text())
         assert len(doc["client_label_counts"]) == 4
@@ -263,6 +264,85 @@ class TestValidateGeometry:
         self.assert_only_failure(capsys, "geodesic-monotonicity")
 
 
+DIVERGING = {
+    "optimizer": {"lr_initial": 1e6, "lr_final": 1e6, "h0": 1e-6, "weight_decay": 0},
+    "federation": {"rounds": 3, "local_epochs": 3, "batch_size": 8},
+}
+MISSING_IDX = {
+    "kind": "idx",
+    "train_images": "/nonexistent/a",
+    "train_labels": "/nonexistent/b",
+    "test_images": "/nonexistent/c",
+    "test_labels": "/nonexistent/d",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, over, code, message",
+    [
+        ("run", lambda tmp: {"dataset": MISSING_IDX}, 1, "run failed at round 0: "),
+        ("run", lambda tmp: DIVERGING, 1, "run failed at round 1, client 0: optimizer step "),
+        (
+            "incremental",
+            lambda tmp: {**DIVERGING, "dataset": {**BASE_CONFIG["dataset"], "classes": 4}},
+            1,
+            "run failed at round 1, client 0: optimizer step 1: h + delta = 0 ",
+        ),
+        (
+            "incremental",
+            lambda tmp: {"dataset": idx_dataset(tmp, [0, 1, 2, 3] * 20, [0, 1] * 10)},
+            1,
+            "run failed at round 0: task B test set has no examples of classes [2, 3]",
+        ),
+        ("incremental", lambda tmp: {"incremental": {"split_class": 3}}, 2, "'incremental.split_class'"),
+        (
+            "partition",
+            lambda tmp: {
+                "dataset": {**BASE_CONFIG["dataset"], "n_per_class": 20},
+                "partition": {"n_clients": 10, "beta": 1.0, "min_shard": 10},
+            },
+            1,
+            "run failed at round 0: no draw met min_shard=10",
+        ),
+        ("partition", lambda tmp: {"dataset": MISSING_IDX}, 1, "run failed at round 0: "),
+        (
+            "sweep-lambda",
+            lambda tmp: {"federation": {"algorithm": "fedavg"}},
+            2,
+            "'federation.algorithm': sweep-lambda needs 'bayes'",
+        ),
+        ("sweep-lambda", lambda tmp: DIVERGING, 1, "run failed at round 1, client 0: "),
+        (
+            "compare-agg",
+            lambda tmp: {"seeds": [0, 1, 2, 3, 4], "compare": {"methods": ["eaa"]}},
+            2,
+            "'compare.methods'",
+        ),
+        ("compare-agg", lambda tmp: {"seeds": [0, 1, 2, 3]}, 2, "'seeds'"),
+        (
+            "compare-agg",
+            lambda tmp: {**DIVERGING, "seeds": [0, 1, 2, 3, 4]},
+            1,
+            "run failed at round 1, client 0: ",
+        ),
+    ],
+    ids=[
+        "run-missing-data", "run-diverging", "incremental-diverging", "incremental-empty-task-b",
+        "incremental-split-class", "partition-min-shard", "partition-missing-data",
+        "sweep-lambda-fedavg", "sweep-lambda-diverging", "compare-agg-one-method",
+        "compare-agg-four-seeds", "compare-agg-diverging",
+    ],
+)
+def test_failure_is_one_stderr_line(tmp_path, capsys, command, over, code, message):
+    """Every failing command returns its exit code and prints one line, no traceback."""
+    cfg = write_config(tmp_path, **over(tmp_path))
+    assert main([command, cfg]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert message in err, err
+
+
 class TestErrors:
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -280,16 +360,7 @@ class TestErrors:
         assert "i/o error" in capsys.readouterr().err
 
     def test_run_failure_exit_1(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            dataset={
-                "kind": "idx",
-                "train_images": "/nonexistent/a",
-                "train_labels": "/nonexistent/b",
-                "test_images": "/nonexistent/c",
-                "test_labels": "/nonexistent/d",
-            },
-        )
+        cfg = write_config(tmp_path, dataset=MISSING_IDX)
         assert main(["run", cfg]) == 1
         assert "round 0" in capsys.readouterr().err
 

@@ -22,6 +22,7 @@ from baryfed.federation import (
     RunError,
     build_data,
     client_rng,
+    client_update,
     derived_seed,
     incremental_sweep,
     model_spec,
@@ -29,6 +30,7 @@ from baryfed.federation import (
     run_experiment,
 )
 from baryfed.geometry import DiagGaussian, Divergence, project
+from baryfed.variopt import ivon_from_posterior, ivon_init, ivon_step, posterior_of, sample_params
 
 
 def make_cfg(**over) -> ExperimentConfig:
@@ -177,6 +179,83 @@ class TestRunExperiment:
         )
         with pytest.raises(RunError, match="round 0"):
             run_experiment(bad, seed=0)
+
+
+def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spec, frozen_var):
+    """Reference local phase with one minibatch loop per algorithm."""
+    dim = global_posterior.dim
+    mc_train = opt.mc_train_samples
+    deterministic = frozen_var is not None
+    if deterministic:
+        state = ivon_init(dim, opt, shard.n, mean=global_posterior.mean)
+    else:
+        state = ivon_from_posterior(global_posterior, opt, shard.n)
+    trace = []
+    for lr in lrs:
+        order = rng.permutation(shard.n)
+        losses = []
+        for start in range(0, shard.n, batch_size):
+            idx = order[start : start + batch_size]
+            batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
+            if deterministic:
+                loss, grad = models.loss_and_grad(spec, state.mean, batch)
+                state = ivon_step(state, grad, state.mean, lr=lr, update_hessian=False)
+            else:
+                grads = np.empty((mc_train, dim))
+                thetas = np.empty_like(grads)
+                loss = 0.0
+                for s in range(mc_train):
+                    theta = sample_params(state, rng)
+                    l, g = models.loss_and_grad(spec, theta, batch)
+                    loss += l / mc_train
+                    grads[s] = g
+                    thetas[s] = theta
+                state = ivon_step(state, grads, thetas, lr=lr)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    if deterministic:
+        return DiagGaussian(mean=state.mean, var=np.full(dim, frozen_var)), trace
+    return posterior_of(state), trace
+
+
+class TestClientUpdate:
+    """The one minibatch loop equals the forked per-algorithm loops bit for bit."""
+
+    @pytest.mark.parametrize(
+        "mc_train, frozen_var",
+        [(1, 1e-4), (1, None), (2, None), (3, None)],
+        ids=["fedavg", "ivon-mc1", "ivon-mc2", "ivon-mc3"],
+    )
+    def test_matches_forked_loops(self, mc_train, frozen_var):
+        cfg = make_cfg(
+            optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1, mc_train_samples=mc_train),
+            federation=FederationCfg(rounds=2, local_epochs=3, batch_size=16),
+        )
+        train, _ = build_data(cfg, seed=0)
+        shard = train.subset(np.arange(0, train.n, 2))
+        spec = model_spec(cfg, train)
+        theta0 = models.init_params(spec, 7)
+        prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, 50.0, mean=theta0))
+        lrs = [0.3, 0.2, 0.1]
+        post, trace = client_update(prior, shard, cfg, lrs, spec, 5, 2, 3, frozen_var)
+        ref, ref_trace = forked_client_update(
+            prior, shard, cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
+        )
+        assert np.array_equal(post.mean, ref.mean)
+        assert np.array_equal(post.var, ref.var)
+        assert trace == ref_trace
+        assert len(trace) == len(lrs)
+
+    def test_failure_names_round_and_client(self):
+        cfg = make_cfg(optimizer=OptimizerCfg(lr_initial=1e6, lr_final=1e6, h0=1e-6, weight_decay=0))
+        train, _ = build_data(cfg, seed=0)
+        spec = model_spec(cfg, train)
+        theta0 = models.init_params(spec, 0)
+        prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, train.n, mean=theta0))
+        with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
+            with np.errstate(all="ignore"):
+                client_update(prior, train, cfg, [1e6] * 3, spec, 0, 4, 2)
+        assert (info.value.round_index, info.value.client_id) == (4, 2)
 
 
 class TestPersonalizeAll:
