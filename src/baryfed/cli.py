@@ -9,10 +9,18 @@ Subcommands:
   partition          dry-run shard manifests, no training
 
 Exit codes: 0 success, 1 runtime or property failure, 2 configuration error.
-Every CSV embeds the resolved semantic config and its sha256 as '#' comment
-lines; JSON artifacts carry the same fields inline. Execution knobs (output
-directory, thread count) are excluded from the embedded config so reruns and
-sequential/parallel modes produce byte-identical CSVs.
+
+A config command computes its results and writes nothing; ``main`` writes
+them all when the command finishes, so a failed command leaves no artifact.
+The semantic config is the resolved config without its execution knobs
+(output directory, thread count); its sha256 is taken once per command.
+Every artifact carries that sha256:
+  - each CSV as two '#' lines, the sha256 and the semantic config, so reruns
+    and sequential/parallel modes produce byte-identical CSVs;
+  - each JSON artifact as ``config_sha256`` plus ``resolved_config``, which
+    is the full config, execution knobs included;
+  - ``manifest.json`` with the semantic config and the sorted list of the
+    other files written.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .config import (
 )
 from .evaluation import compare_aggregations, summarize_metrics
 from .federation import (
-    ExperimentReport,
     RunError,
     build_data,
     failure_context,
@@ -51,35 +58,6 @@ from .federation import (
     run_experiment,
 )
 from .geometry import AggregationMethod
-
-log = logging.getLogger(__name__)
-
-METRICS_HEADER = (
-    "setting",
-    "method",
-    "lambda",
-    "client_id",
-    "seed",
-    "acc",
-    "ece",
-    "nll",
-    "mc_samples",
-    "bins",
-)
-
-SUMMARY_HEADER = (
-    "seed",
-    "setting",
-    "method",
-    "lambda",
-    "n_clients",
-    "acc_mean",
-    "acc_std",
-    "ece_mean",
-    "ece_std",
-    "nll_mean",
-    "nll_std",
-)
 
 
 def _fmt(value) -> str:
@@ -96,80 +74,223 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _config_blob(cfg: ExperimentConfig) -> tuple[str, str]:
-    blob = json.dumps(
-        cfg.to_json_dict(include_execution=False), sort_keys=True, separators=(",", ":")
-    )
-    return blob, hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _write_csv(path: str, cfg: ExperimentConfig, header, rows):
-    blob, digest = _config_blob(cfg)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_sha256: {digest}\n")
-        fh.write(f"# resolved_config: {blob}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path: str, cfg: ExperimentConfig, payload: dict):
-    _, digest = _config_blob(cfg)
-    doc = {
-        "config_sha256": digest,
-        "resolved_config": cfg.to_json_dict(include_execution=True),
+def _moments(s) -> dict:
+    """Across-client mean and std of each metric of one summary row."""
+    return {
+        "acc_mean": s.acc_mean,
+        "acc_std": s.acc_std,
+        "ece_mean": s.ece_mean,
+        "ece_std": s.ece_std,
+        "nll_mean": s.nll_mean,
+        "nll_std": s.nll_std,
     }
-    doc.update(to_jsonable(payload))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def _write_manifest(out_dir: str, cfg: ExperimentConfig, command: str, artifacts: list[str]):
-    blob, digest = _config_blob(cfg)
-    doc = {
+def cmd_run(cfg: ExperimentConfig) -> dict:
+    artifacts = {"metrics.csv": [], "summary.csv": []}
+    for seed in cfg.seeds:
+        report = run_experiment(cfg, seed)
+        artifacts["metrics.csv"] += [
+            {
+                "setting": m.setting,
+                "method": m.method,
+                "lambda": m.lam,
+                "client_id": "global" if m.client_id is None else m.client_id,
+                "seed": m.seed,
+                "acc": m.accuracy,
+                "ece": m.ece,
+                "nll": m.nll,
+                "mc_samples": m.mc_samples,
+                "bins": m.bins,
+            }
+            for m in report.metrics
+        ]
+        artifacts["summary.csv"] += [
+            {
+                "seed": seed,
+                "setting": s.setting,
+                "method": s.method,
+                "lambda": s.lam,
+                "n_clients": s.n_clients,
+                **_moments(s),
+            }
+            for s in summarize_metrics(report.metrics)
+        ]
+        artifacts[f"rounds_{seed}.json"] = {
+            "seed": report.seed,
+            "algorithm": report.algorithm,
+            "aggregation": report.aggregation,
+            "client_sizes": report.client_sizes,
+            "client_label_counts": report.client_label_counts,
+            "rounds": report.rounds,
+            "wall_seconds": report.wall_seconds,
+        }
+    return artifacts
+
+
+def cmd_sweep_lambda(cfg: ExperimentConfig) -> dict:
+    rows = []
+    for seed in cfg.seeds:
+        report = run_experiment(cfg, seed)
+        summaries = {(s.setting, s.lam): s for s in summarize_metrics(report.metrics)}
+        for lam in cfg.personalization.lambdas:
+            for setting, scope in (("PM-LD", "local"), ("PM-GD", "global")):
+                moments = _moments(summaries[(setting, lam)])
+                rows.append({"seed": seed, "lambda": lam, "scope": scope, **moments})
+    return {"lambda_sweep.csv": rows}
+
+
+def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
+    methods = cfg.compare.methods
+    if len(methods) < 2 or len(set(methods)) < len(methods):
+        raise ConfigError("compare.methods", "need at least two distinct methods")
+    if len(cfg.seeds) < 5:
+        raise ConfigError("seeds", "compare-agg needs at least 5 seeds for a meaningful test")
+
+    scores: dict[str, dict[str, list[float]]] = {metric: {} for metric in ("acc", "nll", "ece")}
+    for method in methods:
+        federation = dataclasses.replace(
+            cfg.federation, aggregation=AggregationMethod(method.upper())
+        )
+        run_cfg = dataclasses.replace(cfg, federation=federation)
+        gm_gd = [
+            next(m for m in run_experiment(run_cfg, seed).metrics if m.setting == "GM-GD")
+            for seed in cfg.seeds
+        ]
+        scores["acc"][method] = [m.accuracy for m in gm_gd]
+        scores["nll"][method] = [m.nll for m in gm_gd]
+        scores["ece"][method] = [m.ece for m in gm_gd]
+
+    rows = []
+    details = []
+    for metric in ("acc", "nll", "ece"):
+        for comp in compare_aggregations(scores[metric]):
+            pair = {"method_a": comp.method_a, "method_b": comp.method_b, "metric": metric}
+            rows.append({**pair, "p": None if comp.degenerate else comp.p_two_sided})
+            details.append(
+                {
+                    **pair,
+                    "statistic": comp.statistic,
+                    "p": comp.p_two_sided,
+                    "n_effective": comp.n_effective,
+                    "degenerate": comp.degenerate,
+                }
+            )
+    return {
+        "pvalues.csv": rows,
+        "compare_scores.json": {
+            "scores": scores,
+            "methods": list(methods),
+            "comparisons": details,
+        },
+    }
+
+
+def cmd_incremental(cfg: ExperimentConfig) -> dict:
+    rows = []
+    for seed in cfg.seeds:
+        for row in incremental_sweep(cfg, seed).rows:
+            a, b = row.task_a, row.task_b
+            rows.append(
+                {
+                    "seed": seed,
+                    "w": row.w,
+                    "acc_a": a.accuracy,
+                    "ece_a": a.ece,
+                    "nll_a": a.nll,
+                    "acc_b": b.accuracy,
+                    "ece_b": b.ece,
+                    "nll_b": b.nll,
+                }
+            )
+    return {"incremental_tradeoff.csv": rows}
+
+
+def cmd_partition(cfg: ExperimentConfig) -> dict:
+    artifacts = {}
+    for seed in cfg.seeds:
+        with failure_context(0):
+            train, test = build_data(cfg, seed)
+            train_idx, test_idx = partition_both(cfg, train, test, seed)
+        shards = [
+            {
+                "client": k,
+                "train_size": int(len(tr)),
+                "test_size": int(len(te)),
+                "label_counts": train.subset(tr).label_counts().tolist(),
+                "train_indices": tr.tolist(),
+                "test_indices": te.tolist(),
+            }
+            for k, (tr, te) in enumerate(zip(train_idx, test_idx))
+        ]
+        artifacts[f"shards_{seed}.json"] = {
+            "seed": seed,
+            "n_train": train.n,
+            "n_test": test.n,
+            "shards": shards,
+        }
+    return artifacts
+
+
+# name: (command, help, why a FedAvg config cannot run it, or None)
+CONFIG_COMMANDS = {
+    "run": (cmd_run, "train, aggregate, personalize, and report metrics", None),
+    "sweep-lambda": (
+        cmd_sweep_lambda,
+        "personalization trade-off curve",
+        "fedavg has no lambda path",
+    ),
+    "compare-agg": (
+        cmd_compare_agg,
+        "pairwise signed-rank aggregation comparison",
+        "fedavg's shared frozen variance makes every aggregation the same mean",
+    ),
+    "incremental": (
+        cmd_incremental,
+        "two-task barycentric merge demo",
+        "the merge fuses trained variances, which fedavg freezes",
+    ),
+    "partition": (cmd_partition, "write shard manifests without training", None),
+}
+
+
+def _write(path: str, text: str):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_artifacts(cfg: ExperimentConfig, command: str, artifacts: dict):
+    """Write each artifact into ``cfg.out_dir``, then ``manifest.json``.
+
+    A list of row dicts becomes a CSV whose header is the first row's keys;
+    any other value becomes a JSON document.
+    """
+    semantic = cfg.to_json_dict(include_execution=False)
+    blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    resolved = cfg.to_json_dict(include_execution=True)
+    for name, value in artifacts.items():
+        path = os.path.join(cfg.out_dir, name)
+        if isinstance(value, list):
+            lines = [f"# config_sha256: {digest}", f"# resolved_config: {blob}"]
+            lines.append(",".join(value[0]))
+            lines += [",".join(_fmt(v) for v in row.values()) for row in value]
+            _write(path, "\n".join(lines) + "\n")
+        else:
+            doc = {"config_sha256": digest, "resolved_config": resolved}
+            _write(path, _json({**doc, **to_jsonable(value)}))
+    manifest = {
         "tool": f"baryfed {__version__}",
         "command": command,
         "config_sha256": digest,
-        "resolved_config": json.loads(blob),
+        "resolved_config": semantic,
         "artifacts": sorted(artifacts),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _metrics_rows(report: ExperimentReport):
-    for m in report.metrics:
-        yield (
-            m.setting,
-            m.method,
-            m.lam,
-            "global" if m.client_id is None else m.client_id,
-            m.seed,
-            m.accuracy,
-            m.ece,
-            m.nll,
-            m.mc_samples,
-            m.bins,
-        )
-
-
-def _summary_rows(report: ExperimentReport):
-    for s in summarize_metrics(report.metrics):
-        yield (
-            report.seed,
-            s.setting,
-            s.method,
-            s.lam,
-            s.n_clients,
-            s.acc_mean,
-            s.acc_std,
-            s.ece_mean,
-            s.ece_std,
-            s.nll_mean,
-            s.nll_std,
-        )
+    _write(os.path.join(cfg.out_dir, "manifest.json"), _json(manifest))
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -186,223 +307,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _prepare(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg
-
-
-def cmd_run(args) -> int:
-    cfg = _prepare(args)
-    artifacts = []
-    metric_rows = []
-    summary_rows = []
-    for seed in cfg.seeds:
-        report = run_experiment(cfg, seed)
-        metric_rows.extend(_metrics_rows(report))
-        summary_rows.extend(_summary_rows(report))
-        name = f"rounds_{seed}.json"
-        _write_json(
-            os.path.join(cfg.out_dir, name),
-            cfg,
-            {
-                "seed": report.seed,
-                "algorithm": report.algorithm,
-                "aggregation": report.aggregation,
-                "client_sizes": report.client_sizes,
-                "client_label_counts": report.client_label_counts,
-                "rounds": report.rounds,
-                "wall_seconds": report.wall_seconds,
-            },
-        )
-        artifacts.append(name)
-    _write_csv(os.path.join(cfg.out_dir, "metrics.csv"), cfg, METRICS_HEADER, metric_rows)
-    _write_csv(os.path.join(cfg.out_dir, "summary.csv"), cfg, SUMMARY_HEADER, summary_rows)
-    artifacts += ["metrics.csv", "summary.csv"]
-    _write_manifest(cfg.out_dir, cfg, "run", artifacts)
-    return 0
-
-
-SWEEP_HEADER = (
-    "seed",
-    "lambda",
-    "scope",
-    "acc_mean",
-    "acc_std",
-    "ece_mean",
-    "ece_std",
-    "nll_mean",
-    "nll_std",
-)
-
-
-def cmd_sweep_lambda(args) -> int:
-    cfg = _prepare(args)
-    if cfg.federation.algorithm != "bayes":
+def _run_config_command(args) -> int:
+    fn, _, fedavg_unsupported = CONFIG_COMMANDS[args.command]
+    cfg = _apply_overrides(load_config(args.config), args)
+    if fedavg_unsupported and cfg.federation.algorithm != "bayes":
         raise ConfigError(
-            "federation.algorithm", "sweep-lambda needs 'bayes': fedavg has no lambda path"
+            "federation.algorithm", f"{args.command} needs 'bayes': {fedavg_unsupported}"
         )
-    rows = []
-    artifacts = []
-    for seed in cfg.seeds:
-        report = run_experiment(cfg, seed)
-        summaries = {
-            (s.setting, s.lam): s for s in summarize_metrics(report.metrics)
-        }
-        for lam in cfg.personalization.lambdas:
-            for setting, scope in (("PM-LD", "local"), ("PM-GD", "global")):
-                s = summaries[(setting, lam)]
-                rows.append(
-                    (
-                        seed,
-                        lam,
-                        scope,
-                        s.acc_mean,
-                        s.acc_std,
-                        s.ece_mean,
-                        s.ece_std,
-                        s.nll_mean,
-                        s.nll_std,
-                    )
-                )
-    _write_csv(os.path.join(cfg.out_dir, "lambda_sweep.csv"), cfg, SWEEP_HEADER, rows)
-    artifacts.append("lambda_sweep.csv")
-    _write_manifest(cfg.out_dir, cfg, "sweep-lambda", artifacts)
-    return 0
-
-
-def cmd_compare_agg(args) -> int:
-    cfg = _prepare(args)
-    if len(cfg.compare.methods) < 2:
-        raise ConfigError("compare.methods", "need at least two methods to compare")
-    if len(set(cfg.compare.methods)) < len(cfg.compare.methods):
-        log.warning("duplicate methods configured; their comparisons will be degenerate")
-    if len(cfg.seeds) < 5:
-        raise ConfigError("seeds", "compare-agg needs at least 5 seeds for a meaningful test")
-
-    scores: dict[str, dict[str, list[float]]] = {
-        metric: {} for metric in ("acc", "nll", "ece")
-    }
-    for method in cfg.compare.methods:
-        run_cfg = dataclasses.replace(
-            cfg,
-            federation=dataclasses.replace(
-                cfg.federation, aggregation=AggregationMethod(method.upper())
-            ),
-        )
-        acc, nll, ece = [], [], []
-        for seed in cfg.seeds:
-            report = run_experiment(run_cfg, seed)
-            gm_gd = [m for m in report.metrics if m.setting == "GM-GD"]
-            acc.append(gm_gd[0].accuracy)
-            nll.append(gm_gd[0].nll)
-            ece.append(gm_gd[0].ece)
-        scores["acc"][method], scores["nll"][method], scores["ece"][method] = acc, nll, ece
-
-    rows = []
-    details = []
-    for metric in ("acc", "nll", "ece"):
-        for comp in compare_aggregations(scores[metric]):
-            rows.append(
-                (
-                    comp.method_a,
-                    comp.method_b,
-                    metric,
-                    None if comp.degenerate else comp.p_two_sided,
-                )
-            )
-            details.append(
-                {
-                    "metric": metric,
-                    "method_a": comp.method_a,
-                    "method_b": comp.method_b,
-                    "statistic": comp.statistic,
-                    "p": comp.p_two_sided,
-                    "n_effective": comp.n_effective,
-                    "degenerate": comp.degenerate,
-                }
-            )
-    header = ("method_a", "method_b", "metric", "p")
-    _write_csv(os.path.join(cfg.out_dir, "pvalues.csv"), cfg, header, rows)
-    _write_json(
-        os.path.join(cfg.out_dir, "compare_scores.json"),
-        cfg,
-        {
-            "scores": scores,
-            "methods": list(cfg.compare.methods),
-            "comparisons": details,
-        },
-    )
-    _write_manifest(cfg.out_dir, cfg, "compare-agg", ["pvalues.csv", "compare_scores.json"])
-    return 0
-
-
-INCREMENTAL_HEADER = (
-    "seed",
-    "w",
-    "acc_a",
-    "ece_a",
-    "nll_a",
-    "acc_b",
-    "ece_b",
-    "nll_b",
-)
-
-
-def cmd_incremental(args) -> int:
-    cfg = _prepare(args)
-    rows = []
-    for seed in cfg.seeds:
-        report = incremental_sweep(cfg, seed)
-        for row in report.rows:
-            rows.append(
-                (
-                    seed,
-                    row.w,
-                    row.task_a.accuracy,
-                    row.task_a.ece,
-                    row.task_a.nll,
-                    row.task_b.accuracy,
-                    row.task_b.ece,
-                    row.task_b.nll,
-                )
-            )
-    _write_csv(
-        os.path.join(cfg.out_dir, "incremental_tradeoff.csv"), cfg, INCREMENTAL_HEADER, rows
-    )
-    _write_manifest(cfg.out_dir, cfg, "incremental", ["incremental_tradeoff.csv"])
-    return 0
-
-
-def cmd_partition(args) -> int:
-    cfg = _prepare(args)
-    artifacts = []
-    for seed in cfg.seeds:
-        with failure_context(0):
-            train, test = build_data(cfg, seed)
-            train_idx, test_idx = partition_both(cfg, train, test, seed)
-        shards = []
-        for k, (tr, te) in enumerate(zip(train_idx, test_idx)):
-            shard = train.subset(tr)
-            shards.append(
-                {
-                    "client": k,
-                    "train_size": int(len(tr)),
-                    "test_size": int(len(te)),
-                    "label_counts": shard.label_counts().tolist(),
-                    "train_indices": tr.tolist(),
-                    "test_indices": te.tolist(),
-                }
-            )
-        name = f"shards_{seed}.json"
-        _write_json(
-            os.path.join(cfg.out_dir, name),
-            cfg,
-            {"seed": seed, "n_train": train.n, "n_test": test.n, "shards": shards},
-        )
-        artifacts.append(name)
-    _write_manifest(cfg.out_dir, cfg, "partition", artifacts)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_artifacts(cfg, args.command, fn(cfg))
     return 0
 
 
@@ -423,22 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, (_, descr, _) in CONFIG_COMMANDS.items():
+        p = sub.add_parser(name, help=descr)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the seed list")
         p.add_argument("--threads", type=int, default=None, help="client-update threads")
         p.add_argument("--out-dir", default=None, help="override the output directory")
-
-    for name, fn, descr in (
-        ("run", cmd_run, "train, aggregate, personalize, and report metrics"),
-        ("sweep-lambda", cmd_sweep_lambda, "personalization trade-off curve"),
-        ("compare-agg", cmd_compare_agg, "pairwise signed-rank aggregation comparison"),
-        ("incremental", cmd_incremental, "two-task barycentric merge demo"),
-        ("partition", cmd_partition, "write shard manifests without training"),
-    ):
-        p = sub.add_parser(name, help=descr)
-        common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_run_config_command)
 
     p = sub.add_parser("validate-geometry", help="randomized geometry property suite")
     p.add_argument("--instances", type=int, default=100)

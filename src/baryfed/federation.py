@@ -78,7 +78,6 @@ class RunError(RuntimeError):
         super().__init__(f"{where}: {cause}")
         self.round_index = round_index
         self.client_id = client_id
-        self.cause = cause
 
 
 @contextmanager
@@ -388,8 +387,6 @@ class IncrementalRow:
 
 @dataclass(frozen=True)
 class IncrementalReport:
-    seed: int
-    aggregation: str
     split_class: int
     rows: list
 
@@ -410,6 +407,8 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
     each w of ``cfg.incremental.w_grid`` under the configured aggregation and
     scores every mixture on both task test sets. Task A trains as round 1
     and task B as round 2, both as client 0, so a failure names its task.
+    Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
+    the ``incremental`` command rejects a FedAvg config.
     """
     with failure_context(0):
         train, test = build_data(cfg, seed)
@@ -450,6 +449,4 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
             task_b=evaluate(spec, mixed, test_b, noise, bins, setting="task-B"),
         )
         rows.append(row)
-    return IncrementalReport(
-        seed=seed, aggregation=method.value.lower(), split_class=int(split_class), rows=rows
-    )
+    return IncrementalReport(split_class=int(split_class), rows=rows)

@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from baryfed import checks
+from baryfed import checks, cli
 from baryfed import data as data_mod
 from baryfed.cli import main
+from baryfed.federation import RunError
 from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate, project
 
 BASE_CONFIG = {
@@ -169,6 +170,33 @@ class TestPartition:
         assert all(len(s["label_counts"]) == 3 for s in doc["shards"])
 
 
+@pytest.mark.parametrize(
+    "command, over",
+    [
+        ("run", {"seeds": [0, 1]}),
+        ("sweep-lambda", {}),
+        ("compare-agg", {"seeds": [0, 1, 2, 3, 4], "compare": {"methods": ["eaa", "w2b"]}}),
+        ("incremental", {"dataset": {**BASE_CONFIG["dataset"], "classes": 4}}),
+        ("partition", {"seeds": [0, 1]}),
+    ],
+)
+def test_manifest_lists_every_artifact(tmp_path, command, over):
+    """The manifest names exactly the other files written, and every CSV
+    carries the manifest's config_sha256 on its first line."""
+    cfg = write_config(tmp_path, **over)
+    assert main([command, cfg]) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["artifacts"] == written
+    csvs = [name for name in written if name.endswith(".csv")]
+    assert csvs or command == "partition"
+    for name in csvs:
+        first = (out / name).read_text().splitlines()[0]
+        assert first == f"# config_sha256: {manifest['config_sha256']}"
+
+
 def write_idx(tmp_path, name, labels):
     """Tiny IDX image/label pair: 2x2 images whose pixels encode the label."""
     rng = np.random.default_rng(len(labels))
@@ -297,6 +325,12 @@ MISSING_IDX = {
         ),
         ("incremental", lambda tmp: {"incremental": {"split_class": 3}}, 2, "'incremental.split_class'"),
         (
+            "incremental",
+            lambda tmp: {"federation": {"algorithm": "fedavg"}},
+            2,
+            "'federation.algorithm': incremental needs 'bayes'",
+        ),
+        (
             "partition",
             lambda tmp: {
                 "dataset": {**BASE_CONFIG["dataset"], "n_per_class": 20},
@@ -319,6 +353,18 @@ MISSING_IDX = {
             2,
             "'compare.methods'",
         ),
+        (
+            "compare-agg",
+            lambda tmp: {"seeds": [0, 1, 2, 3, 4], "compare": {"methods": ["eaa", "w2b", "eaa"]}},
+            2,
+            "'compare.methods': need at least two distinct methods",
+        ),
+        (
+            "compare-agg",
+            lambda tmp: {"seeds": [0, 1, 2, 3, 4], "federation": {"algorithm": "fedavg"}},
+            2,
+            "'federation.algorithm': compare-agg needs 'bayes'",
+        ),
         ("compare-agg", lambda tmp: {"seeds": [0, 1, 2, 3]}, 2, "'seeds'"),
         (
             "compare-agg",
@@ -329,18 +375,22 @@ MISSING_IDX = {
     ],
     ids=[
         "run-missing-data", "run-diverging", "incremental-diverging", "incremental-empty-task-b",
-        "incremental-split-class", "partition-min-shard", "partition-missing-data",
-        "sweep-lambda-fedavg", "sweep-lambda-diverging", "compare-agg-one-method",
+        "incremental-split-class", "incremental-fedavg", "partition-min-shard",
+        "partition-missing-data", "sweep-lambda-fedavg", "sweep-lambda-diverging",
+        "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
         "compare-agg-four-seeds", "compare-agg-diverging",
     ],
 )
 def test_failure_is_one_stderr_line(tmp_path, capsys, command, over, code, message):
-    """Every failing command returns its exit code and prints one line, no traceback."""
+    """Every failing command returns its exit code, prints one line, no traceback,
+    and writes no artifact."""
     cfg = write_config(tmp_path, **over(tmp_path))
     assert main([command, cfg]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert message in err, err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestErrors:
@@ -394,6 +444,20 @@ class TestErrors:
         assert main(["run", cfg]) == 1
         assert "min_shard=10" in capsys.readouterr().err
         assert len(splits) <= data_mod.MAX_PARTITION_ATTEMPTS
+
+    def test_failure_in_later_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        run_experiment = cli.run_experiment
+
+        def fail_on_seed_1(cfg, seed):
+            if seed == 1:
+                raise RunError(1, 0, ValueError("injected"))
+            return run_experiment(cfg, seed)
+
+        monkeypatch.setattr(cli, "run_experiment", fail_on_seed_1)
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        assert main(["run", cfg]) == 1
+        assert "round 1, client 0: injected" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

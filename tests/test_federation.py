@@ -394,7 +394,6 @@ class TestIncrementalSweep:
         assert [r.w for r in rep.rows] == [0.0, 0.5, 1.0]
         assert all(r.task_a.setting == "task-A" for r in rep.rows)
         assert all(r.task_b.setting == "task-B" for r in rep.rows)
-        assert rep.aggregation == "w2b"
         assert rep.rows[0].task_a.n_examples > 0 and rep.rows[0].task_b.n_examples > 0
 
     def test_explicit_split(self):
