@@ -48,7 +48,7 @@ from .config import (
     parse_field,
     to_jsonable,
 )
-from .evaluation import compare_aggregations, summarize_metrics
+from .evaluation import compare_aggregations, summarize
 from .federation import (
     RunError,
     build_data,
@@ -74,70 +74,34 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _moments(s) -> dict:
-    """Across-client mean and std of each metric of one summary row."""
-    return {
-        "acc_mean": s.acc_mean,
-        "acc_std": s.acc_std,
-        "ece_mean": s.ece_mean,
-        "ece_std": s.ece_std,
-        "nll_mean": s.nll_mean,
-        "nll_std": s.nll_std,
-    }
-
-
 def cmd_run(cfg: ExperimentConfig) -> dict:
-    artifacts = {"metrics.csv": [], "summary.csv": []}
+    rows = []
+    artifacts = {}
     for seed in cfg.seeds:
         report = run_experiment(cfg, seed)
-        artifacts["metrics.csv"] += [
-            {
-                "setting": m.setting,
-                "method": m.method,
-                "lambda": m.lam,
-                "client_id": "global" if m.client_id is None else m.client_id,
-                "seed": m.seed,
-                "acc": m.accuracy,
-                "ece": m.ece,
-                "nll": m.nll,
-                "mc_samples": m.mc_samples,
-                "bins": m.bins,
-            }
-            for m in report.metrics
-        ]
-        artifacts["summary.csv"] += [
-            {
-                "seed": seed,
-                "setting": s.setting,
-                "method": s.method,
-                "lambda": s.lam,
-                "n_clients": s.n_clients,
-                **_moments(s),
-            }
-            for s in summarize_metrics(report.metrics)
-        ]
+        rows += report.metrics
         artifacts[f"rounds_{seed}.json"] = {
-            "seed": report.seed,
-            "algorithm": report.algorithm,
-            "aggregation": report.aggregation,
+            "seed": seed,
+            "algorithm": cfg.federation.algorithm,
+            "aggregation": cfg.federation.aggregation.value.lower(),
             "client_sizes": report.client_sizes,
             "client_label_counts": report.client_label_counts,
             "rounds": report.rounds,
             "wall_seconds": report.wall_seconds,
         }
-    return artifacts
+    summary = summarize(rows, ("seed", "setting", "method", "lambda"))
+    return {"metrics.csv": rows, "summary.csv": summary, **artifacts}
 
 
 def cmd_sweep_lambda(cfg: ExperimentConfig) -> dict:
+    scopes = {"PM-LD": "local", "PM-GD": "global"}
     rows = []
     for seed in cfg.seeds:
-        report = run_experiment(cfg, seed)
-        summaries = {(s.setting, s.lam): s for s in summarize_metrics(report.metrics)}
-        for lam in cfg.personalization.lambdas:
-            for setting, scope in (("PM-LD", "local"), ("PM-GD", "global")):
-                moments = _moments(summaries[(setting, lam)])
-                rows.append({"seed": seed, "lambda": lam, "scope": scope, **moments})
-    return {"lambda_sweep.csv": rows}
+        for m in run_experiment(cfg, seed).metrics:
+            if m["setting"] in scopes:
+                rows.append({**m, "scope": scopes[m["setting"]]})
+    sweep = summarize(rows, ("seed", "lambda", "scope"))
+    return {"lambda_sweep.csv": [{k: v for k, v in s.items() if k != "n_clients"} for s in sweep]}
 
 
 def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
@@ -154,17 +118,16 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
         )
         run_cfg = dataclasses.replace(cfg, federation=federation)
         gm_gd = [
-            next(m for m in run_experiment(run_cfg, seed).metrics if m.setting == "GM-GD")
+            next(m for m in run_experiment(run_cfg, seed).metrics if m["setting"] == "GM-GD")
             for seed in cfg.seeds
         ]
-        scores["acc"][method] = [m.accuracy for m in gm_gd]
-        scores["nll"][method] = [m.nll for m in gm_gd]
-        scores["ece"][method] = [m.ece for m in gm_gd]
+        for metric, by_method in scores.items():
+            by_method[method] = [m[metric] for m in gm_gd]
 
     rows = []
     details = []
-    for metric in ("acc", "nll", "ece"):
-        for comp in compare_aggregations(scores[metric]):
+    for metric, by_method in scores.items():
+        for comp in compare_aggregations(by_method):
             pair = {"method_a": comp.method_a, "method_b": comp.method_b, "metric": metric}
             rows.append({**pair, "p": None if comp.degenerate else comp.p_two_sided})
             details.append(
@@ -189,20 +152,7 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
 def cmd_incremental(cfg: ExperimentConfig) -> dict:
     rows = []
     for seed in cfg.seeds:
-        for row in incremental_sweep(cfg, seed).rows:
-            a, b = row.task_a, row.task_b
-            rows.append(
-                {
-                    "seed": seed,
-                    "w": row.w,
-                    "acc_a": a.accuracy,
-                    "ece_a": a.ece,
-                    "nll_a": a.nll,
-                    "acc_b": b.accuracy,
-                    "ece_b": b.ece,
-                    "nll_b": b.nll,
-                }
-            )
+        rows += incremental_sweep(cfg, seed)
     return {"incremental_tradeoff.csv": rows}
 
 

@@ -199,8 +199,8 @@ class ExperimentConfig:
         default=(0,),
         metadata={
             "check": _rule(
-                lambda v: len(v) > 0 and all(s >= 0 for s in v),
-                "expected a non-empty list of non-negative integers",
+                lambda v: len(v) > 0 and all(s >= 0 for s in v) and len(set(v)) == len(v),
+                "expected a non-empty list of distinct non-negative integers",
             )
         },
     )

@@ -1,12 +1,14 @@
-"""Predictive metrics and paired significance testing.
+"""Predictive metrics, their summaries, and paired significance testing.
 
 Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
-confidence bins. The Wilcoxon signed-rank test takes its exact null
-distribution from a counting recurrence over doubled (integer) ranks for
-small samples and falls back to a tie-corrected normal approximation for
-larger ones.
+confidence bins. ``evaluate`` returns them as one ``{"acc", "ece", "nll"}``
+dict, the metric columns of a ``metrics.csv`` row, and ``summarize`` groups
+such rows into the mean and population std of each metric. The Wilcoxon
+signed-rank test takes its exact null distribution from a counting
+recurrence over doubled (integer) ranks for small samples and falls back to
+a tie-corrected normal approximation for larger ones.
 """
 
 from __future__ import annotations
@@ -23,21 +25,6 @@ from .models import MlpSpec
 
 PROB_FLOOR = 1e-12
 EXACT_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    accuracy: float  # percentage in [0, 100]
-    nll: float
-    ece: float
-    n_examples: int
-    mc_samples: int
-    bins: int
-    setting: str = ""
-    method: str = ""
-    lam: float | None = None
-    client_id: int | None = None
-    seed: int | None = None
 
 
 def accuracy_of(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -85,19 +72,34 @@ def evaluate(
     ds: Dataset,
     noise: np.ndarray,
     bins: int,
-    setting: str = "",
-) -> MetricsReport:
-    """All three metrics from the posterior draws mean + std * noise[s]."""
+) -> dict[str, float]:
+    """All three metrics from the posterior draws mean + std * noise[s]; acc is a percentage."""
     probs = models.predict_proba_mc(spec, posterior, ds.inputs, noise)
-    return MetricsReport(
-        accuracy=accuracy_of(probs, ds.labels),
-        nll=nll_of(probs, ds.labels),
-        ece=ece_of(probs, ds.labels, bins),
-        n_examples=ds.n,
-        mc_samples=noise.shape[0],
-        setting=setting,
-        bins=bins,
-    )
+    return {
+        "acc": accuracy_of(probs, ds.labels),
+        "ece": ece_of(probs, ds.labels, bins),
+        "nll": nll_of(probs, ds.labels),
+    }
+
+
+def summarize(rows: list[dict], by: tuple[str, ...]) -> list[dict]:
+    """One row per distinct ``by`` key, in first-seen order.
+
+    Its columns are the key columns, ``n_clients`` (the group's size), then
+    the mean and population std of acc, ece and nll across the group.
+    """
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[col] for col in by), []).append(row)
+    out = []
+    for key, members in groups.items():
+        summary = {**dict(zip(by, key)), "n_clients": len(members)}
+        for metric in ("acc", "ece", "nll"):
+            values = np.array([m[metric] for m in members])
+            summary[f"{metric}_mean"] = float(values.mean())
+            summary[f"{metric}_std"] = float(values.std())
+        out.append(summary)
+    return out
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
@@ -175,59 +177,6 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
     # 2 * Phi(z) = erfc(-z / sqrt(2))
     p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
     return WilcoxonResult(stat, p, n, "normal")
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-(setting, lambda) aggregate of client-level metric rows."""
-
-    setting: str
-    method: str
-    lam: float | None
-    n_clients: int
-    acc_mean: float
-    acc_std: float
-    nll_mean: float
-    nll_std: float
-    ece_mean: float
-    ece_std: float
-
-
-def summarize_metrics(reports: list[MetricsReport]) -> list[SummaryRow]:
-    """Mean and population std across clients, grouped by (setting, lambda).
-
-    Rows without a client id (pooled-data evaluations of the global model)
-    pass through as single-member groups.
-    """
-    groups: dict[tuple, list[MetricsReport]] = {}
-    order = []
-    for rep in reports:
-        key = (rep.setting, rep.method, rep.lam)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rep)
-    rows = []
-    for key in order:
-        members = groups[key]
-        acc = np.array([m.accuracy for m in members])
-        nll = np.array([m.nll for m in members])
-        ece = np.array([m.ece for m in members])
-        rows.append(
-            SummaryRow(
-                setting=key[0],
-                method=key[1],
-                lam=key[2],
-                n_clients=len(members),
-                acc_mean=float(acc.mean()),
-                acc_std=float(acc.std()),
-                nll_mean=float(nll.mean()),
-                nll_std=float(nll.std()),
-                ece_mean=float(ece.mean()),
-                ece_std=float(ece.std()),
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ the server. Server-side code only ever touches posteriors and weights, never
 datasets. Personalization happens after the final round as a sweep of
 two-point projections between the global and each local posterior.
 
+Results are the rows of the artifacts, as plain dicts. ``run_experiment``
+puts a run's ``metrics.csv`` rows in ``ExperimentReport.metrics``, keyed
+setting, method, lambda, client_id, seed, acc, ece, nll, mc_samples, bins
+in that order; ``incremental_sweep`` returns its ``incremental_tradeoff.csv``
+rows.
+
 Randomness is organized as counter-based streams: the training stream for
 (round, client) is seeded with [master_seed, round, client], so sequential
 and threaded client execution produce bit-identical results. Auxiliary
@@ -34,7 +40,7 @@ from .data import (
     synth_blobs,
     train_test_split,
 )
-from .evaluation import MetricsReport, evaluate
+from .evaluation import evaluate
 from .geometry import (
     AggregationMethod,
     DiagGaussian,
@@ -105,10 +111,6 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    seed: int
-    algorithm: str
-    aggregation: str
-    lambda_grid: tuple
     client_sizes: list
     client_label_counts: list
     rounds: list
@@ -261,10 +263,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
 
     Each round maps the broadcast global posterior to one local posterior per
     client and fuses those into the next global posterior; nothing else
-    carries over. Emits per-client metrics for the four settings (global or
-    personalized model, on local or pooled test data), with the
-    personalization sweep over the configured lambda grid applied to the
-    final-round posteriors.
+    carries over. Its ``metrics`` are the per-client rows for the four
+    settings (global or personalized model, on local or pooled test data),
+    with the personalization sweep over the configured lambda grid applied
+    to the final-round posteriors; the GM-GD row's client_id is "global".
     """
     t0 = time.perf_counter()
     fed = cfg.federation
@@ -319,10 +321,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
 
     metrics = _evaluate_all(cfg, seed, spec, p_g, locals_, test_shards, test)
     return ExperimentReport(
-        seed=seed,
-        algorithm=fed.algorithm,
-        aggregation=fed.aggregation.value.lower(),
-        lambda_grid=cfg.personalization.lambdas,
         client_sizes=[shard.n for shard in train_shards],
         client_label_counts=[shard.label_counts().tolist() for shard in train_shards],
         rounds=rounds_out,
@@ -341,7 +339,9 @@ def _evaluate_all(
     locals_: list[DiagGaussian],
     test_shards: list[Dataset],
     test_union: Dataset,
-) -> list[MetricsReport]:
+) -> list[dict]:
+    """The run's ``metrics.csv`` rows: GM-LD per client, GM-GD, then PM-LD
+    and PM-GD per lambda and client."""
     noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
     fedavg = cfg.federation.algorithm == "fedavg"
@@ -350,18 +350,25 @@ def _evaluate_all(
     # project returns p_g itself at lambda = 0, so those PM rows score pairs
     # the GM rows already scored. Keys are ids: every keyed posterior and
     # dataset stays alive until this function returns, so no id is reused.
-    scores: dict[tuple[int, int], MetricsReport] = {}
+    scores: dict[tuple[int, int], dict[str, float]] = {}
 
-    def row(p: DiagGaussian, ds: Dataset, setting, lam, client_id) -> MetricsReport:
+    def row(p: DiagGaussian, ds: Dataset, setting, lam, client_id) -> dict:
         key = (id(p), id(ds))
         if key not in scores:
             scores[key] = evaluate(spec, p, ds, noise, bins)
-        return dataclasses.replace(
-            scores[key], setting=setting, method=method, lam=lam, client_id=client_id, seed=seed
-        )
+        return {
+            "setting": setting,
+            "method": method,
+            "lambda": lam,
+            "client_id": client_id,
+            "seed": seed,
+            **scores[key],
+            "mc_samples": cfg.eval.mc_samples,
+            "bins": bins,
+        }
 
     rows = [row(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
-    rows.append(row(p_g, test_union, "GM-GD", None, None))
+    rows.append(row(p_g, test_union, "GM-GD", None, "global"))
 
     d = cfg.personalization.divergence
     if fedavg:
@@ -378,19 +385,6 @@ def _evaluate_all(
     return rows
 
 
-@dataclass(frozen=True)
-class IncrementalRow:
-    w: float
-    task_a: MetricsReport
-    task_b: MetricsReport
-
-
-@dataclass(frozen=True)
-class IncrementalReport:
-    split_class: int
-    rows: list
-
-
 def _task_subset(ds: Dataset, keep: np.ndarray, what: str) -> Dataset:
     idx = np.flatnonzero(np.isin(ds.labels, keep))
     if idx.size == 0:
@@ -398,14 +392,16 @@ def _task_subset(ds: Dataset, keep: np.ndarray, what: str) -> Dataset:
     return ds.subset(idx)
 
 
-def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
+def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     """Two-task sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
     lower half), task B the rest. Posterior B starts from posterior A (task-A
     data is gone by then). The sweep mixes A and B with weights (1-w, w) for
     each w of ``cfg.incremental.w_grid`` under the configured aggregation and
-    scores every mixture on both task test sets. Task A trains as round 1
+    scores every mixture on both task test sets; each w gives one
+    ``incremental_tradeoff.csv`` row, whose ``_a`` and ``_b`` columns hold
+    the scores on task A and task B. Task A trains as round 1
     and task B as round 2, both as client 0, so a failure names its task.
     Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
     the ``incremental`` command rejects a FedAvg config.
@@ -443,10 +439,9 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> IncrementalReport:
     rows = []
     for w in cfg.incremental.w_grid:
         mixed = aggregate(method, [post_a, post_b], [1.0 - w, w])
-        row = IncrementalRow(
-            w=float(w),
-            task_a=evaluate(spec, mixed, test_a, noise, bins, setting="task-A"),
-            task_b=evaluate(spec, mixed, test_b, noise, bins, setting="task-B"),
-        )
+        row = {"seed": seed, "w": float(w)}
+        for task, ds in (("a", test_a), ("b", test_b)):
+            scores = evaluate(spec, mixed, ds, noise, bins)
+            row.update({f"{metric}_{task}": v for metric, v in scores.items()})
         rows.append(row)
-    return IncrementalReport(split_class=int(split_class), rows=rows)
+    return rows

@@ -39,6 +39,12 @@ def read_csv(path):
     return comments, body[0].split(","), [l.split(",") for l in body[1:]]
 
 
+def records(path):
+    """The CSV's rows as dicts keyed by its header."""
+    _, header, rows = read_csv(path)
+    return [dict(zip(header, r)) for r in rows]
+
+
 class TestRun:
     def test_artifacts_and_schema(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -114,6 +120,42 @@ class TestSweepLambda:
         assert len(rows) == 3 * 2  # lambdas x {local, global}
         assert {r[2] for r in rows} == {"local", "global"}
         assert [r[1] for r in rows if r[2] == "local"] == ["0.0", "1.0", "inf"]
+
+
+def test_csvs_agree(tmp_path):
+    """summary.csv holds the mean and population std of each metrics.csv group,
+    and lambda_sweep.csv repeats the PM-LD and PM-GD rows of summary.csv."""
+    cfg = write_config(tmp_path, seeds=[0, 1])
+    sweep_dir = tmp_path / "sweep"
+    assert main(["run", cfg]) == 0
+    assert main(["sweep-lambda", cfg, "--out-dir", str(sweep_dir)]) == 0
+    metrics = records(tmp_path / "out" / "metrics.csv")
+    summary = records(tmp_path / "out" / "summary.csv")
+    sweep = records(sweep_dir / "lambda_sweep.csv")
+
+    key_cols = ("seed", "setting", "method", "lambda")
+    groups = {}
+    for m in metrics:
+        groups.setdefault(tuple(m[c] for c in key_cols), []).append(m)
+    assert [tuple(s[c] for c in key_cols) for s in summary] == list(groups)
+    for s in summary:
+        members = groups[tuple(s[c] for c in key_cols)]
+        assert int(s["n_clients"]) == len(members)
+        for metric in ("acc", "ece", "nll"):
+            values = np.array([float(m[metric]) for m in members])
+            assert float(s[f"{metric}_mean"]) == values.mean()
+            assert float(s[f"{metric}_std"]) == values.std()
+
+    moments = [f"{m}_{x}" for m in ("acc", "ece", "nll") for x in ("mean", "std")]
+    pm = {
+        (s["seed"], s["lambda"], s["setting"]): s
+        for s in summary if s["setting"] in ("PM-LD", "PM-GD")
+    }
+    setting = {"local": "PM-LD", "global": "PM-GD"}
+    assert len(sweep) == len(pm) == 2 * 2 * 3  # seeds x scopes x lambdas
+    for row in sweep:
+        match = pm[(row["seed"], row["lambda"], setting[row["scope"]])]
+        assert [row[c] for c in moments] == [match[c] for c in moments]
 
 
 class TestCompareAgg:
@@ -296,6 +338,7 @@ DIVERGING = {
     "optimizer": {"lr_initial": 1e6, "lr_final": 1e6, "h0": 1e-6, "weight_decay": 0},
     "federation": {"rounds": 3, "local_epochs": 3, "batch_size": 8},
 }
+REPEATED_SEEDS = "'seeds': expected a non-empty list of distinct non-negative integers"
 MISSING_IDX = {
     "kind": "idx",
     "train_images": "/nonexistent/a",
@@ -366,6 +409,8 @@ MISSING_IDX = {
             "'federation.algorithm': compare-agg needs 'bayes'",
         ),
         ("compare-agg", lambda tmp: {"seeds": [0, 1, 2, 3]}, 2, "'seeds'"),
+        ("run", lambda tmp: {"seeds": [1, 1]}, 2, REPEATED_SEEDS),
+        ("compare-agg", lambda tmp: {"seeds": [0, 0, 0, 0, 0]}, 2, REPEATED_SEEDS),
         (
             "compare-agg",
             lambda tmp: {**DIVERGING, "seeds": [0, 1, 2, 3, 4]},
@@ -378,7 +423,8 @@ MISSING_IDX = {
         "incremental-split-class", "incremental-fedavg", "partition-min-shard",
         "partition-missing-data", "sweep-lambda-fedavg", "sweep-lambda-diverging",
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
-        "compare-agg-four-seeds", "compare-agg-diverging",
+        "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
+        "compare-agg-diverging",
     ],
 )
 def test_failure_is_one_stderr_line(tmp_path, capsys, command, over, code, message):

@@ -167,6 +167,8 @@ class TestMisc:
             parse_config({"dataset": {"kind": "synth"}, "seeds": []})
         with pytest.raises(ConfigError, match="seeds"):
             parse_config({"dataset": {"kind": "synth"}, "seeds": [0, -1]})
+        with pytest.raises(ConfigError, match="'seeds': expected .* distinct"):
+            parse_config({"dataset": {"kind": "synth"}, "seeds": [3, 1, 3]})
 
 
 # Words for the string fields that carry a rule; other strings are free text.

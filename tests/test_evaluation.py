@@ -13,18 +13,17 @@ from scipy.stats import wilcoxon as scipy_wilcoxon
 
 from baryfed.evaluation import (
     EXACT_MAX_N,
-    MetricsReport,
     accuracy_of,
     compare_aggregations,
     ece_of,
     evaluate,
     midranks,
     nll_of,
-    summarize_metrics,
+    summarize,
     wilcoxon_signed_rank,
 )
 from baryfed.geometry import DiagGaussian
-from baryfed.models import MlpSpec, param_count
+from baryfed.models import MlpSpec, param_count, predict_proba_mc
 
 
 def masked_ece(probs, labels, bins):
@@ -142,14 +141,17 @@ class TestEvaluate:
 
         ds = synth_blobs(classes=3, dim=2, n_per_class=5, spread=0.1, seed=0)
         noise = np.random.default_rng(3).standard_normal((4, post.dim))
-        rep = evaluate(spec, post, ds, noise, bins=10, setting="GM-GD")
-        assert rep.n_examples == 15
-        assert rep.mc_samples == 4
-        assert rep.bins == 10
-        assert rep.setting == "GM-GD"
-        assert 0.0 <= rep.accuracy <= 100.0
-        assert rep.nll > 0.0
-        assert 0.0 <= rep.ece <= 1.0
+        rep = evaluate(spec, post, ds, noise, bins=10)
+        probs = predict_proba_mc(spec, post, ds.inputs, noise)
+        assert rep == {
+            "acc": accuracy_of(probs, ds.labels),
+            "ece": ece_of(probs, ds.labels, 10),
+            "nll": nll_of(probs, ds.labels),
+        }
+        assert list(rep) == ["acc", "ece", "nll"]
+        assert 0.0 <= rep["acc"] <= 100.0
+        assert rep["nll"] > 0.0
+        assert 0.0 <= rep["ece"] <= 1.0
 
 
 class TestRuntimeDependencies:
@@ -295,33 +297,42 @@ class TestWilcoxon:
 
 
 class TestSummaries:
-    def reports(self):
-        mk = lambda acc, lam, cid: MetricsReport(
-            accuracy=acc,
-            nll=1.0,
-            ece=0.1,
-            n_examples=10,
-            mc_samples=4,
-            bins=15,
-            setting="PM-LD",
-            method="eaa",
-            lam=lam,
-            client_id=cid,
-        )
+    BY = ("setting", "method", "lambda")
+
+    def rows(self):
+        mk = lambda acc, lam, cid: {
+            "setting": "PM-LD",
+            "method": "eaa",
+            "lambda": lam,
+            "client_id": cid,
+            "acc": acc,
+            "ece": 0.1,
+            "nll": 1.0,
+        }
         return [mk(60.0, 1.0, 0), mk(80.0, 1.0, 1), mk(50.0, 2.0, 0)]
 
     def test_grouping_and_stats(self):
-        rows = summarize_metrics(self.reports())
+        rows = summarize(self.rows(), self.BY)
         assert len(rows) == 2
         first = rows[0]
-        assert (first.setting, first.lam, first.n_clients) == ("PM-LD", 1.0, 2)
-        assert first.acc_mean == 70.0
-        assert first.acc_std == 10.0  # population std
-        assert rows[1].n_clients == 1
+        assert (first["setting"], first["lambda"], first["n_clients"]) == ("PM-LD", 1.0, 2)
+        assert first["acc_mean"] == 70.0
+        assert first["acc_std"] == 10.0  # population std
+        assert (first["nll_mean"], first["nll_std"]) == (1.0, 0.0)
+        assert rows[1]["n_clients"] == 1
 
     def test_insertion_order(self):
-        rows = summarize_metrics(self.reports())
-        assert [r.lam for r in rows] == [1.0, 2.0]
+        rows = summarize(self.rows(), self.BY)
+        assert [r["lambda"] for r in rows] == [1.0, 2.0]
+        rows = summarize(self.rows()[::-1], self.BY)
+        assert [r["lambda"] for r in rows] == [2.0, 1.0]
+
+    def test_columns(self):
+        rows = summarize(self.rows(), ("lambda", "setting"))
+        assert list(rows[0]) == [
+            "lambda", "setting", "n_clients",
+            "acc_mean", "acc_std", "ece_mean", "ece_std", "nll_mean", "nll_std",
+        ]
 
 
 class TestCompareAggregations:

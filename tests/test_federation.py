@@ -32,6 +32,11 @@ from baryfed.federation import (
 from baryfed.geometry import DiagGaussian, Divergence, project
 from baryfed.variopt import ivon_from_posterior, ivon_init, ivon_step, posterior_of, sample_params
 
+METRICS_COLUMNS = [
+    "setting", "method", "lambda", "client_id", "seed",
+    "acc", "ece", "nll", "mc_samples", "bins",
+]
+
 
 def make_cfg(**over) -> ExperimentConfig:
     base = dict(
@@ -111,6 +116,20 @@ class TestPartitionBoth:
         b, _ = partition_both(cfg, train, test, seed=1)
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_separate_test_draw(self):
+        cfg = make_cfg()
+        separate = make_cfg(partition=dataclasses.replace(cfg.partition, shared_test_draw=False))
+        train, test = build_data(cfg, seed=0)
+        _, shared = partition_both(cfg, train, test, seed=0)
+        tr_idx, te_idx = partition_both(separate, train, test, seed=0)
+        assert len(te_idx) == 4
+        assert min(len(s) for s in te_idx) >= 1
+        assert np.array_equal(np.sort(np.concatenate(te_idx)), np.arange(test.n))
+        assert any(not np.array_equal(x, y) for x, y in zip(te_idx, shared))
+        tr_again, te_again = partition_both(separate, train, test, seed=0)
+        assert all(np.array_equal(x, y) for x, y in zip(tr_idx, tr_again))
+        assert all(np.array_equal(x, y) for x, y in zip(te_idx, te_again))
+
 
 class TestRunExperiment:
     def test_settings_coverage_and_shapes(self):
@@ -118,8 +137,8 @@ class TestRunExperiment:
         rep = run_experiment(cfg, seed=0)
         settings = {}
         for m in rep.metrics:
-            settings.setdefault(m.setting, 0)
-            settings[m.setting] += 1
+            settings.setdefault(m["setting"], 0)
+            settings[m["setting"]] += 1
         assert settings["GM-LD"] == 4
         assert settings["GM-GD"] == 1
         assert settings["PM-LD"] == 3 * 4
@@ -129,7 +148,14 @@ class TestRunExperiment:
         assert all(len(t) == 3 for t in rep.rounds[0].nll_traces)
         assert rep.final_global is not None
         assert len(rep.final_locals) == 4
-        assert rep.aggregation == "w2b"
+        configured = cfg.federation.aggregation.value.lower()
+        assert {m["method"] for m in rep.metrics} == {configured} == {"w2b"}
+        assert all(list(m) == METRICS_COLUMNS for m in rep.metrics)
+        assert all(m["seed"] == 0 for m in rep.metrics)
+        assert all(
+            (m["mc_samples"], m["bins"]) == (cfg.eval.mc_samples, cfg.eval.ece_bins)
+            for m in rep.metrics
+        )
 
     def test_rerun_identical(self):
         cfg = make_cfg()
@@ -137,8 +163,7 @@ class TestRunExperiment:
         b = run_experiment(cfg, seed=3)
         assert np.array_equal(a.final_global.mean, b.final_global.mean)
         assert np.array_equal(a.final_global.var, b.final_global.var)
-        for ma, mb in zip(a.metrics, b.metrics):
-            assert (ma.accuracy, ma.nll, ma.ece) == (mb.accuracy, mb.nll, mb.ece)
+        assert a.metrics == b.metrics
 
     def test_threads_bit_identical(self):
         cfg = make_cfg()
@@ -149,18 +174,17 @@ class TestRunExperiment:
         b = run_experiment(threaded, seed=0)
         assert np.array_equal(a.final_global.mean, b.final_global.mean)
         assert np.array_equal(a.final_global.var, b.final_global.var)
-        for ma, mb in zip(a.metrics, b.metrics):
-            assert (ma.accuracy, ma.nll, ma.ece) == (mb.accuracy, mb.nll, mb.ece)
+        assert a.metrics == b.metrics
 
     def test_lambda_zero_rows_match_global(self):
         rep = run_experiment(make_cfg(), seed=1)
-        gm_ld = {m.client_id: m for m in rep.metrics if m.setting == "GM-LD"}
-        pm_zero = [m for m in rep.metrics if m.setting == "PM-LD" and m.lam == 0.0]
+        gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
+        pm_zero = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
         assert len(pm_zero) == 4
         for m in pm_zero:
-            ref = gm_ld[m.client_id]
-            assert m.accuracy == ref.accuracy
-            assert m.nll == ref.nll
+            ref = gm_ld[m["client_id"]]
+            assert m["acc"] == ref["acc"]
+            assert m["nll"] == ref["nll"]
 
     def test_seed_changes_training(self):
         a = run_experiment(make_cfg(), seed=0)
@@ -306,12 +330,12 @@ class TestPersonalizeAll:
         noise = np.random.default_rng(eseed).standard_normal(
             (cfg.eval.mc_samples, models.param_count(spec))
         )
-        rows = [m for m in rep.metrics if m.setting == "PM-GD" and m.lam == 1.0]
-        assert [m.client_id for m in rows] == list(range(len(rep.final_locals)))
+        rows = [m for m in rep.metrics if m["setting"] == "PM-GD" and m["lambda"] == 1.0]
+        assert [m["client_id"] for m in rows] == list(range(len(rep.final_locals)))
         for m, loc in zip(rows, rep.final_locals):
             p = project(cfg.personalization.divergence, rep.final_global, loc, 1.0)
             ref = evaluate(spec, p, test, noise, cfg.eval.ece_bins)
-            assert (m.accuracy, m.nll, m.ece) == (ref.accuracy, ref.nll, ref.ece)
+            assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
 
 class TestScoreOnce:
@@ -347,15 +371,18 @@ class TestScoreOnce:
 
     def test_lambda_zero_rows_equal_global_rows(self):
         rep = run_experiment(make_cfg(), seed=0)
-        gm_ld = {m.client_id: m for m in rep.metrics if m.setting == "GM-LD"}
-        gm_gd = next(m for m in rep.metrics if m.setting == "GM-GD")
-        pm_ld = [m for m in rep.metrics if m.setting == "PM-LD" and m.lam == 0.0]
-        pm_gd = [m for m in rep.metrics if m.setting == "PM-GD" and m.lam == 0.0]
+        gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
+        gm_gd = next(m for m in rep.metrics if m["setting"] == "GM-GD")
+        pm_ld = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
+        pm_gd = [m for m in rep.metrics if m["setting"] == "PM-GD" and m["lambda"] == 0.0]
         assert len(pm_ld) == len(pm_gd) == len(gm_ld)
+        assert gm_gd["client_id"] == "global"
         for m in pm_ld:
-            assert dataclasses.replace(m, setting="GM-LD", lam=None) == gm_ld[m.client_id]
+            assert {**m, "setting": "GM-LD", "lambda": None} == gm_ld[m["client_id"]]
         for m in pm_gd:
-            assert dataclasses.replace(m, setting="GM-GD", lam=None, client_id=None) == gm_gd
+            assert {**m, "setting": "GM-GD", "lambda": None, "client_id": "global"} == gm_gd
+        # rows that share a score are still separate dicts
+        assert len({id(m) for m in rep.metrics}) == len(rep.metrics)
 
 
 class TestTrainingBehavior:
@@ -371,12 +398,12 @@ class TestTrainingBehavior:
         cfg = bench_cfg()
         bayes = run_experiment(cfg, seed=0)
         fedavg = dataclasses.replace(cfg.federation, algorithm="fedavg")
+        assert fedavg.algorithm == "fedavg" and cfg.federation.algorithm == "bayes"
         avg = run_experiment(dataclasses.replace(cfg, federation=fedavg), seed=0)
-        assert avg.algorithm == "fedavg"
-        acc = lambda rep: next(m.accuracy for m in rep.metrics if m.setting == "GM-GD")
+        acc = lambda rep: next(m["acc"] for m in rep.metrics if m["setting"] == "GM-GD")
         assert abs(acc(bayes) - acc(avg)) <= 5.0
-        assert all(m.method == "fedavg" for m in avg.metrics)
-        lams = {m.lam for m in avg.metrics if m.setting == "PM-LD"}
+        assert all(m["method"] == "fedavg" for m in avg.metrics)
+        lams = {m["lambda"] for m in avg.metrics if m["setting"] == "PM-LD"}
         assert lams == {None}
 
 
@@ -388,17 +415,32 @@ class TestIncrementalSweep:
             incremental=IncrementalCfg(**incremental),
         )
 
-    def test_rows_and_settings(self):
-        rep = incremental_sweep(self.small_cfg(w_grid=(0.0, 0.5, 1.0)), seed=0)
-        assert rep.split_class == 2
-        assert [r.w for r in rep.rows] == [0.0, 0.5, 1.0]
-        assert all(r.task_a.setting == "task-A" for r in rep.rows)
-        assert all(r.task_b.setting == "task-B" for r in rep.rows)
-        assert rep.rows[0].task_a.n_examples > 0 and rep.rows[0].task_b.n_examples > 0
+    def traced_sweep(self, monkeypatch, cfg):
+        """The sweep's rows and the classes of each task's training set."""
+        trained = []
 
-    def test_explicit_split(self):
-        rep = incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=1), seed=0)
-        assert rep.split_class == 1
+        def recording(prior, shard, *args):
+            trained.append(np.unique(shard.labels).tolist())
+            return client_update(prior, shard, *args)
+
+        monkeypatch.setattr(federation, "client_update", recording)
+        return incremental_sweep(cfg, seed=0), trained
+
+    def test_rows_and_settings(self, monkeypatch):
+        cfg = self.small_cfg(w_grid=(0.0, 0.5, 1.0))
+        rows, trained = self.traced_sweep(monkeypatch, cfg)
+        assert trained == [[0, 1], [2, 3]]  # default split_class: classes // 2
+        assert [r["w"] for r in rows] == [0.0, 0.5, 1.0]
+        assert all(
+            list(r) == ["seed", "w", "acc_a", "ece_a", "nll_a", "acc_b", "ece_b", "nll_b"]
+            for r in rows
+        )
+        assert all(r["seed"] == 0 for r in rows)
+
+    def test_explicit_split(self, monkeypatch):
+        cfg = self.small_cfg(w_grid=(0.5,), split_class=1)
+        _, trained = self.traced_sweep(monkeypatch, cfg)
+        assert trained == [[0], [1, 2, 3]]
 
     def test_invalid_split(self):
         with pytest.raises(ValueError, match="split_class"):
@@ -415,7 +457,6 @@ class TestIncrementalSweep:
             dataset=DatasetCfg(kind="synth", classes=4, dim=2, n_per_class=150, spread=0.25),
             incremental=IncrementalCfg(w_grid=(0.0, 1.0)),
         )
-        rep = incremental_sweep(cfg, seed=0)
-        a_end, b_end = rep.rows[0], rep.rows[1]
-        assert a_end.task_a.accuracy > b_end.task_a.accuracy
-        assert b_end.task_b.accuracy > a_end.task_b.accuracy
+        a_end, b_end = incremental_sweep(cfg, seed=0)
+        assert a_end["acc_a"] > b_end["acc_a"]
+        assert b_end["acc_b"] > a_end["acc_b"]
