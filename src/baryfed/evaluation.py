@@ -3,9 +3,11 @@
 Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
-confidence bins. ``evaluate`` returns them as one ``{"acc", "ece", "nll"}``
-dict, the metric columns of a ``metrics.csv`` row, and ``summarize`` groups
-such rows into the mean and population std of each metric. The Wilcoxon
+confidence bins. ``evaluate`` scores a list of posteriors on one dataset in
+one stacked Monte-Carlo pass and returns one ``{"acc", "ece", "nll"}`` dict
+per posterior, the metric columns of a ``metrics.csv`` row; each metric is
+reduced over its own posterior's probabilities. ``summarize`` groups such
+rows into the mean and population std of each metric. The Wilcoxon
 signed-rank test takes its exact null distribution from a counting
 recurrence over doubled (integer) ranks for small samples and falls back to
 a tie-corrected normal approximation for larger ones.
@@ -68,18 +70,21 @@ def ece_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> float:
 
 def evaluate(
     spec: MlpSpec,
-    posterior: DiagGaussian,
+    posteriors: list[DiagGaussian],
     ds: Dataset,
     noise: np.ndarray,
     bins: int,
-) -> dict[str, float]:
-    """All three metrics from the posterior draws mean + std * noise[s]; acc is a percentage."""
-    probs = models.predict_proba_mc(spec, posterior, ds.inputs, noise)
-    return {
-        "acc": accuracy_of(probs, ds.labels),
-        "ece": ece_of(probs, ds.labels, bins),
-        "nll": nll_of(probs, ds.labels),
-    }
+) -> list[dict[str, float]]:
+    """All three metrics for each posterior, in order, from its draws
+    mean + std * noise[s]; acc is a percentage."""
+    return [
+        {
+            "acc": accuracy_of(probs, ds.labels),
+            "ece": ece_of(probs, ds.labels, bins),
+            "nll": nll_of(probs, ds.labels),
+        }
+        for probs in models.predict_proba_mc(spec, posteriors, ds.inputs, noise)
+    ]
 
 
 def summarize(rows: list[dict], by: tuple[str, ...]) -> list[dict]:

@@ -347,29 +347,9 @@ def _evaluate_all(
     fedavg = cfg.federation.algorithm == "fedavg"
     method = "fedavg" if fedavg else cfg.federation.aggregation.value.lower()
 
-    # project returns p_g itself at lambda = 0, so those PM rows score pairs
-    # the GM rows already scored. Keys are ids: every keyed posterior and
-    # dataset stays alive until this function returns, so no id is reused.
-    scores: dict[tuple[int, int], dict[str, float]] = {}
-
-    def row(p: DiagGaussian, ds: Dataset, setting, lam, client_id) -> dict:
-        key = (id(p), id(ds))
-        if key not in scores:
-            scores[key] = evaluate(spec, p, ds, noise, bins)
-        return {
-            "setting": setting,
-            "method": method,
-            "lambda": lam,
-            "client_id": client_id,
-            "seed": seed,
-            **scores[key],
-            "mc_samples": cfg.eval.mc_samples,
-            "bins": bins,
-        }
-
-    rows = [row(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
-    rows.append(row(p_g, test_union, "GM-GD", None, "global"))
-
+    # (posterior, test set, setting, lambda, client_id), one per row
+    plan = [(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
+    plan.append((p_g, test_union, "GM-GD", None, "global"))
     d = cfg.personalization.divergence
     if fedavg:
         sweep = [(None, locals_)]
@@ -380,9 +360,34 @@ def _evaluate_all(
         ]
     for lam, posteriors in sweep:
         for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
-            rows.append(row(p, shard, "PM-LD", lam, k))
-            rows.append(row(p, test_union, "PM-GD", lam, k))
-    return rows
+            plan.append((p, shard, "PM-LD", lam, k))
+            plan.append((p, test_union, "PM-GD", lam, k))
+
+    # One evaluate call per test set scores each distinct posterior on it
+    # once: project returns p_g itself at lambda = 0, so those PM rows reuse
+    # the GM scores. Keys are ids: every keyed posterior and dataset stays
+    # alive until this function returns, so no id is reused.
+    by_dataset: dict[int, tuple[Dataset, dict[int, DiagGaussian]]] = {}
+    for p, ds, *_ in plan:
+        by_dataset.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
+    scores: dict[tuple[int, int], dict[str, float]] = {}
+    for ds_id, (ds, posteriors) in by_dataset.items():
+        scored = evaluate(spec, list(posteriors.values()), ds, noise, bins)
+        scores.update(((p_id, ds_id), s) for p_id, s in zip(posteriors, scored))
+
+    return [
+        {
+            "setting": setting,
+            "method": method,
+            "lambda": lam,
+            "client_id": client_id,
+            "seed": seed,
+            **scores[id(p), id(ds)],
+            "mc_samples": cfg.eval.mc_samples,
+            "bins": bins,
+        }
+        for p, ds, setting, lam, client_id in plan
+    ]
 
 
 def _task_subset(ds: Dataset, keep: np.ndarray, what: str) -> Dataset:
@@ -398,13 +403,13 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
     lower half), task B the rest. Posterior B starts from posterior A (task-A
     data is gone by then). The sweep mixes A and B with weights (1-w, w) for
-    each w of ``cfg.incremental.w_grid`` under the configured aggregation and
-    scores every mixture on both task test sets; each w gives one
-    ``incremental_tradeoff.csv`` row, whose ``_a`` and ``_b`` columns hold
-    the scores on task A and task B. Task A trains as round 1
-    and task B as round 2, both as client 0, so a failure names its task.
-    Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
-    the ``incremental`` command rejects a FedAvg config.
+    each w of ``cfg.incremental.w_grid`` under the configured aggregation,
+    then scores all the mixtures on each task test set in one ``evaluate``
+    call. Each w gives one ``incremental_tradeoff.csv`` row, whose ``_a`` and
+    ``_b`` columns hold the scores on task A and task B. Task A trains as
+    round 1 and task B as round 2, both as client 0, so a failure names its
+    task. Both tasks train IVON posteriors whatever ``federation.algorithm``
+    says; the ``incremental`` command rejects a FedAvg config.
     """
     with failure_context(0):
         train, test = build_data(cfg, seed)
@@ -436,12 +441,15 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     bins = cfg.eval.ece_bins
     method = cfg.federation.aggregation
 
-    rows = []
-    for w in cfg.incremental.w_grid:
-        mixed = aggregate(method, [post_a, post_b], [1.0 - w, w])
-        row = {"seed": seed, "w": float(w)}
-        for task, ds in (("a", test_a), ("b", test_b)):
-            scores = evaluate(spec, mixed, ds, noise, bins)
-            row.update({f"{metric}_{task}": v for metric, v in scores.items()})
-        rows.append(row)
-    return rows
+    w_grid = cfg.incremental.w_grid
+    mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
+    on_a, on_b = (evaluate(spec, mixtures, ds, noise, bins) for ds in (test_a, test_b))
+    return [
+        {
+            "seed": seed,
+            "w": float(w),
+            **{f"{metric}_a": v for metric, v in a.items()},
+            **{f"{metric}_b": v for metric, v in b.items()},
+        }
+        for w, a, b in zip(w_grid, on_a, on_b)
+    ]

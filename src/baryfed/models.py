@@ -4,6 +4,9 @@ Networks are described by layer sizes only: ReLU between hidden layers,
 softmax read off the final logits. Parameters live in a single flat float64
 vector so the posterior machinery never needs to know the architecture;
 pack/unpack convert between the flat vector and per-layer (W, b) pairs.
+``forward`` also takes a stack (..., P) of vectors, which lets
+``predict_proba_mc`` score every sampled parameter of a list of posteriors
+in one pass instead of one call per posterior and draw.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DiagGaussian
+
+# Sampled parameters one stacked forward pass may hold: 4 MiB of float64.
+MC_CHUNK_PARAMS = 1 << 19
+
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -72,20 +79,24 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def unpack(theta: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector to per-layer (W, b); views where possible, no copies."""
+    """Flat vector, or a stack (..., P) of them, to per-layer (W, b) views.
+
+    W has shape (..., fan_in, fan_out) and b (..., fan_out); no copies.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     expected = param_count(spec)
-    if theta.shape != (expected,):
+    if theta.ndim == 0 or theta.shape[-1] != expected:
         raise ValueError(
-            f"parameter vector has shape {theta.shape}, expected ({expected},)"
+            f"parameter vector has shape {theta.shape}, expected (..., {expected})"
         )
+    lead = theta.shape[:-1]
     layers = []
     offset = 0
     sizes = spec.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = theta[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = theta[offset : offset + fan_out]
+        b = theta[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -100,25 +111,30 @@ def pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def forward(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Logits for a batch of inputs; deterministic in (theta, inputs)."""
+def forward(spec: MlpSpec, thetas: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Logits (..., n, C) for one parameter vector (P,) or a stack (..., P).
+
+    Each vector of the stack is applied to the same (n, d) inputs; its
+    logits are bit-identical to a separate call on that vector alone.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.layer_sizes[0]:
         raise ValueError(
             f"inputs must have shape (n, {spec.layer_sizes[0]}), got {inputs.shape}"
         )
-    layers = unpack(theta, spec)
+    layers = unpack(thetas, spec)
     act = inputs
     for i, (w, b) in enumerate(layers):
-        act = act @ w + b
+        act = act @ w
+        act += b[..., None, :]
         if i < len(layers) - 1:
-            act = np.maximum(act, 0.0)
+            np.maximum(act, 0.0, out=act)
     return act
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def loss_and_grad(
@@ -158,24 +174,42 @@ def loss_and_grad(
 
 def predict_proba_mc(
     spec: MlpSpec,
-    posterior: DiagGaussian,
+    posteriors: list[DiagGaussian],
     inputs: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Class probabilities averaged over the draws mean + std * noise[s].
+    """Class probabilities (M, n, C) of M posteriors, each averaged over the
+    draws mean + std * noise[s].
 
-    ``noise`` is an (S, P) block of standard normals. Passing one block to
-    every call scores all posteriors on common random numbers.
+    ``noise`` is an (S, P) block of standard normals shared by every
+    posterior, so all of them are scored on common random numbers. The
+    posteriors run through ``forward`` as one stack, in chunks of at most
+    MC_CHUNK_PARAMS sampled parameters; a posterior's S draws are never
+    split, so when S * P alone exceeds the budget a chunk holds one
+    posterior. Every (n, C) slice is bit-identical to drawing and summing
+    that posterior's S forward passes one at a time.
     """
     noise = np.asarray(noise, dtype=np.float64)
     dim = param_count(spec)
-    if posterior.dim != dim:
-        raise ValueError(f"posterior dimension {posterior.dim} != parameter count {dim}")
+    for posterior in posteriors:
+        if posterior.dim != dim:
+            raise ValueError(
+                f"posterior dimension {posterior.dim} != parameter count {dim}"
+            )
     if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != dim:
         raise ValueError(f"noise must have shape (S >= 1, {dim}), got {noise.shape}")
-    sigma = posterior.std
-    probs = np.zeros((np.asarray(inputs).shape[0], spec.n_classes))
-    for z in noise:
-        theta = posterior.mean + sigma * z
-        probs += np.exp(_log_softmax(forward(spec, theta, inputs)))
-    return probs / noise.shape[0]
+    samples = noise.shape[0]
+    per_chunk = max(1, MC_CHUNK_PARAMS // (samples * dim))
+    probs = np.empty((len(posteriors), np.asarray(inputs).shape[0], spec.n_classes))
+    # one reused buffer: fresh multi-MiB blocks per chunk cost page faults
+    buffer = np.empty((min(per_chunk, len(posteriors)), samples, dim))
+    for lo in range(0, len(posteriors), per_chunk):
+        chunk = posteriors[lo : lo + per_chunk]
+        thetas = buffer[: len(chunk)]
+        for block, p in zip(thetas, chunk):
+            np.multiply(p.std, noise, out=block)
+            block += p.mean
+        # summing over the draw axis adds the draws in order, like a loop
+        draws = np.exp(_log_softmax(forward(spec, thetas, inputs)))
+        probs[lo : lo + per_chunk] = draws.sum(axis=1) / samples
+    return probs

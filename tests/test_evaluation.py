@@ -141,17 +141,21 @@ class TestEvaluate:
 
         ds = synth_blobs(classes=3, dim=2, n_per_class=5, spread=0.1, seed=0)
         noise = np.random.default_rng(3).standard_normal((4, post.dim))
-        rep = evaluate(spec, post, ds, noise, bins=10)
-        probs = predict_proba_mc(spec, post, ds.inputs, noise)
-        assert rep == {
-            "acc": accuracy_of(probs, ds.labels),
-            "ece": ece_of(probs, ds.labels, 10),
-            "nll": nll_of(probs, ds.labels),
-        }
-        assert list(rep) == ["acc", "ece", "nll"]
-        assert 0.0 <= rep["acc"] <= 100.0
-        assert rep["nll"] > 0.0
-        assert 0.0 <= rep["ece"] <= 1.0
+        other = DiagGaussian(mean=np.full(post.dim, 0.5), var=post.var)
+        reps = evaluate(spec, [post, other], ds, noise, bins=10)
+        assert len(reps) == 2
+        for p, rep in zip([post, other], reps):
+            probs = predict_proba_mc(spec, [p], ds.inputs, noise)[0]
+            assert rep == {
+                "acc": accuracy_of(probs, ds.labels),
+                "ece": ece_of(probs, ds.labels, 10),
+                "nll": nll_of(probs, ds.labels),
+            }
+            assert list(rep) == ["acc", "ece", "nll"]
+            assert 0.0 <= rep["acc"] <= 100.0
+            assert rep["nll"] > 0.0
+            assert 0.0 <= rep["ece"] <= 1.0
+        assert reps[0] != reps[1]
 
 
 class TestRuntimeDependencies:

@@ -334,40 +334,49 @@ class TestPersonalizeAll:
         assert [m["client_id"] for m in rows] == list(range(len(rep.final_locals)))
         for m, loc in zip(rows, rep.final_locals):
             p = project(cfg.personalization.divergence, rep.final_global, loc, 1.0)
-            ref = evaluate(spec, p, test, noise, cfg.eval.ece_bins)
+            ref = evaluate(spec, [p], test, noise, cfg.eval.ece_bins)[0]
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
 
 class TestScoreOnce:
-    """Each (posterior, dataset) pair of a run is scored once."""
+    """Each (posterior, dataset) pair of a run is scored once, and every
+    posterior scored on one dataset goes through one evaluate call."""
 
     def counted_run(self, monkeypatch, cfg):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return evaluate(*args, **kwargs)
+        def counting(spec, posteriors, ds, *args):
+            calls.append((ds, posteriors))
+            return evaluate(spec, posteriors, ds, *args)
 
         monkeypatch.setattr(federation, "evaluate", counting)
-        return run_experiment(cfg, seed=0), len(calls)
+        rep = run_experiment(cfg, seed=0)
+        datasets = [id(ds) for ds, _ in calls]
+        assert len(set(datasets)) == len(datasets)
+        for _, posteriors in calls:
+            assert len({id(p) for p in posteriors}) == len(posteriors)
+        return rep, len(calls), sum(len(posteriors) for _, posteriors in calls)
 
     def test_bayes_endpoints_reuse_scores(self, monkeypatch):
         cfg = make_cfg()
         lams = cfg.personalization.lambdas
         assert lams[0] == 0.0 and math.isinf(lams[-1])
-        rep, calls = self.counted_run(monkeypatch, cfg)
+        rep, calls, scored = self.counted_run(monkeypatch, cfg)
         k = len(rep.final_locals)
         assert len(rep.metrics) == k + 1 + 2 * k * len(lams)
+        assert calls == k + 1  # the K test shards and the pooled test set
         # lambda = 0 projects to the global posterior: its 2K rows reuse GM scores
-        assert calls == k + 1 + 2 * k * (len(lams) - 1)
+        assert scored == k + 1 + 2 * k * (len(lams) - 1)
 
     def test_fedavg_scores_every_row(self, monkeypatch):
         cfg = make_cfg()
         cfg = dataclasses.replace(
             cfg, federation=dataclasses.replace(cfg.federation, algorithm="fedavg")
         )
-        rep, calls = self.counted_run(monkeypatch, cfg)
-        assert calls == len(rep.metrics) == 3 * len(rep.final_locals) + 1
+        rep, calls, scored = self.counted_run(monkeypatch, cfg)
+        k = len(rep.final_locals)
+        assert calls == k + 1
+        assert scored == len(rep.metrics) == 3 * k + 1
 
     def test_lambda_zero_rows_equal_global_rows(self):
         rep = run_experiment(make_cfg(), seed=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baryfed import models
 from baryfed.geometry import DiagGaussian
 from baryfed.models import (
     Batch,
@@ -61,8 +62,11 @@ class TestPacking:
         assert layers[1][1].shape == (2,)
 
     def test_unpack_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            unpack(np.zeros(param_count(SMALL) + 1), SMALL)
+        dim = param_count(SMALL)
+        with pytest.raises(ValueError, match=f"expected \\(\\.\\.\\., {dim}\\)"):
+            unpack(np.zeros(dim + 1), SMALL)
+        with pytest.raises(ValueError, match=str(dim)):
+            unpack(np.zeros((2, dim - 1)), SMALL)
 
 
 class TestInit:
@@ -85,6 +89,13 @@ class TestForward:
         out = forward(SMALL, theta, x)
         assert out.shape == (6, 2)
         assert np.array_equal(out, forward(SMALL, theta, x))
+        # a stack (2, 3, P) gives (2, 3, n, C), each slice bit-identical
+        thetas = np.random.default_rng(2).normal(size=(2, 3, theta.size))
+        out = forward(SMALL, thetas, x)
+        assert out.shape == (2, 3, 6, 2)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], forward(SMALL, thetas[i, j], x))
 
     def test_input_shape_rejected(self):
         theta = init_params(SMALL, seed=1)
@@ -168,38 +179,84 @@ class TestPredictiveAndCounters:
         theta = init_params(SMALL, seed=5)
         return DiagGaussian(mean=theta, var=np.full(theta.size, 1e-3))
 
+    def posteriors(self, spec, count, seed):
+        rng = np.random.default_rng(seed)
+        theta = init_params(spec, seed=1)
+        return [
+            DiagGaussian(
+                mean=theta + rng.normal(size=theta.size),
+                var=rng.uniform(1e-3, 0.5, size=theta.size),
+            )
+            for _ in range(count)
+        ]
+
     def test_mc_probabilities(self):
         post = self.small_posterior()
         x = np.random.default_rng(1).normal(size=(8, 2))
-        probs = predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 7))
-        assert probs.shape == (8, 2)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(probs, predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 7)))
-        other = predict_proba_mc(SMALL, post, x, noise_block(6, post.dim, 8))
+        probs = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 7))
+        assert probs.shape == (1, 8, 2)
+        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.array_equal(probs, predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 7)))
+        other = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 8))
         assert not np.array_equal(probs, other)
+        assert predict_proba_mc(SMALL, [], x, noise_block(6, post.dim, 7)).shape == (0, 8, 2)
 
     @pytest.mark.parametrize(
         "layers,samples,seed",
-        [((2, 3, 2), 1, 0), ((2, 3, 2), 6, 7), ((4, 5, 3), 10, 11), ((3, 8, 8, 4), 3, 2**40)],
+        [
+            ((2, 3, 2), 1, 0),
+            ((2, 3, 2), 6, 7),
+            ((4, 5, 3), 10, 11),
+            ((3, 8, 8, 4), 3, 2**40),
+            ((5, 7, 12), 4, 3),
+        ],
     )
     def test_shared_block_matches_reseeded_draws(self, layers, samples, seed):
-        # one (S, P) block is the S successive P-long draws of a reseeded stream
+        # one (S, P) block is the S successive P-long draws of a reseeded
+        # stream, and stacking posteriors changes no bit of any one of them
         spec = MlpSpec(layer_sizes=layers)
-        theta = init_params(spec, seed=1)
-        rng = np.random.default_rng(3)
-        post = DiagGaussian(mean=theta, var=rng.uniform(1e-3, 0.5, size=theta.size))
-        x = rng.normal(size=(9, layers[0]))
-        ref = reseeded_proba(spec, post, x, samples, seed)
-        probs = predict_proba_mc(spec, post, x, noise_block(samples, post.dim, seed))
-        assert np.array_equal(probs, ref)
+        posts = self.posteriors(spec, 5, seed=3)
+        x = np.random.default_rng(4).normal(size=(9, layers[0]))
+        noise = noise_block(samples, posts[0].dim, seed)
+        probs = predict_proba_mc(spec, posts, x, noise)
+        assert probs.shape == (5, 9, spec.n_classes)
+        for post, got in zip(posts, probs):
+            assert np.array_equal(got, reseeded_proba(spec, post, x, samples, seed))
+
+    def test_chunks_respect_budget_and_keep_bits(self, monkeypatch):
+        spec = MlpSpec(layer_sizes=(4, 5, 3))
+        posts = self.posteriors(spec, 7, seed=5)
+        x = np.random.default_rng(6).normal(size=(9, 4))
+        noise = noise_block(4, posts[0].dim, 9)
+        whole = predict_proba_mc(spec, posts, x, noise)
+
+        budget = 2 * noise.size + 1  # two posteriors' draws per chunk
+        sizes = []
+
+        def recording(spec, thetas, inputs):
+            sizes.append(thetas.size)
+            return forward(spec, thetas, inputs)
+
+        monkeypatch.setattr(models, "MC_CHUNK_PARAMS", budget)
+        monkeypatch.setattr(models, "forward", recording)
+        chunked = predict_proba_mc(spec, posts, x, noise)
+        assert len(sizes) >= 3
+        assert max(sizes) <= budget
+        assert np.array_equal(chunked, whole)
+
+    def test_posterior_dimension_validated(self):
+        post = self.small_posterior()
+        wrong = DiagGaussian(mean=np.zeros(post.dim + 1), var=np.ones(post.dim + 1))
+        with pytest.raises(ValueError, match="posterior dimension"):
+            predict_proba_mc(SMALL, [post, wrong], np.zeros((1, 2)), np.zeros((3, post.dim)))
 
     def test_sample_count_validated(self):
         # an empty noise block is zero samples
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, post, np.zeros((1, 2)), np.zeros((0, post.dim)))
+            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((0, post.dim)))
 
     def test_noise_width_must_be_param_count(self):
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, post, np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
+            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
