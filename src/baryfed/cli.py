@@ -78,7 +78,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     rows = []
     artifacts = {}
     for seed in cfg.seeds:
-        report = run_experiment(cfg, seed)
+        (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
         rows += report.metrics
         artifacts[f"rounds_{seed}.json"] = {
             "seed": seed,
@@ -97,7 +97,8 @@ def cmd_sweep_lambda(cfg: ExperimentConfig) -> dict:
     scopes = {"PM-LD": "local", "PM-GD": "global"}
     rows = []
     for seed in cfg.seeds:
-        for m in run_experiment(cfg, seed).metrics:
+        (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+        for m in report.metrics:
             if m["setting"] in scopes:
                 rows.append({**m, "scope": scopes[m["setting"]]})
     sweep = summarize(rows, ("seed", "lambda", "scope"))
@@ -111,18 +112,16 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
     if len(cfg.seeds) < 5:
         raise ConfigError("seeds", "compare-agg needs at least 5 seeds for a meaningful test")
 
-    scores: dict[str, dict[str, list[float]]] = {metric: {} for metric in ("acc", "nll", "ece")}
-    for method in methods:
-        federation = dataclasses.replace(
-            cfg.federation, aggregation=AggregationMethod(method.upper())
-        )
-        run_cfg = dataclasses.replace(cfg, federation=federation)
-        gm_gd = [
-            next(m for m in run_experiment(run_cfg, seed).metrics if m["setting"] == "GM-GD")
-            for seed in cfg.seeds
-        ]
-        for metric, by_method in scores.items():
-            by_method[method] = [m[metric] for m in gm_gd]
+    # one call per seed trains round 1 once and forks the methods after it
+    scores: dict[str, dict[str, list[float]]] = {
+        metric: {method: [] for method in methods} for metric in ("acc", "nll", "ece")
+    }
+    aggregations = [AggregationMethod(method.upper()) for method in methods]
+    for seed in cfg.seeds:
+        for method, report in zip(methods, run_experiment(cfg, seed, aggregations)):
+            gm_gd = next(m for m in report.metrics if m["setting"] == "GM-GD")
+            for metric, by_method in scores.items():
+                by_method[method].append(gm_gd[metric])
 
     rows = []
     details = []

@@ -5,12 +5,14 @@ by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
 confidence bins. ``evaluate`` scores a list of posteriors on one dataset in
 one stacked Monte-Carlo pass and returns one ``{"acc", "ece", "nll"}`` dict
-per posterior, the metric columns of a ``metrics.csv`` row; each metric is
-reduced over its own posterior's probabilities. ``summarize`` groups such
-rows into the mean and population std of each metric. The Wilcoxon
-signed-rank test takes its exact null distribution from a counting
-recurrence over doubled (integer) ranks for small samples and falls back to
-a tie-corrected normal approximation for larger ones.
+per posterior, the metric columns of a ``metrics.csv`` row. ``metrics_of``
+reduces each metric over the whole (M, n, C) probability stack in one pass,
+and each posterior's value is bit-identical to reducing its own (n, C)
+block alone. ``summarize`` groups such rows into the mean and population
+std of each metric. The Wilcoxon signed-rank test takes its exact null
+distribution from a counting recurrence over doubled (integer) ranks for
+small samples and falls back to a tie-corrected normal approximation for
+larger ones.
 """
 
 from __future__ import annotations
@@ -29,43 +31,51 @@ PROB_FLOOR = 1e-12
 EXACT_MAX_N = 20
 
 
-def accuracy_of(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Percentage of argmax-correct predictions; argmax ties go to the lowest index."""
-    preds = np.argmax(probs, axis=1)
-    return float(100.0 * np.mean(preds == labels))
+def metrics_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[dict[str, float]]:
+    """``{"acc", "ece", "nll"}`` of each (n, C) slice of an (M, n, C) stack.
 
+    acc is the percentage of argmax-correct predictions (argmax ties go to
+    the lowest index) and nll the mean negative log-probability of the label
+    with a PROB_FLOOR floor. ECE bins the max-probability confidence into
+    ``bins`` equal-width bins on [0, 1]; a confidence exactly at a bin edge
+    falls into the higher bin, except 1.0, which stays in the last bin.
 
-def nll_of(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
-
-
-def ece_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> float:
-    """Equal-width binning of max-probability confidence on [0, 1].
-
-    Confidences exactly at a bin edge fall into the higher bin, except 1.0
-    which stays in the last bin.
+    Each reduction runs once over all M slices and gives, bit for bit, what
+    reducing one slice at a time gives. NumPy's pairwise sum depends only on
+    the length of a contiguous run, so a bin's confidences are summed as one
+    contiguous row in their original order, and the bins of a posterior are
+    added up in bin order.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    conf = probs.max(axis=1)
-    preds = np.argmax(probs, axis=1)
-    correct = (preds == labels).astype(np.float64)
+    m, n, _ = probs.shape
+    preds = np.argmax(probs, axis=2)
+    correct = preds == labels
+    acc = 100.0 * np.mean(correct, axis=1)
+    picked = np.take_along_axis(probs, labels[None, :, None], axis=2)[:, :, 0]
+    nll = -np.mean(np.log(np.maximum(picked, PROB_FLOOR)), axis=1)
+
+    conf = probs.max(axis=2)
     which = np.minimum((conf * bins).astype(np.int64), bins - 1)
-    n = len(labels)
-    # a stable sort keeps each bin's members in their original order, so the
-    # pairwise sum of a contiguous slice equals the masked mean bit for bit
-    order = np.argsort(which, kind="stable")
-    conf, correct = conf[order], correct[order]
-    edges = np.searchsorted(which[order], np.arange(bins + 1))
-    ece = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        count = hi - lo
-        if count == 0:
-            continue
-        gap = abs(conf[lo:hi].sum() / count - correct[lo:hi].sum() / count)
-        ece += (count / n) * gap
-    return float(ece)
+    # one stable sort on (posterior, bin) keeps each bin's members in order
+    key = (which + bins * np.arange(m)[:, None]).ravel()
+    order = np.argsort(key, kind="stable")
+    conf, correct = conf.ravel()[order], correct.ravel()[order].astype(np.float64)
+    edges = np.searchsorted(key[order], np.arange(m * bins + 1))
+    starts, counts = edges[:-1], np.diff(edges)
+    terms = np.zeros(m * bins)
+    # the bins with L members are the rows of one contiguous (k, L) matrix
+    for size in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == size)
+        members = starts[rows, None] + np.arange(size)
+        gap = np.abs(conf[members].sum(axis=1) / size - correct[members].sum(axis=1) / size)
+        terms[rows] = (size / n) * gap
+    # cumsum adds sequentially; an empty bin adds an exact 0.0
+    ece = np.cumsum(terms.reshape(m, bins), axis=1)[:, -1]
+    return [
+        {"acc": a, "ece": e, "nll": l}
+        for a, e, l in zip(acc.tolist(), ece.tolist(), nll.tolist())
+    ]
 
 
 def evaluate(
@@ -77,14 +87,8 @@ def evaluate(
 ) -> list[dict[str, float]]:
     """All three metrics for each posterior, in order, from its draws
     mean + std * noise[s]; acc is a percentage."""
-    return [
-        {
-            "acc": accuracy_of(probs, ds.labels),
-            "ece": ece_of(probs, ds.labels, bins),
-            "nll": nll_of(probs, ds.labels),
-        }
-        for probs in models.predict_proba_mc(spec, posteriors, ds.inputs, noise)
-    ]
+    probs = models.predict_proba_mc(spec, posteriors, ds.inputs, noise)
+    return metrics_of(probs, ds.labels, bins)
 
 
 def summarize(rows: list[dict], by: tuple[str, ...]) -> list[dict]:

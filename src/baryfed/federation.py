@@ -6,11 +6,19 @@ the server. Server-side code only ever touches posteriors and weights, never
 datasets. Personalization happens after the final round as a sweep of
 two-point projections between the global and each local posterior.
 
+``run_experiment`` runs several aggregation methods of one seed side by
+side. They share the data, the partition and round 1, which starts every
+method from the same posterior and so trains once; from the first
+aggregation on each method keeps its own global posterior, and a round
+trains every client once per distinct broadcast posterior. Every
+posterior of every method scored on one test set goes through one
+``evaluate`` call.
+
 Results are the rows of the artifacts, as plain dicts. ``run_experiment``
-puts a run's ``metrics.csv`` rows in ``ExperimentReport.metrics``, keyed
-setting, method, lambda, client_id, seed, acc, ece, nll, mc_samples, bins
-in that order; ``incremental_sweep`` returns its ``incremental_tradeoff.csv``
-rows.
+puts each method's ``metrics.csv`` rows in its ``ExperimentReport.metrics``,
+keyed setting, method, lambda, client_id, seed, acc, ece, nll, mc_samples,
+bins in that order; ``incremental_sweep`` returns its
+``incremental_tradeoff.csv`` rows.
 
 Randomness is organized as counter-based streams: the training stream for
 (round, client) is seeded with [master_seed, round, client], so sequential
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -258,15 +267,54 @@ def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
     return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
-    """Full protocol: R rounds of broadcast/train/aggregate, then evaluation.
+def _train_round(
+    broadcasts: list[DiagGaussian],
+    train_shards: list[Dataset],
+    cfg: ExperimentConfig,
+    lrs: list[float],
+    spec: MlpSpec,
+    seed: int,
+    round_index: int,
+    frozen_var: float | None,
+) -> list[list[tuple[DiagGaussian, list[float]]]]:
+    """Every client's (local posterior, NLL trace) from each broadcast
+    posterior, in order; each distinct posterior trains once (keys are ids,
+    and ``broadcasts`` keeps each keyed posterior alive)."""
+    distinct = list({id(p): p for p in broadcasts}.values())
+    clients = range(len(train_shards))
+    args = (
+        [p for p in distinct for _ in clients], train_shards * len(distinct),
+        repeat(cfg), repeat(lrs), repeat(spec), repeat(seed), repeat(round_index),
+        [*clients] * len(distinct), repeat(frozen_var),
+    )
+    if cfg.federation.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.federation.threads) as pool:
+            results = list(pool.map(client_update, *args))
+    else:
+        results = list(map(client_update, *args))
+    k = len(clients)
+    trained = {id(p): results[i * k : (i + 1) * k] for i, p in enumerate(distinct)}
+    return [trained[id(p)] for p in broadcasts]
 
-    Each round maps the broadcast global posterior to one local posterior per
-    client and fuses those into the next global posterior; nothing else
-    carries over. Its ``metrics`` are the per-client rows for the four
-    settings (global or personalized model, on local or pooled test data),
-    with the personalization sweep over the configured lambda grid applied
-    to the final-round posteriors; the GM-GD row's client_id is "global".
+
+def run_experiment(
+    cfg: ExperimentConfig, seed: int, methods: Sequence[AggregationMethod]
+) -> list[ExperimentReport]:
+    """Full protocol under each aggregation method: R rounds of
+    broadcast/train/aggregate, then evaluation; one report per method, in
+    order.
+
+    Data, partition, θ0, weights and the evaluation noise are built once
+    and shared by every method. Each method keeps its own global posterior.
+    A round maps each distinct broadcast posterior to one local posterior
+    per client, so round 1, where every method broadcasts the same initial
+    posterior, trains once; each method then fuses its own locals into its
+    next global posterior, and nothing else carries over. A method's report
+    equals the one a run with that method alone gives. Its ``metrics`` are
+    the per-client rows for the four settings (global or personalized
+    model, on local or pooled test data), with the personalization sweep
+    over the configured lambda grid applied to the final-round posteriors;
+    the GM-GD row's client_id is "global".
     """
     t0 = time.perf_counter()
     fed = cfg.federation
@@ -289,104 +337,110 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentReport:
 
     lrs = _lr_schedule(opt, fed.rounds * fed.local_epochs)
     div = cfg.personalization.divergence
-    clients = range(len(train_shards))
-
-    rounds_out = []
+    globals_ = [p_g] * len(methods)
+    del p_g  # globals_ alone holds each global posterior, so a replaced one is freed
+    locals_ = [[] for _ in methods]
+    rounds_out = [[] for _ in methods]
     for r in range(1, fed.rounds + 1):
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
-        args = (
-            repeat(p_g), train_shards, repeat(cfg), repeat(round_lrs),
-            repeat(spec), repeat(seed), repeat(r), clients, repeat(frozen_var),
-        )
-        if fed.threads > 1:
-            with ThreadPoolExecutor(max_workers=fed.threads) as pool:
-                results = list(pool.map(client_update, *args))
-        else:
-            results = list(map(client_update, *args))
-        locals_ = [res[0] for res in results]
-
-        t_agg = time.perf_counter()
-        with failure_context(r):
-            p_g = server_aggregate(fed.aggregation, locals_, weights)
-        agg_seconds = time.perf_counter() - t_agg
-
-        rounds_out.append(
-            RoundReport(
-                round=r,
-                nll_traces=[res[1] for res in results],
-                divergences=[float(projection_divergence(div, p, p_g)) for p in locals_],
-                agg_seconds=agg_seconds,
+        trained = _train_round(globals_, train_shards, cfg, round_lrs, spec, seed, r, frozen_var)
+        for i, (method, own) in enumerate(zip(methods, trained)):
+            locals_[i] = [res[0] for res in own]
+            t_agg = time.perf_counter()
+            with failure_context(r):
+                globals_[i] = server_aggregate(method, locals_[i], weights)
+            agg_seconds = time.perf_counter() - t_agg
+            rounds_out[i].append(
+                RoundReport(
+                    round=r,
+                    nll_traces=[res[1] for res in own],
+                    divergences=[
+                        float(projection_divergence(div, p, globals_[i])) for p in locals_[i]
+                    ],
+                    agg_seconds=agg_seconds,
+                )
             )
-        )
 
-    metrics = _evaluate_all(cfg, seed, spec, p_g, locals_, test_shards, test)
-    return ExperimentReport(
-        client_sizes=[shard.n for shard in train_shards],
-        client_label_counts=[shard.label_counts().tolist() for shard in train_shards],
-        rounds=rounds_out,
-        metrics=metrics,
-        wall_seconds=time.perf_counter() - t0,
-        final_global=p_g,
-        final_locals=tuple(locals_),
+    metrics = _evaluate_all(
+        cfg, seed, spec, list(zip(methods, globals_, locals_)), test_shards, test
     )
+    wall_seconds = time.perf_counter() - t0
+    return [
+        ExperimentReport(
+            client_sizes=[shard.n for shard in train_shards],
+            client_label_counts=[shard.label_counts().tolist() for shard in train_shards],
+            rounds=rounds_out[i],
+            metrics=metrics[i],
+            wall_seconds=wall_seconds,
+            final_global=globals_[i],
+            final_locals=tuple(locals_[i]),
+        )
+        for i in range(len(methods))
+    ]
 
 
 def _evaluate_all(
     cfg: ExperimentConfig,
     seed: int,
     spec: MlpSpec,
-    p_g: DiagGaussian,
-    locals_: list[DiagGaussian],
+    finals: list[tuple[AggregationMethod, DiagGaussian, list[DiagGaussian]]],
     test_shards: list[Dataset],
     test_union: Dataset,
-) -> list[dict]:
-    """The run's ``metrics.csv`` rows: GM-LD per client, GM-GD, then PM-LD
-    and PM-GD per lambda and client."""
+) -> list[list[dict]]:
+    """Each method's ``metrics.csv`` rows from its final (method, global,
+    locals): GM-LD per client, GM-GD, then PM-LD and PM-GD per lambda and
+    client."""
     noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
     fedavg = cfg.federation.algorithm == "fedavg"
-    method = "fedavg" if fedavg else cfg.federation.aggregation.value.lower()
-
-    # (posterior, test set, setting, lambda, client_id), one per row
-    plan = [(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
-    plan.append((p_g, test_union, "GM-GD", None, "global"))
     d = cfg.personalization.divergence
-    if fedavg:
-        sweep = [(None, locals_)]
-    else:
-        sweep = [
-            (lam, [project(d, p_g, p, lam) for p in locals_])
-            for lam in cfg.personalization.lambdas
-        ]
-    for lam, posteriors in sweep:
-        for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
-            plan.append((p, shard, "PM-LD", lam, k))
-            plan.append((p, test_union, "PM-GD", lam, k))
+
+    # per method: (posterior, test set, setting, lambda, client_id), one per row
+    plans = []
+    for _, p_g, locals_ in finals:
+        plan = [(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
+        plan.append((p_g, test_union, "GM-GD", None, "global"))
+        if fedavg:
+            sweep = [(None, locals_)]
+        else:
+            sweep = [
+                (lam, [project(d, p_g, p, lam) for p in locals_])
+                for lam in cfg.personalization.lambdas
+            ]
+        for lam, posteriors in sweep:
+            for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
+                plan.append((p, shard, "PM-LD", lam, k))
+                plan.append((p, test_union, "PM-GD", lam, k))
+        plans.append(plan)
 
     # One evaluate call per test set scores each distinct posterior on it
-    # once: project returns p_g itself at lambda = 0, so those PM rows reuse
-    # the GM scores. Keys are ids: every keyed posterior and dataset stays
-    # alive until this function returns, so no id is reused.
+    # once, across all methods: project returns p_g itself at lambda = 0, so
+    # those PM rows reuse the GM scores. Keys are ids: every keyed posterior
+    # and dataset stays alive until this function returns, so no id is reused.
     by_dataset: dict[int, tuple[Dataset, dict[int, DiagGaussian]]] = {}
-    for p, ds, *_ in plan:
-        by_dataset.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
+    for plan in plans:
+        for p, ds, *_ in plan:
+            by_dataset.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
     scores: dict[tuple[int, int], dict[str, float]] = {}
     for ds_id, (ds, posteriors) in by_dataset.items():
         scored = evaluate(spec, list(posteriors.values()), ds, noise, bins)
         scores.update(((p_id, ds_id), s) for p_id, s in zip(posteriors, scored))
 
     return [
-        {
-            "setting": setting,
-            "method": method,
-            "lambda": lam,
-            "client_id": client_id,
-            "seed": seed,
-            **scores[id(p), id(ds)],
-            "mc_samples": cfg.eval.mc_samples,
-            "bins": bins,
-        }
-        for p, ds, setting, lam, client_id in plan
+        [
+            {
+                "setting": setting,
+                "method": "fedavg" if fedavg else method.value.lower(),
+                "lambda": lam,
+                "client_id": client_id,
+                "seed": seed,
+                **scores[id(p), id(ds)],
+                "mc_samples": cfg.eval.mc_samples,
+                "bins": bins,
+            }
+            for p, ds, setting, lam, client_id in plan
+        ]
+        for (method, *_), plan in zip(finals, plans)
     ]
 
 

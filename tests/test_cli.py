@@ -178,6 +178,17 @@ class TestCompareAgg:
         assert set(doc["scores"]["acc"]) == {"eaa", "w2b"}
         assert all(len(v) == 5 for v in doc["scores"]["acc"].values())
 
+    def test_threads_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, seeds=[0, 1, 2, 3, 4])
+        out = tmp_path / "out"
+        alt = tmp_path / "alt"
+        assert main(["compare-agg", cfg]) == 0
+        assert main(["compare-agg", cfg, "--out-dir", str(alt), "--threads", "3"]) == 0
+        assert (out / "pvalues.csv").read_bytes() == (alt / "pvalues.csv").read_bytes()
+        seq, par = (json.loads((d / "compare_scores.json").read_text()) for d in (out, alt))
+        assert seq["scores"] == par["scores"]
+        assert seq["comparisons"] == par["comparisons"]
+
     def test_needs_two_methods(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1, 2, 3, 4], compare={"methods": ["eaa"]})
         assert main(["compare-agg", cfg]) == 2
@@ -494,10 +505,10 @@ class TestErrors:
     def test_failure_in_later_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
         run_experiment = cli.run_experiment
 
-        def fail_on_seed_1(cfg, seed):
+        def fail_on_seed_1(cfg, seed, methods):
             if seed == 1:
                 raise RunError(1, 0, ValueError("injected"))
-            return run_experiment(cfg, seed)
+            return run_experiment(cfg, seed, methods)
 
         monkeypatch.setattr(cli, "run_experiment", fail_on_seed_1)
         cfg = write_config(tmp_path, seeds=[0, 1])

@@ -6,24 +6,61 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, rankdata
 from scipy.stats import wilcoxon as scipy_wilcoxon
 
 from baryfed.evaluation import (
     EXACT_MAX_N,
-    accuracy_of,
+    PROB_FLOOR,
     compare_aggregations,
-    ece_of,
     evaluate,
+    metrics_of,
     midranks,
-    nll_of,
     summarize,
     wilcoxon_signed_rank,
 )
 from baryfed.geometry import DiagGaussian
 from baryfed.models import MlpSpec, param_count, predict_proba_mc
+
+
+def accuracy_of(probs, labels):
+    """Reference accuracy of one (n, C) block, in percent."""
+    preds = np.argmax(probs, axis=1)
+    return float(100.0 * np.mean(preds == labels))
+
+
+def nll_of(probs, labels):
+    """Reference NLL of one (n, C) block."""
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+
+
+def ece_of(probs, labels, bins):
+    """Reference ECE of one (n, C) block: one stable sort by bin, then each
+    bin's contiguous slice summed on its own and the bins added in order."""
+    conf = probs.max(axis=1)
+    correct = (np.argmax(probs, axis=1) == labels).astype(np.float64)
+    which = np.minimum((conf * bins).astype(np.int64), bins - 1)
+    n = len(labels)
+    order = np.argsort(which, kind="stable")
+    conf, correct = conf[order], correct[order]
+    edges = np.searchsorted(which[order], np.arange(bins + 1))
+    ece = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        count = hi - lo
+        if count == 0:
+            continue
+        gap = abs(conf[lo:hi].sum() / count - correct[lo:hi].sum() / count)
+        ece += (count / n) * gap
+    return float(ece)
+
+
+def one(probs, labels, bins=15):
+    """metrics_of on a one-posterior stack."""
+    (scores,) = metrics_of(probs[None], labels, bins)
+    return scores
 
 
 def masked_ece(probs, labels, bins):
@@ -45,7 +82,7 @@ def masked_ece(probs, labels, bins):
 def ece_cases(draw):
     """Seeded random rows with some confidences set exactly to bin edges k/bins.
 
-    k = bins gives confidence 1.0. ece_of reads only each row's max and
+    k = bins gives confidence 1.0. ECE reads only each row's max and
     argmax, so a row is [c, u*c] with u in [0, 1], its columns optionally
     swapped. Bins hold up to hundreds of distinct values, where the order
     of summation shows in the last bits.
@@ -60,6 +97,38 @@ def ece_cases(draw):
     swap = rng.random(n) < 0.5
     probs[swap] = probs[swap][:, ::-1]
     return probs, rng.integers(0, 2, n), bins
+
+
+def stack_case(m, n, classes, bins, seed):
+    """An (M, n, C) probability stack, labels and a bin count, seeded.
+
+    About a tenth of the rows tie their top two columns, and another tenth
+    are [k/bins, 0, ...], a confidence exactly at a bin edge (1.0 at
+    k = bins) with zero probability, under the NLL floor, on the other
+    classes. Rows need not sum to 1: every metric reads them as they are.
+    """
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(classes, 0.5), size=(m, n))
+    tie = rng.random((m, n)) < 0.1
+    probs[tie, 1] = probs[tie, 0]
+    edge = rng.random((m, n)) < 0.1
+    probs[edge] = 0.0
+    probs[edge, 0] = rng.integers(0, bins + 1, size=(m, n))[edge] / bins
+    return probs, rng.integers(0, classes, n), bins
+
+
+@st.composite
+def metric_stacks(draw):
+    """Stacks up to and past the widest evaluate call of the benchmark
+    (M = 41 posteriors, n = 400 pooled test examples), where the order of a
+    reduction shows in the last bits."""
+    return stack_case(
+        m=draw(st.integers(0, 48)),
+        n=draw(st.integers(1, 900)),
+        classes=draw(st.integers(2, 4)),
+        bins=draw(st.integers(1, 19)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 def enumerated_p(x, y):
@@ -80,23 +149,23 @@ class TestMetrics:
     def test_accuracy_percentage(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         labels = np.array([0, 1, 1, 0])
-        assert accuracy_of(probs, labels) == 50.0
+        assert one(probs, labels)["acc"] == 50.0
 
     def test_accuracy_tie_goes_low(self):
         probs = np.array([[0.5, 0.5]])
-        assert accuracy_of(probs, np.array([0])) == 100.0
-        assert accuracy_of(probs, np.array([1])) == 0.0
+        assert one(probs, np.array([0]))["acc"] == 100.0
+        assert one(probs, np.array([1]))["acc"] == 0.0
 
     def test_nll_hand_value(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         labels = np.array([0, 1])
         expected = -(math.log(0.5) + math.log(0.75)) / 2
-        assert nll_of(probs, labels) == pytest.approx(expected, rel=1e-12)
+        assert one(probs, labels)["nll"] == pytest.approx(expected, rel=1e-12)
 
     def test_nll_floor(self):
         probs = np.array([[1.0, 0.0]])
         labels = np.array([1])
-        assert nll_of(probs, labels) == pytest.approx(-math.log(1e-12))
+        assert one(probs, labels)["nll"] == pytest.approx(-math.log(1e-12))
 
     def test_ece_hand_case(self):
         # two bins: conf .6 (correct), conf .9 and .8 (one right, one wrong)
@@ -105,22 +174,22 @@ class TestMetrics:
         # bins=2: conf .6 -> bin 1, .9 -> bin 1, .8 -> bin 1; all in top bin
         # mean conf = (0.6+0.9+0.8)/3, mean acc = 2/3
         expected = abs((0.6 + 0.9 + 0.8) / 3 - 2 / 3)
-        assert ece_of(probs, labels, bins=2) == pytest.approx(expected, rel=1e-12)
+        assert one(probs, labels, bins=2)["ece"] == pytest.approx(expected, rel=1e-12)
 
     def test_ece_full_confidence_top_bin(self):
         probs = np.array([[1.0, 0.0], [1.0, 0.0]])
         labels = np.array([0, 1])
         # conf 1.0 stays in the last bin; gap = |1.0 - 0.5| = 0.5
-        assert ece_of(probs, labels, bins=15) == pytest.approx(0.5)
+        assert one(probs, labels, bins=15)["ece"] == pytest.approx(0.5)
 
     def test_ece_perfect_calibration_zero(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
-        assert ece_of(probs, labels, 15) == pytest.approx(0.0)
+        assert one(probs, labels, 15)["ece"] == pytest.approx(0.0)
 
     def test_ece_bins_validation(self):
         with pytest.raises(ValueError):
-            ece_of(np.array([[1.0, 0.0]]), np.array([0]), bins=0)
+            metrics_of(np.array([[[1.0, 0.0]]]), np.array([0]), bins=0)
 
     @given(ece_cases())
     @example((np.array([[1.0, 0.0]]), np.array([1]), 1))
@@ -128,7 +197,26 @@ class TestMetrics:
     @example((np.array([[0.2, 0.0], [0.4, 0.1], [1.0, 0.0], [0.0, 0.6]]), np.array([0, 1, 0, 1]), 5))
     def test_ece_matches_masked_loop(self, case):
         probs, labels, bins = case
-        assert ece_of(probs, labels, bins) == masked_ece(probs, labels, bins)
+        assert one(probs, labels, bins)["ece"] == masked_ece(probs, labels, bins)
+
+
+    @settings(deadline=None)
+    @given(metric_stacks())
+    @example(stack_case(m=41, n=400, classes=10, bins=15, seed=0))
+    @example(stack_case(m=3, n=900, classes=2, bins=1, seed=1))
+    def test_stack_matches_per_posterior_oracles(self, case):
+        probs, labels, bins = case
+        scores = metrics_of(probs, labels, bins)
+        assert len(scores) == len(probs)
+        for p, got in zip(probs, scores):
+            assert got == {
+                "acc": accuracy_of(p, labels),
+                "ece": ece_of(p, labels, bins),
+                "nll": nll_of(p, labels),
+            }
+
+    def test_empty_stack(self):
+        assert metrics_of(np.empty((0, 5, 3)), np.zeros(5, dtype=np.int64), 15) == []
 
 
 class TestEvaluate:
@@ -156,6 +244,7 @@ class TestEvaluate:
             assert rep["nll"] > 0.0
             assert 0.0 <= rep["ece"] <= 1.0
         assert reps[0] != reps[1]
+        assert evaluate(spec, [], ds, noise, bins=10) == []
 
 
 class TestRuntimeDependencies:

@@ -29,7 +29,7 @@ from baryfed.federation import (
     partition_both,
     run_experiment,
 )
-from baryfed.geometry import DiagGaussian, Divergence, project
+from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
 from baryfed.variopt import ivon_from_posterior, ivon_init, ivon_step, posterior_of, sample_params
 
 METRICS_COLUMNS = [
@@ -64,6 +64,12 @@ def bench_cfg(**over) -> ExperimentConfig:
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def run_one(cfg, seed):
+    """run_experiment under the configured aggregation alone."""
+    (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+    return report
 
 
 class TestSeeds:
@@ -134,7 +140,7 @@ class TestPartitionBoth:
 class TestRunExperiment:
     def test_settings_coverage_and_shapes(self):
         cfg = make_cfg()
-        rep = run_experiment(cfg, seed=0)
+        rep = run_one(cfg, 0)
         settings = {}
         for m in rep.metrics:
             settings.setdefault(m["setting"], 0)
@@ -159,8 +165,8 @@ class TestRunExperiment:
 
     def test_rerun_identical(self):
         cfg = make_cfg()
-        a = run_experiment(cfg, seed=3)
-        b = run_experiment(cfg, seed=3)
+        a = run_one(cfg, 3)
+        b = run_one(cfg, 3)
         assert np.array_equal(a.final_global.mean, b.final_global.mean)
         assert np.array_equal(a.final_global.var, b.final_global.var)
         assert a.metrics == b.metrics
@@ -170,14 +176,14 @@ class TestRunExperiment:
         threaded = make_cfg(
             federation=FederationCfg(rounds=3, local_epochs=3, batch_size=200, threads=3)
         )
-        a = run_experiment(cfg, seed=0)
-        b = run_experiment(threaded, seed=0)
+        a = run_one(cfg, 0)
+        b = run_one(threaded, 0)
         assert np.array_equal(a.final_global.mean, b.final_global.mean)
         assert np.array_equal(a.final_global.var, b.final_global.var)
         assert a.metrics == b.metrics
 
     def test_lambda_zero_rows_match_global(self):
-        rep = run_experiment(make_cfg(), seed=1)
+        rep = run_one(make_cfg(), 1)
         gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
         pm_zero = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
         assert len(pm_zero) == 4
@@ -187,8 +193,8 @@ class TestRunExperiment:
             assert m["nll"] == ref["nll"]
 
     def test_seed_changes_training(self):
-        a = run_experiment(make_cfg(), seed=0)
-        b = run_experiment(make_cfg(), seed=1)
+        a = run_one(make_cfg(), 0)
+        b = run_one(make_cfg(), 1)
         assert not np.array_equal(a.final_global.mean, b.final_global.mean)
 
     def test_run_error_tags_context(self):
@@ -202,7 +208,61 @@ class TestRunExperiment:
             )
         )
         with pytest.raises(RunError, match="round 0"):
-            run_experiment(bad, seed=0)
+            run_one(bad, 0)
+
+
+class TestForkedMethods:
+    """One call under several methods gives each method the report a run
+    with that method alone gives, and trains each distinct broadcast
+    posterior once per round."""
+
+    METHODS = (AggregationMethod.EAA, AggregationMethod.W2B, AggregationMethod.RKLB)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "rounds, n_clients", [(3, 4), (1, 4), (2, 1)], ids=["rounds3", "rounds1", "one-client"]
+    )
+    def test_each_method_equals_its_own_run(self, monkeypatch, rounds, n_clients, threads):
+        cfg = make_cfg(
+            partition=PartitionCfg(n_clients=n_clients, beta=1.0, min_shard=5),
+            federation=FederationCfg(
+                rounds=rounds, local_epochs=2, batch_size=200, threads=threads
+            ),
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args[7])  # client_id
+            return client_update(*args)
+
+        monkeypatch.setattr(federation, "client_update", counting)
+        forked = run_experiment(cfg, 0, self.METHODS)
+        if n_clients == 1:
+            # aggregate returns the one survivor itself, so every method
+            # broadcasts the same posterior in every round
+            assert len(calls) == rounds
+        else:
+            assert len(calls) == n_clients * (1 + (rounds - 1) * len(self.METHODS))
+
+        assert len(forked) == len(self.METHODS)
+        for method, rep in zip(self.METHODS, forked):
+            fed = dataclasses.replace(cfg.federation, aggregation=method)
+            alone = run_one(dataclasses.replace(cfg, federation=fed), 0)
+            assert rep.metrics == alone.metrics
+            assert {m["method"] for m in rep.metrics} == {method.value.lower()}
+            assert [(r.round, r.nll_traces, r.divergences) for r in rep.rounds] == [
+                (r.round, r.nll_traces, r.divergences) for r in alone.rounds
+            ]
+            assert (rep.client_sizes, rep.client_label_counts) == (
+                alone.client_sizes,
+                alone.client_label_counts,
+            )
+            for ours, ref in zip(
+                (rep.final_global, *rep.final_locals), (alone.final_global, *alone.final_locals)
+            ):
+                assert np.array_equal(ours.mean, ref.mean)
+                assert np.array_equal(ours.var, ref.var)
+            assert len(rep.final_locals) == len(alone.final_locals) == n_clients
 
 
 def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spec, frozen_var):
@@ -323,7 +383,7 @@ class TestPersonalizeAll:
     def test_matches_direct_projection(self):
         # the PM rows of a run score the projection of its final posteriors
         cfg = make_cfg()
-        rep = run_experiment(cfg, seed=0)
+        rep = run_one(cfg, 0)
         train, test = build_data(cfg, seed=0)
         spec = model_spec(cfg, train)
         eseed = derived_seed(0, _EVAL_TAG)
@@ -350,7 +410,7 @@ class TestScoreOnce:
             return evaluate(spec, posteriors, ds, *args)
 
         monkeypatch.setattr(federation, "evaluate", counting)
-        rep = run_experiment(cfg, seed=0)
+        rep = run_one(cfg, 0)
         datasets = [id(ds) for ds, _ in calls]
         assert len(set(datasets)) == len(datasets)
         for _, posteriors in calls:
@@ -379,7 +439,7 @@ class TestScoreOnce:
         assert scored == len(rep.metrics) == 3 * k + 1
 
     def test_lambda_zero_rows_equal_global_rows(self):
-        rep = run_experiment(make_cfg(), seed=0)
+        rep = run_one(make_cfg(), 0)
         gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
         gm_gd = next(m for m in rep.metrics if m["setting"] == "GM-GD")
         pm_ld = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
@@ -396,7 +456,7 @@ class TestScoreOnce:
 
 class TestTrainingBehavior:
     def test_nll_trend_decreases(self):
-        rep = run_experiment(bench_cfg(), seed=0)
+        rep = run_one(bench_cfg(), 0)
         per_round = [float(np.mean([t for tr in r.nll_traces for t in tr])) for r in rep.rounds]
         assert per_round[-1] < per_round[0]
         # trend, not strict monotonicity: last quarter below first quarter
@@ -405,10 +465,10 @@ class TestTrainingBehavior:
 
     def test_fedavg_within_band_of_bayes(self):
         cfg = bench_cfg()
-        bayes = run_experiment(cfg, seed=0)
+        bayes = run_one(cfg, 0)
         fedavg = dataclasses.replace(cfg.federation, algorithm="fedavg")
         assert fedavg.algorithm == "fedavg" and cfg.federation.algorithm == "bayes"
-        avg = run_experiment(dataclasses.replace(cfg, federation=fedavg), seed=0)
+        avg = run_one(dataclasses.replace(cfg, federation=fedavg), 0)
         acc = lambda rep: next(m["acc"] for m in rep.metrics if m["setting"] == "GM-GD")
         assert abs(acc(bayes) - acc(avg)) <= 5.0
         assert all(m["method"] == "fedavg" for m in avg.metrics)

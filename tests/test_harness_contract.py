@@ -2,17 +2,23 @@
 
 A traced benchmark run patches every ``baryfed.<module>.<fn>`` named in
 child.py's WRAPPED and reads two arguments by position or name to compute
-work per call. Renaming one of those functions or arguments would only show
-up as a missing wrapper or a failed traced run; these tests catch it here.
-The harness file is parsed, not imported or changed.
+work per call. Its coverage guard then fails a workload on which a wrapped
+function recorded no call. Renaming one of those functions or arguments, or
+a command that stops calling one, would only show up as a missing wrapper
+or a failed traced run; these tests catch it here. The harness file is
+parsed, not imported or changed.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import pytest
+
+from baryfed.cli import main
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -47,3 +53,57 @@ def test_wrapped_function_exists(name):
 def test_work_argument_names(name, index, arg):
     # child.py's _grad_flops and _aggregate_bytes read these arguments
     assert list(inspect.signature(wrapped(name)).parameters)[index] == arg
+
+
+# perfbench's compare_agg workload (the criterion-08 config) on 5 seeds, and a
+# tiny run; the run holds no signed-rank test.
+COMPARE_CONFIG = {
+    "dataset": {"kind": "synth", "classes": 3, "dim": 2, "n_per_class": 40, "spread": 0.3},
+    "model": {"hidden": [8]},
+    "partition": {"n_clients": 4, "beta": 1.0, "min_shard": 5},
+    "optimizer": {"lr_initial": 0.3, "lr_final": 0.1},
+    "federation": {"rounds": 3, "local_epochs": 3, "batch_size": 200},
+    "eval": {"mc_samples": 4},
+    "compare": {"methods": ["eaa", "w2b", "rklb"]},
+    "seeds": [0, 1, 2, 3, 4],
+}
+RUN_CONFIG = {
+    **COMPARE_CONFIG,
+    "federation": {"rounds": 1, "local_epochs": 1, "batch_size": 200},
+    "personalization": {"lambdas": [0, 1, "inf"]},
+    "seeds": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, optional",
+    [
+        ("compare-agg", COMPARE_CONFIG, set()),
+        ("run", RUN_CONFIG, {"evaluation.wilcoxon_signed_rank"}),
+    ],
+    ids=["compare-agg", "run"],
+)
+def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, config, optional):
+    # patch every binding of each wrapped function, as child.py's Tracer does
+    calls = dict.fromkeys(wrapped_names(), 0)
+    modules = [m for n, m in sys.modules.items() if n == "baryfed" or n.startswith("baryfed.")]
+
+    def counter(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        original = wrapped(name)
+        counting = counter(name, original)
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counting)
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    assert main([command, str(path)]) == 0
+    assert [name for name, n in calls.items() if n == 0 and name not in optional] == []
