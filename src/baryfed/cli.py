@@ -49,14 +49,7 @@ from .config import (
     to_jsonable,
 )
 from .evaluation import compare_aggregations, summarize
-from .federation import (
-    RunError,
-    build_data,
-    failure_context,
-    incremental_sweep,
-    partition_both,
-    run_experiment,
-)
+from .federation import RunError, incremental_sweep, run_experiment, setup
 from .geometry import AggregationMethod
 
 
@@ -78,17 +71,9 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     rows = []
     artifacts = {}
     for seed in cfg.seeds:
-        (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
-        rows += report.metrics
-        artifacts[f"rounds_{seed}.json"] = {
-            "seed": seed,
-            "algorithm": cfg.federation.algorithm,
-            "aggregation": cfg.federation.aggregation.value.lower(),
-            "client_sizes": report.client_sizes,
-            "client_label_counts": report.client_label_counts,
-            "rounds": report.rounds,
-            "wall_seconds": report.wall_seconds,
-        }
+        ((metrics, rounds),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+        rows += metrics
+        artifacts[f"rounds_{seed}.json"] = rounds
     summary = summarize(rows, ("seed", "setting", "method", "lambda"))
     return {"metrics.csv": rows, "summary.csv": summary, **artifacts}
 
@@ -97,10 +82,8 @@ def cmd_sweep_lambda(cfg: ExperimentConfig) -> dict:
     scopes = {"PM-LD": "local", "PM-GD": "global"}
     rows = []
     for seed in cfg.seeds:
-        (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
-        for m in report.metrics:
-            if m["setting"] in scopes:
-                rows.append({**m, "scope": scopes[m["setting"]]})
+        ((metrics, _),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+        rows += [{**m, "scope": scopes[m["setting"]]} for m in metrics if m["setting"] in scopes]
     sweep = summarize(rows, ("seed", "lambda", "scope"))
     return {"lambda_sweep.csv": [{k: v for k, v in s.items() if k != "n_clients"} for s in sweep]}
 
@@ -118,32 +101,25 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
     }
     aggregations = [AggregationMethod(method.upper()) for method in methods]
     for seed in cfg.seeds:
-        for method, report in zip(methods, run_experiment(cfg, seed, aggregations)):
-            gm_gd = next(m for m in report.metrics if m["setting"] == "GM-GD")
+        for method, (metrics, _) in zip(methods, run_experiment(cfg, seed, aggregations)):
+            gm_gd = next(m for m in metrics if m["setting"] == "GM-GD")
             for metric, by_method in scores.items():
                 by_method[method].append(gm_gd[metric])
 
-    rows = []
-    details = []
-    for metric, by_method in scores.items():
-        for comp in compare_aggregations(by_method):
-            pair = {"method_a": comp.method_a, "method_b": comp.method_b, "metric": metric}
-            rows.append({**pair, "p": None if comp.degenerate else comp.p_two_sided})
-            details.append(
-                {
-                    **pair,
-                    "statistic": comp.statistic,
-                    "p": comp.p_two_sided,
-                    "n_effective": comp.n_effective,
-                    "degenerate": comp.degenerate,
-                }
-            )
+    comparisons = [
+        {**comp, "metric": metric}
+        for metric, by_method in scores.items()
+        for comp in compare_aggregations(by_method)
+    ]
     return {
-        "pvalues.csv": rows,
+        "pvalues.csv": [
+            {key: comp[key] for key in ("method_a", "method_b", "metric", "p")}
+            for comp in comparisons
+        ],
         "compare_scores.json": {
             "scores": scores,
             "methods": list(methods),
-            "comparisons": details,
+            "comparisons": comparisons,
         },
     }
 
@@ -158,25 +134,15 @@ def cmd_incremental(cfg: ExperimentConfig) -> dict:
 def cmd_partition(cfg: ExperimentConfig) -> dict:
     artifacts = {}
     for seed in cfg.seeds:
-        with failure_context(0):
-            train, test = build_data(cfg, seed)
-            train_idx, test_idx = partition_both(cfg, train, test, seed)
-        shards = [
-            {
-                "client": k,
-                "train_size": int(len(tr)),
-                "test_size": int(len(te)),
-                "label_counts": train.subset(tr).label_counts().tolist(),
-                "train_indices": tr.tolist(),
-                "test_indices": te.tolist(),
-            }
-            for k, (tr, te) in enumerate(zip(train_idx, test_idx))
-        ]
+        s = setup(cfg, seed)
         artifacts[f"shards_{seed}.json"] = {
             "seed": seed,
-            "n_train": train.n,
-            "n_test": test.n,
-            "shards": shards,
+            "n_train": s.train.n,
+            "n_test": s.test.n,
+            "shards": [
+                {**shard, "train_indices": tr.tolist(), "test_indices": te.tolist()}
+                for shard, tr, te in zip(s.shards, s.train_idx, s.test_idx)
+            ],
         }
     return artifacts
 

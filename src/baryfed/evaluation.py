@@ -188,21 +188,13 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
     return WilcoxonResult(stat, p, n, "normal")
 
 
-@dataclass(frozen=True)
-class PairwiseComparison:
-    method_a: str
-    method_b: str
-    statistic: float | None
-    p_two_sided: float | None
-    n_effective: int
-    degenerate: bool = False
-
-
-def compare_aggregations(scores: dict[str, list]) -> list[PairwiseComparison]:
+def compare_aggregations(scores: dict[str, list]) -> list[dict]:
     """All unordered pairs of named score lists, tested for paired difference.
 
-    Lists must be aligned (same runs in the same order). Pairs whose
-    differences are all zero are reported as degenerate with no p-value.
+    One ``{method_a, method_b, statistic, p, n_effective, degenerate}`` dict
+    per pair. Lists must be aligned (same runs in the same order). Pairs
+    whose differences are all zero are degenerate, with no statistic and no
+    p-value.
     """
     names = list(scores)
     if len(names) < 2:
@@ -216,11 +208,11 @@ def compare_aggregations(scores: dict[str, list]) -> list[PairwiseComparison]:
         for b in names[i + 1 :]:
             xa = np.asarray(scores[a], dtype=np.float64)
             xb = np.asarray(scores[b], dtype=np.float64)
+            pair = {"method_a": a, "method_b": b}
             if np.all(xa == xb):
-                rows.append(PairwiseComparison(a, b, None, None, 0, degenerate=True))
+                rows.append(dict(pair, statistic=None, p=None, n_effective=0, degenerate=True))
                 continue
             res = wilcoxon_signed_rank(xa, xb)
-            rows.append(
-                PairwiseComparison(a, b, res.statistic, res.p_two_sided, res.n_effective)
-            )
+            rows.append(dict(pair, statistic=res.statistic, p=res.p_two_sided,
+                             n_effective=res.n_effective, degenerate=False))
     return rows

@@ -1,24 +1,25 @@
-"""Round-based federated simulation over exchanged posteriors.
+"""Round-based federated simulation over exchanged posteriors, in three
+stages that every command composes:
 
-Each round broadcasts the global posterior, runs local variational training
-on every client's private shard, and aggregates the resulting posteriors on
-the server. Server-side code only ever touches posteriors and weights, never
-datasets. Personalization happens after the final round as a sweep of
-two-point projections between the global and each local posterior.
+- set up: ``setup`` alone builds a seed's data and its shards (one per
+  client, or per task for ``incremental_sweep``) with their sizes and
+  label counts; ``model_start`` builds the spec, the initial posterior and
+  the learning rates;
+- train: each round of ``train`` broadcasts the global posterior, trains
+  every client's private shard and aggregates the locals on the server,
+  which sees posteriors and weights only. Methods trained side by side
+  share round 1; afterwards each distinct broadcast posterior trains once
+  per client;
+- score: ``_evaluate_all`` personalizes by two-point projections between
+  the global and each local posterior, and scores every posterior of every
+  method on one test set in one ``evaluate`` call.
 
-``run_experiment`` runs several aggregation methods of one seed side by
-side. They share the data, the partition and round 1, which starts every
-method from the same posterior and so trains once; from the first
-aggregation on each method keeps its own global posterior, and a round
-trains every client once per distinct broadcast posterior. Every
-posterior of every method scored on one test set goes through one
-``evaluate`` call.
-
-Results are the rows of the artifacts, as plain dicts. ``run_experiment``
-puts each method's ``metrics.csv`` rows in its ``ExperimentReport.metrics``,
-keyed setting, method, lambda, client_id, seed, acc, ece, nll, mc_samples,
-bins in that order; ``incremental_sweep`` returns its
-``incremental_tradeoff.csv`` rows.
+``run_experiment`` returns each method's ``metrics.csv`` rows and
+``rounds_<seed>.json`` payload as plain dicts. ``run`` writes every row,
+``sweep-lambda`` reads PM-LD and PM-GD and ``compare-agg`` GM-GD, yet all
+four settings are scored: perfbench's coverage guard and
+tests/test_harness_contract.py require ``project`` calls on the
+compare-agg workload.
 
 Randomness is organized as counter-based streams: the training stream for
 (round, client) is seeded with [master_seed, round, client], so sequential
@@ -40,7 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from . import models
-from .config import ConfigError, ExperimentConfig, OptimizerCfg
+from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
     load_idx,
@@ -108,32 +109,6 @@ def failure_context(round_index: int, client_id: int | None = None):
         raise
     except Exception as exc:
         raise RunError(round_index, client_id, exc) from exc
-
-
-@dataclass(frozen=True)
-class RoundReport:
-    round: int
-    nll_traces: list  # per client, per epoch mean minibatch NLL
-    divergences: list  # projection_divergence(d, p_k, p_g) per client
-    agg_seconds: float
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    client_sizes: list
-    client_label_counts: list
-    rounds: list
-    metrics: list
-    wall_seconds: float
-    final_global: DiagGaussian
-    final_locals: tuple
-
-
-def _lr_schedule(opt: OptimizerCfg, epochs: int) -> list[float]:
-    """One learning rate per epoch, decayed linearly from lr_initial to lr_final."""
-    return [
-        linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)
-    ]
 
 
 def client_update(
@@ -257,12 +232,73 @@ def partition_both(
     )
 
 
-def model_spec(cfg: ExperimentConfig, ds: Dataset) -> MlpSpec:
-    return MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
+@dataclass(frozen=True)
+class Setup:
+    """One seed's data and its shards, one per client (or per task)."""
+
+    train: Dataset
+    test: Dataset
+    train_idx: list  # per shard, its indices into train
+    test_idx: list
+    train_shards: list
+    test_shards: list
+    shards: list  # per shard, {client, train_size, test_size, label_counts}
+
+
+def setup(cfg: ExperimentConfig, seed: int, split=None) -> Setup:
+    """Build the data and split it into shards, raising any failure as
+    RunError at round 0. ``split(cfg, train, test, seed)`` gives each
+    shard's train and test indices; by default ``partition_both`` gives one
+    shard per client."""
+    with failure_context(0):
+        train, test = build_data(cfg, seed)
+        train_idx, test_idx = (split or partition_both)(cfg, train, test, seed)
+    train_shards = [train.subset(i) for i in train_idx]
+    shards = [
+        {
+            "client": k,
+            "train_size": shard.n,
+            "test_size": len(te),
+            "label_counts": shard.label_counts().tolist(),
+        }
+        for k, (shard, te) in enumerate(zip(train_shards, test_idx))
+    ]
+    test_shards = [test.subset(i) for i in test_idx]
+    return Setup(train, test, train_idx, test_idx, train_shards, test_shards, shards)
+
+
+def fedavg_var(cfg: ExperimentConfig) -> float | None:
+    """FedAvg's frozen posterior variance; None when clients train IVON posteriors."""
+    fed = cfg.federation
+    return fed.frozen_var if fed.algorithm == "fedavg" else None
+
+
+def model_start(
+    cfg: ExperimentConfig, seed: int, ds: Dataset, ess: float, frozen_var: float | None = None
+) -> tuple[MlpSpec, DiagGaussian, list[float]]:
+    """What training on ``ds`` starts from: the model spec, the initial
+    posterior at θ0, and one learning rate per epoch of all rounds (decayed
+    linearly from lr_initial to lr_final).
+
+    The initial posterior is the optimizer's at h0 for ``ess`` examples or,
+    with ``frozen_var`` set (FedAvg), θ0 with that variance everywhere.
+    """
+    spec = MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
+    theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
+    opt = cfg.optimizer
+    if frozen_var is None:
+        start = posterior_of(ivon_init(theta0.shape[0], opt, ess, mean=theta0))
+    else:
+        start = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], frozen_var))
+    epochs = cfg.federation.rounds * cfg.federation.local_epochs
+    lrs = [linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)]
+    return spec, start, lrs
 
 
 def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
-    """The (mc_samples, P) standard normals that every evaluation of a run shares."""
+    """The (mc_samples, P) standard normals that every evaluation of a seed
+    shares; built after training, where a (mc_samples, P) block held through
+    the rounds raises peak memory at wide P."""
     rng = np.random.default_rng(derived_seed(seed, _EVAL_TAG))
     return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
 
@@ -297,85 +333,89 @@ def _train_round(
     return [trained[id(p)] for p in broadcasts]
 
 
-def run_experiment(
-    cfg: ExperimentConfig, seed: int, methods: Sequence[AggregationMethod]
-) -> list[ExperimentReport]:
-    """Full protocol under each aggregation method: R rounds of
-    broadcast/train/aggregate, then evaluation; one report per method, in
-    order.
+def train(
+    cfg: ExperimentConfig,
+    seed: int,
+    train_shards: list[Dataset],
+    spec: MlpSpec,
+    lrs: list[float],
+    globals_: list[DiagGaussian],
+    methods: Sequence[AggregationMethod],
+) -> list[dict]:
+    """R rounds of broadcast/train/aggregate under each aggregation method
+    from its global posterior in ``globals_``, which is updated in place so
+    that a replaced posterior held nowhere else is freed. One dict per
+    method, in order: its ``method``, final ``global`` posterior, the
+    clients' final ``locals``, and in ``rounds`` one ``{round, nll_traces,
+    divergences, agg_seconds}`` per round (each client's per-epoch mean
+    minibatch NLL and projection_divergence from local to new global).
 
-    Data, partition, θ0, weights and the evaluation noise are built once
-    and shared by every method. Each method keeps its own global posterior.
-    A round maps each distinct broadcast posterior to one local posterior
-    per client, so round 1, where every method broadcasts the same initial
-    posterior, trains once; each method then fuses its own locals into its
-    next global posterior, and nothing else carries over. A method's report
-    equals the one a run with that method alone gives. Its ``metrics`` are
-    the per-client rows for the four settings (global or personalized
-    model, on local or pooled test data), with the personalization sweep
-    over the configured lambda grid applied to the final-round posteriors;
-    the GM-GD row's client_id is "global".
+    A round trains each distinct broadcast posterior once per client, so
+    round 1, where every method starts from the same posterior, trains
+    once, and a method's dict equals training that method alone.
     """
-    t0 = time.perf_counter()
     fed = cfg.federation
-    opt = cfg.optimizer
-    with failure_context(0):
-        train, test = build_data(cfg, seed)
-        train_idx, test_idx = partition_both(cfg, train, test, seed)
-    train_shards = [train.subset(i) for i in train_idx]
-    test_shards = [test.subset(i) for i in test_idx]
-
-    spec = model_spec(cfg, train)
-    theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
+    frozen_var = fedavg_var(cfg)
     sizes = np.array([shard.n for shard in train_shards], dtype=np.float64)
     weights = sizes / sizes.sum()
-    frozen_var = fed.frozen_var if fed.algorithm == "fedavg" else None
-    if frozen_var is None:
-        p_g = posterior_of(ivon_init(theta0.shape[0], opt, float(np.mean(sizes)), mean=theta0))
-    else:
-        p_g = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], frozen_var))
-
-    lrs = _lr_schedule(opt, fed.rounds * fed.local_epochs)
     div = cfg.personalization.divergence
-    globals_ = [p_g] * len(methods)
-    del p_g  # globals_ alone holds each global posterior, so a replaced one is freed
     locals_ = [[] for _ in methods]
-    rounds_out = [[] for _ in methods]
+    rounds = [[] for _ in methods]
     for r in range(1, fed.rounds + 1):
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
         trained = _train_round(globals_, train_shards, cfg, round_lrs, spec, seed, r, frozen_var)
         for i, (method, own) in enumerate(zip(methods, trained)):
-            locals_[i] = [res[0] for res in own]
+            locals_[i] = [p for p, _ in own]
             t_agg = time.perf_counter()
             with failure_context(r):
                 globals_[i] = server_aggregate(method, locals_[i], weights)
             agg_seconds = time.perf_counter() - t_agg
-            rounds_out[i].append(
-                RoundReport(
-                    round=r,
-                    nll_traces=[res[1] for res in own],
-                    divergences=[
+            rounds[i].append(
+                {
+                    "round": r,
+                    "nll_traces": [trace for _, trace in own],
+                    "divergences": [
                         float(projection_divergence(div, p, globals_[i])) for p in locals_[i]
                     ],
-                    agg_seconds=agg_seconds,
-                )
+                    "agg_seconds": agg_seconds,
+                }
             )
-
-    metrics = _evaluate_all(
-        cfg, seed, spec, list(zip(methods, globals_, locals_)), test_shards, test
-    )
-    wall_seconds = time.perf_counter() - t0
     return [
-        ExperimentReport(
-            client_sizes=[shard.n for shard in train_shards],
-            client_label_counts=[shard.label_counts().tolist() for shard in train_shards],
-            rounds=rounds_out[i],
-            metrics=metrics[i],
-            wall_seconds=wall_seconds,
-            final_global=globals_[i],
-            final_locals=tuple(locals_[i]),
-        )
-        for i in range(len(methods))
+        {"method": m, "global": g, "locals": loc, "rounds": rec}
+        for m, g, loc, rec in zip(methods, globals_, locals_, rounds)
+    ]
+
+
+def run_experiment(
+    cfg: ExperimentConfig, seed: int, methods: Sequence[AggregationMethod]
+) -> list[tuple[list[dict], dict]]:
+    """Set up, train and score one seed under each aggregation method; per
+    method, in order, its ``metrics.csv`` rows and ``rounds_<seed>.json``
+    payload, equal to a run's with that method alone.
+
+    The rows are per client for the four settings (global or personalized
+    model, on local or pooled test data), with the personalization sweep
+    over the lambda grid applied to the final posteriors; the GM-GD row's
+    client_id is "global".
+    """
+    t0 = time.perf_counter()
+    s = setup(cfg, seed)
+    sizes = [shard["train_size"] for shard in s.shards]
+    spec, start, lrs = model_start(cfg, seed, s.train, float(np.mean(sizes)), fedavg_var(cfg))
+    globals_ = [start] * len(methods)
+    del start  # globals_ alone holds it, so it is freed once round 1 replaces it
+    finals = train(cfg, seed, s.train_shards, spec, lrs, globals_, methods)
+    metrics = _evaluate_all(cfg, seed, spec, finals, s.test_shards, s.test)
+    shared = {
+        "seed": seed,
+        "algorithm": cfg.federation.algorithm,
+        "client_sizes": sizes,
+        "client_label_counts": [shard["label_counts"] for shard in s.shards],
+        "wall_seconds": time.perf_counter() - t0,
+    }
+    return [
+        (rows, {**shared, "aggregation": final["method"].value.lower(), "rounds": final["rounds"]})
+        for final, rows in zip(finals, metrics)
     ]
 
 
@@ -383,13 +423,13 @@ def _evaluate_all(
     cfg: ExperimentConfig,
     seed: int,
     spec: MlpSpec,
-    finals: list[tuple[AggregationMethod, DiagGaussian, list[DiagGaussian]]],
+    finals: list[dict],
     test_shards: list[Dataset],
     test_union: Dataset,
 ) -> list[list[dict]]:
-    """Each method's ``metrics.csv`` rows from its final (method, global,
-    locals): GM-LD per client, GM-GD, then PM-LD and PM-GD per lambda and
-    client."""
+    """Each method's ``metrics.csv`` rows from its final posteriors (a
+    ``train`` dict): GM-LD per client, GM-GD, then PM-LD and PM-GD per
+    lambda and client."""
     noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
     fedavg = cfg.federation.algorithm == "fedavg"
@@ -397,7 +437,8 @@ def _evaluate_all(
 
     # per method: (posterior, test set, setting, lambda, client_id), one per row
     plans = []
-    for _, p_g, locals_ in finals:
+    for final in finals:
+        p_g, locals_ = final["global"], final["locals"]
         plan = [(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
         plan.append((p_g, test_union, "GM-GD", None, "global"))
         if fedavg:
@@ -430,7 +471,7 @@ def _evaluate_all(
         [
             {
                 "setting": setting,
-                "method": "fedavg" if fedavg else method.value.lower(),
+                "method": "fedavg" if fedavg else final["method"].value.lower(),
                 "lambda": lam,
                 "client_id": client_id,
                 "seed": seed,
@@ -440,64 +481,60 @@ def _evaluate_all(
             }
             for p, ds, setting, lam, client_id in plan
         ]
-        for (method, *_), plan in zip(finals, plans)
+        for final, plan in zip(finals, plans)
     ]
 
 
-def _task_subset(ds: Dataset, keep: np.ndarray, what: str) -> Dataset:
-    idx = np.flatnonzero(np.isin(ds.labels, keep))
-    if idx.size == 0:
-        raise ValueError(f"{what} has no examples of classes {keep.tolist()}")
-    return ds.subset(idx)
+def _task_split(
+    cfg: ExperimentConfig, train: Dataset, test: Dataset, seed: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Train and test indices of task A (classes below split_class) and
+    task B (the rest); a ``setup`` split that ignores the seed."""
+    classes = train.classes
+    split_class = cfg.incremental.split_class
+    if split_class is None:
+        split_class = classes // 2
+    if not 0 < split_class < classes:
+        raise ConfigError(
+            "incremental.split_class", f"must split {classes} classes into two groups"
+        )
+    tasks = {"A": np.arange(split_class), "B": np.arange(split_class, classes)}
+    split = ([], [])
+    for indices, ds, what in zip(split, (train, test), ("train", "test")):
+        for task, keep in tasks.items():
+            indices.append(np.flatnonzero(np.isin(ds.labels, keep)))
+            if indices[-1].size == 0:
+                missing = f"task {task} {what} set has no examples of classes {keep.tolist()}"
+                raise ValueError(missing)
+    return split
 
 
 def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     """Two-task sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
-    lower half), task B the rest. Posterior B starts from posterior A (task-A
-    data is gone by then). The sweep mixes A and B with weights (1-w, w) for
-    each w of ``cfg.incremental.w_grid`` under the configured aggregation,
-    then scores all the mixtures on each task test set in one ``evaluate``
-    call. Each w gives one ``incremental_tradeoff.csv`` row, whose ``_a`` and
-    ``_b`` columns hold the scores on task A and task B. Task A trains as
-    round 1 and task B as round 2, both as client 0, so a failure names its
-    task. Both tasks train IVON posteriors whatever ``federation.algorithm``
-    says; the ``incremental`` command rejects a FedAvg config.
+    lower half), task B the rest; ``setup`` makes them its two shards.
+    Posterior B starts from posterior A (task-A data is gone by then). The
+    sweep mixes A and B with weights (1-w, w) for each w of
+    ``cfg.incremental.w_grid`` under the configured aggregation, then scores
+    all the mixtures on each task test set in one ``evaluate`` call. Each w
+    gives one ``incremental_tradeoff.csv`` row, whose ``_a`` and ``_b``
+    columns hold the scores on task A and task B. Task A trains as round 1
+    and task B as round 2, both as client 0, so a failure names its task.
+    Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
+    the ``incremental`` command rejects a FedAvg config.
     """
-    with failure_context(0):
-        train, test = build_data(cfg, seed)
-        classes = train.classes
-        split_class = cfg.incremental.split_class
-        if split_class is None:
-            split_class = classes // 2
-        if not 0 < split_class < classes:
-            raise ConfigError(
-                "incremental.split_class", f"must split {classes} classes into two groups"
-            )
-        a_classes = np.arange(split_class)
-        b_classes = np.arange(split_class, classes)
-        train_a = _task_subset(train, a_classes, "task A train set")
-        train_b = _task_subset(train, b_classes, "task B train set")
-        test_a = _task_subset(test, a_classes, "task A test set")
-        test_b = _task_subset(test, b_classes, "task B test set")
-
-    spec = model_spec(cfg, train)
-    theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
-    opt = cfg.optimizer
-    start = posterior_of(ivon_init(theta0.shape[0], opt, train_a.n, mean=theta0))
-
-    lrs = _lr_schedule(opt, cfg.federation.rounds * cfg.federation.local_epochs)
+    s = setup(cfg, seed, _task_split)
+    (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
+    spec, start, lrs = model_start(cfg, seed, s.train, train_a.n)
     post_a, _ = client_update(start, train_a, cfg, lrs, spec, seed, 1, 0)
     post_b, _ = client_update(post_a, train_b, cfg, lrs, spec, seed, 2, 0)
-
     noise = eval_noise(cfg, seed, spec)
-    bins = cfg.eval.ece_bins
-    method = cfg.federation.aggregation
 
+    method = cfg.federation.aggregation
     w_grid = cfg.incremental.w_grid
     mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
-    on_a, on_b = (evaluate(spec, mixtures, ds, noise, bins) for ds in (test_a, test_b))
+    on_a, on_b = (evaluate(spec, mixtures, ds, noise, cfg.eval.ece_bins) for ds in (test_a, test_b))
     return [
         {
             "seed": seed,

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from baryfed import checks, models
+from baryfed import checks, federation
 from baryfed.cli import main
 from baryfed.config import (
     DEFAULT_LAMBDAS,
@@ -81,16 +81,27 @@ def verdict(number: int, slug: str, t0: float):
 
 @pytest.fixture(scope="module")
 def bench_runs():
+    """Per seed, run_experiment's metrics.csv rows and the final posteriors
+    that its train stage returned."""
     t0 = time.perf_counter()
     methods = (BENCH.federation.aggregation,)
-    reports = [run_experiment(BENCH, seed, methods)[0] for seed in BENCH_SEEDS]
-    return reports, time.perf_counter() - t0
+    train = federation.train
+    finals = []
+
+    def keeping(*args):
+        finals.append(train(*args))
+        return finals[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(federation, "train", keeping)
+        rows = [run_experiment(BENCH, seed, methods)[0][0] for seed in BENCH_SEEDS]
+    runs = [(r, final) for r, (final,) in zip(rows, finals, strict=True)]
+    return runs, time.perf_counter() - t0
 
 
-def setting_mean(report, setting: str, lam=None) -> float:
-    accs = [
-        m["acc"] for m in report.metrics if m["setting"] == setting and m["lambda"] == lam
-    ]
+def setting_mean(run, setting: str, lam=None) -> float:
+    rows, _ = run
+    accs = [m["acc"] for m in rows if m["setting"] == setting and m["lambda"] == lam]
     assert accs, f"no rows for {setting} lam={lam}"
     return float(np.mean(accs))
 
@@ -145,10 +156,10 @@ def test_criterion_02_barycenters_beat_grid():
 
 def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
     t0 = time.perf_counter()
-    reports, _ = bench_runs
-    for report in reports:
-        p_g = report.final_global
-        for p_k in report.final_locals:
+    runs, _ = bench_runs
+    for _, final in runs:
+        p_g = final["global"]
+        for p_k in final["locals"]:
             for d in (Divergence.RKL, Divergence.W2SQ):
                 at_zero = project(d, p_g, p_k, 0.0)
                 assert np.array_equal(at_zero.mean, p_g.mean)
@@ -236,8 +247,8 @@ def test_criterion_05_optimizer_convergence_and_gradients():
     verdict(5, f"optimizer-convergence-and-gradients (KL {gap:.3f}, FD {worst:.1e})", t0)
 
 
-def curve(report, setting: str):
-    return [setting_mean(report, setting, lam) for lam in BENCH.personalization.lambdas]
+def curve(run, setting: str):
+    return [setting_mean(run, setting, lam) for lam in BENCH.personalization.lambdas]
 
 
 def count_violations(values, increasing: bool) -> int:
@@ -250,11 +261,11 @@ def count_violations(values, increasing: bool) -> int:
 
 def test_criterion_06_personalization_tradeoff(bench_runs):
     t0 = time.perf_counter()
-    reports, run_seconds = bench_runs
+    runs, run_seconds = bench_runs
     assert run_seconds < 600.0
-    for seed, report in zip(BENCH_SEEDS, reports):
-        local_curve = curve(report, "PM-LD")
-        global_curve = curve(report, "PM-GD")
+    for seed, run in zip(BENCH_SEEDS, runs):
+        local_curve = curve(run, "PM-LD")
+        global_curve = curve(run, "PM-GD")
         local_gap = local_curve[-1] - local_curve[0]
         global_gap = global_curve[0] - global_curve[-1]
         assert local_gap >= 3.0, f"seed {seed}: local-data gain {local_gap:.1f}"
@@ -266,11 +277,11 @@ def test_criterion_06_personalization_tradeoff(bench_runs):
 
 def test_criterion_07_setting_ordering(bench_runs):
     t0 = time.perf_counter()
-    reports, _ = bench_runs
-    pm_ld = float(np.mean([setting_mean(r, "PM-LD", 1.0) for r in reports]))
-    gm_ld = float(np.mean([setting_mean(r, "GM-LD") for r in reports]))
-    pm_gd = float(np.mean([setting_mean(r, "PM-GD", 1.0) for r in reports]))
-    local_gd = float(np.mean([setting_mean(r, "PM-GD", math.inf) for r in reports]))
+    runs, _ = bench_runs
+    pm_ld = float(np.mean([setting_mean(r, "PM-LD", 1.0) for r in runs]))
+    gm_ld = float(np.mean([setting_mean(r, "GM-LD") for r in runs]))
+    pm_gd = float(np.mean([setting_mean(r, "PM-GD", 1.0) for r in runs]))
+    local_gd = float(np.mean([setting_mean(r, "PM-GD", math.inf) for r in runs]))
     assert pm_ld >= gm_ld, f"PM-LD {pm_ld:.2f} < GM-LD {gm_ld:.2f}"
     assert pm_gd >= local_gd, f"PM-GD {pm_gd:.2f} < local-on-GD {local_gd:.2f}"
     verdict(7, f"setting-ordering (PM-LD {pm_ld:.1f} vs GM-LD {gm_ld:.1f})", t0)

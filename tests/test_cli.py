@@ -2,11 +2,12 @@ import json
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from baryfed import checks, cli
+from baryfed import checks, cli, federation
 from baryfed import data as data_mod
 from baryfed.cli import main
 from baryfed.federation import RunError
@@ -221,6 +222,46 @@ class TestPartition:
         assert sum(s["train_size"] for s in doc["shards"]) == doc["n_train"]
         assert all(s["test_size"] >= 1 for s in doc["shards"])
         assert all(len(s["label_counts"]) == 3 for s in doc["shards"])
+
+    def test_shards_match_run(self, tmp_path):
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        assert main(["partition", cfg, "--out-dir", str(tmp_path / "partition")]) == 0
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+        for seed in (0, 1):
+            doc = json.loads((tmp_path / "partition" / f"shards_{seed}.json").read_text())
+            rounds = json.loads((tmp_path / "run" / f"rounds_{seed}.json").read_text())
+            assert [s["train_size"] for s in doc["shards"]] == rounds["client_sizes"]
+            assert [s["label_counts"] for s in doc["shards"]] == rounds["client_label_counts"]
+
+
+@pytest.mark.parametrize(
+    "command, over",
+    [
+        ("run", {}),
+        ("sweep-lambda", {}),
+        ("compare-agg", {"seeds": [3, 1, 0, 2, 4], "compare": {"methods": ["eaa", "w2b"]}}),
+        ("incremental", {"dataset": {**BASE_CONFIG["dataset"], "classes": 4}}),
+        ("partition", {}),
+    ],
+)
+def test_builds_data_once_per_seed(tmp_path, monkeypatch, command, over):
+    """Each config command builds each seed's data exactly once, through
+    whichever module binds build_data."""
+    built = []
+    build_data = federation.build_data
+
+    def counting(cfg, seed):
+        built.append(seed)
+        return build_data(cfg, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name == "baryfed" or name.startswith("baryfed."):
+            for attr, value in list(vars(module).items()):
+                if value is build_data:
+                    monkeypatch.setattr(module, attr, counting)
+    over = {"seeds": [3, 1], **over}
+    assert main([command, write_config(tmp_path, **over)]) == 0
+    assert built == over["seeds"]
 
 
 @pytest.mark.parametrize(

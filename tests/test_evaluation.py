@@ -436,20 +436,20 @@ class TestCompareAggregations:
             "rklb": [0.5, 1.5, 2.5, 3.5, 4.5],
         }
         rows = compare_aggregations(scores)
-        assert [(r.method_a, r.method_b) for r in rows] == [
+        assert [(r["method_a"], r["method_b"]) for r in rows] == [
             ("eaa", "w2b"),
             ("eaa", "rklb"),
             ("w2b", "rklb"),
         ]
-        assert all(not r.degenerate for r in rows)
-        assert all(0.0 < r.p_two_sided <= 1.0 for r in rows)
+        assert all(not r["degenerate"] for r in rows)
+        assert all(0.0 < r["p"] <= 1.0 for r in rows)
 
     def test_degenerate_pair(self):
         scores = {"eaa": [1.0, 2.0], "w2b": [1.0, 2.0]}
         rows = compare_aggregations(scores)
-        assert rows[0].degenerate
-        assert rows[0].p_two_sided is None
-        assert rows[0].statistic is None
+        assert rows[0]["degenerate"]
+        assert rows[0]["p"] is None
+        assert rows[0]["statistic"] is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two methods"):

@@ -24,10 +24,13 @@ from baryfed.federation import (
     client_rng,
     client_update,
     derived_seed,
+    fedavg_var,
     incremental_sweep,
-    model_spec,
+    model_start,
     partition_both,
     run_experiment,
+    setup,
+    train,
 )
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
 from baryfed.variopt import ivon_from_posterior, ivon_init, ivon_step, posterior_of, sample_params
@@ -67,9 +70,20 @@ def bench_cfg(**over) -> ExperimentConfig:
 
 
 def run_one(cfg, seed):
-    """run_experiment under the configured aggregation alone."""
-    (report,) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
-    return report
+    """run_experiment's metrics.csv rows and rounds payload under the
+    configured aggregation alone."""
+    ((rows, rounds),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+    return rows, rounds
+
+
+def train_one(cfg, seed, methods=None):
+    """The final posteriors and round records of the stages run_experiment
+    composes, under ``methods`` (default: the configured aggregation)."""
+    s = setup(cfg, seed)
+    ess = float(np.mean([shard.n for shard in s.train_shards]))
+    spec, start, lrs = model_start(cfg, seed, s.train, ess, fedavg_var(cfg))
+    methods = methods or (cfg.federation.aggregation,)
+    return train(cfg, seed, s.train_shards, spec, lrs, [start] * len(methods), methods)
 
 
 class TestSeeds:
@@ -140,52 +154,51 @@ class TestPartitionBoth:
 class TestRunExperiment:
     def test_settings_coverage_and_shapes(self):
         cfg = make_cfg()
-        rep = run_one(cfg, 0)
+        rows, rounds = run_one(cfg, 0)
         settings = {}
-        for m in rep.metrics:
+        for m in rows:
             settings.setdefault(m["setting"], 0)
             settings[m["setting"]] += 1
         assert settings["GM-LD"] == 4
         assert settings["GM-GD"] == 1
         assert settings["PM-LD"] == 3 * 4
         assert settings["PM-GD"] == 3 * 4
-        assert len(rep.rounds) == 3
-        assert all(len(r.nll_traces) == 4 for r in rep.rounds)
-        assert all(len(t) == 3 for t in rep.rounds[0].nll_traces)
-        assert rep.final_global is not None
-        assert len(rep.final_locals) == 4
+        assert len(rounds["rounds"]) == 3
+        assert all(len(r["nll_traces"]) == 4 for r in rounds["rounds"])
+        assert all(len(t) == 3 for t in rounds["rounds"][0]["nll_traces"])
+        (final,) = train_one(cfg, 0)
+        assert final["global"] is not None
+        assert len(final["locals"]) == 4
         configured = cfg.federation.aggregation.value.lower()
-        assert {m["method"] for m in rep.metrics} == {configured} == {"w2b"}
-        assert all(list(m) == METRICS_COLUMNS for m in rep.metrics)
-        assert all(m["seed"] == 0 for m in rep.metrics)
+        assert {m["method"] for m in rows} == {configured} == {"w2b"}
+        assert all(list(m) == METRICS_COLUMNS for m in rows)
+        assert all(m["seed"] == 0 for m in rows)
         assert all(
             (m["mc_samples"], m["bins"]) == (cfg.eval.mc_samples, cfg.eval.ece_bins)
-            for m in rep.metrics
+            for m in rows
         )
 
     def test_rerun_identical(self):
         cfg = make_cfg()
-        a = run_one(cfg, 3)
-        b = run_one(cfg, 3)
-        assert np.array_equal(a.final_global.mean, b.final_global.mean)
-        assert np.array_equal(a.final_global.var, b.final_global.var)
-        assert a.metrics == b.metrics
+        (a,), (b,) = train_one(cfg, 3), train_one(cfg, 3)
+        assert np.array_equal(a["global"].mean, b["global"].mean)
+        assert np.array_equal(a["global"].var, b["global"].var)
+        assert run_one(cfg, 3)[0] == run_one(cfg, 3)[0]
 
     def test_threads_bit_identical(self):
         cfg = make_cfg()
         threaded = make_cfg(
             federation=FederationCfg(rounds=3, local_epochs=3, batch_size=200, threads=3)
         )
-        a = run_one(cfg, 0)
-        b = run_one(threaded, 0)
-        assert np.array_equal(a.final_global.mean, b.final_global.mean)
-        assert np.array_equal(a.final_global.var, b.final_global.var)
-        assert a.metrics == b.metrics
+        (a,), (b,) = train_one(cfg, 0), train_one(threaded, 0)
+        assert np.array_equal(a["global"].mean, b["global"].mean)
+        assert np.array_equal(a["global"].var, b["global"].var)
+        assert run_one(cfg, 0)[0] == run_one(threaded, 0)[0]
 
     def test_lambda_zero_rows_match_global(self):
-        rep = run_one(make_cfg(), 1)
-        gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
-        pm_zero = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
+        rows, _ = run_one(make_cfg(), 1)
+        gm_ld = {m["client_id"]: m for m in rows if m["setting"] == "GM-LD"}
+        pm_zero = [m for m in rows if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
         assert len(pm_zero) == 4
         for m in pm_zero:
             ref = gm_ld[m["client_id"]]
@@ -193,9 +206,8 @@ class TestRunExperiment:
             assert m["nll"] == ref["nll"]
 
     def test_seed_changes_training(self):
-        a = run_one(make_cfg(), 0)
-        b = run_one(make_cfg(), 1)
-        assert not np.array_equal(a.final_global.mean, b.final_global.mean)
+        (a,), (b,) = train_one(make_cfg(), 0), train_one(make_cfg(), 1)
+        assert not np.array_equal(a["global"].mean, b["global"].mean)
 
     def test_run_error_tags_context(self):
         bad = make_cfg(
@@ -212,9 +224,9 @@ class TestRunExperiment:
 
 
 class TestForkedMethods:
-    """One call under several methods gives each method the report a run
-    with that method alone gives, and trains each distinct broadcast
-    posterior once per round."""
+    """One call under several methods gives each method the rows, rounds and
+    final posteriors a run with that method alone gives, and trains each
+    distinct broadcast posterior once per round."""
 
     METHODS = (AggregationMethod.EAA, AggregationMethod.W2B, AggregationMethod.RKLB)
 
@@ -245,24 +257,32 @@ class TestForkedMethods:
             assert len(calls) == n_clients * (1 + (rounds - 1) * len(self.METHODS))
 
         assert len(forked) == len(self.METHODS)
-        for method, rep in zip(self.METHODS, forked):
+        forked_finals = train_one(cfg, 0, self.METHODS)
+        for method, (rows, rounds), final in zip(self.METHODS, forked, forked_finals):
             fed = dataclasses.replace(cfg.federation, aggregation=method)
-            alone = run_one(dataclasses.replace(cfg, federation=fed), 0)
-            assert rep.metrics == alone.metrics
-            assert {m["method"] for m in rep.metrics} == {method.value.lower()}
-            assert [(r.round, r.nll_traces, r.divergences) for r in rep.rounds] == [
-                (r.round, r.nll_traces, r.divergences) for r in alone.rounds
+            alone_cfg = dataclasses.replace(cfg, federation=fed)
+            alone_rows, alone_rounds = run_one(alone_cfg, 0)
+            assert rows == alone_rows
+            assert {m["method"] for m in rows} == {method.value.lower()}
+            record = lambda r: (r["round"], r["nll_traces"], r["divergences"])
+            assert [record(r) for r in rounds["rounds"]] == [
+                record(r) for r in alone_rounds["rounds"]
             ]
-            assert (rep.client_sizes, rep.client_label_counts) == (
-                alone.client_sizes,
-                alone.client_label_counts,
+            assert [record(r) for r in final["rounds"]] == [
+                record(r) for r in alone_rounds["rounds"]
+            ]
+            assert (rounds["client_sizes"], rounds["client_label_counts"]) == (
+                alone_rounds["client_sizes"],
+                alone_rounds["client_label_counts"],
             )
+            assert rounds["aggregation"] == alone_rounds["aggregation"] == method.value.lower()
+            (alone,) = train_one(alone_cfg, 0)
             for ours, ref in zip(
-                (rep.final_global, *rep.final_locals), (alone.final_global, *alone.final_locals)
+                (final["global"], *final["locals"]), (alone["global"], *alone["locals"])
             ):
                 assert np.array_equal(ours.mean, ref.mean)
                 assert np.array_equal(ours.var, ref.var)
-            assert len(rep.final_locals) == len(alone.final_locals) == n_clients
+            assert len(final["locals"]) == len(alone["locals"]) == n_clients
 
 
 def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spec, frozen_var):
@@ -317,7 +337,7 @@ class TestClientUpdate:
         )
         train, _ = build_data(cfg, seed=0)
         shard = train.subset(np.arange(0, train.n, 2))
-        spec = model_spec(cfg, train)
+        spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 7)
         prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, 50.0, mean=theta0))
         lrs = [0.3, 0.2, 0.1]
@@ -333,7 +353,7 @@ class TestClientUpdate:
     def test_failure_names_round_and_client(self):
         cfg = make_cfg(optimizer=OptimizerCfg(lr_initial=1e6, lr_final=1e6, h0=1e-6, weight_decay=0))
         train, _ = build_data(cfg, seed=0)
-        spec = model_spec(cfg, train)
+        spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 0)
         prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, train.n, mean=theta0))
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
@@ -383,17 +403,18 @@ class TestPersonalizeAll:
     def test_matches_direct_projection(self):
         # the PM rows of a run score the projection of its final posteriors
         cfg = make_cfg()
-        rep = run_one(cfg, 0)
+        rows, _ = run_one(cfg, 0)
+        (final,) = train_one(cfg, 0)
         train, test = build_data(cfg, seed=0)
-        spec = model_spec(cfg, train)
+        spec = model_start(cfg, 0, train, train.n)[0]
         eseed = derived_seed(0, _EVAL_TAG)
         noise = np.random.default_rng(eseed).standard_normal(
             (cfg.eval.mc_samples, models.param_count(spec))
         )
-        rows = [m for m in rep.metrics if m["setting"] == "PM-GD" and m["lambda"] == 1.0]
-        assert [m["client_id"] for m in rows] == list(range(len(rep.final_locals)))
-        for m, loc in zip(rows, rep.final_locals):
-            p = project(cfg.personalization.divergence, rep.final_global, loc, 1.0)
+        rows = [m for m in rows if m["setting"] == "PM-GD" and m["lambda"] == 1.0]
+        assert [m["client_id"] for m in rows] == list(range(len(final["locals"])))
+        for m, loc in zip(rows, final["locals"]):
+            p = project(cfg.personalization.divergence, final["global"], loc, 1.0)
             ref = evaluate(spec, [p], test, noise, cfg.eval.ece_bins)[0]
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
@@ -410,20 +431,19 @@ class TestScoreOnce:
             return evaluate(spec, posteriors, ds, *args)
 
         monkeypatch.setattr(federation, "evaluate", counting)
-        rep = run_one(cfg, 0)
+        rows, rounds = run_one(cfg, 0)
         datasets = [id(ds) for ds, _ in calls]
         assert len(set(datasets)) == len(datasets)
         for _, posteriors in calls:
             assert len({id(p) for p in posteriors}) == len(posteriors)
-        return rep, len(calls), sum(len(posteriors) for _, posteriors in calls)
+        return rows, len(rounds["client_sizes"]), len(calls), sum(len(ps) for _, ps in calls)
 
     def test_bayes_endpoints_reuse_scores(self, monkeypatch):
         cfg = make_cfg()
         lams = cfg.personalization.lambdas
         assert lams[0] == 0.0 and math.isinf(lams[-1])
-        rep, calls, scored = self.counted_run(monkeypatch, cfg)
-        k = len(rep.final_locals)
-        assert len(rep.metrics) == k + 1 + 2 * k * len(lams)
+        rows, k, calls, scored = self.counted_run(monkeypatch, cfg)
+        assert len(rows) == k + 1 + 2 * k * len(lams)
         assert calls == k + 1  # the K test shards and the pooled test set
         # lambda = 0 projects to the global posterior: its 2K rows reuse GM scores
         assert scored == k + 1 + 2 * k * (len(lams) - 1)
@@ -433,17 +453,16 @@ class TestScoreOnce:
         cfg = dataclasses.replace(
             cfg, federation=dataclasses.replace(cfg.federation, algorithm="fedavg")
         )
-        rep, calls, scored = self.counted_run(monkeypatch, cfg)
-        k = len(rep.final_locals)
+        rows, k, calls, scored = self.counted_run(monkeypatch, cfg)
         assert calls == k + 1
-        assert scored == len(rep.metrics) == 3 * k + 1
+        assert scored == len(rows) == 3 * k + 1
 
     def test_lambda_zero_rows_equal_global_rows(self):
-        rep = run_one(make_cfg(), 0)
-        gm_ld = {m["client_id"]: m for m in rep.metrics if m["setting"] == "GM-LD"}
-        gm_gd = next(m for m in rep.metrics if m["setting"] == "GM-GD")
-        pm_ld = [m for m in rep.metrics if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
-        pm_gd = [m for m in rep.metrics if m["setting"] == "PM-GD" and m["lambda"] == 0.0]
+        rows, _ = run_one(make_cfg(), 0)
+        gm_ld = {m["client_id"]: m for m in rows if m["setting"] == "GM-LD"}
+        gm_gd = next(m for m in rows if m["setting"] == "GM-GD")
+        pm_ld = [m for m in rows if m["setting"] == "PM-LD" and m["lambda"] == 0.0]
+        pm_gd = [m for m in rows if m["setting"] == "PM-GD" and m["lambda"] == 0.0]
         assert len(pm_ld) == len(pm_gd) == len(gm_ld)
         assert gm_gd["client_id"] == "global"
         for m in pm_ld:
@@ -451,13 +470,15 @@ class TestScoreOnce:
         for m in pm_gd:
             assert {**m, "setting": "GM-GD", "lambda": None, "client_id": "global"} == gm_gd
         # rows that share a score are still separate dicts
-        assert len({id(m) for m in rep.metrics}) == len(rep.metrics)
+        assert len({id(m) for m in rows}) == len(rows)
 
 
 class TestTrainingBehavior:
     def test_nll_trend_decreases(self):
-        rep = run_one(bench_cfg(), 0)
-        per_round = [float(np.mean([t for tr in r.nll_traces for t in tr])) for r in rep.rounds]
+        _, rounds = run_one(bench_cfg(), 0)
+        per_round = [
+            float(np.mean([t for tr in r["nll_traces"] for t in tr])) for r in rounds["rounds"]
+        ]
         assert per_round[-1] < per_round[0]
         # trend, not strict monotonicity: last quarter below first quarter
         q = max(1, len(per_round) // 4)
@@ -465,14 +486,14 @@ class TestTrainingBehavior:
 
     def test_fedavg_within_band_of_bayes(self):
         cfg = bench_cfg()
-        bayes = run_one(cfg, 0)
+        bayes, _ = run_one(cfg, 0)
         fedavg = dataclasses.replace(cfg.federation, algorithm="fedavg")
         assert fedavg.algorithm == "fedavg" and cfg.federation.algorithm == "bayes"
-        avg = run_one(dataclasses.replace(cfg, federation=fedavg), 0)
-        acc = lambda rep: next(m["acc"] for m in rep.metrics if m["setting"] == "GM-GD")
+        avg, _ = run_one(dataclasses.replace(cfg, federation=fedavg), 0)
+        acc = lambda rows: next(m["acc"] for m in rows if m["setting"] == "GM-GD")
         assert abs(acc(bayes) - acc(avg)) <= 5.0
-        assert all(m["method"] == "fedavg" for m in avg.metrics)
-        lams = {m["lambda"] for m in avg.metrics if m["setting"] == "PM-LD"}
+        assert all(m["method"] == "fedavg" for m in avg)
+        lams = {m["lambda"] for m in avg if m["setting"] == "PM-LD"}
         assert lams == {None}
 
 
