@@ -9,7 +9,9 @@ stages that every command composes:
   every client's private shard and aggregates the locals on the server,
   which sees posteriors and weights only. Methods trained side by side
   share round 1; afterwards each distinct broadcast posterior trains once
-  per client;
+  per client. A round's (posterior, client) jobs train in lockstep groups
+  (``client_update``), so a narrow model takes one stacked gradient and
+  optimizer call per step for all of them;
 - score: ``_evaluate_all`` personalizes by two-point projections between
   the global and each local posterior, and scores every posterior of every
   method on one test set in one ``evaluate`` call.
@@ -58,10 +60,10 @@ from .geometry import (
     project,
     projection_divergence,
 )
-from .models import MlpSpec
+from .models import MlpSpec, RowError
 from .variopt import (
-    ivon_from_posterior,
     ivon_init,
+    ivon_restart,
     ivon_step,
     linear_lr,
     posterior_of,
@@ -75,6 +77,11 @@ _INIT_TAG = 4
 _EVAL_TAG = 5
 
 _TEST_SHARD_ATTEMPTS = 20  # partition seeds tried until no client's test shard is empty
+
+# Parameters one lockstep group of training jobs may hold: a round's jobs
+# train max(1, GROUP_PARAMS // P) at a time, so a 51-parameter model trains
+# all of them together and a 79,510-parameter one each job alone.
+GROUP_PARAMS = 1 << 16
 
 
 def derived_seed(master_seed: int, tag: int) -> int:
@@ -112,61 +119,129 @@ def failure_context(round_index: int, client_id: int | None = None):
 
 
 def client_update(
-    prior: DiagGaussian,
-    shard: Dataset,
+    priors: list[DiagGaussian],
+    shards: list[Dataset],
+    client_ids: list[int],
     cfg: ExperimentConfig,
     lrs: list[float],
     spec: MlpSpec,
     seed: int,
     round_index: int,
-    client_id: int,
     frozen_var: float | None = None,
-) -> tuple[DiagGaussian, list[float]]:
-    """One local phase from the broadcast posterior; one epoch per entry of ``lrs``.
+) -> list[tuple[DiagGaussian, list[float]]]:
+    """Local phases of a group of jobs, trained in lockstep; one epoch per
+    entry of ``lrs``. Job j trains client ``client_ids[j]`` on ``shards[j]``
+    from the broadcast posterior ``priors[j]``.
 
-    Draws from client_rng(seed, round_index, client_id) and reads
-    cfg.optimizer and cfg.federation.batch_size. The optimizer restarts at the
-    prior mean with the Hessian rebuilt from the prior variance under this
-    client's own (N_k = shard.n, delta); gradient momentum and the step
-    counter start from zero, so no optimizer state crosses rounds. Each step
-    averages opt.mc_train_samples posterior draws. With ``frozen_var`` set
-    (FedAvg) the one draw is the mean, the Hessian stays at h0, and the local
-    posterior carries ``frozen_var`` on every coordinate. Returns the local
-    posterior and the per-epoch mean minibatch NLL; any failure is raised as
-    RunError(round_index, client_id).
+    A job draws from client_rng(seed, round_index, client) exactly as it
+    would alone: one permutation of its shard per epoch, then each step's
+    posterior draws. It reads cfg.optimizer and cfg.federation.batch_size.
+    The optimizer restarts at the prior mean with the Hessian rebuilt from
+    the prior variance under the job's own (N_k = shard.n, delta); gradient
+    momentum and the step counter start from zero, so no optimizer state
+    crosses rounds. Each step averages opt.mc_train_samples posterior
+    draws. With ``frozen_var`` set (FedAvg) the one draw is the mean, the
+    Hessian stays at h0, and the local posterior carries ``frozen_var`` on
+    every coordinate.
+
+    Returns one (local posterior, per-epoch mean minibatch NLL) per job,
+    each bit-identical whichever jobs share its group. If jobs fail, the
+    failure of the lowest-indexed one (which may fail later than others) is
+    raised as RunError(round_index, its client); any other failure as
+    RunError(round_index, client_ids[0]).
     """
-    with failure_context(round_index, client_id):
-        opt = cfg.optimizer
-        batch_size = cfg.federation.batch_size
-        rng = client_rng(seed, round_index, client_id)
-        deterministic = frozen_var is not None
+    with failure_context(round_index, client_ids[0]):
+        results, failure = _lockstep(
+            priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var
+        )
+    if failure is None:
+        return results
+    j, message = failure
+    if j > 0:
+        # a job before j may fail later than j did; this raises if one does
+        client_update(
+            priors[:j], shards[:j], client_ids[:j], cfg, lrs, spec, seed, round_index, frozen_var
+        )
+    raise RunError(round_index, client_ids[j], ValueError(message))
+
+
+def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var):
+    """client_update's training loop: (results, None), or (None, (job,
+    message)) for the lowest-indexed job among the first to fail.
+
+    The jobs' optimizer states are the rows of one stack, largest shard
+    first, so at each step the jobs still inside their epoch's
+    ceil(n_k / B) steps are a prefix of the stack; the others sit out with
+    their rows untouched. Each step samples, takes gradients and steps the
+    optimizer for that prefix in one call each.
+    """
+    opt = cfg.optimizer
+    batch_size = cfg.federation.batch_size
+    deterministic = frozen_var is not None
+    samples = 1 if deterministic else opt.mc_train_samples
+    jobs = sorted(range(len(shards)), key=lambda j: -shards[j].n)
+    sizes = np.array([shards[j].n for j in jobs])
+    rngs = [client_rng(seed, round_index, client_ids[j]) for j in jobs]
+    state = ivon_restart([priors[j] for j in jobs], opt, sizes.tolist(), frozen=deterministic)
+    dim = state.mean.shape[1]
+    # every job's rows in one array, so that a step gathers its batch in one
+    # index; a job training alone uses its shard's arrays as they are
+    inputs, labels = shards[jobs[0]].inputs, shards[jobs[0]].labels
+    if len(jobs) > 1:
+        inputs = np.concatenate([shards[j].inputs for j in jobs])
+        labels = np.concatenate([shards[j].labels for j in jobs])
+    offsets = np.cumsum(sizes) - sizes
+    steps = -(-sizes // batch_size)
+    draws = np.empty((len(jobs), samples, dim))
+    nll = np.empty((len(jobs), steps[0]))  # per job and step of an epoch
+    traces = [[] for _ in jobs]
+    for lr in lrs:
+        # each job's minibatches in order, as rows of inputs; the padding
+        # after a job's rows only fills out the stacked batch
+        order = np.zeros((len(jobs), steps[0] * batch_size), dtype=np.int64)
+        for r, (rng, n) in enumerate(zip(rngs, sizes)):
+            order[r, :n] = offsets[r] + rng.permutation(n)
+        for t in range(steps[0]):
+            active = int(np.count_nonzero(steps > t))
+            counts = np.minimum(sizes[:active] - t * batch_size, batch_size)
+            rows = order[:active, t * batch_size : t * batch_size + counts[0]]
+            view = state[:active]
+            if deterministic:
+                thetas = view.mean
+            else:
+                thetas = sample_params(view, rngs[:active], out=draws[:active])
+            if samples > 1:
+                rows, counts = np.repeat(rows, samples, axis=0), np.repeat(counts, samples)
+            batch = models.Batch(inputs=inputs[rows], labels=labels[rows], counts=counts)
+            try:
+                losses, grads = models.loss_and_grad(spec, thetas.reshape(-1, dim), batch)
+            except RowError as exc:
+                return None, min((jobs[r // samples], m) for r, m in exc.errors.items())
+            try:
+                ivon_step(
+                    view, grads.reshape(thetas.shape), thetas, lr,
+                    update_hessian=not deterministic, out=view,
+                )
+            except RowError as exc:
+                return None, min((jobs[r], m) for r, m in exc.errors.items())
+            # each job's mean over its draws, summed in draw order
+            mean_loss = np.zeros(active)
+            for s in range(samples):
+                mean_loss += losses[s::samples] / samples
+            nll[:active, t] = mean_loss
+        for n_steps in np.unique(steps):
+            same = np.flatnonzero(steps == n_steps)
+            for r, mean in zip(same, np.mean(nll[same, :n_steps], axis=1)):
+                traces[r].append(float(mean))
+
+    results = [None] * len(jobs)
+    for r, (j, trace) in enumerate(zip(jobs, traces)):
         if deterministic:
-            state = ivon_init(prior.dim, opt, shard.n, mean=prior.mean)
+            post = DiagGaussian(mean=state.mean[r].copy(), var=np.full(dim, frozen_var))
         else:
-            state = ivon_from_posterior(prior, opt, shard.n)
-        trace = []
-        for lr in lrs:
-            order = rng.permutation(shard.n)
-            losses = []
-            for start in range(0, shard.n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
-                if deterministic:
-                    draws = [state.mean]
-                else:
-                    draws = [sample_params(state, rng) for _ in range(opt.mc_train_samples)]
-                thetas = np.array(draws)
-                grads = np.empty_like(thetas)
-                loss = 0.0
-                for s, theta in enumerate(draws):
-                    l, grads[s] = models.loss_and_grad(spec, theta, batch)
-                    loss += l / len(draws)
-                state = ivon_step(state, grads, thetas, lr=lr, update_hessian=not deterministic)
-                losses.append(loss)
-            trace.append(float(np.mean(losses)))
-        if deterministic:
-            return DiagGaussian(mean=state.mean, var=np.full(prior.dim, frozen_var)), trace
-        return posterior_of(state), trace
+            post = posterior_of(state[r])
+        results[j] = (post, trace)
+    return results, None
 
 
 def server_aggregate(
@@ -315,20 +390,25 @@ def _train_round(
 ) -> list[list[tuple[DiagGaussian, list[float]]]]:
     """Every client's (local posterior, NLL trace) from each broadcast
     posterior, in order; each distinct posterior trains once (keys are ids,
-    and ``broadcasts`` keeps each keyed posterior alive)."""
+    and ``broadcasts`` keeps each keyed posterior alive). The (posterior,
+    client) jobs train in lockstep groups of max(1, GROUP_PARAMS // P),
+    one ``client_update`` call per group."""
     distinct = list({id(p): p for p in broadcasts}.values())
-    clients = range(len(train_shards))
+    jobs = [(p, shard, k) for p in distinct for k, shard in enumerate(train_shards)]
+    size = max(1, GROUP_PARAMS // models.param_count(spec))
+    groups = [jobs[i : i + size] for i in range(0, len(jobs), size)]
     args = (
-        [p for p in distinct for _ in clients], train_shards * len(distinct),
+        *([[job[field] for job in group] for group in groups] for field in range(3)),
         repeat(cfg), repeat(lrs), repeat(spec), repeat(seed), repeat(round_index),
-        [*clients] * len(distinct), repeat(frozen_var),
+        repeat(frozen_var),
     )
     if cfg.federation.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.federation.threads) as pool:
             results = list(pool.map(client_update, *args))
     else:
         results = list(map(client_update, *args))
-    k = len(clients)
+    results = [result for group in results for result in group]
+    k = len(train_shards)
     trained = {id(p): results[i * k : (i + 1) * k] for i, p in enumerate(distinct)}
     return [trained[id(p)] for p in broadcasts]
 
@@ -527,8 +607,8 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     s = setup(cfg, seed, _task_split)
     (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
     spec, start, lrs = model_start(cfg, seed, s.train, train_a.n)
-    post_a, _ = client_update(start, train_a, cfg, lrs, spec, seed, 1, 0)
-    post_b, _ = client_update(post_a, train_b, cfg, lrs, spec, seed, 2, 0)
+    ((post_a, _),) = client_update([start], [train_a], [0], cfg, lrs, spec, seed, 1)
+    ((post_b, _),) = client_update([post_a], [train_b], [0], cfg, lrs, spec, seed, 2)
     noise = eval_noise(cfg, seed, spec)
 
     method = cfg.federation.aggregation

@@ -3,10 +3,12 @@
 Networks are described by layer sizes only: ReLU between hidden layers,
 softmax read off the final logits. Parameters live in a single flat float64
 vector so the posterior machinery never needs to know the architecture;
-pack/unpack convert between the flat vector and per-layer (W, b) pairs.
+unpack views the flat vector as per-layer (W, b) pairs.
 ``forward`` also takes a stack (..., P) of vectors, which lets
 ``predict_proba_mc`` score every sampled parameter of a list of posteriors
-in one pass instead of one call per posterior and draw.
+in one pass instead of one call per posterior and draw. ``loss_and_grad``
+likewise takes a stack (K, P) with a stacked ``Batch``, so every client of a
+round computes its gradient in one call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ from .geometry import DiagGaussian
 
 # Sampled parameters one stacked forward pass may hold: 4 MiB of float64.
 MC_CHUNK_PARAMS = 1 << 19
+
+
+class RowError(ValueError):
+    """Rows of a stacked call that failed, ``errors`` = {row: message}; the
+    message is the lowest failing row's, which is what a call on that row
+    alone raises."""
+
+    def __init__(self, errors: dict[int, str]):
+        self.errors = dict(sorted(errors.items()))
+        super().__init__(next(iter(self.errors.values())))
 
 
 @dataclass(frozen=True)
@@ -42,22 +54,40 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Batch:
+    """One minibatch, inputs (n, d) and labels (n,), or a stack of K
+    minibatches padded to one length: inputs (K, n, d), labels (K, n), and
+    in ``counts`` (K,) the number of real rows at the start of each. Padding
+    rows never reach a loss or a gradient, so any finite values will do."""
+
     inputs: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be 2-d, got shape {inputs.shape}")
-        if labels.shape != (inputs.shape[0],):
-            raise ValueError("labels must be 1-d and match the batch size")
+        if inputs.ndim not in (2, 3):
+            raise ValueError(f"inputs must be 2-d or 3-d, got shape {inputs.shape}")
+        if labels.shape != inputs.shape[:-1]:
+            raise ValueError("labels must match the leading axes of inputs")
+        if self.counts is None:
+            counts = np.full(inputs.shape[:-2], inputs.shape[-2], dtype=np.int64)
+        else:
+            counts = np.asarray(self.counts, dtype=np.int64)
+            if counts.shape != inputs.shape[:-2] or np.any(counts < 1) or np.any(
+                counts > inputs.shape[-2]
+            ):
+                raise ValueError(
+                    f"counts must give 1..{inputs.shape[-2]} real rows per stacked minibatch"
+                )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        """Real rows over the whole batch; padding is not counted."""
+        return int(self.counts.sum())
 
 
 def param_count(spec: MlpSpec) -> int:
@@ -102,15 +132,6 @@ def unpack(theta: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarra
     return layers
 
 
-def pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Inverse of unpack; round-trips bit-exactly."""
-    chunks = []
-    for w, b in layers:
-        chunks.append(np.asarray(w, dtype=np.float64).ravel())
-        chunks.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(chunks)
-
-
 def forward(spec: MlpSpec, thetas: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Logits (..., n, C) for one parameter vector (P,) or a stack (..., P).
 
@@ -137,39 +158,77 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_grad(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact flat gradient."""
-    layers = unpack(theta, spec)
-    if np.any(batch.labels < 0) or np.any(batch.labels >= spec.n_classes):
-        raise ValueError("labels out of range for the output layer")
+def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(lo, hi, m) for each maximal run of rows lo..hi-1 with m real rows each."""
+    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(edges[:-1], edges[1:])]
 
-    acts = [np.asarray(batch.inputs, dtype=np.float64)]
+
+def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
+    """Mean cross-entropy over the batch and its exact flat gradient.
+
+    A vector (P,) with a (n, d) batch gives (loss, gradient (P,)). A stack
+    (K, P) with a stacked batch gives (losses (K,), gradients (K, P)): row k
+    is scored on its own ``counts[k]`` rows and is bit-identical to a call
+    on that vector and those rows alone. Every matrix product runs on real
+    rows only, one stacked product per run of rows with equal counts,
+    because the BLAS result for a row depends on how many rows share the
+    product. A stacked call raises RowError naming the rows whose logits
+    are non-finite, before any gradient is computed.
+    """
+    single = np.ndim(thetas) == 1
+    thetas = np.atleast_2d(thetas)
+    inputs = batch.inputs.reshape(-1, *batch.inputs.shape[-2:])
+    labels = batch.labels.reshape(-1, batch.labels.shape[-1])
+    counts = batch.counts.reshape(-1)
+    if thetas.shape[0] != labels.shape[0]:
+        raise ValueError(f"{thetas.shape[0]} parameter vectors for {labels.shape[0]} minibatches")
+    if np.any(labels < 0) or np.any(labels >= spec.n_classes):
+        raise ValueError("labels out of range for the output layer")
+    layers = unpack(thetas, spec)
+    runs = _runs(counts)
+    k, n = labels.shape
+
+    acts = [inputs]
     pre = []
     for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
+        z = np.zeros((k, n, w.shape[-1]))
+        for lo, hi, m in runs:
+            np.matmul(acts[-1][lo:hi, :m], w[lo:hi], out=z[lo:hi, :m])
+        z += b[:, None, :]
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
     logits = acts[-1]
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite activation in forward pass")
+    real = np.arange(n) < counts[:, None]
+    bad = np.flatnonzero(np.any(~np.isfinite(logits).all(axis=-1) & real, axis=1))
+    if bad.size:
+        raise RowError({int(r): "non-finite activation in forward pass" for r in bad})
 
-    n = batch.size
     log_probs = _log_softmax(logits)
-    loss = float(-log_probs[np.arange(n), batch.labels].mean())
+    picked = log_probs[np.arange(k)[:, None], np.arange(n), labels]
+    losses = np.empty(k)
+    for lo, hi, m in runs:
+        losses[lo:hi] = -np.mean(picked[lo:hi, :m], axis=1)
 
     delta = np.exp(log_probs)
-    delta[np.arange(n), batch.labels] -= 1.0
-    delta /= n
+    delta[np.arange(k)[:, None], np.arange(n), labels] -= 1.0
+    delta /= counts[:, None, None]
 
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+    grads = np.empty(thetas.shape)
+    for i, (gw, gb) in reversed(list(enumerate(unpack(grads, spec)))):
+        for lo, hi, m in runs:
+            np.matmul(acts[i][lo:hi, :m].transpose(0, 2, 1), delta[lo:hi, :m], out=gw[lo:hi])
+            np.sum(delta[lo:hi, :m], axis=1, out=gb[lo:hi])
         if i > 0:
-            delta = (delta @ w.T) * (pre[i - 1] > 0.0)
-    return loss, pack(grads)
+            back = np.zeros(pre[i - 1].shape)
+            w_t = layers[i][0].transpose(0, 2, 1)
+            for lo, hi, m in runs:
+                np.matmul(delta[lo:hi, :m], w_t[lo:hi], out=back[lo:hi, :m])
+            back *= pre[i - 1] > 0.0
+            delta = back
+    if single:
+        return float(losses[0]), grads[0]
+    return losses, grads
 
 
 def predict_proba_mc(

@@ -180,15 +180,21 @@ class TestCompareAgg:
         assert all(len(v) == 5 for v in doc["scores"]["acc"].values())
 
     def test_threads_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, seeds=[0, 1, 2, 3, 4])
-        out = tmp_path / "out"
-        alt = tmp_path / "alt"
-        assert main(["compare-agg", cfg]) == 0
-        assert main(["compare-agg", cfg, "--out-dir", str(alt), "--threads", "3"]) == 0
-        assert (out / "pvalues.csv").read_bytes() == (alt / "pvalues.csv").read_bytes()
-        seq, par = (json.loads((d / "compare_scores.json").read_text()) for d in (out, alt))
-        assert seq["scores"] == par["scores"]
-        assert seq["comparisons"] == par["comparisons"]
+        # full-batch, then minibatches of 7 that leave every epoch's last
+        # step ragged across clients
+        for batch_size in (200, 7):
+            federation = {**BASE_CONFIG["federation"], "batch_size": batch_size}
+            cfg = write_config(
+                tmp_path, f"cfg{batch_size}.json", seeds=[0, 1, 2, 3, 4], federation=federation
+            )
+            out = tmp_path / f"out{batch_size}"
+            alt = tmp_path / f"alt{batch_size}"
+            assert main(["compare-agg", cfg, "--out-dir", str(out)]) == 0
+            assert main(["compare-agg", cfg, "--out-dir", str(alt), "--threads", "3"]) == 0
+            assert (out / "pvalues.csv").read_bytes() == (alt / "pvalues.csv").read_bytes()
+            seq, par = (json.loads((d / "compare_scores.json").read_text()) for d in (out, alt))
+            assert seq["scores"] == par["scores"]
+            assert seq["comparisons"] == par["comparisons"]
 
     def test_needs_two_methods(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1, 2, 3, 4], compare={"methods": ["eaa"]})

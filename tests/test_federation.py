@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from baryfed import federation, models
 from baryfed.config import (
@@ -244,7 +246,7 @@ class TestForkedMethods:
         calls = []
 
         def counting(*args):
-            calls.append(args[7])  # client_id
+            calls.extend(args[2])  # the group's client ids, one per trained job
             return client_update(*args)
 
         monkeypatch.setattr(federation, "client_update", counting)
@@ -341,7 +343,7 @@ class TestClientUpdate:
         theta0 = models.init_params(spec, 7)
         prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, 50.0, mean=theta0))
         lrs = [0.3, 0.2, 0.1]
-        post, trace = client_update(prior, shard, cfg, lrs, spec, 5, 2, 3, frozen_var)
+        ((post, trace),) = client_update([prior], [shard], [3], cfg, lrs, spec, 5, 2, frozen_var)
         ref, ref_trace = forked_client_update(
             prior, shard, cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
         )
@@ -358,8 +360,159 @@ class TestClientUpdate:
         prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, train.n, mean=theta0))
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
             with np.errstate(all="ignore"):
-                client_update(prior, train, cfg, [1e6] * 3, spec, 0, 4, 2)
+                client_update([prior], [train], [2], cfg, [1e6] * 3, spec, 0, 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
+
+
+def oracle_group(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var):
+    """forked_client_update on each job alone, with the job's own stream."""
+    return [
+        forked_client_update(
+            prior, shard, cfg.optimizer, lrs, cfg.federation.batch_size,
+            client_rng(seed, round_index, k), spec, frozen_var,
+        )
+        for prior, shard, k in zip(priors, shards, client_ids)
+    ]
+
+
+@st.composite
+def lockstep_groups(draw):
+    """A group of jobs with ragged shards: sizes around the batch size and
+    1, sometimes a batch larger than every shard, 1-3 training draws,
+    FedAvg or IVON, one or two hidden layers and an optional clip radius."""
+    batch = draw(st.integers(2, 9))
+    size = st.sampled_from([1, batch - 1, batch, batch + 1, 2 * batch + 1]) | st.integers(1, 25)
+    sizes = draw(st.lists(size, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        batch = max(sizes) + draw(st.integers(1, 5))
+    return {
+        "sizes": sizes,
+        "batch": batch,
+        "dim": draw(st.sampled_from([2, 9])),
+        "hidden": tuple(draw(st.lists(st.integers(1, 10), min_size=1, max_size=2))),
+        "mc": draw(st.integers(1, 3)),
+        "fedavg": draw(st.booleans()),
+        "clip": draw(st.none() | st.sampled_from([0.05, 1.0])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def lockstep_case(case):
+    """The client_update arguments of a ``lockstep_groups`` case: distinct
+    priors, shards of the given sizes and distinct client ids."""
+    cfg = make_cfg(
+        dataset=DatasetCfg(kind="synth", classes=3, dim=case["dim"], n_per_class=30, spread=0.5),
+        model=ModelCfg(hidden=case["hidden"]),
+        optimizer=OptimizerCfg(
+            lr_initial=0.3, lr_final=0.1, mc_train_samples=case["mc"],
+            clip_radius=case["clip"],
+        ),
+        federation=FederationCfg(
+            rounds=1, local_epochs=3, batch_size=case["batch"],
+            algorithm="fedavg" if case["fedavg"] else "bayes",
+        ),
+    )
+    rng = np.random.default_rng(case["seed"])
+    train, _ = build_data(cfg, seed=0)
+    spec = model_start(cfg, 0, train, train.n)[0]
+    shards = [train.subset(rng.choice(train.n, size=n, replace=False)) for n in case["sizes"]]
+    priors = []
+    for j in range(len(shards)):
+        theta = models.init_params(spec, case["seed"] + j)
+        priors.append(posterior_of(ivon_init(theta.shape[0], cfg.optimizer, 20.0 + 7 * j, theta)))
+    client_ids = rng.permutation(len(shards) + 3)[: len(shards)].tolist()
+    return priors, shards, client_ids, cfg, [0.3, 0.2, 0.1], spec, case["seed"], 2, fedavg_var(cfg)
+
+
+class TestLockstep:
+    """A group trains every job exactly as the per-client oracle does."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @example(case={"sizes": [1, 4, 5, 6, 11], "batch": 5, "dim": 9, "hidden": (8, 3),
+                   "mc": 3, "fedavg": False, "clip": None, "seed": 1})
+    @example(case={"sizes": [1, 2, 7], "batch": 10, "dim": 9, "hidden": (8,),
+                   "mc": 1, "fedavg": True, "clip": None, "seed": 2})
+    @example(case={"sizes": [3, 9, 9, 16], "batch": 4, "dim": 2, "hidden": (5, 7),
+                   "mc": 2, "fedavg": False, "clip": 0.05, "seed": 3})
+    @given(case=lockstep_groups())
+    def test_matches_per_client_oracle(self, case):
+        # exact for every job, 1-row minibatches included: each matrix
+        # product runs on the job's real rows only
+        args = lockstep_case(case)
+        got = client_update(*args)
+        for (post, trace), (ref, ref_trace) in zip(got, oracle_group(*args)):
+            assert np.array_equal(post.mean, ref.mean)
+            assert np.array_equal(post.var, ref.var)
+            assert trace == ref_trace
+
+    def test_clip_radius_matches_oracle(self):
+        args = lockstep_case({"sizes": [7, 12, 12, 30], "batch": 8, "dim": 9, "hidden": (16,),
+                              "mc": 2, "fedavg": False, "clip": 0.02, "seed": 4})
+        clipped = False
+        for (post, trace), (ref, ref_trace), prior in zip(
+            client_update(*args), oracle_group(*args), args[0]
+        ):
+            assert np.array_equal(post.mean, ref.mean) and np.array_equal(post.var, ref.var)
+            assert trace == ref_trace
+            clipped |= np.linalg.norm(post.mean - prior.mean) <= 3 * 3 * 0.02 + 1e-12
+        assert clipped  # the radius bounds each step, so it bounds the phase
+
+    def test_lowest_failing_job_is_reported(self):
+        # client 2 fails at step 1 in the forward pass; client 0 only when
+        # epoch 3's infinite learning rate makes its mean non-finite, at
+        # step 5 (two steps per epoch). The lowest-indexed job is reported.
+        cfg = make_cfg(
+            optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1),
+            federation=FederationCfg(rounds=1, local_epochs=3, batch_size=16),
+        )
+        train, _ = build_data(cfg, seed=0)
+        spec, start, _ = model_start(cfg, 0, train, train.n)
+        blown = DiagGaussian(mean=start.mean * 1e160, var=start.var)
+        small, big = train.subset(np.arange(30)), train.subset(np.arange(30, 90))
+        lrs = [0.1, 0.1, math.inf]
+
+        def failure(priors, shards, client_ids):
+            with pytest.raises(RunError) as info:
+                with np.errstate(all="ignore"):
+                    client_update(priors, shards, client_ids, cfg, lrs, spec, 0, 1)
+            return info.value.client_id, str(info.value)
+
+        alone_0 = failure([start], [small], [0])
+        alone_2 = failure([blown], [big], [2])
+        assert alone_2 == (2, "round 1, client 2: non-finite activation in forward pass")
+        assert alone_0[0] == 0 and "optimizer step 5: non-finite mean" in alone_0[1]
+        assert failure([start, blown], [small, big], [0, 2]) == alone_0
+        assert failure([blown, start], [big, small], [2, 0]) == alone_2
+
+    @pytest.mark.parametrize("batch_size", [200, 7], ids=["full-batch", "ragged"])
+    def test_grouping_does_not_change_bits(self, monkeypatch, batch_size):
+        cfg = make_cfg(
+            partition=PartitionCfg(n_clients=5, beta=0.5, min_shard=3),
+            federation=FederationCfg(rounds=2, local_epochs=2, batch_size=batch_size),
+        )
+        s = setup(cfg, 0)
+        if batch_size == 7:
+            assert any(shard.n % 7 == 1 for shard in s.train_shards)  # a 1-row minibatch
+        methods = TestForkedMethods.METHODS
+
+        def finals(cap, threads):
+            monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
+            fed = dataclasses.replace(cfg.federation, threads=threads)
+            run_cfg = dataclasses.replace(cfg, federation=fed)
+            spec, start, lrs = model_start(run_cfg, 0, s.train, 30.0)
+            out = train(run_cfg, 0, s.train_shards, spec, lrs, [start] * len(methods), methods)
+            return [
+                (p.mean.tobytes(), p.var.tobytes(), [r["nll_traces"] for r in f["rounds"]])
+                for f in out
+                for p in (f["global"], *f["locals"])
+            ]
+
+        one_group = finals(1 << 16, 1)
+        p = models.param_count(model_start(cfg, 0, s.train, 30.0)[0])
+        assert one_group == finals(p, 1)  # one job per group
+        assert one_group == finals(p, 3)
+        assert one_group == finals(2 * p, 3)
+        assert one_group == finals(1 << 16, 3)
 
 
 class TestPersonalizeAll:
@@ -509,9 +662,9 @@ class TestIncrementalSweep:
         """The sweep's rows and the classes of each task's training set."""
         trained = []
 
-        def recording(prior, shard, *args):
-            trained.append(np.unique(shard.labels).tolist())
-            return client_update(prior, shard, *args)
+        def recording(priors, shards, *args):
+            trained.extend(np.unique(shard.labels).tolist() for shard in shards)
+            return client_update(priors, shards, *args)
 
         monkeypatch.setattr(federation, "client_update", recording)
         return incremental_sweep(cfg, seed=0), trained

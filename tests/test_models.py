@@ -10,7 +10,6 @@ from baryfed.models import (
     forward,
     init_params,
     loss_and_grad,
-    pack,
     param_count,
     predict_proba_mc,
     unpack,
@@ -43,6 +42,16 @@ class TestSpecAndBatch:
             Batch(inputs=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))
         assert small_batch(7).size == 7
 
+    def test_stacked_batch_size_counts_real_rows(self):
+        # perfbench's gradient work per call is batch.size rows: padding is no work
+        stacked = Batch(
+            inputs=np.zeros((3, 5, 2)), labels=np.zeros((3, 5), dtype=np.int64), counts=[5, 2, 1]
+        )
+        assert stacked.size == 8
+        for counts in ([5, 0, 1], [6, 2, 1], [5, 2]):
+            with pytest.raises(ValueError, match="counts"):
+                Batch(inputs=np.zeros((3, 5, 2)), labels=np.zeros((3, 5)), counts=counts)
+
     def test_param_count_by_hand(self):
         assert param_count(SMALL) == (2 * 3 + 3) + (3 * 2 + 2)
         assert param_count(MlpSpec(layer_sizes=(784, 120, 84, 10))) == 105214
@@ -50,8 +59,11 @@ class TestSpecAndBatch:
 
 class TestPacking:
     def test_round_trip_bit_exact(self):
+        # unpack gives views: writing each layer through them rebuilds the vector
         theta = init_params(SMALL, seed=4)
-        again = pack(unpack(theta, SMALL))
+        again = np.zeros_like(theta)
+        for (w, b), (w2, b2) in zip(unpack(theta, SMALL), unpack(again, SMALL)):
+            w2[...], b2[...] = w, b
         assert np.array_equal(theta, again)
 
     def test_unpack_shapes(self):
@@ -109,7 +121,7 @@ class TestForward:
         layers[0][0].fill(0.0)
         layers[0][1].fill(-1.0)
         layers[1][1][:] = [0.5, -0.5]
-        out = forward(SMALL, pack(layers), np.ones((4, 2)))
+        out = forward(SMALL, theta, np.ones((4, 2)))  # the layers are views of theta
         assert np.allclose(out, [0.5, -0.5])
 
 
@@ -150,6 +162,30 @@ class TestLossAndGrad:
             ) / (2 * eps)
         rel = np.max(np.abs(fd - grad)) / max(np.max(np.abs(fd)), 1e-12)
         assert rel < 1e-4
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 3)])
+    def test_stacked_rows_equal_single_calls(self, hidden):
+        # ragged counts (1 row included), runs of equal counts and a lone row
+        rng = np.random.default_rng(len(hidden))
+        spec = MlpSpec(layer_sizes=(9, *hidden, 3))
+        counts = np.array([13, 13, 7, 1, 1, 12])
+        n = counts.max() + 2
+        thetas = rng.normal(scale=0.5, size=(len(counts), param_count(spec)))
+        inputs = rng.normal(size=(len(counts), n, 9))
+        labels = rng.integers(0, 3, size=(len(counts), n))
+        losses, grads = loss_and_grad(spec, thetas, Batch(inputs, labels, counts))
+        for theta, x, y, m, loss, grad in zip(thetas, inputs, labels, counts, losses, grads):
+            ref_loss, ref_grad = loss_and_grad(spec, theta, Batch(x[:m], y[:m]))
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+    def test_stacked_non_finite_rows_raise_row_error(self):
+        thetas = np.stack([init_params(SMALL, seed=s) for s in range(3)])
+        thetas[[0, 2]] *= 1e200
+        batch = Batch(np.ones((3, 4, 2)), np.zeros((3, 4), dtype=np.int64), [4, 4, 2])
+        with np.errstate(all="ignore"), pytest.raises(models.RowError) as info:
+            loss_and_grad(SMALL, thetas, batch)
+        assert info.value.errors == dict.fromkeys([0, 2], "non-finite activation in forward pass")
 
     def test_gradient_descends(self):
         theta = init_params(SMALL, seed=2)

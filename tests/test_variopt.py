@@ -4,11 +4,13 @@ import pytest
 
 from baryfed.config import OptimizerCfg
 from baryfed.geometry import DiagGaussian, kl_gaussian
+from baryfed.models import RowError
 from baryfed.variopt import (
     IvonState,
     hessian_of,
     ivon_from_posterior,
     ivon_init,
+    ivon_restart,
     ivon_step,
     linear_lr,
     posterior_of,
@@ -144,6 +146,70 @@ class TestStep:
         assert np.array_equal(st.mean, post.mean) and st.step_count == 0
         assert np.array_equal(st.hess, hessian_of(post, 40, 0.01))
         assert np.allclose(posterior_of(st).var, post.var, rtol=1e-12)
+
+
+class TestStack:
+    """A stack of states steps each row as that state alone would."""
+
+    def singles(self, opt, dims=5):
+        rng = np.random.default_rng(9)
+        return [
+            IvonState(
+                mean=rng.normal(size=dims), hess=rng.uniform(0.5, 2.0, size=dims),
+                grad_momentum=rng.normal(size=dims), opt=opt, ess=ess, step_count=steps,
+            )
+            for ess, steps in ((10, 0), (40, 3), (7, 1))
+        ]
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    @pytest.mark.parametrize("clip", [None, 0.05])
+    def test_rows_equal_single_steps(self, samples, clip):
+        opt = OptimizerCfg(beta2=0.9, weight_decay=0.01, clip_radius=clip)
+        singles = self.singles(opt)
+        stack = IvonState(
+            **{name: np.stack([getattr(st, name) for st in singles])
+               for name in ("mean", "hess", "grad_momentum")},
+            opt=opt, ess=np.array([[10.0], [40.0], [7.0]]), step_count=np.array([0, 3, 1]),
+        )
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        thetas = sample_params(stack, rngs, out=np.empty((3, samples, 5)))
+        grads = np.random.default_rng(5).normal(size=thetas.shape)
+        before = stack.mean.copy()
+        assert ivon_step(stack, grads, thetas, LR, out=stack) is stack
+        assert not np.array_equal(stack.mean, before)
+        for k, st in enumerate(singles):
+            rng = np.random.default_rng(k)
+            draws = np.stack([sample_params(st, rng) for _ in range(samples)])
+            assert np.array_equal(draws, thetas[k])
+            out = ivon_step(st, grads[k], thetas[k], LR)
+            for name in ("mean", "hess", "grad_momentum", "var", "std"):
+                assert np.array_equal(getattr(out, name), getattr(stack, name)[k])
+            assert out.step_count == stack.step_count[k]
+
+    def test_prefix_view_steps_in_place(self):
+        opt = OptimizerCfg()
+        stack = ivon_restart(
+            [posterior_of(fresh(dim=4)) for _ in range(3)], opt, [5.0, 6.0, 7.0]
+        )
+        untouched = stack.mean[2].copy()
+        view = stack[:2]
+        ivon_step(view, np.ones((2, 4)), view.mean, LR, update_hessian=False, out=view)
+        assert stack.step_count.tolist() == [1, 1, 0]
+        assert np.array_equal(stack.mean[2], untouched)
+        assert not np.array_equal(stack.mean[0], untouched)
+
+    def test_failed_rows_named_and_others_stepped(self):
+        opt = OptimizerCfg(weight_decay=0.0)
+        stack = ivon_restart(
+            [posterior_of(fresh(dim=3)) for _ in range(3)], opt, [100.0, 100.0, 100.0]
+        )
+        grads = np.ones((3, 3))
+        grads[1, 2] = np.nan
+        good = ivon_step(stack[[0]], grads[:1], stack.mean[:1], LR, update_hessian=False)
+        with pytest.raises(RowError) as info:
+            ivon_step(stack, grads, stack.mean, LR, update_hessian=False, out=stack)
+        assert info.value.errors == {1: "optimizer step 1: non-finite gradient at coordinate 2"}
+        assert np.array_equal(stack.mean[0], good.mean[0])
 
 
 class TestObjective:
