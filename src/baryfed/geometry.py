@@ -179,24 +179,41 @@ def aggregate(
     if len(survivors) == 1:
         return survivors[0]
     w = w[keep] / w[keep].sum()
-
-    means = np.stack([p.mean for p in survivors])
-    variances = np.stack([p.var for p in survivors])
-    wcol = w[:, None]
+    pairs = list(zip(w, survivors))
 
     if method is AggregationMethod.EAA:
-        mean = np.sum(wcol * means, axis=0)
-        var = np.sum(wcol * variances, axis=0)
+        mean = _sum_rows(wi * p.mean for wi, p in pairs)
+        var = _sum_rows(wi * p.var for wi, p in pairs)
     elif method is AggregationMethod.W2B:
-        mean = np.sum(wcol * means, axis=0)
-        std = np.sum(wcol * np.sqrt(variances), axis=0)
+        mean = _sum_rows(wi * p.mean for wi, p in pairs)
+        std = _sum_rows(wi * np.sqrt(p.var) for wi, p in pairs)
         var = std**2
     else:  # RKLB
-        prec = np.sum(wcol / variances, axis=0)
+        prec = _sum_rows(wi / p.var for wi, p in pairs)
         var = 1.0 / prec
-        mean = var * np.sum(wcol * means / variances, axis=0)
+        mean = var * _sum_rows(wi * p.mean / p.var for wi, p in pairs)
 
     return DiagGaussian(mean=mean, var=_floor_variance(var))
+
+
+def _sum_rows(rows) -> np.ndarray:
+    """Sum of equal-length vectors, added one at a time onto zeros.
+
+    These are the additions, in the same order, that ``np.sum(stack,
+    axis=0)`` makes over the stacked rows, so the bits are the same; but only
+    the running total and one row are alive at a time, never a (K, P) stack
+    and its temporaries. NumPy sums a single column pairwise, so length-1
+    vectors are stacked and summed by NumPy to keep those bits too.
+    """
+    rows = iter(rows)
+    first = next(rows)
+    if first.size == 1:
+        return np.sum(np.stack([first, *rows]), axis=0)
+    total = np.zeros_like(first)
+    total += first
+    for row in rows:
+        total += row
+    return total
 
 
 _PROJECTION_METHOD = {

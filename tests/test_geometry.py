@@ -178,6 +178,30 @@ class TestAggregate:
         assert out.mean[0] == pytest.approx(float(np.sum(w * np.arange(4))))
         assert out.var[0] == pytest.approx(float(np.sum(w * (1.0 + np.arange(4)))))
 
+    @pytest.mark.parametrize("dim", [1, 2, 51, 1000])
+    @pytest.mark.parametrize("k", [2, 7, 8, 20])
+    def test_bits_equal_stacked_sums(self, k, dim):
+        # the stacked form every rule was first written in: one (k, dim)
+        # array per statistic, reduced with np.sum over axis 0
+        rng = np.random.default_rng(k * dim)
+        means = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-4, 5, (k, 1))
+        means[:, 0] = -0.0  # a column of negative zeros sums to +0.0, as before
+        posts = [g(m, np.exp(3.0 * rng.standard_normal(dim))) for m in means]
+        w = rng.random(k)
+        w /= w.sum()
+        wcol = (w / w.sum())[:, None]  # aggregate renormalizes its weights
+        means, variances = np.stack([p.mean for p in posts]), np.stack([p.var for p in posts])
+        prec = np.sum(wcol / variances, axis=0)
+        expect = {
+            AggregationMethod.EAA: (np.sum(wcol * means, axis=0), np.sum(wcol * variances, axis=0)),
+            AggregationMethod.W2B: (np.sum(wcol * means, axis=0), np.sum(wcol * np.sqrt(variances), axis=0) ** 2),
+            AggregationMethod.RKLB: ((1.0 / prec) * np.sum(wcol * means / variances, axis=0), 1.0 / prec),
+        }
+        for method, (mean, var) in expect.items():
+            out = aggregate(method, posts, w)
+            assert out.mean.tobytes() == mean.tobytes(), method
+            assert out.var.tobytes() == np.maximum(var, VAR_FLOOR).tobytes(), method
+
     def test_variance_floor(self, caplog):
         tiny = [g(0.0, 1e-14), g(0.0, 1e-14)]
         with caplog.at_level("WARNING"):
