@@ -202,7 +202,7 @@ def projection_oracle_error(
 ) -> float:
     """Largest |mean| or |sd| gap between ``project`` and the numeric oracle
     run at the radius the closed form reaches."""
-    closed = project(d, p_g, p_k, lam)
+    closed = project(d, p_g, p_k, [lam])[0]
     radius = projection_divergence(d, closed, p_k)
     oracle = numeric_projection_oracle(d, p_g, p_k, radius)
     mean_gap = abs(float(closed.mean[0] - oracle.mean[0]))
@@ -215,7 +215,7 @@ def geodesic_monotonicity(
     """Violations along the projection path over an ascending lambda grid:
     the divergence to ``p_k`` may not rise, nor the one to ``p_g`` fall, by
     more than ``slack`` between grid points. Empty means monotone."""
-    path = [project(d, p_g, p_k, lam) for lam in lambdas]
+    path = project(d, p_g, p_k, lambdas)
     to_k = [projection_divergence(d, q, p_k) for q in path]
     to_g = [projection_divergence(d, q, p_g) for q in path]
     bad = []

@@ -12,9 +12,11 @@ stages that every command composes:
   per client. A round's (posterior, client) jobs train in lockstep groups
   (``client_update``), so a narrow model takes one stacked gradient and
   optimizer call per step for all of them;
-- score: ``_evaluate_all`` personalizes by two-point projections between
-  the global and each local posterior, and scores every posterior of every
-  method on one test set in one ``evaluate`` call.
+- score: ``_evaluate_all`` personalizes each local posterior with one
+  ``project`` call, which returns the two-point projections between the
+  global and that local posterior for the whole lambda grid from one stacked
+  barycenter, and scores every posterior of every method on one test set in
+  one ``evaluate`` call.
 
 ``run_experiment`` returns each method's ``metrics.csv`` rows and
 ``rounds_<seed>.json`` payload as plain dicts. ``run`` writes every row,
@@ -524,10 +526,8 @@ def _evaluate_all(
         if fedavg:
             sweep = [(None, locals_)]
         else:
-            sweep = [
-                (lam, [project(d, p_g, p, lam) for p in locals_])
-                for lam in cfg.personalization.lambdas
-            ]
+            lambdas = cfg.personalization.lambdas
+            sweep = zip(lambdas, zip(*(project(d, p_g, p, lambdas) for p in locals_)))
         for lam, posteriors in sweep:
             for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
                 plan.append((p, shard, "PM-LD", lam, k))

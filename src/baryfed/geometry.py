@@ -7,7 +7,9 @@ aggregation rules (arithmetic averaging of statistics, Wasserstein-2
 barycenter, reverse-KL barycenter). Personalization is the projection of a
 global posterior onto a divergence sphere around a local posterior, computed
 in closed form as a two-point weighted barycenter with weights 1/(lambda+1)
-and lambda/(lambda+1).
+and lambda/(lambda+1). ``project`` takes a whole lambda grid: its finite
+positive lambdas are the rows of one stacked (L, P) barycenter, made by the
+same formulas, in the same order of operations, as ``aggregate``.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -33,7 +35,10 @@ class DiagGaussian:
     """Gaussian with diagonal covariance over a flat parameter vector.
 
     ``mean`` and ``var`` are float64 vectors of equal length; every variance
-    must be strictly positive. Arrays are copied and frozen on construction.
+    must be strictly positive. A contiguous float64 array is not copied: it
+    is frozen in place and shared, so the caller's own array turns read-only.
+    Any other input is converted into a new frozen array. A caller that keeps
+    writing to an array passes a copy (as ``variopt.posterior_of`` does).
     """
 
     mean: np.ndarray
@@ -51,9 +56,9 @@ class DiagGaussian:
             )
         if mean.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(var)):
+        if not np.isfinite(mean).all() or not np.isfinite(var).all():
             raise ValueError("mean and var must be finite")
-        if np.any(var <= 0.0):
+        if (var <= 0.0).any():
             bad = int(np.argmax(var <= 0.0))
             raise ValueError(f"non-positive variance at coordinate {bad}")
         mean.setflags(write=False)
@@ -128,23 +133,26 @@ def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> fl
 
 
 def _check_weights(n: int, weights) -> np.ndarray:
-    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL."""
+    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL, or an
+    (L, n) matrix whose every row is such a weight vector."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != n:
+    if w.ndim not in (1, 2) or w.shape[-1] != n:
         raise ValueError(f"need {n} weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        bad = int(np.argmax(w < 0.0))
+    if (w < 0.0).any():
+        bad = ", ".join(map(str, np.argwhere(w < 0.0)[0]))
         raise ValueError(f"negative weight at index {bad}")
-    total = float(w.sum())
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
+    totals = np.atleast_1d(w.sum(axis=-1))
+    off = ~(np.abs(totals - 1.0) <= WEIGHT_SUM_TOL)  # NaN is off too
+    if off.any():
+        total = float(totals[off][0])
         raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
     return w
 
 
 def _floor_variance(var: np.ndarray) -> np.ndarray:
-    if np.any(var < VAR_FLOOR):
-        n = int(np.sum(var < VAR_FLOOR))
-        log.warning("variance floor applied to %d coordinate(s)", n)
+    low = var < VAR_FLOOR
+    if low.any():
+        log.warning("variance floor applied to %d coordinate(s)", int(low.sum()))
         var = np.maximum(var, VAR_FLOOR)
     return var
 
@@ -179,8 +187,19 @@ def aggregate(
     if len(survivors) == 1:
         return survivors[0]
     w = w[keep] / w[keep].sum()
-    pairs = list(zip(w, survivors))
+    mean, var = _barycenter(method, list(zip(w, survivors)))
+    return DiagGaussian(mean=mean, var=_floor_variance(var))
 
+
+def _barycenter(method: AggregationMethod, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, var) of the weighted barycenter of (weight, posterior) pairs.
+
+    Scalar weights give P-long vectors. (L, 1) column weights give (L, P)
+    stacks, one barycenter per row: broadcasting makes the same elementwise
+    operations in the same order, so each row has the bits that row's scalar
+    weights give. (At P = 1 that holds below 8 pairs, where NumPy's pairwise
+    sum of a column is a plain running sum; a projection has 2.)
+    """
     if method is AggregationMethod.EAA:
         mean = _sum_rows(wi * p.mean for wi, p in pairs)
         var = _sum_rows(wi * p.var for wi, p in pairs)
@@ -192,22 +211,22 @@ def aggregate(
         prec = _sum_rows(wi / p.var for wi, p in pairs)
         var = 1.0 / prec
         mean = var * _sum_rows(wi * p.mean / p.var for wi, p in pairs)
-
-    return DiagGaussian(mean=mean, var=_floor_variance(var))
+    return mean, var
 
 
 def _sum_rows(rows) -> np.ndarray:
-    """Sum of equal-length vectors, added one at a time onto zeros.
+    """Sum of equal-shape arrays, added one at a time onto zeros.
 
     These are the additions, in the same order, that ``np.sum(stack,
     axis=0)`` makes over the stacked rows, so the bits are the same; but only
     the running total and one row are alive at a time, never a (K, P) stack
-    and its temporaries. NumPy sums a single column pairwise, so length-1
-    vectors are stacked and summed by NumPy to keep those bits too.
+    and its temporaries. NumPy sums a single column pairwise, so arrays whose
+    last axis has length 1 are stacked and summed by NumPy to keep those bits
+    too.
     """
     rows = iter(rows)
     first = next(rows)
-    if first.size == 1:
+    if first.shape[-1] == 1:
         return np.sum(np.stack([first, *rows]), axis=0)
     total = np.zeros_like(first)
     total += first
@@ -226,14 +245,17 @@ def project(
     d: Divergence,
     p_g: DiagGaussian,
     p_k: DiagGaussian,
-    lam: float,
-) -> DiagGaussian:
-    """Project the global posterior onto a divergence sphere around the local one.
+    lambdas,
+) -> list[DiagGaussian]:
+    """Project the global posterior onto a divergence sphere around the local
+    one, for every lambda of a grid; one posterior per lambda, in order.
 
     The constrained projection is solved in closed form as the two-point
     weighted barycenter of (p_g, p_k) with weights (1/(lambda+1),
-    lambda/(lambda+1)). lambda = 0 returns p_g unchanged, lambda = inf
-    returns p_k unchanged; the sphere radius shrinks as lambda grows.
+    lambda/(lambda+1)); the sphere radius shrinks as lambda grows. lambda = 0
+    gives p_g itself and lambda = inf gives p_k itself. All finite positive
+    lambdas of the grid are the rows of one stacked (L, P) barycenter, floored
+    once; each row has the bits ``aggregate`` gives for that lambda's weights.
 
     Only RKL and W2SQ are supported: their barycenters stay inside the
     diagonal-Gaussian family. Forward KL is rejected.
@@ -242,9 +264,13 @@ def project(
     if d not in _PROJECTION_METHOD:
         raise ValueError(f"unsupported divergence for projection: {d.value}")
     _check_same_dim(p_g, p_k)
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if math.isinf(lam):
-        return p_k
-    return aggregate(_PROJECTION_METHOD[d], [p_g, p_k], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
-
+    for lam in lambdas:
+        if not lam >= 0:
+            raise ValueError(f"lambda must be >= 0, got {lam}")
+    lams = np.asarray(lambdas, dtype=np.float64)
+    inner = lams[(lams > 0.0) & (lams < math.inf)]
+    w = _check_weights(2, np.stack([1.0 / (inner + 1.0), inner / (inner + 1.0)], axis=1))
+    w = w / w.sum(axis=1, keepdims=True)
+    mean, var = _barycenter(_PROJECTION_METHOD[d], [(w[:, :1], p_g), (w[:, 1:], p_k)])
+    rows = (DiagGaussian(mean=m, var=v) for m, v in zip(mean, _floor_variance(var)))
+    return [p_g if lam == 0.0 else p_k if lam == math.inf else next(rows) for lam in lams]

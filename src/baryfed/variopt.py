@@ -111,11 +111,6 @@ def ivon_restart(
     )
 
 
-def ivon_from_posterior(post: DiagGaussian, opt: OptimizerCfg, ess: float) -> IvonState:
-    """Restart at ``post`` alone: ivon_restart's one row."""
-    return ivon_restart([post], opt, [ess])[0]
-
-
 def posterior_of(state: IvonState) -> DiagGaussian:
     """Posterior implied by a single state, in arrays of its own."""
     return DiagGaussian(mean=state.mean.copy(), var=state.var.copy())

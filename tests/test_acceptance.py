@@ -161,10 +161,9 @@ def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
         p_g = final["global"]
         for p_k in final["locals"]:
             for d in (Divergence.RKL, Divergence.W2SQ):
-                at_zero = project(d, p_g, p_k, 0.0)
+                at_zero, at_inf = project(d, p_g, p_k, [0.0, math.inf])
                 assert np.array_equal(at_zero.mean, p_g.mean)
                 assert np.array_equal(at_zero.var, p_g.var)
-                at_inf = project(d, p_g, p_k, math.inf)
                 assert np.array_equal(at_inf.mean, p_k.mean)
                 assert np.array_equal(at_inf.var, p_k.var)
 

@@ -374,19 +374,22 @@ class TestValidateGeometry:
         self.assert_only_failure(capsys, "barycenter-optimality")
 
     def test_wrong_barycenter_in_projection_detected(self, capsys, monkeypatch):
-        def eaa_projection(d, p_g, p_k, lam):
-            if math.isinf(lam):
-                return p_k
-            weights = [1.0 / (lam + 1.0), lam / (lam + 1.0)]
-            return aggregate(AggregationMethod.EAA, [p_g, p_k], weights)
+        def eaa_projection(d, p_g, p_k, lambdas):
+            def one(lam):
+                if math.isinf(lam):
+                    return p_k
+                weights = [1.0 / (lam + 1.0), lam / (lam + 1.0)]
+                return aggregate(AggregationMethod.EAA, [p_g, p_k], weights)
+
+            return [one(lam) for lam in lambdas]
 
         monkeypatch.setattr(checks, "project", eaa_projection)
         self.assert_only_failure(capsys, "projection-oracle-equivalence")
 
     def test_inverted_lambda_detected(self, capsys, monkeypatch):
         # walks the path backwards: p_k at lambda = 0, p_g at lambda = inf
-        def inverted(d, p_g, p_k, lam):
-            return project(d, p_g, p_k, math.inf if lam == 0.0 else 1.0 / lam)
+        def inverted(d, p_g, p_k, lambdas):
+            return project(d, p_g, p_k, [math.inf if lam == 0.0 else 1.0 / lam for lam in lambdas])
 
         monkeypatch.setattr(checks, "project", inverted)
         self.assert_only_failure(capsys, "geodesic-monotonicity")

@@ -35,7 +35,7 @@ from baryfed.federation import (
     train,
 )
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
-from baryfed.variopt import ivon_from_posterior, ivon_init, ivon_step, posterior_of, sample_params
+from baryfed.variopt import ivon_init, ivon_restart, ivon_step, posterior_of, sample_params
 
 METRICS_COLUMNS = [
     "setting", "method", "lambda", "client_id", "seed",
@@ -295,7 +295,7 @@ def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spe
     if deterministic:
         state = ivon_init(dim, opt, shard.n, mean=global_posterior.mean)
     else:
-        state = ivon_from_posterior(global_posterior, opt, shard.n)
+        state = ivon_restart([global_posterior], opt, [shard.n])[0]
     trace = []
     for lr in lrs:
         order = rng.permutation(shard.n)
@@ -529,8 +529,7 @@ class TestPersonalizeAll:
 
     def test_endpoints_bit_exact(self):
         g, locals_ = self.stand_ins()
-        at_zero = [project(Divergence.W2SQ, g, p, 0.0) for p in locals_]
-        at_inf = [project(Divergence.W2SQ, g, p, math.inf) for p in locals_]
+        at_zero, at_inf = zip(*(project(Divergence.W2SQ, g, p, [0.0, math.inf]) for p in locals_))
         for p in at_zero:
             assert np.array_equal(p.mean, g.mean) and np.array_equal(p.var, g.var)
         for p, loc in zip(at_inf, locals_):
@@ -550,7 +549,7 @@ class TestPersonalizeAll:
             monkeypatch.setattr(models, name, refuse(name))
         g, locals_ = self.stand_ins()
         for p in locals_:
-            project(Divergence.RKL, g, p, 1.0)
+            project(Divergence.RKL, g, p, [1.0])
         assert calls == {"forward": 0, "loss_and_grad": 0}
 
     def test_matches_direct_projection(self):
@@ -567,7 +566,7 @@ class TestPersonalizeAll:
         rows = [m for m in rows if m["setting"] == "PM-GD" and m["lambda"] == 1.0]
         assert [m["client_id"] for m in rows] == list(range(len(final["locals"])))
         for m, loc in zip(rows, final["locals"]):
-            p = project(cfg.personalization.divergence, final["global"], loc, 1.0)
+            (p,) = project(cfg.personalization.divergence, final["global"], loc, [1.0])
             ref = evaluate(spec, [p], test, noise, cfg.eval.ece_bins)[0]
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baryfed import geometry
 from baryfed.checks import geodesic_monotonicity, numeric_projection_oracle, projection_oracle_error
 from baryfed.geometry import (
     AggregationMethod,
@@ -47,6 +48,25 @@ def weighted_sets(draw, min_size=1, max_size=12):
     return posts, raw / raw.sum()
 
 
+@st.composite
+def projection_instances(draw):
+    """(p_g, p_k, grid): P of 1, 2 or 51; means that may be +0.0 or -0.0;
+    variances that may be small enough for a projection to floor them; and
+    an unsorted grid that may repeat lambdas and hold 0, 1e-300, 1e300, inf."""
+    dim = draw(st.sampled_from([1, 2, 51]))
+    means = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+    variances = st.one_of(st.sampled_from([1e-14, 1e-13]), st.floats(1e-3, 1e3))
+    p_g, p_k = (
+        g(
+            draw(st.lists(means, min_size=dim, max_size=dim)),
+            draw(st.lists(variances, min_size=dim, max_size=dim)),
+        )
+        for _ in range(2)
+    )
+    lams = st.one_of(st.sampled_from([0.0, 1e-300, 1e300, math.inf]), st.floats(1e-3, 1e3))
+    return p_g, p_k, draw(st.lists(lams, min_size=1, max_size=8))
+
+
 def assert_close(a: DiagGaussian, b: DiagGaussian):
     np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(a.var, b.var, rtol=1e-12, atol=1e-12)
@@ -71,6 +91,26 @@ class TestDiagGaussian:
             p.mean[0] = 3.0
         assert p.dim == 2
         assert np.allclose(p.std, np.sqrt(p.var))
+
+    def test_contiguous_float64_is_shared_not_copied(self):
+        # frozen in place: a caller that keeps writing passes a copy
+        m, v = np.zeros(3), np.ones(3)
+        p = DiagGaussian(mean=m, var=v)
+        assert p.mean is m and p.var is v
+        assert not m.flags.writeable and not v.flags.writeable
+        # anything else is converted into an array of the posterior's own
+        ints = np.ones(3, dtype=np.int64)
+        q = DiagGaussian(mean=ints, var=ints)
+        assert q.var is not ints and ints.flags.writeable and not q.var.flags.writeable
+
+    def test_projected_rows_are_read_only(self):
+        p_g, p_k = g([0.0, 1.0], [1.0, 0.5]), g([4.0, -2.0], [9.0, 0.1])
+        for d in (Divergence.RKL, Divergence.W2SQ):
+            for p in project(d, p_g, p_k, [0.5, 1.0, 3.0]):
+                assert not p.mean.flags.writeable and not p.var.flags.writeable
+                with pytest.raises(ValueError):
+                    p.var[0] = 1.0
+
 
 class TestDivergences:
     def test_kl_pinned_values(self):
@@ -220,18 +260,64 @@ class TestProjectionWeights:
             Divergence.W2SQ: AggregationMethod.W2B,
             Divergence.RKL: AggregationMethod.RKLB,
         }
+        grid = [1.0, 0.0, 3.0, math.inf]
+        weights = [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
         for d, method in pairs.items():
-            for lam, w in ((1.0, [0.5, 0.5]), (0.0, [1.0, 0.0]), (3.0, [0.25, 0.75])):
-                out = project(d, self.p_g, self.p_k, lam)
+            *outs, at_inf = project(d, self.p_g, self.p_k, grid)
+            for out, w in zip(outs, weights):
                 ref = aggregate(method, [self.p_g, self.p_k], w)
                 assert np.array_equal(out.mean, ref.mean)
                 assert np.array_equal(out.var, ref.var)
-            assert project(d, self.p_g, self.p_k, math.inf) is self.p_k
+            assert at_inf is self.p_k
+        assert project(Divergence.RKL, self.p_g, self.p_k, []) == []
 
-    def test_from_lambda_rejects_negative(self):
-        for lam in (-0.5, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="lambda must be >= 0"):
-                project(Divergence.W2SQ, self.p_g, self.p_k, lam)
+    def test_from_lambda_rejects_negative(self, monkeypatch):
+        # anywhere in the grid, before any arithmetic
+        def refuse(*args):
+            raise AssertionError("barycenter computed before every lambda was checked")
+
+        monkeypatch.setattr(geometry, "_barycenter", refuse)
+        for bad in (-0.5, -math.inf, math.nan):
+            for at in (0, 2, 4):
+                grid = [0.0, 1.0, 1e300, math.inf]
+                grid.insert(at, bad)
+                with pytest.raises(ValueError, match=f"lambda must be >= 0, got {bad}"):
+                    project(Divergence.W2SQ, self.p_g, self.p_k, grid)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(projection_instances())
+    def test_grid_rows_bit_equal_aggregate(self, instance):
+        p_g, p_k, grid = instance
+        pairs = {
+            Divergence.W2SQ: AggregationMethod.W2B,
+            Divergence.RKL: AggregationMethod.RKLB,
+        }
+        for d, method in pairs.items():
+            outs = project(d, p_g, p_k, grid)
+            assert len(outs) == len(grid)
+            for lam, out in zip(grid, outs):
+                if lam == 0.0:
+                    assert out is p_g
+                elif lam == math.inf:
+                    assert out is p_k
+                else:
+                    ref = aggregate(method, [p_g, p_k], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
+                    assert out.mean.tobytes() == ref.mean.tobytes(), (d, lam)
+                    assert out.var.tobytes() == ref.var.tobytes(), (d, lam)
+
+    def test_variance_floor_per_row(self, caplog):
+        # a tiny global variance is floored near lambda = 0 only; one warning
+        # per grid counts the floored coordinates of every row
+        p_g, p_k = g([0.0, 1.0], [1e-14, 1e-14]), g([0.5, -0.0], [1.0, 2.0])
+        with caplog.at_level("WARNING"):
+            low, high = project(Divergence.RKL, p_g, p_k, [1e-300, 1e300])
+        assert np.array_equal(low.var, [VAR_FLOOR, VAR_FLOOR])
+        assert high.var.tobytes() == aggregate(
+            AggregationMethod.RKLB, [p_g, p_k], [1.0 / (1e300 + 1.0), 1e300 / (1e300 + 1.0)]
+        ).var.tobytes()
+        assert high.var.min() > VAR_FLOOR
+        floors = [r.getMessage() for r in caplog.records if "variance floor" in r.getMessage()]
+        assert floors == ["variance floor applied to 2 coordinate(s)"]
 
 
 class TestProject:
@@ -239,7 +325,7 @@ class TestProject:
     p_k = g(4.0, 9.0)
 
     def test_w2sq_worked_example(self):
-        out = project(Divergence.W2SQ, self.p_g, self.p_k, 1.0)
+        (out,) = project(Divergence.W2SQ, self.p_g, self.p_k, [1.0])
         assert out.mean[0] == pytest.approx(2.0, abs=1e-12)
         assert out.var[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -247,7 +333,7 @@ class TestProject:
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_zero_is_global_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            out = project(d, p_g, p_k, 0.0)
+            (out,) = project(d, p_g, p_k, [0.0])
             assert np.array_equal(out.mean, p_g.mean)
             assert np.array_equal(out.var, p_g.var)
 
@@ -255,20 +341,20 @@ class TestProject:
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_inf_is_local_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            out = project(d, p_g, p_k, math.inf)
+            (out,) = project(d, p_g, p_k, [math.inf])
             assert np.array_equal(out.mean, p_k.mean)
             assert np.array_equal(out.var, p_k.var)
 
     def test_forward_kl_rejected(self):
         with pytest.raises(ValueError):
-            project(Divergence.KL, self.p_g, self.p_k, 1.0)
+            project(Divergence.KL, self.p_g, self.p_k, [1.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            project(Divergence.W2SQ, self.p_g, self.p_k, -1.0)
+            project(Divergence.W2SQ, self.p_g, self.p_k, [-1.0])
 
     def test_rkl_matches_two_point_fusion(self):
-        out = project(Divergence.RKL, g(0.0, 1.0), g(2.0, 1.0 / 3.0), 1.0)
+        (out,) = project(Divergence.RKL, g(0.0, 1.0), g(2.0, 1.0 / 3.0), [1.0])
         assert out.mean[0] == pytest.approx(1.5, abs=1e-12)
         assert out.var[0] == pytest.approx(0.5, abs=1e-12)
 

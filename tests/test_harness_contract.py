@@ -75,16 +75,9 @@ RUN_CONFIG = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, config, optional",
-    [
-        ("compare-agg", COMPARE_CONFIG, set()),
-        ("run", RUN_CONFIG, {"evaluation.wilcoxon_signed_rank"}),
-    ],
-    ids=["compare-agg", "run"],
-)
-def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, config, optional):
-    # patch every binding of each wrapped function, as child.py's Tracer does
+def count_wrapped_calls(monkeypatch) -> dict[str, int]:
+    """Calls per wrapped function from here on, counted on every binding of
+    it, as child.py's Tracer does."""
     calls = dict.fromkeys(wrapped_names(), 0)
     modules = [m for n, m in sys.modules.items() if n == "baryfed" or n.startswith("baryfed.")]
 
@@ -102,8 +95,37 @@ def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, co
             for attr, value in list(vars(m).items()):
                 if value is original:
                     monkeypatch.setattr(m, attr, counting)
+    return calls
 
+
+def run_command(tmp_path, command, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
     assert main([command, str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, config, optional",
+    [
+        ("compare-agg", COMPARE_CONFIG, set()),
+        ("run", RUN_CONFIG, {"evaluation.wilcoxon_signed_rank"}),
+    ],
+    ids=["compare-agg", "run"],
+)
+def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, config, optional):
+    calls = count_wrapped_calls(monkeypatch)
+    run_command(tmp_path, command, config)
     assert [name for name, n in calls.items() if n == 0 and name not in optional] == []
+
+
+def test_compare_agg_geometry_call_counts(tmp_path, monkeypatch):
+    # one project call personalizes a client for the whole lambda grid, and
+    # aggregate runs on the server only: a fallback to one project call per
+    # lambda, or to one aggregate per projection, multiplies these counts
+    calls = count_wrapped_calls(monkeypatch)
+    run_command(tmp_path, "compare-agg", COMPARE_CONFIG)
+    seeds, methods = len(COMPARE_CONFIG["seeds"]), len(COMPARE_CONFIG["compare"]["methods"])
+    clients = COMPARE_CONFIG["partition"]["n_clients"]
+    rounds = COMPARE_CONFIG["federation"]["rounds"]
+    assert calls["geometry.project"] == seeds * methods * clients == 60
+    assert calls["geometry.aggregate"] == seeds * methods * rounds == 45

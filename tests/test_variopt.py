@@ -8,7 +8,6 @@ from baryfed.models import RowError
 from baryfed.variopt import (
     IvonState,
     hessian_of,
-    ivon_from_posterior,
     ivon_init,
     ivon_restart,
     ivon_step,
@@ -142,7 +141,7 @@ class TestStep:
 
     def test_restart_from_posterior(self):
         post = DiagGaussian(mean=np.array([0.5, -1.0]), var=np.array([1e-3, 2e-3]))
-        st = ivon_from_posterior(post, OptimizerCfg(weight_decay=0.01), 40)
+        st = ivon_restart([post], OptimizerCfg(weight_decay=0.01), [40])[0]
         assert np.array_equal(st.mean, post.mean) and st.step_count == 0
         assert np.array_equal(st.hess, hessian_of(post, 40, 0.01))
         assert np.allclose(posterior_of(st).var, post.var, rtol=1e-12)
