@@ -65,7 +65,7 @@ def metrics_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[dict[st
     starts, counts = edges[:-1], np.diff(edges)
     terms = np.zeros(m * bins)
     # the bins with L members are the rows of one contiguous (k, L) matrix
-    for size in np.unique(counts[counts > 0]):
+    for size in sorted(set(counts[counts > 0].tolist())):
         rows = np.flatnonzero(counts == size)
         members = starts[rows, None] + np.arange(size)
         gap = np.abs(conf[members].sum(axis=1) / size - correct[members].sum(axis=1) / size)

@@ -64,7 +64,6 @@ from .geometry import (
 )
 from .models import MlpSpec, RowError
 from .variopt import (
-    ivon_init,
     ivon_restart,
     ivon_step,
     linear_lr,
@@ -209,7 +208,7 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, fro
             rows = order[:active, t * batch_size : t * batch_size + counts[0]]
             view = state[:active]
             if deterministic:
-                thetas = view.mean
+                thetas = view.mean[:, None]
             else:
                 thetas = sample_params(view, rngs[:active], out=draws[:active])
             if samples > 1:
@@ -221,8 +220,7 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, fro
                 return None, min((jobs[r // samples], m) for r, m in exc.errors.items())
             try:
                 ivon_step(
-                    view, grads.reshape(thetas.shape), thetas, lr,
-                    update_hessian=not deterministic, out=view,
+                    view, grads.reshape(thetas.shape), thetas, lr, update_hessian=not deterministic
                 )
             except RowError as exc:
                 return None, min((jobs[r], m) for r, m in exc.errors.items())
@@ -231,17 +229,17 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, fro
             for s in range(samples):
                 mean_loss += losses[s::samples] / samples
             nll[:active, t] = mean_loss
-        for n_steps in np.unique(steps):
-            same = np.flatnonzero(steps == n_steps)
-            for r, mean in zip(same, np.mean(nll[same, :n_steps], axis=1)):
-                traces[r].append(float(mean))
+        # steps never increases down the stack, so equal counts are runs
+        for lo, hi, n_steps in models._runs(steps):
+            for trace, mean in zip(traces[lo:hi], np.mean(nll[lo:hi, :n_steps], axis=1)):
+                trace.append(float(mean))
 
+    if deterministic:
+        posts = [DiagGaussian(mean=m.copy(), var=np.full(dim, frozen_var)) for m in state.mean]
+    else:
+        posts = posterior_of(state)
     results = [None] * len(jobs)
-    for r, (j, trace) in enumerate(zip(jobs, traces)):
-        if deterministic:
-            post = DiagGaussian(mean=state.mean[r].copy(), var=np.full(dim, frozen_var))
-        else:
-            post = posterior_of(state[r])
+    for j, post, trace in zip(jobs, posts, traces):
         results[j] = (post, trace)
     return results, None
 
@@ -357,16 +355,15 @@ def model_start(
     posterior at θ0, and one learning rate per epoch of all rounds (decayed
     linearly from lr_initial to lr_final).
 
-    The initial posterior is the optimizer's at h0 for ``ess`` examples or,
-    with ``frozen_var`` set (FedAvg), θ0 with that variance everywhere.
+    The initial posterior is θ0 with the optimizer's variance at h0 for
+    ``ess`` examples, 1/(ess (h0 + delta)), or, with ``frozen_var`` set
+    (FedAvg), that variance everywhere.
     """
     spec = MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
     opt = cfg.optimizer
-    if frozen_var is None:
-        start = posterior_of(ivon_init(theta0.shape[0], opt, ess, mean=theta0))
-    else:
-        start = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], frozen_var))
+    var = 1.0 / (ess * (opt.h0 + opt.weight_decay)) if frozen_var is None else frozen_var
+    start = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], var))
     epochs = cfg.federation.rounds * cfg.federation.local_epochs
     lrs = [linear_lr(opt.lr_initial, opt.lr_final, e, max(epochs - 1, 1)) for e in range(epochs)]
     return spec, start, lrs

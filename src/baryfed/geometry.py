@@ -38,7 +38,8 @@ class DiagGaussian:
     must be strictly positive. A contiguous float64 array is not copied: it
     is frozen in place and shared, so the caller's own array turns read-only.
     Any other input is converted into a new frozen array. A caller that keeps
-    writing to an array passes a copy (as ``variopt.posterior_of`` does).
+    writing to an array passes a copy (as ``variopt.posterior_of`` does for
+    each row of an optimizer state).
     """
 
     mean: np.ndarray

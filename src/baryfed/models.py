@@ -7,8 +7,8 @@ unpack views the flat vector as per-layer (W, b) pairs.
 ``forward`` also takes a stack (..., P) of vectors, which lets
 ``predict_proba_mc`` score every sampled parameter of a list of posteriors
 in one pass instead of one call per posterior and draw. ``loss_and_grad``
-likewise takes a stack (K, P) with a stacked ``Batch``, so every client of a
-round computes its gradient in one call.
+takes a stack (K, P) with a ``Batch`` of K minibatches, so every client of
+a round computes its gradient in one call.
 """
 
 from __future__ import annotations
@@ -54,32 +54,27 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """One minibatch, inputs (n, d) and labels (n,), or a stack of K
-    minibatches padded to one length: inputs (K, n, d), labels (K, n), and
-    in ``counts`` (K,) the number of real rows at the start of each. Padding
-    rows never reach a loss or a gradient, so any finite values will do."""
+    """A stack of K minibatches padded to one length: inputs (K, n, d),
+    labels (K, n), and in ``counts`` (K,) the number of real rows at the
+    start of each. Padding rows never reach a loss or a gradient, so any
+    finite values will do."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    counts: np.ndarray | None = None
+    counts: np.ndarray
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim not in (2, 3):
-            raise ValueError(f"inputs must be 2-d or 3-d, got shape {inputs.shape}")
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if inputs.ndim != 3:
+            raise ValueError(f"inputs must be 3-d (K, n, d), got shape {inputs.shape}")
         if labels.shape != inputs.shape[:-1]:
             raise ValueError("labels must match the leading axes of inputs")
-        if self.counts is None:
-            counts = np.full(inputs.shape[:-2], inputs.shape[-2], dtype=np.int64)
-        else:
-            counts = np.asarray(self.counts, dtype=np.int64)
-            if counts.shape != inputs.shape[:-2] or np.any(counts < 1) or np.any(
-                counts > inputs.shape[-2]
-            ):
-                raise ValueError(
-                    f"counts must give 1..{inputs.shape[-2]} real rows per stacked minibatch"
-                )
+        if counts.shape != inputs.shape[:1] or np.any(counts < 1) or np.any(
+            counts > inputs.shape[1]
+        ):
+            raise ValueError(f"counts must give 1..{inputs.shape[1]} real rows per minibatch")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "counts", counts)
@@ -165,24 +160,21 @@ def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
-    """Mean cross-entropy over the batch and its exact flat gradient.
+    """Mean cross-entropy of each minibatch and its exact flat gradient.
 
-    A vector (P,) with a (n, d) batch gives (loss, gradient (P,)). A stack
-    (K, P) with a stacked batch gives (losses (K,), gradients (K, P)): row k
-    is scored on its own ``counts[k]`` rows and is bit-identical to a call
-    on that vector and those rows alone. Every matrix product runs on real
-    rows only, one stacked product per run of rows with equal counts,
-    because the BLAS result for a row depends on how many rows share the
-    product. A stacked call raises RowError naming the rows whose logits
-    are non-finite, before any gradient is computed.
+    A stack (K, P) with a batch of K minibatches gives (losses (K,),
+    gradients (K, P)): row k is scored on its own ``counts[k]`` rows and is
+    bit-identical to a stack of one with that vector and those rows alone.
+    Every matrix product runs on real rows only, one stacked product per
+    run of rows with equal counts, because the BLAS result for a row
+    depends on how many rows share the product. Raises RowError naming the
+    rows whose logits are non-finite, before any gradient is computed.
     """
-    single = np.ndim(thetas) == 1
-    thetas = np.atleast_2d(thetas)
-    inputs = batch.inputs.reshape(-1, *batch.inputs.shape[-2:])
-    labels = batch.labels.reshape(-1, batch.labels.shape[-1])
-    counts = batch.counts.reshape(-1)
-    if thetas.shape[0] != labels.shape[0]:
-        raise ValueError(f"{thetas.shape[0]} parameter vectors for {labels.shape[0]} minibatches")
+    inputs, labels, counts = batch.inputs, batch.labels, batch.counts
+    if thetas.ndim != 2 or thetas.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"parameter stack of shape {thetas.shape} for {labels.shape[0]} minibatches"
+        )
     if np.any(labels < 0) or np.any(labels >= spec.n_classes):
         raise ValueError("labels out of range for the output layer")
     layers = unpack(thetas, spec)
@@ -226,8 +218,6 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
                 np.matmul(delta[lo:hi, :m], w_t[lo:hi], out=back[lo:hi, :m])
             back *= pre[i - 1] > 0.0
             delta = back
-    if single:
-        return float(losses[0]), grads[0]
     return losses, grads
 
 

@@ -8,17 +8,16 @@ vice versa. Updates use a sampled-gradient second-order rule: a reparameterized
 per-coordinate Hessian estimate feeds an exponential moving average, and the
 mean moves along the momentum direction preconditioned by the Hessian.
 
-A state is one vector (P,) or a stack (K, P) of K independent states, one
-per client of a round, each row with its own effective sample size and step
-count. Every operation acts row by row, so a row of a stack is
-bit-identical to that state stepped alone. ``sample_params`` and
-``ivon_step`` write into ``out=`` buffers, so a training loop steps its
-stack in place without allocating a P-long array per step.
+A state is a stack (K, P) of K independent states, one per client of a
+round, each row with its own effective sample size and step count. Every
+operation acts row by row, so a row of a stack is bit-identical to that
+state stepped alone as a stack of one. ``sample_params`` writes into an
+``out`` buffer and ``ivon_step`` steps its state in place, so a training
+loop allocates no P-long array per step.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
 
@@ -33,25 +32,24 @@ log = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class IvonState:
-    """Per-coordinate optimizer state for a training set of ``ess`` examples,
-    or a stack (K, P) of them with ``ess`` (K, 1) and ``step_count`` (K,).
+    """A stack of K per-coordinate optimizer states: ``mean``, ``hess`` and
+    ``grad_momentum`` (K, P), row k for a training set of ``ess[k, 0]``
+    examples after ``step_count[k]`` steps.
 
     ``opt`` supplies beta1, beta2, h0, the weight decay delta and the
     optional update clip radius. ``var`` (the posterior variance implied by
     the Hessian) and ``std`` are computed on construction and kept current
-    by ``ivon_step``; ``work`` is its scratch space. ``ivon_step`` changes
-    only the state passed as its ``out``, so a state is changed in place
-    only by the loop that owns it. ``state[rows]`` is the state of some
-    rows of a stack; for a slice its arrays are views, so stepping it in
-    place steps those rows of the stack.
+    by ``ivon_step``; ``work`` is its scratch space. ``state[rows]``, for a
+    slice or a list of rows, is the state of those rows; for a slice its
+    arrays are views, so stepping it in place steps those rows of the stack.
     """
 
     mean: np.ndarray
     hess: np.ndarray
     grad_momentum: np.ndarray
     opt: OptimizerCfg
-    ess: float | np.ndarray
-    step_count: int | np.ndarray = 0
+    ess: np.ndarray
+    step_count: np.ndarray
     var: np.ndarray = field(init=False, repr=False)
     std: np.ndarray = field(init=False, repr=False)
     work: np.ndarray = field(init=False, repr=False)
@@ -73,19 +71,6 @@ class IvonState:
                 value = value[rows]
             setattr(part, name, value)
         return part
-
-
-def ivon_init(dim: int, opt: OptimizerCfg, ess: float, mean) -> IvonState:
-    """Fresh state at ``mean`` (the model initializer's flat parameter
-    vector): Hessian filled with h0, momentum zero, step count zero."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    mean = np.asarray(mean, dtype=np.float64).copy()
-    if mean.shape != (dim,):
-        raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
-    return IvonState(
-        mean=mean, hess=np.full(dim, float(opt.h0)), grad_momentum=np.zeros(dim), opt=opt, ess=ess
-    )
 
 
 def ivon_restart(
@@ -111,9 +96,9 @@ def ivon_restart(
     )
 
 
-def posterior_of(state: IvonState) -> DiagGaussian:
-    """Posterior implied by a single state, in arrays of its own."""
-    return DiagGaussian(mean=state.mean.copy(), var=state.var.copy())
+def posterior_of(state: IvonState) -> list[DiagGaussian]:
+    """The posterior each row implies, in arrays of its own."""
+    return [DiagGaussian(mean=m.copy(), var=v.copy()) for m, v in zip(state.mean, state.var)]
 
 
 def hessian_of(post: DiagGaussian, ess: float, delta: float) -> np.ndarray:
@@ -127,23 +112,18 @@ def hessian_of(post: DiagGaussian, ess: float, delta: float) -> np.ndarray:
     return h
 
 
-def sample_params(state: IvonState, rng, out: np.ndarray | None = None) -> np.ndarray:
-    """Draws mean + std * z from the posterior.
+def sample_params(state: IvonState, rngs, out: np.ndarray) -> np.ndarray:
+    """Draws mean + std * z from each row's posterior.
 
-    A single state and generator give one vector (P,). A stacked state
-    (K, P) takes one generator per row and fills ``out`` (K, S, P) with
-    each row's S draws; row k's S x P normals come from ``rng[k]`` in the
-    order S separate draws would take them. Returns ``out``.
+    Takes one generator per row and fills ``out`` (K, S, P) with each row's
+    S draws; row k's S x P normals come from ``rngs[k]`` in the order S
+    separate draws would take them. Returns ``out``.
     """
-    dim = state.mean.shape[-1]
-    single = state.mean.ndim == 1
-    if single:
-        rng, out = [rng], np.empty((1, 1, dim))
-    for gen, block in zip(rng, out):
+    for gen, block in zip(rngs, out):
         gen.standard_normal(out=block)
-    out *= state.std.reshape(-1, 1, dim)
-    out += state.mean.reshape(-1, 1, dim)
-    return out[0, 0] if single else out
+    out *= state.std[:, None]
+    out += state.mean[:, None]
+    return out
 
 
 def ivon_step(
@@ -152,51 +132,45 @@ def ivon_step(
     theta_sampled: np.ndarray,
     lr: float,
     update_hessian: bool = True,
-    out: IvonState | None = None,
-) -> IvonState:
-    """One optimizer step of size ``lr`` from gradients at posterior samples.
+) -> None:
+    """One optimizer step of size ``lr`` for every row of ``state``, in place,
+    from gradients at posterior samples.
 
-    For a single state, ``grad`` and ``theta_sampled`` are flat vectors or
-    stacked (samples, dim) arrays; for a stack of K states they are
-    (K, samples, dim) or (K, dim). Multiple samples average both the
-    gradient and the per-coordinate Hessian products
-    grad * (theta_sampled - mean) / var, with var taken before the update.
-    The Hessian estimate enters an EMA rectified at zero, then the mean
-    moves along the bias-corrected gradient momentum plus weight decay,
+    ``grad`` and ``theta_sampled`` are (K, S, P): S samples per row. The
+    samples average both the gradient and the per-coordinate Hessian
+    products grad * (theta_sampled - mean) / var, with var taken before the
+    update. The Hessian estimate enters an EMA rectified at zero, then the
+    mean moves along the bias-corrected gradient momentum plus weight decay,
     preconditioned by 1/(hess + delta); with a clip radius each row's
     update is clipped to it. ``update_hessian=False`` freezes the
     curvature, which turns the rule into a deterministic preconditioned
     momentum step.
 
-    The new state is written into ``out``, which may be ``state`` itself,
-    or into a copy of ``state``, which is returned. A non-finite gradient,
-    a Hessian with h + delta <= 0 or a non-finite new mean fails its row:
-    once every row is stepped, RowError names the step and the first bad
-    coordinate of each failed row, whose values are then meaningless.
-    Floating-point warnings are silenced, as each one ends in a failed row.
+    A non-finite gradient, a Hessian with h + delta <= 0 or a non-finite
+    new mean fails its row: once every row is stepped, RowError names the
+    step and the first bad coordinate of each failed row, whose values are
+    then meaningless. Floating-point warnings are silenced, as each one
+    ends in a failed row.
     """
     opt = state.opt
-    dim = state.mean.shape[-1]
-    lead = state.mean.shape[:-1]
     grad = np.asarray(grad, dtype=np.float64)
     theta_sampled = np.asarray(theta_sampled, dtype=np.float64)
     if (
-        grad.shape != theta_sampled.shape
-        or grad.shape[-1] != dim
-        or grad.shape[: len(lead)] != lead
-        or grad.ndim > len(lead) + 2
+        state.mean.ndim != 2
+        or grad.ndim != 3
+        or grad.shape != theta_sampled.shape
+        or grad.shape[::2] != state.mean.shape
     ):
-        raise ValueError(f"gradient shape {grad.shape} incompatible with state dim {dim}")
-    if out is None:
-        out = copy.deepcopy(state)
+        raise ValueError(
+            f"gradients must be (K, S, P) for a (K, P) state, got {grad.shape} "
+            f"for {state.mean.shape}"
+        )
     mean, hess, momentum, var, std = (
-        a.reshape(-1, dim) for a in (out.mean, out.hess, out.grad_momentum, out.var, out.std)
+        state.mean, state.hess, state.grad_momentum, state.var, state.std
     )
-    work, spare = out.work.reshape(2, -1, dim)
-    grad = grad.reshape(mean.shape[0], -1, dim)
-    theta_sampled = theta_sampled.reshape(grad.shape)
+    work, spare = state.work
     samples = grad.shape[1]
-    steps = (np.atleast_1d(out.step_count) + 1).tolist()
+    steps = (state.step_count + 1).tolist()
 
     errors = {}
     for r in np.flatnonzero(~np.isfinite(grad).all(axis=(1, 2))).tolist():
@@ -252,13 +226,12 @@ def ivon_step(
             bad = int(np.argmin(np.isfinite(mean[r])))
             errors.setdefault(r, f"optimizer step {steps[r]}: non-finite mean at coordinate {bad}")
 
-        np.multiply(curvature, out.ess, out=var)
+        np.multiply(curvature, state.ess, out=var)
         np.divide(1.0, var, out=var)
         np.sqrt(var, out=std)
-    out.step_count += 1
+    state.step_count += 1
     if errors:
         raise RowError(errors)
-    return out
 
 
 def linear_lr(initial: float, final: float, step: int, total_steps: int) -> float:

@@ -38,7 +38,7 @@ from baryfed.geometry import (
 from baryfed.models import Batch, MlpSpec, init_params, loss_and_grad
 from baryfed.variopt import (
     hessian_of,
-    ivon_init,
+    ivon_restart,
     ivon_step,
     linear_lr,
     posterior_of,
@@ -171,6 +171,12 @@ def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
     verdict(3, "pullback-endpoints-and-monotone-path", t0)
 
 
+def fresh_state(dim, opt, ess):
+    """A stack of one optimizer state at the origin with its Hessian at h0."""
+    origin = DiagGaussian(mean=np.zeros(dim), var=np.ones(dim))
+    return ivon_restart([origin], opt, [ess], frozen=True)
+
+
 def test_criterion_04_variance_duality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
@@ -178,13 +184,12 @@ def test_criterion_04_variance_duality():
         n = int(rng.integers(10, 100000))
         h = float(rng.uniform(0.01, 50.0))
         delta = float(rng.uniform(1e-6, 1e-2))
-        st = ivon_init(3, OptimizerCfg(weight_decay=delta, h0=h), n, np.zeros(3))
-        post = posterior_of(st)
+        (post,) = posterior_of(fresh_state(3, OptimizerCfg(weight_decay=delta, h0=h), n))
         assert np.allclose(post.var, 1.0 / (n * (h + delta)), rtol=1e-12)
         assert np.allclose(hessian_of(post, n, delta), h, rtol=1e-12)
 
-    pinned = ivon_init(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000, np.zeros(1))
-    assert posterior_of(pinned).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
+    pinned = fresh_state(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
+    assert posterior_of(pinned)[0].var[0] == pytest.approx(1.99992e-4, rel=1e-5)
     verdict(4, "posterior-hessian-duality", t0)
 
 
@@ -201,16 +206,15 @@ def test_criterion_05_optimizer_convergence_and_gradients():
     prec = n * delta + np.einsum("ij,ij->j", X, X)
     analytic = DiagGaussian(mean=(X.T @ y) / prec, var=1.0 / prec)
 
-    state = ivon_init(
-        dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n, np.zeros(dim)
-    )
+    state = fresh_state(dim, OptimizerCfg(weight_decay=delta, beta2=0.995, h0=5.0), n)
     step_rng = np.random.default_rng(11)
+    theta = np.empty((1, 1, dim))
     total = 2000
     for step in range(total):
-        theta = sample_params(state, step_rng)
-        grad = -(X.T @ (y - X @ theta)) / n
-        state = ivon_step(state, grad, theta, lr=linear_lr(0.1, 0.01, step, total))
-    gap = kl_gaussian(posterior_of(state), analytic)
+        sample_params(state, [step_rng], theta)
+        grad = -(X.T @ (y - X @ theta[0, 0])) / n
+        ivon_step(state, grad[None, None], theta, lr=linear_lr(0.1, 0.01, step, total))
+    gap = kl_gaussian(posterior_of(state)[0], analytic)
     assert gap < 0.05, f"KL to analytic posterior {gap:.4f}"
 
     worst = 0.0
@@ -224,19 +228,21 @@ def test_criterion_05_optimizer_convergence_and_gradients():
             )
         )
         theta = init_params(spec, seed=k)
+        # a stack of one vector and one minibatch
         batch = Batch(
-            inputs=net_rng.normal(size=(5, spec.layer_sizes[0])),
-            labels=net_rng.integers(0, spec.n_classes, size=5).astype(np.int64),
+            inputs=net_rng.normal(size=(1, 5, spec.layer_sizes[0])),
+            labels=net_rng.integers(0, spec.n_classes, size=(1, 5)).astype(np.int64),
+            counts=[5],
         )
-        _, grad = loss_and_grad(spec, theta, batch)
+        grad = loss_and_grad(spec, theta[None], batch)[1][0]
         eps = 1e-6
         fd = np.empty_like(theta)
         for i in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[i] += eps
-            down[i] -= eps
+            up, down = theta[None].copy(), theta[None].copy()
+            up[0, i] += eps
+            down[0, i] -= eps
             fd[i] = (
-                loss_and_grad(spec, up, batch)[0] - loss_and_grad(spec, down, batch)[0]
+                loss_and_grad(spec, up, batch)[0][0] - loss_and_grad(spec, down, batch)[0][0]
             ) / (2 * eps)
         rel = np.max(np.abs(fd - grad)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, rel)

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +160,31 @@ def test_csvs_agree(tmp_path):
     for row in sweep:
         match = pm[(row["seed"], row["lambda"], setting[row["scope"]])]
         assert [row[c] for c in moments] == [match[c] for c in moments]
+
+
+class TestRunImports:
+    def test_run_and_compare_agg_leave_numpy_ma_out(self, tmp_path):
+        # np.unique imports numpy.ma, about 17 ms in a cold interpreter. The
+        # Wilcoxon normal approximation (n > 20 pairs) still calls np.unique
+        # for its tie term, so compare-agg here stays at <= 20 seeds.
+        run_cfg = write_config(tmp_path, "run.json")
+        agg_cfg = write_config(
+            tmp_path, "agg.json", seeds=[0, 1, 2, 3, 4], compare={"methods": ["eaa", "w2b"]}
+        )
+        agg_out = str(tmp_path / "agg")
+        code = (
+            "import sys\n"
+            "from baryfed.cli import main\n"
+            f"assert main(['run', {run_cfg!r}]) == 0\n"
+            f"assert main(['compare-agg', {agg_cfg!r}, '--out-dir', {agg_out!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False"]
 
 
 class TestCompareAgg:

@@ -35,7 +35,7 @@ from baryfed.federation import (
     train,
 )
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
-from baryfed.variopt import ivon_init, ivon_restart, ivon_step, posterior_of, sample_params
+from baryfed.variopt import ivon_restart, ivon_step, posterior_of, sample_params
 
 METRICS_COLUMNS = [
     "setting", "method", "lambda", "client_id", "seed",
@@ -287,41 +287,46 @@ class TestForkedMethods:
             assert len(final["locals"]) == len(alone["locals"]) == n_clients
 
 
+def h0_prior(theta, opt, ess):
+    """The posterior at ``theta`` of an optimizer state with its Hessian at h0."""
+    start = DiagGaussian(mean=theta, var=np.ones(theta.shape[0]))
+    return posterior_of(ivon_restart([start], opt, [ess], frozen=True))[0]
+
+
 def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spec, frozen_var):
-    """Reference local phase with one minibatch loop per algorithm."""
+    """Reference local phase with one minibatch loop per algorithm: one job
+    as a stack of one, one minibatch and one draw per gradient call."""
     dim = global_posterior.dim
     mc_train = opt.mc_train_samples
     deterministic = frozen_var is not None
-    if deterministic:
-        state = ivon_init(dim, opt, shard.n, mean=global_posterior.mean)
-    else:
-        state = ivon_restart([global_posterior], opt, [shard.n])[0]
+    state = ivon_restart([global_posterior], opt, [shard.n], frozen=deterministic)
     trace = []
     for lr in lrs:
         order = rng.permutation(shard.n)
         losses = []
         for start in range(0, shard.n, batch_size):
             idx = order[start : start + batch_size]
-            batch = models.Batch(inputs=shard.inputs[idx], labels=shard.labels[idx])
+            batch = models.Batch(
+                inputs=shard.inputs[idx][None], labels=shard.labels[idx][None], counts=[len(idx)]
+            )
             if deterministic:
-                loss, grad = models.loss_and_grad(spec, state.mean, batch)
-                state = ivon_step(state, grad, state.mean, lr=lr, update_hessian=False)
+                (loss,), grad = models.loss_and_grad(spec, state.mean, batch)
+                ivon_step(state, grad[:, None], state.mean[:, None], lr=lr, update_hessian=False)
             else:
-                grads = np.empty((mc_train, dim))
+                grads = np.empty((1, mc_train, dim))
                 thetas = np.empty_like(grads)
                 loss = 0.0
                 for s in range(mc_train):
-                    theta = sample_params(state, rng)
-                    l, g = models.loss_and_grad(spec, theta, batch)
+                    theta = sample_params(state, [rng], np.empty((1, 1, dim)))[0]
+                    (l,), grads[:, s] = models.loss_and_grad(spec, theta, batch)
                     loss += l / mc_train
-                    grads[s] = g
-                    thetas[s] = theta
-                state = ivon_step(state, grads, thetas, lr=lr)
+                    thetas[:, s] = theta
+                ivon_step(state, grads, thetas, lr=lr)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     if deterministic:
-        return DiagGaussian(mean=state.mean, var=np.full(dim, frozen_var)), trace
-    return posterior_of(state), trace
+        return DiagGaussian(mean=state.mean[0], var=np.full(dim, frozen_var)), trace
+    return posterior_of(state)[0], trace
 
 
 class TestClientUpdate:
@@ -341,7 +346,7 @@ class TestClientUpdate:
         shard = train.subset(np.arange(0, train.n, 2))
         spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 7)
-        prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, 50.0, mean=theta0))
+        prior = h0_prior(theta0, cfg.optimizer, 50.0)
         lrs = [0.3, 0.2, 0.1]
         ((post, trace),) = client_update([prior], [shard], [3], cfg, lrs, spec, 5, 2, frozen_var)
         ref, ref_trace = forked_client_update(
@@ -357,11 +362,22 @@ class TestClientUpdate:
         train, _ = build_data(cfg, seed=0)
         spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 0)
-        prior = posterior_of(ivon_init(theta0.shape[0], cfg.optimizer, train.n, mean=theta0))
+        prior = h0_prior(theta0, cfg.optimizer, train.n)
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
             with np.errstate(all="ignore"):
                 client_update([prior], [train], [2], cfg, [1e6] * 3, spec, 0, 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
+
+    @pytest.mark.parametrize(
+        "h0, delta, ess", [(5.0, 2e-4, 60000), (1e-6, 0, 1.0), (3, 0.7, 37), (0.1, 1e-9, 123.456)]
+    )
+    def test_start_variance_is_fresh_optimizer_variance(self, h0, delta, ess):
+        # model_start's closed form gives the bits of a state restarted at h0
+        cfg = make_cfg(optimizer=OptimizerCfg(h0=h0, weight_decay=delta))
+        train, _ = build_data(cfg, seed=0)
+        _, start, _ = model_start(cfg, 0, train, ess)
+        state = ivon_restart([start], cfg.optimizer, [ess], frozen=True)
+        assert start.var.tobytes() == state.var[0].tobytes()
 
 
 def oracle_group(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var):
@@ -419,7 +435,7 @@ def lockstep_case(case):
     priors = []
     for j in range(len(shards)):
         theta = models.init_params(spec, case["seed"] + j)
-        priors.append(posterior_of(ivon_init(theta.shape[0], cfg.optimizer, 20.0 + 7 * j, theta)))
+        priors.append(h0_prior(theta, cfg.optimizer, 20.0 + 7 * j))
     client_ids = rng.permutation(len(shards) + 3)[: len(shards)].tolist()
     return priors, shards, client_ids, cfg, [0.3, 0.2, 0.1], spec, case["seed"], 2, fedavg_var(cfg)
 

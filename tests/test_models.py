@@ -19,12 +19,20 @@ from baryfed.models import (
 SMALL = MlpSpec(layer_sizes=(2, 3, 2))
 
 
+def one_batch(inputs, labels):
+    """A stack of one minibatch."""
+    return Batch(inputs=inputs[None], labels=labels[None], counts=[len(labels)])
+
+
+def one_loss_and_grad(spec, theta, batch):
+    """loss_and_grad of one vector (P,) as a stack of one: (loss, gradient (P,))."""
+    losses, grads = loss_and_grad(spec, theta[None], batch)
+    return losses[0], grads[0]
+
+
 def small_batch(n=5, seed=0):
     rng = np.random.default_rng(seed)
-    return Batch(
-        inputs=rng.normal(size=(n, 2)),
-        labels=rng.integers(0, 2, size=n).astype(np.int64),
-    )
+    return one_batch(rng.normal(size=(n, 2)), rng.integers(0, 2, size=n).astype(np.int64))
 
 
 class TestSpecAndBatch:
@@ -36,10 +44,14 @@ class TestSpecAndBatch:
         assert MlpSpec(layer_sizes=(4, 8, 3)).n_classes == 3
 
     def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            Batch(inputs=np.zeros(3), labels=np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            Batch(inputs=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="3-d"):
+            Batch(inputs=np.zeros(3), labels=np.zeros(3, dtype=np.int64), counts=[3])
+        with pytest.raises(ValueError, match="3-d"):
+            Batch(inputs=np.zeros((3, 2)), labels=np.zeros(3, dtype=np.int64), counts=[3])
+        with pytest.raises(ValueError, match="labels"):
+            Batch(inputs=np.zeros((1, 3, 2)), labels=np.zeros((1, 2), dtype=np.int64), counts=[2])
+        with pytest.raises(TypeError, match="counts"):
+            Batch(inputs=np.zeros((1, 3, 2)), labels=np.zeros((1, 3), dtype=np.int64))
         assert small_batch(7).size == 7
 
     def test_stacked_batch_size_counts_real_rows(self):
@@ -129,11 +141,11 @@ class TestLossAndGrad:
     def test_loss_at_uniform_logits(self):
         spec = MlpSpec(layer_sizes=(2, 4, 3))
         theta = np.zeros(param_count(spec))
-        batch = Batch(
-            inputs=np.ones((6, 2)), labels=np.arange(6, dtype=np.int64) % 3
-        )
-        loss, _ = loss_and_grad(spec, theta, batch)
+        batch = one_batch(np.ones((6, 2)), np.arange(6, dtype=np.int64) % 3)
+        loss, _ = one_loss_and_grad(spec, theta, batch)
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
+        with pytest.raises(ValueError, match="parameter stack"):
+            loss_and_grad(spec, theta, batch)
 
     @pytest.mark.parametrize("k", range(5))
     def test_matches_finite_differences(self, k):
@@ -146,11 +158,11 @@ class TestLossAndGrad:
             )
         )
         theta = init_params(spec, seed=k)
-        batch = Batch(
-            inputs=rng.normal(size=(5, spec.layer_sizes[0])),
-            labels=rng.integers(0, spec.n_classes, size=5).astype(np.int64),
+        batch = one_batch(
+            rng.normal(size=(5, spec.layer_sizes[0])),
+            rng.integers(0, spec.n_classes, size=5).astype(np.int64),
         )
-        _, grad = loss_and_grad(spec, theta, batch)
+        _, grad = one_loss_and_grad(spec, theta, batch)
         eps = 1e-6
         fd = np.empty_like(theta)
         for i in range(theta.size):
@@ -158,7 +170,7 @@ class TestLossAndGrad:
             up[i] += eps
             down[i] -= eps
             fd[i] = (
-                loss_and_grad(spec, up, batch)[0] - loss_and_grad(spec, down, batch)[0]
+                one_loss_and_grad(spec, up, batch)[0] - one_loss_and_grad(spec, down, batch)[0]
             ) / (2 * eps)
         rel = np.max(np.abs(fd - grad)) / max(np.max(np.abs(fd)), 1e-12)
         assert rel < 1e-4
@@ -175,7 +187,7 @@ class TestLossAndGrad:
         labels = rng.integers(0, 3, size=(len(counts), n))
         losses, grads = loss_and_grad(spec, thetas, Batch(inputs, labels, counts))
         for theta, x, y, m, loss, grad in zip(thetas, inputs, labels, counts, losses, grads):
-            ref_loss, ref_grad = loss_and_grad(spec, theta, Batch(x[:m], y[:m]))
+            ref_loss, ref_grad = one_loss_and_grad(spec, theta, one_batch(x[:m], y[:m]))
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
 
@@ -190,8 +202,8 @@ class TestLossAndGrad:
     def test_gradient_descends(self):
         theta = init_params(SMALL, seed=2)
         batch = small_batch(20, seed=3)
-        loss0, grad = loss_and_grad(SMALL, theta, batch)
-        loss1, _ = loss_and_grad(SMALL, theta - 0.1 * grad, batch)
+        loss0, grad = one_loss_and_grad(SMALL, theta, batch)
+        loss1, _ = one_loss_and_grad(SMALL, theta - 0.1 * grad, batch)
         assert loss1 < loss0
 
 
