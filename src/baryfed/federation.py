@@ -12,11 +12,15 @@ stages that every command composes:
   per client. A round's (posterior, client) jobs train in lockstep groups
   (``client_update``), so a narrow model takes one stacked gradient and
   optimizer call per step for all of them;
-- score: ``_evaluate_all`` personalizes each local posterior with one
-  ``project`` call, which returns the two-point projections between the
-  global and that local posterior for the whole lambda grid from one stacked
-  barycenter, and scores every posterior of every method on one test set in
-  one ``evaluate`` call.
+- score: ``_evaluate_all`` works through the (method, client) jobs in
+  blocks of the training group size. A block personalizes each of its local
+  posteriors with one ``project`` call, which returns the two-point
+  projections between the global and that local posterior for the whole
+  lambda grid from one stacked barycenter, and scores the block's
+  posteriors with one ``evaluate`` call per test set; its projections are
+  freed before the next block is projected. A narrow model's jobs form one
+  block, so every posterior of every method on one test set is scored in
+  one call.
 
 ``run_experiment`` returns each method's ``metrics.csv`` rows and
 ``rounds_<seed>.json`` payload as plain dicts. ``run`` writes every row,
@@ -37,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -402,6 +405,8 @@ def _train_round(
         repeat(frozen_var),
     )
     if cfg.federation.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # sequential runs skip its import
+
         with ThreadPoolExecutor(max_workers=cfg.federation.threads) as pool:
             results = list(pool.map(client_update, *args))
     else:
@@ -431,20 +436,25 @@ def train(
 
     A round trains each distinct broadcast posterior once per client, so
     round 1, where every method starts from the same posterior, trains
-    once, and a method's dict equals training that method alone.
+    once, and a method's dict equals training that method alone. A round's
+    locals are dropped once they are aggregated and their divergences
+    recorded, before the next round trains, so at wide P one round of local
+    posteriors is alive at a time; the last round's are returned.
     """
     fed = cfg.federation
     frozen_var = fedavg_var(cfg)
     sizes = np.array([shard.n for shard in train_shards], dtype=np.float64)
     weights = sizes / sizes.sum()
     div = cfg.personalization.divergence
-    locals_ = [[] for _ in methods]
     rounds = [[] for _ in methods]
     for r in range(1, fed.rounds + 1):
+        locals_ = None  # round r-1's locals go before round r trains
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
         trained = _train_round(globals_, train_shards, cfg, round_lrs, spec, seed, r, frozen_var)
-        for i, (method, own) in enumerate(zip(methods, trained)):
-            locals_[i] = [p for p, _ in own]
+        locals_ = [[p for p, _ in own] for own in trained]
+        traces = [[trace for _, trace in own] for own in trained]
+        del trained
+        for i, method in enumerate(methods):
             t_agg = time.perf_counter()
             with failure_context(r):
                 globals_[i] = server_aggregate(method, locals_[i], weights)
@@ -452,7 +462,7 @@ def train(
             rounds[i].append(
                 {
                     "round": r,
-                    "nll_traces": [trace for _, trace in own],
+                    "nll_traces": traces[i],
                     "divergences": [
                         float(projection_divergence(div, p, globals_[i])) for p in locals_[i]
                     ],
@@ -484,12 +494,14 @@ def run_experiment(
     globals_ = [start] * len(methods)
     del start  # globals_ alone holds it, so it is freed once round 1 replaces it
     finals = train(cfg, seed, s.train_shards, spec, lrs, globals_, methods)
-    metrics = _evaluate_all(cfg, seed, spec, finals, s.test_shards, s.test)
+    test_shards, test, shards = s.test_shards, s.test, s.shards
+    del s  # the train set and its shards go before scoring
+    metrics = _evaluate_all(cfg, seed, spec, finals, test_shards, test)
     shared = {
         "seed": seed,
         "algorithm": cfg.federation.algorithm,
         "client_sizes": sizes,
-        "client_label_counts": [shard["label_counts"] for shard in s.shards],
+        "client_label_counts": [shard["label_counts"] for shard in shards],
         "wall_seconds": time.perf_counter() - t0,
     }
     return [
@@ -508,57 +520,95 @@ def _evaluate_all(
 ) -> list[list[dict]]:
     """Each method's ``metrics.csv`` rows from its final posteriors (a
     ``train`` dict): GM-LD per client, GM-GD, then PM-LD and PM-GD per
-    lambda and client."""
+    lambda and client.
+
+    The (method, client) jobs are projected and scored in blocks of the
+    training group size, max(1, GROUP_PARAMS // P), by ``_score_block``, so
+    only one block's finite-lambda projections are alive at a time: a
+    51-parameter model scores every job in one block, one ``evaluate`` call
+    per test set, and a 79,510-parameter one projects and scores one client
+    at a time. Each (posterior, test set) pair is scored once: the global
+    and local posteriors, which lambda = 0 and lambda = inf return, keep
+    their scores in a memo across blocks.
+    """
     noise = eval_noise(cfg, seed, spec)
     bins = cfg.eval.ece_bins
     fedavg = cfg.federation.algorithm == "fedavg"
-    d = cfg.personalization.divergence
+    lambdas = [None] if fedavg else cfg.personalization.lambdas
 
-    # per method: (posterior, test set, setting, lambda, client_id), one per row
-    plans = []
-    for final in finals:
-        p_g, locals_ = final["global"], final["locals"]
-        plan = [(p_g, shard, "GM-LD", None, k) for k, shard in enumerate(test_shards)]
-        plan.append((p_g, test_union, "GM-GD", None, "global"))
-        if fedavg:
-            sweep = [(None, locals_)]
-        else:
-            lambdas = cfg.personalization.lambdas
-            sweep = zip(lambdas, zip(*(project(d, p_g, p, lambdas) for p in locals_)))
-        for lam, posteriors in sweep:
-            for k, (shard, p) in enumerate(zip(test_shards, posteriors)):
-                plan.append((p, shard, "PM-LD", lam, k))
-                plan.append((p, test_union, "PM-GD", lam, k))
-        plans.append(plan)
+    # Memo keys are (id(posterior), id(test set)) of the posteriors in
+    # ``kept``: finals and the caller keep them and the test sets alive until
+    # this function returns, so none of these ids is reused. A block-local
+    # projection's id may be reused once the block is freed, so its scores
+    # never enter the memo.
+    kept = {id(p) for final in finals for p in (final["global"], *final["locals"])}
+    memo: dict[tuple[int, int], dict[str, float]] = {}
+    jobs = [(final["global"], p_k, k) for final in finals for k, p_k in enumerate(final["locals"])]
+    size = max(1, GROUP_PARAMS // models.param_count(spec))
+    personal = []  # per job: its (PM-LD, PM-GD) scores at each lambda
+    for lo in range(0, len(jobs), size):
+        block = jobs[lo : lo + size]
+        personal += _score_block(cfg, spec, noise, block, test_shards, test_union, memo, kept)
 
-    # One evaluate call per test set scores each distinct posterior on it
-    # once, across all methods: project returns p_g itself at lambda = 0, so
-    # those PM rows reuse the GM scores. Keys are ids: every keyed posterior
-    # and dataset stays alive until this function returns, so no id is reused.
-    by_dataset: dict[int, tuple[Dataset, dict[int, DiagGaussian]]] = {}
-    for plan in plans:
-        for p, ds, *_ in plan:
-            by_dataset.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
-    scores: dict[tuple[int, int], dict[str, float]] = {}
-    for ds_id, (ds, posteriors) in by_dataset.items():
-        scored = evaluate(spec, list(posteriors.values()), ds, noise, bins)
+    clients = len(test_shards)
+    method_rows = []
+    for i, final in enumerate(finals):
+        g = id(final["global"])
+        plan = [("GM-LD", None, k, memo[g, id(shard)]) for k, shard in enumerate(test_shards)]
+        plan.append(("GM-GD", None, "global", memo[g, id(test_union)]))
+        own = personal[i * clients : (i + 1) * clients]
+        for j, lam in enumerate(lambdas):
+            for k, scores in enumerate(own):
+                plan += [("PM-LD", lam, k, scores[j][0]), ("PM-GD", lam, k, scores[j][1])]
+        method = "fedavg" if fedavg else final["method"].value.lower()
+        method_rows.append(
+            [
+                {
+                    "setting": setting,
+                    "method": method,
+                    "lambda": lam,
+                    "client_id": client_id,
+                    "seed": seed,
+                    **scores,
+                    "mc_samples": cfg.eval.mc_samples,
+                    "bins": bins,
+                }
+                for setting, lam, client_id, scores in plan
+            ]
+        )
+    return method_rows
+
+
+def _score_block(cfg, spec, noise, jobs, test_shards, test_union, memo, kept):
+    """Per (global, local, client) job: the (PM-LD, PM-GD) scores of its
+    personalized posterior at each lambda (under FedAvg, of its local one).
+
+    Each job's local posterior is projected for the whole lambda grid in one
+    ``project`` call. Each test set the block uses then gets one
+    ``evaluate`` call, on every distinct posterior of the block, global ones
+    included, that has no score on it in ``memo`` yet. New scores of
+    posteriors whose ids are in ``kept`` join the memo. The finite-lambda
+    projections live in this frame alone, so they are freed on return.
+    """
+    if cfg.federation.algorithm == "fedavg":
+        personal = [[p_k] for _, p_k, _ in jobs]
+    else:
+        d, lambdas = cfg.personalization.divergence, cfg.personalization.lambdas
+        personal = [project(d, p_g, p_k, lambdas) for p_g, p_k, _ in jobs]
+    wanted: dict[int, tuple[Dataset, dict[int, DiagGaussian]]] = {}
+    for (p_g, _, k), posteriors in zip(jobs, personal):
+        for ds in (test_shards[k], test_union):
+            for p in (p_g, *posteriors):
+                if (id(p), id(ds)) not in memo:
+                    wanted.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
+    scores = dict(memo)
+    for ds_id, (ds, posteriors) in wanted.items():
+        scored = evaluate(spec, list(posteriors.values()), ds, noise, cfg.eval.ece_bins)
         scores.update(((p_id, ds_id), s) for p_id, s in zip(posteriors, scored))
-
+    memo.update((key, s) for key, s in scores.items() if key[0] in kept)
     return [
-        [
-            {
-                "setting": setting,
-                "method": "fedavg" if fedavg else final["method"].value.lower(),
-                "lambda": lam,
-                "client_id": client_id,
-                "seed": seed,
-                **scores[id(p), id(ds)],
-                "mc_samples": cfg.eval.mc_samples,
-                "bins": bins,
-            }
-            for p, ds, setting, lam, client_id in plan
-        ]
-        for final, plan in zip(finals, plans)
+        [(scores[id(p), id(test_shards[k])], scores[id(p), id(test_union)]) for p in posteriors]
+        for (_, _, k), posteriors in zip(jobs, personal)
     ]
 
 

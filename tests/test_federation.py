@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from baryfed.federation import (
     train,
 )
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
+from baryfed.models import predict_proba_mc
 from baryfed.variopt import ivon_restart, ivon_step, posterior_of, sample_params
 
 METRICS_COLUMNS = [
@@ -639,6 +642,98 @@ class TestScoreOnce:
             assert {**m, "setting": "GM-GD", "lambda": None, "client_id": "global"} == gm_gd
         # rows that share a score are still separate dicts
         assert len({id(m) for m in rows}) == len(rows)
+
+
+class TestScoreBlocks:
+    """Scoring in blocks of max(1, GROUP_PARAMS // P) (method, client) jobs
+    changes no bit of any row and scores no (posterior, test set) pair
+    twice, whatever the block size."""
+
+    LAMBDAS = PersonalizationCfg(lambdas=(0.0, 0.5, math.inf))
+    FEDAVG = FederationCfg(rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg")
+    ROUND_ONE = FederationCfg(rounds=1, local_epochs=3, batch_size=200)
+    EAA_W2B = (AggregationMethod.EAA, AggregationMethod.W2B)
+    # (config, methods, distinct (posterior, test set) pairs) with K = 4
+    # clients: per method the global posterior on K + 1 test sets, and the
+    # posterior at each lambda on its client's shard and the pooled set;
+    # lambda = 0 is the global posterior, lambda = inf the local one
+    CASES = {
+        # K + 1, plus 2K at 0.5 and 2K at inf
+        "bayes": (make_cfg(personalization=LAMBDAS), (AggregationMethod.RKLB,), 21),
+        # K + 1, plus the local posteriors' 2K
+        "fedavg": (make_cfg(federation=FEDAVG), (AggregationMethod.EAA,), 13),
+        # round 1 alone: both methods keep the same local posteriors, so the
+        # lambda = inf pairs are shared: 2 (K + 1 + 2K) + 2K
+        "shared-locals": (make_cfg(federation=ROUND_ONE, personalization=LAMBDAS), EAA_W2B, 34),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blocks_change_no_bits(self, monkeypatch, case):
+        cfg, methods, distinct = self.CASES[case]
+        scored = []
+
+        def counting(spec, posteriors, *args):
+            scored.append(len(posteriors))
+            return predict_proba_mc(spec, posteriors, *args)
+
+        monkeypatch.setattr(models, "predict_proba_mc", counting)
+        p = models.param_count(models.MlpSpec(layer_sizes=(2, 8, 3)))
+        rows = {}
+        for cap in (1 << 16, p, 2 * p):
+            monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
+            scored.clear()
+            out = run_experiment(cfg, 0, methods)
+            rows[cap] = [[{k: repr(v) for k, v in row.items()} for row in m] for m, _ in out]
+            assert sum(scored) == distinct, cap
+        assert rows[p] == rows[1 << 16]
+        assert rows[2 * p] == rows[1 << 16]
+
+
+class TestLiveness:
+    """What a run holds alive: one round of local posteriors while a round
+    trains, one block of finite-lambda projections while it scores."""
+
+    METHODS = (AggregationMethod.EAA, AggregationMethod.W2B, AggregationMethod.RKLB)
+
+    def test_round_locals_freed_before_next_round(self, monkeypatch):
+        local_refs = {}  # round -> weak references to its local posteriors
+        alive_at_start = {}  # round -> previous round's locals still reachable
+
+        def tracking(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, *rest):
+            if round_index not in local_refs:
+                gc.collect()
+                previous = local_refs.get(round_index - 1, [])
+                alive_at_start[round_index] = sum(ref() is not None for ref in previous)
+                local_refs[round_index] = []
+            results = client_update(
+                priors, shards, client_ids, cfg, lrs, spec, seed, round_index, *rest
+            )
+            local_refs[round_index] += [weakref.ref(post) for post, _ in results]
+            return results
+
+        monkeypatch.setattr(federation, "client_update", tracking)
+        run_experiment(make_cfg(), 0, self.METHODS)
+        assert [len(refs) for refs in local_refs.values()] == [4, 12, 12]
+        assert alive_at_start == {1: 0, 2: 0, 3: 0}
+
+    def test_one_block_of_projections_alive(self, monkeypatch):
+        cfg = make_cfg(personalization=PersonalizationCfg(lambdas=(0.0, 0.5, 1.0, math.inf)))
+        p = models.param_count(models.MlpSpec(layer_sizes=(2, 8, 3)))
+        monkeypatch.setattr(federation, "GROUP_PARAMS", p)  # one job per block
+        rows = []  # weak references to the last call's finite-lambda rows
+        alive_at_call = []
+
+        def tracking(d, p_g, p_k, lambdas):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in rows))
+            out = project(d, p_g, p_k, lambdas)
+            rows[:] = [weakref.ref(q) for q in out if q is not p_g and q is not p_k]
+            return out
+
+        monkeypatch.setattr(federation, "project", tracking)
+        run_experiment(cfg, 0, self.METHODS)
+        assert len(rows) == 2
+        assert alive_at_call == [0] * 12  # 3 methods x 4 clients
 
 
 class TestTrainingBehavior:

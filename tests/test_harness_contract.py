@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from baryfed import federation, models
 from baryfed.cli import main
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -129,3 +130,17 @@ def test_compare_agg_geometry_call_counts(tmp_path, monkeypatch):
     rounds = COMPARE_CONFIG["federation"]["rounds"]
     assert calls["geometry.project"] == seeds * methods * clients == 60
     assert calls["geometry.aggregate"] == seeds * methods * rounds == 45
+
+
+def test_run_call_counts_at_one_job_blocks(tmp_path, monkeypatch):
+    # with one (method, client) job per block, scoring projects and scores
+    # one client at a time: one project call, and one evaluate call on its
+    # shard and one on the pooled test set
+    data, hidden = RUN_CONFIG["dataset"], RUN_CONFIG["model"]["hidden"]
+    layers = (data["dim"], *hidden, data["classes"])
+    monkeypatch.setattr(federation, "GROUP_PARAMS", models.param_count(models.MlpSpec(layers)))
+    calls = count_wrapped_calls(monkeypatch)
+    run_command(tmp_path, "run", RUN_CONFIG)
+    clients = RUN_CONFIG["partition"]["n_clients"]
+    assert calls["geometry.project"] == clients == 4
+    assert calls["evaluation.evaluate"] == 2 * clients == 8
