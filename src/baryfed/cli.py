@@ -48,7 +48,7 @@ from .config import (
     to_jsonable,
 )
 from .evaluation import compare_aggregations, summarize
-from .federation import RunError, incremental_sweep, run_experiment, setup
+from .federation import RunError, incremental_sweep, run_experiment, setups
 from .geometry import AggregationMethod
 
 
@@ -67,12 +67,9 @@ def _fmt(value) -> str:
 
 
 def cmd_run(cfg: ExperimentConfig) -> dict:
-    rows = []
-    artifacts = {}
-    for seed in cfg.seeds:
-        ((metrics, rounds),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
-        rows += metrics
-        artifacts[f"rounds_{seed}.json"] = rounds
+    runs = [run for (run,) in run_experiment(cfg, cfg.seeds, (cfg.federation.aggregation,))]
+    rows = [row for metrics, _ in runs for row in metrics]
+    artifacts = {f"rounds_{seed}.json": rounds for seed, (_, rounds) in zip(cfg.seeds, runs)}
     summary = summarize(rows, ("seed", "setting", "method", "lambda"))
     return {"metrics.csv": rows, "summary.csv": summary, **artifacts}
 
@@ -80,8 +77,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 def cmd_sweep_lambda(cfg: ExperimentConfig) -> dict:
     scopes = {"PM-LD": "local", "PM-GD": "global"}
     rows = []
-    for seed in cfg.seeds:
-        ((metrics, _),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+    for ((metrics, _),) in run_experiment(cfg, cfg.seeds, (cfg.federation.aggregation,)):
         rows += [{**m, "scope": scopes[m["setting"]]} for m in metrics if m["setting"] in scopes]
     sweep = summarize(rows, ("seed", "lambda", "scope"))
     return {"lambda_sweep.csv": [{k: v for k, v in s.items() if k != "n_clients"} for s in sweep]}
@@ -94,13 +90,13 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
     if len(cfg.seeds) < 5:
         raise ConfigError("seeds", "compare-agg needs at least 5 seeds for a meaningful test")
 
-    # one call per seed trains round 1 once and forks the methods after it
+    # each seed trains round 1 once and forks the methods after it
     scores: dict[str, dict[str, list[float]]] = {
         metric: {method: [] for method in methods} for metric in ("acc", "nll", "ece")
     }
     aggregations = [AggregationMethod(method.upper()) for method in methods]
-    for seed in cfg.seeds:
-        for method, (metrics, _) in zip(methods, run_experiment(cfg, seed, aggregations)):
+    for per_method in run_experiment(cfg, cfg.seeds, aggregations):
+        for method, (metrics, _) in zip(methods, per_method):
             gm_gd = next(m for m in metrics if m["setting"] == "GM-GD")
             for metric, by_method in scores.items():
                 by_method[method].append(gm_gd[metric])
@@ -132,15 +128,17 @@ def cmd_incremental(cfg: ExperimentConfig) -> dict:
 
 def cmd_partition(cfg: ExperimentConfig) -> dict:
     artifacts = {}
-    for seed in cfg.seeds:
-        s = setup(cfg, seed)
+    for seed, s in zip(cfg.seeds, setups(cfg, cfg.seeds)):
+        shards = enumerate(zip(s.train_shards, s.train_idx, s.test_idx))
         artifacts[f"shards_{seed}.json"] = {
             "seed": seed,
-            "n_train": s.train.n,
+            "n_train": s.n_train,
             "n_test": s.test.n,
             "shards": [
-                {**shard, "train_indices": tr.tolist(), "test_indices": te.tolist()}
-                for shard, tr, te in zip(s.shards, s.train_idx, s.test_idx)
+                {"client": k, "train_size": shard.n, "test_size": len(te),
+                 "label_counts": shard.label_counts().tolist(),
+                 "train_indices": tr.tolist(), "test_indices": te.tolist()}
+                for k, (shard, tr, te) in shards
             ],
         }
     return artifacts

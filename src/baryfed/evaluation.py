@@ -176,7 +176,7 @@ def wilcoxon_signed_rank(x, y, method: str | None = None) -> WilcoxonResult:
         return WilcoxonResult(stat, p, n, "exact")
 
     mean = n * (n + 1) / 4.0
-    _, counts = np.unique(ranks, return_counts=True)
+    counts = np.diff(np.flatnonzero(np.diff(np.sort(ranks), prepend=0.0, append=np.inf)))
     tie_term = float(np.sum(counts**3 - counts)) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var <= 0:

@@ -1,37 +1,31 @@
 """Round-based federated simulation over exchanged posteriors, in three
 stages that every command composes:
 
-- set up: ``setup`` alone builds a seed's data and its shards (one per
-  client, or per task for ``incremental_sweep``) with their sizes and
-  label counts; ``model_start`` builds the spec, the initial posterior and
-  the learning rates;
-- train: each round of ``train`` broadcasts the global posterior, trains
-  every client's private shard and aggregates the locals on the server,
-  which sees posteriors and weights only. Methods trained side by side
-  share round 1; afterwards each distinct broadcast posterior trains once
-  per client. A round's (posterior, client) jobs train in lockstep groups
-  (``client_update``), so a narrow model takes one stacked gradient and
-  optimizer call per step for all of them;
-- score: ``_evaluate_all`` works through the (method, client) jobs in
-  blocks of the training group size. A block personalizes each of its local
-  posteriors with one ``project`` call, which returns the two-point
-  projections between the global and that local posterior for the whole
-  lambda grid from one stacked barycenter, and scores the block's
-  posteriors with one ``evaluate`` call per test set; its projections are
-  freed before the next block is projected. A narrow model's jobs form one
-  block, so every posterior of every method on one test set is scored in
-  one call.
+- set up: ``setups`` builds the data once and splits it into each seed's
+  shards (one per client, or per task for ``incremental_sweep``);
+  ``model_start`` builds the spec, the initial posterior and the learning
+  rates;
+- train: each round of ``train`` broadcasts the global posterior of each
+  (seed, method) lane, trains every client's private shard and aggregates
+  the locals on the server, which sees posteriors and weights only. A
+  seed's methods share round 1; afterwards each distinct broadcast
+  posterior trains once per client. A round's jobs of all lanes train in
+  lockstep groups (``client_update``), so a narrow model takes one stacked
+  gradient and optimizer call per step for all seeds and methods;
+- score: ``_evaluate_all`` projects each local posterior onto the whole
+  lambda grid and scores a seed's posteriors in blocks of the training
+  group size, one ``evaluate`` call per test set and block.
 
-``run_experiment`` returns each method's ``metrics.csv`` rows and
-``rounds_<seed>.json`` payload as plain dicts. ``run`` writes every row,
-``sweep-lambda`` reads PM-LD and PM-GD and ``compare-agg`` GM-GD, yet all
-four settings are scored: perfbench's coverage guard and
-tests/test_harness_contract.py require ``project`` calls on the
-compare-agg workload.
+``run_experiment`` runs these stages over the seeds in passes and returns
+each seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
+payload. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
+and ``compare-agg`` GM-GD, yet all four settings are scored: perfbench's
+coverage guard and tests/test_harness_contract.py require ``project``
+calls on the compare-agg workload.
 
 Randomness is organized as counter-based streams: the training stream for
-(round, client) is seeded with [master_seed, round, client], so sequential
-and threaded client execution produce bit-identical results. Auxiliary
+(round, client) is seeded with [master_seed, round, client], so a job's
+bits do not depend on the threads or the jobs it trains beside. Auxiliary
 streams (data generation, splitting, partitioning, init, eval) hang off the
 master seed through fixed tags.
 """
@@ -40,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -129,16 +123,16 @@ def client_update(
     cfg: ExperimentConfig,
     lrs: list[float],
     spec: MlpSpec,
-    seed: int,
+    seeds: list[int],
     round_index: int,
     frozen_var: float | None = None,
 ) -> list[tuple[DiagGaussian, list[float]]]:
     """Local phases of a group of jobs, trained in lockstep; one epoch per
-    entry of ``lrs``. Job j trains client ``client_ids[j]`` on ``shards[j]``
-    from the broadcast posterior ``priors[j]``.
+    entry of ``lrs``. Job j trains client ``client_ids[j]`` of master seed
+    ``seeds[j]`` on ``shards[j]`` from the broadcast posterior ``priors[j]``.
 
-    A job draws from client_rng(seed, round_index, client) exactly as it
-    would alone: one permutation of its shard per epoch, then each step's
+    Job j draws from client_rng(seeds[j], round_index, client_ids[j]) as
+    it would alone: one permutation of its shard per epoch, then each step's
     posterior draws. It reads cfg.optimizer and cfg.federation.batch_size.
     The optimizer restarts at the prior mean with the Hessian rebuilt from
     the prior variance under the job's own (N_k = shard.n, delta); gradient
@@ -156,7 +150,7 @@ def client_update(
     """
     with failure_context(round_index, client_ids[0]):
         results, failure = _lockstep(
-            priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var
+            priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var
         )
     if failure is None:
         return results
@@ -164,12 +158,13 @@ def client_update(
     if j > 0:
         # a job before j may fail later than j did; this raises if one does
         client_update(
-            priors[:j], shards[:j], client_ids[:j], cfg, lrs, spec, seed, round_index, frozen_var
+            priors[:j], shards[:j], client_ids[:j], cfg, lrs, spec, seeds[:j], round_index,
+            frozen_var,
         )
     raise RunError(round_index, client_ids[j], ValueError(message))
 
 
-def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var):
+def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var):
     """client_update's training loop: (results, None), or (None, (job,
     message)) for the lowest-indexed job among the first to fail.
 
@@ -185,7 +180,7 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, fro
     samples = 1 if deterministic else opt.mc_train_samples
     jobs = sorted(range(len(shards)), key=lambda j: -shards[j].n)
     sizes = np.array([shards[j].n for j in jobs])
-    rngs = [client_rng(seed, round_index, client_ids[j]) for j in jobs]
+    rngs = [client_rng(seeds[j], round_index, client_ids[j]) for j in jobs]
     state = ivon_restart([priors[j] for j in jobs], opt, sizes.tolist(), frozen=deterministic)
     dim = state.mean.shape[1]
     # every job's rows in one array, so that a step gathers its batch in one
@@ -254,15 +249,11 @@ def server_aggregate(
     return aggregate(method, posteriors, weights)
 
 
-def build_data(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """Materialize the train/test pair; the dataset is fixed across master seeds.
-
-    Synthetic draws and the train/test split come from dataset.seed so reruns
-    with different master seeds vary partitioning, initialization, and
-    training noise on identical data, mirroring a fixed benchmark split. IDX
-    files share one class count, so a test file missing the top class still
-    pairs with its training file.
-    """
+def build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The train/test pair that every master seed partitions, like a fixed
+    benchmark split: synthetic draws and the split come from dataset.seed.
+    IDX files share one class count, so a test file missing the top class
+    still pairs with its training file."""
     dcfg = cfg.dataset
     if dcfg.kind == "synth":
         ds = synth_blobs(
@@ -312,37 +303,28 @@ def partition_both(
 
 @dataclass(frozen=True)
 class Setup:
-    """One seed's data and its shards, one per client (or per task)."""
+    """One seed's shards, one per client (or per task), and the pooled test set."""
 
-    train: Dataset
+    n_train: int  # examples in the pooled train set
     test: Dataset
-    train_idx: list  # per shard, its indices into train
+    train_idx: list  # per shard, its indices into the pooled train set
     test_idx: list
     train_shards: list
     test_shards: list
-    shards: list  # per shard, {client, train_size, test_size, label_counts}
 
 
-def setup(cfg: ExperimentConfig, seed: int, split=None) -> Setup:
-    """Build the data and split it into shards, raising any failure as
-    RunError at round 0. ``split(cfg, train, test, seed)`` gives each
-    shard's train and test indices; by default ``partition_both`` gives one
-    shard per client."""
+def setups(cfg: ExperimentConfig, seeds: Sequence[int], split=None) -> Iterator[Setup]:
+    """Each seed's Setup, all split from one ``build_data`` pair, which the
+    iterator alone holds; any failure is raised as RunError at round 0.
+    ``split(cfg, train, test, seed)`` gives each shard's train and test
+    indices; by default ``partition_both`` gives one shard per client."""
     with failure_context(0):
-        train, test = build_data(cfg, seed)
-        train_idx, test_idx = (split or partition_both)(cfg, train, test, seed)
-    train_shards = [train.subset(i) for i in train_idx]
-    shards = [
-        {
-            "client": k,
-            "train_size": shard.n,
-            "test_size": len(te),
-            "label_counts": shard.label_counts().tolist(),
-        }
-        for k, (shard, te) in enumerate(zip(train_shards, test_idx))
-    ]
-    test_shards = [test.subset(i) for i in test_idx]
-    return Setup(train, test, train_idx, test_idx, train_shards, test_shards, shards)
+        train, test = build_data(cfg)
+        for seed in seeds:
+            train_idx, test_idx = (split or partition_both)(cfg, train, test, seed)
+            train_shards = [train.subset(i) for i in train_idx]
+            test_shards = [test.subset(i) for i in test_idx]
+            yield Setup(train.n, test, train_idx, test_idx, train_shards, test_shards)
 
 
 def fedavg_var(cfg: ExperimentConfig) -> float | None:
@@ -380,28 +362,20 @@ def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
     return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
 
 
-def _train_round(
-    broadcasts: list[DiagGaussian],
-    train_shards: list[Dataset],
-    cfg: ExperimentConfig,
-    lrs: list[float],
-    spec: MlpSpec,
-    seed: int,
-    round_index: int,
-    frozen_var: float | None,
-) -> list[list[tuple[DiagGaussian, list[float]]]]:
-    """Every client's (local posterior, NLL trace) from each broadcast
-    posterior, in order; each distinct posterior trains once (keys are ids,
-    and ``broadcasts`` keeps each keyed posterior alive). The (posterior,
-    client) jobs train in lockstep groups of max(1, GROUP_PARAMS // P),
-    one ``client_update`` call per group."""
-    distinct = list({id(p): p for p in broadcasts}.values())
-    jobs = [(p, shard, k) for p in distinct for k, shard in enumerate(train_shards)]
+def _train_round(broadcasts, seeds, train_shards, cfg, lrs, spec, round_index, frozen_var):
+    """Per lane i, every client's (local posterior, NLL trace) from
+    ``broadcasts[i]``, trained on seed ``seeds[i]``'s ``train_shards[i]``.
+    Each distinct (seed, posterior) trains once (keys hold ids, and
+    ``broadcasts`` keeps each keyed posterior alive). The (posterior,
+    client) jobs, in lane order, train in lockstep groups of max(1,
+    GROUP_PARAMS // P), one ``client_update`` call per group."""
+    distinct = {(s, id(p)): (p, s, own) for p, s, own in zip(broadcasts, seeds, train_shards)}
+    jobs = [(p, shard, k, s) for p, s, own in distinct.values() for k, shard in enumerate(own)]
     size = max(1, GROUP_PARAMS // models.param_count(spec))
     groups = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    priors, shards, ids, job_seeds = ([[job[f] for job in g] for g in groups] for f in range(4))
     args = (
-        *([[job[field] for job in group] for group in groups] for field in range(3)),
-        repeat(cfg), repeat(lrs), repeat(spec), repeat(seed), repeat(round_index),
+        priors, shards, ids, repeat(cfg), repeat(lrs), repeat(spec), job_seeds, repeat(round_index),
         repeat(frozen_var),
     )
     if cfg.federation.threads > 1:
@@ -411,64 +385,57 @@ def _train_round(
             results = list(pool.map(client_update, *args))
     else:
         results = list(map(client_update, *args))
-    results = [result for group in results for result in group]
-    k = len(train_shards)
-    trained = {id(p): results[i * k : (i + 1) * k] for i, p in enumerate(distinct)}
-    return [trained[id(p)] for p in broadcasts]
+    results = iter([result for group in results for result in group])
+    trained = {key: [next(results) for _ in own] for key, (_, _, own) in distinct.items()}
+    return [trained[seed, id(p)] for p, seed in zip(broadcasts, seeds)]
 
 
 def train(
     cfg: ExperimentConfig,
-    seed: int,
-    train_shards: list[Dataset],
+    seeds: list[int],
+    train_shards: list[list[Dataset]],
     spec: MlpSpec,
     lrs: list[float],
     globals_: list[DiagGaussian],
     methods: Sequence[AggregationMethod],
 ) -> list[dict]:
-    """R rounds of broadcast/train/aggregate under each aggregation method
-    from its global posterior in ``globals_``, which is updated in place so
-    that a replaced posterior held nowhere else is freed. One dict per
-    method, in order: its ``method``, final ``global`` posterior, the
-    clients' final ``locals``, and in ``rounds`` one ``{round, nll_traces,
-    divergences, agg_seconds}`` per round (each client's per-epoch mean
-    minibatch NLL and projection_divergence from local to new global).
+    """R rounds of broadcast/train/aggregate over lanes: lane i trains seed
+    ``seeds[i]``'s clients on ``train_shards[i]`` under ``methods[i]`` from
+    its global posterior ``globals_[i]``, which is updated in place so that
+    a replaced posterior held nowhere else is freed. One dict per lane, in
+    order: its ``method``, final ``global`` posterior, the clients' final
+    ``locals``, and in ``rounds`` one ``{round, nll_traces, divergences,
+    agg_seconds}`` per round (each client's per-epoch mean minibatch NLL
+    and projection_divergence from local to new global).
 
-    A round trains each distinct broadcast posterior once per client, so
-    round 1, where every method starts from the same posterior, trains
-    once, and a method's dict equals training that method alone. A round's
-    locals are dropped once they are aggregated and their divergences
-    recorded, before the next round trains, so at wide P one round of local
-    posteriors is alive at a time; the last round's are returned.
+    A round trains all lanes in one ``_train_round``, each distinct (seed,
+    broadcast posterior) once per client, so a seed's round 1, where its
+    lanes start from the same posterior, trains once. A lane aggregates
+    with its seed's weights; its dict equals training that seed under that
+    method alone. A round's locals are dropped once they are aggregated and
+    their divergences recorded, before the next round trains, so one round
+    of local posteriors is alive at a time; the last round's are returned.
     """
     fed = cfg.federation
     frozen_var = fedavg_var(cfg)
-    sizes = np.array([shard.n for shard in train_shards], dtype=np.float64)
-    weights = sizes / sizes.sum()
     div = cfg.personalization.divergence
     rounds = [[] for _ in methods]
     for r in range(1, fed.rounds + 1):
         locals_ = None  # round r-1's locals go before round r trains
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
-        trained = _train_round(globals_, train_shards, cfg, round_lrs, spec, seed, r, frozen_var)
+        trained = _train_round(globals_, seeds, train_shards, cfg, round_lrs, spec, r, frozen_var)
         locals_ = [[p for p, _ in own] for own in trained]
         traces = [[trace for _, trace in own] for own in trained]
         del trained
-        for i, method in enumerate(methods):
+        for i, (method, shards) in enumerate(zip(methods, train_shards)):
+            sizes = np.array([shard.n for shard in shards], dtype=np.float64)
             t_agg = time.perf_counter()
             with failure_context(r):
-                globals_[i] = server_aggregate(method, locals_[i], weights)
+                globals_[i] = server_aggregate(method, locals_[i], sizes / sizes.sum())
             agg_seconds = time.perf_counter() - t_agg
-            rounds[i].append(
-                {
-                    "round": r,
-                    "nll_traces": traces[i],
-                    "divergences": [
-                        float(projection_divergence(div, p, globals_[i])) for p in locals_[i]
-                    ],
-                    "agg_seconds": agg_seconds,
-                }
-            )
+            divergences = [float(projection_divergence(div, p, globals_[i])) for p in locals_[i]]
+            rounds[i].append(dict(round=r, nll_traces=traces[i], divergences=divergences,
+                                  agg_seconds=agg_seconds))
     return [
         {"method": m, "global": g, "locals": loc, "rounds": rec}
         for m, g, loc, rec in zip(methods, globals_, locals_, rounds)
@@ -476,51 +443,77 @@ def train(
 
 
 def run_experiment(
-    cfg: ExperimentConfig, seed: int, methods: Sequence[AggregationMethod]
-) -> list[tuple[list[dict], dict]]:
-    """Set up, train and score one seed under each aggregation method; per
-    method, in order, its ``metrics.csv`` rows and ``rounds_<seed>.json``
-    payload, equal to a run's with that method alone.
+    cfg: ExperimentConfig, seeds: Sequence[int], methods: Sequence[AggregationMethod]
+) -> list[list[tuple[list[dict], dict]]]:
+    """Set up, train and score each seed under each aggregation method; per
+    seed and method, in order, its ``metrics.csv`` rows and
+    ``rounds_<seed>.json`` payload, equal to a run of that seed and method
+    alone. The rows are per client for the four settings (global or
+    personalized model, on local or pooled test data), with the
+    personalization sweep over the lambda grid applied to the final
+    posteriors; the GM-GD row's client_id is "global".
 
-    The rows are per client for the four settings (global or personalized
-    model, on local or pooled test data), with the personalization sweep
-    over the lambda grid applied to the final posteriors; the GM-GD row's
-    client_id is "global".
+    Seeds run in passes of max(1, G // (methods x clients)) seeds, G =
+    max(1, GROUP_PARAMS // P) being the training group size, so a narrow
+    model runs every seed in one pass and a wide one a seed per pass. A
+    pass splits one ``build_data`` pair into its seeds' shards and frees
+    the pooled train set, trains all its (seed, method) lanes in one
+    ``train``, frees the train shards and scores seed by seed; a payload's
+    ``wall_seconds`` is its pass's time. On a failure the pass replays its
+    seeds one at a time, so the first seed to fail alone raises, as in a
+    seed-by-seed loop.
     """
+    out = []
+    while len(out) < len(seeds):
+        out += _run_pass(cfg, seeds[len(out) :], methods)
+    return out
+
+
+def _run_pass(cfg, seeds, methods):
+    """run_experiment's entries for the leading seeds that one pass holds."""
     t0 = time.perf_counter()
-    s = setup(cfg, seed)
-    sizes = [shard["train_size"] for shard in s.shards]
-    spec, start, lrs = model_start(cfg, seed, s.train, float(np.mean(sizes)), fedavg_var(cfg))
-    globals_ = [start] * len(methods)
-    del start  # globals_ alone holds it, so it is freed once round 1 replaces it
-    finals = train(cfg, seed, s.train_shards, spec, lrs, globals_, methods)
-    test_shards, test, shards = s.test_shards, s.test, s.shards
-    del s  # the train set and its shards go before scoring
-    metrics = _evaluate_all(cfg, seed, spec, finals, test_shards, test)
-    shared = {
-        "seed": seed,
-        "algorithm": cfg.federation.algorithm,
-        "client_sizes": sizes,
-        "client_label_counts": [shard["label_counts"] for shard in shards],
-        "wall_seconds": time.perf_counter() - t0,
-    }
+    k, lanes, globals_, test_sets, payloads = len(methods), [], [], [], []
+    try:
+        pending = setups(cfg, seeds)
+        for seed, s in zip(seeds, pending):
+            sizes = [shard.n for shard in s.train_shards]
+            ess = float(np.mean(sizes))
+            spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess, fedavg_var(cfg))
+            lanes += [s.train_shards] * k
+            globals_ += [start] * k
+            test_sets.append((s.test_shards, s.test))
+            counts = [shard.label_counts().tolist() for shard in s.train_shards]
+            payloads.append(dict(seed=seed, algorithm=cfg.federation.algorithm,
+                                 client_sizes=sizes, client_label_counts=counts))
+            if len(payloads) == max(1, GROUP_PARAMS // (models.param_count(spec) * k * len(sizes))):
+                break
+        pending.close()  # frees the pooled train set
+        seeds = seeds[: len(payloads)]
+        del s, start  # globals_ alone holds each start, freed once round 1 replaces it
+        lane_seeds = [seed for seed in seeds for _ in methods]
+        finals = train(cfg, lane_seeds, lanes, spec, lrs, globals_, list(methods) * len(seeds))
+    except RunError:
+        for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
+            run_experiment(cfg, [seed], methods)
+        raise
+    del lanes  # the train shards go before scoring
+    finals = [finals[i * k : (i + 1) * k] for i in range(len(seeds))]
+    rows = [_evaluate_all(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
+    wall_seconds = time.perf_counter() - t0
     return [
-        (rows, {**shared, "aggregation": final["method"].value.lower(), "rounds": final["rounds"]})
-        for final, rows in zip(finals, metrics)
+        [
+            (r, {**p, "wall_seconds": wall_seconds, "aggregation": f["method"].value.lower(),
+                 "rounds": f["rounds"]})
+            for f, r in zip(own, own_rows)
+        ]
+        for p, own, own_rows in zip(payloads, finals, rows)
     ]
 
 
-def _evaluate_all(
-    cfg: ExperimentConfig,
-    seed: int,
-    spec: MlpSpec,
-    finals: list[dict],
-    test_shards: list[Dataset],
-    test_union: Dataset,
-) -> list[list[dict]]:
+def _evaluate_all(cfg, seed, spec, finals, test_shards, test_union):
     """Each method's ``metrics.csv`` rows from its final posteriors (a
-    ``train`` dict): GM-LD per client, GM-GD, then PM-LD and PM-GD per
-    lambda and client.
+    ``train`` dict) on the client ``test_shards`` and their union: GM-LD
+    per client, GM-GD, then PM-LD and PM-GD per lambda and client.
 
     The (method, client) jobs are projected and scored in blocks of the
     training group size, max(1, GROUP_PARAMS // P), by ``_score_block``, so
@@ -616,7 +609,7 @@ def _task_split(
     cfg: ExperimentConfig, train: Dataset, test: Dataset, seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Train and test indices of task A (classes below split_class) and
-    task B (the rest); a ``setup`` split that ignores the seed."""
+    task B (the rest); a ``setups`` split that ignores the seed."""
     classes = train.classes
     split_class = cfg.incremental.split_class
     if split_class is None:
@@ -640,7 +633,7 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     """Two-task sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
-    lower half), task B the rest; ``setup`` makes them its two shards.
+    lower half), task B the rest; ``setups`` makes them its two shards.
     Posterior B starts from posterior A (task-A data is gone by then). The
     sweep mixes A and B with weights (1-w, w) for each w of
     ``cfg.incremental.w_grid`` under the configured aggregation, then scores
@@ -651,11 +644,11 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
     the ``incremental`` command rejects a FedAvg config.
     """
-    s = setup(cfg, seed, _task_split)
+    (s,) = setups(cfg, [seed], _task_split)
     (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
-    spec, start, lrs = model_start(cfg, seed, s.train, train_a.n)
-    ((post_a, _),) = client_update([start], [train_a], [0], cfg, lrs, spec, seed, 1)
-    ((post_b, _),) = client_update([post_a], [train_b], [0], cfg, lrs, spec, seed, 2)
+    spec, start, lrs = model_start(cfg, seed, train_a, train_a.n)
+    ((post_a, _),) = client_update([start], [train_a], [0], cfg, lrs, spec, [seed], 1)
+    ((post_b, _),) = client_update([post_a], [train_b], [0], cfg, lrs, spec, [seed], 2)
     noise = eval_noise(cfg, seed, spec)
 
     method = cfg.federation.aggregation

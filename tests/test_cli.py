@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baryfed import checks, cli, federation
+from baryfed import checks, federation
 from baryfed import data as data_mod
 from baryfed.cli import main
 from baryfed.federation import RunError
@@ -164,9 +164,8 @@ def test_csvs_agree(tmp_path):
 
 class TestRunImports:
     def test_run_and_compare_agg_leave_numpy_ma_out(self, tmp_path):
-        # np.unique imports numpy.ma, about 17 ms in a cold interpreter. The
-        # Wilcoxon normal approximation (n > 20 pairs) still calls np.unique
-        # for its tie term, so compare-agg here stays at <= 20 seeds.
+        # importing numpy.ma costs ~17 ms in a cold interpreter, and neither
+        # command needs it
         run_cfg = write_config(tmp_path, "run.json")
         agg_cfg = write_config(
             tmp_path, "agg.json", seeds=[0, 1, 2, 3, 4], compare={"methods": ["eaa", "w2b"]}
@@ -279,14 +278,15 @@ class TestPartition:
     ],
 )
 def test_builds_data_once_per_seed(tmp_path, monkeypatch, command, over):
-    """Each config command builds each seed's data exactly once, through
-    whichever module binds build_data."""
+    """No config command builds the data more than once per seed, counted
+    through whichever module binds build_data: incremental builds it once per
+    seed, the others once for all seeds (one training pass here)."""
     built = []
     build_data = federation.build_data
 
-    def counting(cfg, seed):
-        built.append(seed)
-        return build_data(cfg, seed)
+    def counting(cfg):
+        built.append(cfg.seeds)
+        return build_data(cfg)
 
     for name, module in list(sys.modules.items()):
         if name == "baryfed" or name.startswith("baryfed."):
@@ -295,7 +295,7 @@ def test_builds_data_once_per_seed(tmp_path, monkeypatch, command, over):
                     monkeypatch.setattr(module, attr, counting)
     over = {"seeds": [3, 1], **over}
     assert main([command, write_config(tmp_path, **over)]) == 0
-    assert built == over["seeds"]
+    assert len(built) == (len(over["seeds"]) if command == "incremental" else 1)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +323,31 @@ def test_manifest_lists_every_artifact(tmp_path, command, over):
     for name in csvs:
         first = (out / name).read_text().splitlines()[0]
         assert first == f"# config_sha256: {manifest['config_sha256']}"
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """A wide config (dim 256, hidden [100], batch 64) writes the same bytes
+    with the BLAS thread variables unset, where the package sets one thread,
+    and set to 1. On a 1-core host BLAS runs one thread either way, so there
+    this test cannot fail."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synth", "classes": 3, "dim": 256, "n_per_class": 60, "spread": 0.3},
+        model={"hidden": [100]},
+        partition={"n_clients": 2, "beta": 1.0, "min_shard": 5},
+        federation={"rounds": 2, "local_epochs": 1, "batch_size": 64},
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env.update(dict.fromkeys(blas, threads) if threads else {}, PYTHONPATH=str(src))
+        outs.append(tmp_path / f"blas-{threads}")
+        command = [sys.executable, "-m", "baryfed.cli", "run", cfg, "--out-dir", str(outs[-1])]
+        subprocess.run(command, env=env, check=True, timeout=120)
+    for name in ("metrics.csv", "summary.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def write_idx(tmp_path, name, labels):
@@ -581,18 +606,50 @@ class TestErrors:
         assert len(splits) <= data_mod.MAX_PARTITION_ATTEMPTS
 
     def test_failure_in_later_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        run_experiment = cli.run_experiment
+        client_update = federation.client_update
 
-        def fail_on_seed_1(cfg, seed, methods):
-            if seed == 1:
+        def fail_on_seed_1(priors, shards, client_ids, cfg, lrs, spec, seeds, *rest):
+            if 1 in seeds:
                 raise RunError(1, 0, ValueError("injected"))
-            return run_experiment(cfg, seed, methods)
+            return client_update(priors, shards, client_ids, cfg, lrs, spec, seeds, *rest)
 
-        monkeypatch.setattr(cli, "run_experiment", fail_on_seed_1)
+        monkeypatch.setattr(federation, "client_update", fail_on_seed_1)
         cfg = write_config(tmp_path, seeds=[0, 1])
         assert main(["run", cfg]) == 1
         assert "round 1, client 0: injected" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("seed_1_fails", ["round-1", "set-up"])
+    def test_first_seed_to_fail_is_reported(self, tmp_path, capsys, monkeypatch, seed_1_fails):
+        # seed 0 fails at round 2 and seed 1 before it, at round 1 or in set-up,
+        # while both train in one pass; a seed-by-seed loop reports seed 0
+        client_update, partition_both = federation.client_update, federation.partition_both
+        failing = {(0, 2), (1, 1)} if seed_1_fails == "round-1" else {(0, 2)}
+
+        def update(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest):
+            for seed, k in zip(seeds, client_ids):
+                if (seed, round_index) in failing:
+                    raise RunError(round_index, k, ValueError(f"seed {seed} diverged"))
+            return client_update(
+                priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest
+            )
+
+        def split(cfg, train, test, seed):
+            if seed == 1 and seed_1_fails == "set-up":
+                raise ValueError("seed 1 has no partition")
+            return partition_both(cfg, train, test, seed)
+
+        monkeypatch.setattr(federation, "client_update", update)
+        monkeypatch.setattr(federation, "partition_both", split)
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        errors = []
+        for override in (["--seed", "0"], ["--seed", "1"], []):
+            assert main(["run", cfg, *override]) == 1
+            errors.append(capsys.readouterr().err)
+        alone_0, alone_1, together = errors
+        assert alone_1 != alone_0
+        assert together == alone_0 == "run failed at round 2, client 0: seed 0 diverged\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_bad_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

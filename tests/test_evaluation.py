@@ -260,6 +260,25 @@ class TestRuntimeDependencies:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_normal_path_with_ties_leaves_numpy_ma_out(self):
+        # importing numpy.ma costs ~17 ms in a cold interpreter; compare-agg
+        # runs with more than 20 seeds take the normal path
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from baryfed.evaluation import wilcoxon_signed_rank\n"
+            "x = np.round(np.random.default_rng(0).normal(size=25), 1)\n"
+            "assert len(set(np.abs(x).tolist())) < 25\n"
+            "assert wilcoxon_signed_rank(x, np.zeros(25)).method == 'normal'\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False"]
+
 
 class TestMidranks:
     @given(
@@ -279,6 +298,19 @@ class TestMidranks:
         ours, ref = midranks(values), rankdata(values)
         assert ours.shape == ref.shape
         assert np.all(ours == ref)
+
+
+def normal_p_with_unique_ties(d):
+    """The normal-path p-value of differences ``d``, its tie term taken from
+    np.unique's counts of the midranks."""
+    d = d[d != 0.0]
+    n = len(d)
+    ranks = midranks(np.abs(d))
+    stat = min(float(ranks[d > 0].sum()), float(ranks[d < 0].sum()))
+    _, counts = np.unique(ranks, return_counts=True)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(counts**3 - counts)) / 48.0
+    z = (stat - n * (n + 1) / 4.0 + 0.5) / math.sqrt(var)
+    return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
 
 class TestWilcoxon:
@@ -375,6 +407,18 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(x, np.zeros(5))
         assert res.statistic == 3.0
         assert res.p_two_sided == 12.0 / 32.0
+
+    @pytest.mark.parametrize("n", [6, 21, 25, 40])
+    def test_normal_tie_term_equals_unique_counts(self, n):
+        # the tie term counts runs of tied midranks; np.unique's counts are the
+        # oracle, and the p-value must have the bits they give
+        rng = np.random.default_rng(200 + n)
+        for _ in range(20):
+            x = np.round(rng.normal(size=n), 1)
+            if np.all(x == 0.0):
+                continue
+            res = wilcoxon_signed_rank(x, np.zeros(n), method="normal")
+            assert res.p_two_sided == normal_p_with_unique_ties(x)
 
     def test_tie_correction_applied(self):
         x = np.array([1.0, 1.0, 1.0, -1.0, 2.0, 2.0])

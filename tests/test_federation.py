@@ -33,7 +33,7 @@ from baryfed.federation import (
     model_start,
     partition_both,
     run_experiment,
-    setup,
+    setups,
     train,
 )
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
@@ -75,20 +75,22 @@ def bench_cfg(**over) -> ExperimentConfig:
 
 
 def run_one(cfg, seed):
-    """run_experiment's metrics.csv rows and rounds payload under the
-    configured aggregation alone."""
-    ((rows, rounds),) = run_experiment(cfg, seed, (cfg.federation.aggregation,))
+    """run_experiment's metrics.csv rows and rounds payload of one seed under
+    the configured aggregation alone."""
+    (((rows, rounds),),) = run_experiment(cfg, [seed], (cfg.federation.aggregation,))
     return rows, rounds
 
 
 def train_one(cfg, seed, methods=None):
     """The final posteriors and round records of the stages run_experiment
-    composes, under ``methods`` (default: the configured aggregation)."""
-    s = setup(cfg, seed)
+    composes, for one seed under ``methods`` (default: the configured
+    aggregation)."""
+    (s,) = setups(cfg, [seed])
     ess = float(np.mean([shard.n for shard in s.train_shards]))
-    spec, start, lrs = model_start(cfg, seed, s.train, ess, fedavg_var(cfg))
+    spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess, fedavg_var(cfg))
     methods = methods or (cfg.federation.aggregation,)
-    return train(cfg, seed, s.train_shards, spec, lrs, [start] * len(methods), methods)
+    k = len(methods)
+    return train(cfg, [seed] * k, [s.train_shards] * k, spec, lrs, [start] * k, methods)
 
 
 class TestSeeds:
@@ -109,17 +111,22 @@ class TestSeeds:
 
 class TestBuildData:
     def test_fixed_across_master_seeds(self):
+        # master seeds only partition one train/test pair, built once
         cfg = make_cfg()
-        tr0, te0 = build_data(cfg, seed=0)
-        tr1, te1 = build_data(cfg, seed=17)
-        assert np.array_equal(tr0.inputs, tr1.inputs)
-        assert np.array_equal(te0.labels, te1.labels)
+        train, test = build_data(cfg)
+        again, _ = build_data(cfg)
+        assert np.array_equal(train.inputs, again.inputs)
+        a, b = setups(cfg, [0, 17])
+        assert a.test is b.test and a.n_train == b.n_train == train.n
+        for s in (a, b):
+            rows = np.concatenate([shard.inputs for shard in s.train_shards])
+            assert np.array_equal(np.unique(rows, axis=0), np.unique(train.inputs, axis=0))
+            assert np.array_equal(s.test.labels, test.labels)
 
     def test_dataset_seed_changes_draw(self):
-        a, _ = build_data(make_cfg(), seed=0)
+        a, _ = build_data(make_cfg())
         b, _ = build_data(
             make_cfg(dataset=DatasetCfg(kind="synth", classes=3, dim=2, n_per_class=40, spread=0.3, seed=1)),
-            seed=0,
         )
         assert not np.array_equal(a.inputs, b.inputs)
 
@@ -127,7 +134,7 @@ class TestBuildData:
 class TestPartitionBoth:
     def test_aligned_and_nonempty(self):
         cfg = make_cfg()
-        train, test = build_data(cfg, seed=0)
+        train, test = build_data(cfg)
         tr_idx, te_idx = partition_both(cfg, train, test, seed=0)
         assert len(tr_idx) == len(te_idx) == 4
         assert min(len(s) for s in te_idx) >= 1
@@ -136,7 +143,7 @@ class TestPartitionBoth:
 
     def test_seed_dependence(self):
         cfg = make_cfg()
-        train, test = build_data(cfg, seed=0)
+        train, test = build_data(cfg)
         a, _ = partition_both(cfg, train, test, seed=0)
         b, _ = partition_both(cfg, train, test, seed=1)
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
@@ -144,7 +151,7 @@ class TestPartitionBoth:
     def test_separate_test_draw(self):
         cfg = make_cfg()
         separate = make_cfg(partition=dataclasses.replace(cfg.partition, shared_test_draw=False))
-        train, test = build_data(cfg, seed=0)
+        train, test = build_data(cfg)
         _, shared = partition_both(cfg, train, test, seed=0)
         tr_idx, te_idx = partition_both(separate, train, test, seed=0)
         assert len(te_idx) == 4
@@ -253,7 +260,7 @@ class TestForkedMethods:
             return client_update(*args)
 
         monkeypatch.setattr(federation, "client_update", counting)
-        forked = run_experiment(cfg, 0, self.METHODS)
+        (forked,) = run_experiment(cfg, [0], self.METHODS)
         if n_clients == 1:
             # aggregate returns the one survivor itself, so every method
             # broadcasts the same posterior in every round
@@ -288,6 +295,93 @@ class TestForkedMethods:
                 assert np.array_equal(ours.mean, ref.mean)
                 assert np.array_equal(ours.var, ref.var)
             assert len(final["locals"]) == len(alone["locals"]) == n_clients
+
+
+def untimed(runs):
+    """run_experiment's output as a repr string, its timings left out."""
+    return repr(
+        [
+            [
+                (rows, {**payload, "wall_seconds": None, "rounds": [
+                    {**record, "agg_seconds": None} for record in payload["rounds"]
+                ]})
+                for rows, payload in per_method
+            ]
+            for per_method in runs
+        ]
+    )
+
+
+class TestSeedPasses:
+    """A pass trains every seed's rounds in one lockstep and gives each seed
+    the rows and round records that a run of that seed alone gives."""
+
+    SEEDS = [0, 1, 2]
+    CASES = {
+        # a grid with lambda 0, a finite lambda and inf, under every method
+        "bayes": (
+            make_cfg(personalization=PersonalizationCfg(lambdas=(0.0, 0.5, math.inf))),
+            TestForkedMethods.METHODS,
+        ),
+        "fedavg": (
+            make_cfg(
+                federation=FederationCfg(
+                    rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg"
+                )
+            ),
+            (AggregationMethod.W2B,),
+        ),
+        # ragged 7-row minibatches, two training draws per step
+        "ragged-mc2": (
+            make_cfg(
+                optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1, mc_train_samples=2),
+                federation=FederationCfg(rounds=2, local_epochs=2, batch_size=7),
+            ),
+            TestForkedMethods.METHODS,
+        ),
+        "threads3": (
+            make_cfg(federation=FederationCfg(rounds=3, local_epochs=2, batch_size=200, threads=3)),
+            TestForkedMethods.METHODS,
+        ),
+    }
+
+    def counted(self, monkeypatch, cfg, seeds, methods):
+        """run_experiment's output, the per-job seeds of each client_update
+        call and the number of build_data calls."""
+        calls, built = [], []
+
+        def counting(*args):
+            calls.append(args[6])
+            return client_update(*args)
+
+        def building(cfg):
+            built.append(1)
+            return build_data(cfg)
+
+        monkeypatch.setattr(federation, "client_update", counting)
+        monkeypatch.setattr(federation, "build_data", building)
+        return run_experiment(cfg, seeds, methods), calls, len(built)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pass_equals_one_seed_runs(self, monkeypatch, case):
+        cfg, methods = self.CASES[case]
+        together, calls, built = self.counted(monkeypatch, cfg, self.SEEDS, methods)
+        # one pass: one build of the data, one group of every seed per round
+        assert built == 1
+        assert [sorted(set(seeds)) for seeds in calls] == [self.SEEDS] * cfg.federation.rounds
+        alone = [run_experiment(cfg, [seed], methods)[0] for seed in self.SEEDS]
+        assert untimed(together) == untimed(alone)
+
+    def test_passes_split_at_the_group_size(self, monkeypatch):
+        # 24 jobs per group hold two seeds of 3 methods x 4 clients a pass
+        cfg, methods = self.CASES["bayes"]
+        one_pass = run_experiment(cfg, self.SEEDS, methods)
+        p = models.param_count(models.MlpSpec(layer_sizes=(2, 8, 3)))
+        monkeypatch.setattr(federation, "GROUP_PARAMS", 24 * p)
+        split, calls, built = self.counted(monkeypatch, cfg, self.SEEDS, methods)
+        assert built == 2
+        assert [sorted(set(seeds)) for seeds in calls] == [[0, 1]] * 3 + [[2]] * 3
+        assert untimed(split) == untimed(one_pass)
 
 
 def h0_prior(theta, opt, ess):
@@ -345,13 +439,13 @@ class TestClientUpdate:
             optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1, mc_train_samples=mc_train),
             federation=FederationCfg(rounds=2, local_epochs=3, batch_size=16),
         )
-        train, _ = build_data(cfg, seed=0)
+        train, _ = build_data(cfg)
         shard = train.subset(np.arange(0, train.n, 2))
         spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 7)
         prior = h0_prior(theta0, cfg.optimizer, 50.0)
         lrs = [0.3, 0.2, 0.1]
-        ((post, trace),) = client_update([prior], [shard], [3], cfg, lrs, spec, 5, 2, frozen_var)
+        ((post, trace),) = client_update([prior], [shard], [3], cfg, lrs, spec, [5], 2, frozen_var)
         ref, ref_trace = forked_client_update(
             prior, shard, cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
         )
@@ -362,13 +456,13 @@ class TestClientUpdate:
 
     def test_failure_names_round_and_client(self):
         cfg = make_cfg(optimizer=OptimizerCfg(lr_initial=1e6, lr_final=1e6, h0=1e-6, weight_decay=0))
-        train, _ = build_data(cfg, seed=0)
+        train, _ = build_data(cfg)
         spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 0)
         prior = h0_prior(theta0, cfg.optimizer, train.n)
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
             with np.errstate(all="ignore"):
-                client_update([prior], [train], [2], cfg, [1e6] * 3, spec, 0, 4)
+                client_update([prior], [train], [2], cfg, [1e6] * 3, spec, [0], 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
 
     @pytest.mark.parametrize(
@@ -377,20 +471,20 @@ class TestClientUpdate:
     def test_start_variance_is_fresh_optimizer_variance(self, h0, delta, ess):
         # model_start's closed form gives the bits of a state restarted at h0
         cfg = make_cfg(optimizer=OptimizerCfg(h0=h0, weight_decay=delta))
-        train, _ = build_data(cfg, seed=0)
+        train, _ = build_data(cfg)
         _, start, _ = model_start(cfg, 0, train, ess)
         state = ivon_restart([start], cfg.optimizer, [ess], frozen=True)
         assert start.var.tobytes() == state.var[0].tobytes()
 
 
-def oracle_group(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, frozen_var):
+def oracle_group(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var):
     """forked_client_update on each job alone, with the job's own stream."""
     return [
         forked_client_update(
             prior, shard, cfg.optimizer, lrs, cfg.federation.batch_size,
             client_rng(seed, round_index, k), spec, frozen_var,
         )
-        for prior, shard, k in zip(priors, shards, client_ids)
+        for prior, shard, k, seed in zip(priors, shards, client_ids, seeds)
     ]
 
 
@@ -418,7 +512,8 @@ def lockstep_groups(draw):
 
 def lockstep_case(case):
     """The client_update arguments of a ``lockstep_groups`` case: distinct
-    priors, shards of the given sizes and distinct client ids."""
+    priors, shards of the given sizes, distinct client ids and two master
+    seeds, alternating between jobs."""
     cfg = make_cfg(
         dataset=DatasetCfg(kind="synth", classes=3, dim=case["dim"], n_per_class=30, spread=0.5),
         model=ModelCfg(hidden=case["hidden"]),
@@ -432,7 +527,7 @@ def lockstep_case(case):
         ),
     )
     rng = np.random.default_rng(case["seed"])
-    train, _ = build_data(cfg, seed=0)
+    train, _ = build_data(cfg)
     spec = model_start(cfg, 0, train, train.n)[0]
     shards = [train.subset(rng.choice(train.n, size=n, replace=False)) for n in case["sizes"]]
     priors = []
@@ -440,7 +535,8 @@ def lockstep_case(case):
         theta = models.init_params(spec, case["seed"] + j)
         priors.append(h0_prior(theta, cfg.optimizer, 20.0 + 7 * j))
     client_ids = rng.permutation(len(shards) + 3)[: len(shards)].tolist()
-    return priors, shards, client_ids, cfg, [0.3, 0.2, 0.1], spec, case["seed"], 2, fedavg_var(cfg)
+    seeds = [case["seed"] + j % 2 for j in range(len(shards))]
+    return priors, shards, client_ids, cfg, [0.3, 0.2, 0.1], spec, seeds, 2, fedavg_var(cfg)
 
 
 class TestLockstep:
@@ -484,7 +580,7 @@ class TestLockstep:
             optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1),
             federation=FederationCfg(rounds=1, local_epochs=3, batch_size=16),
         )
-        train, _ = build_data(cfg, seed=0)
+        train, _ = build_data(cfg)
         spec, start, _ = model_start(cfg, 0, train, train.n)
         blown = DiagGaussian(mean=start.mean * 1e160, var=start.var)
         small, big = train.subset(np.arange(30)), train.subset(np.arange(30, 90))
@@ -493,7 +589,7 @@ class TestLockstep:
         def failure(priors, shards, client_ids):
             with pytest.raises(RunError) as info:
                 with np.errstate(all="ignore"):
-                    client_update(priors, shards, client_ids, cfg, lrs, spec, 0, 1)
+                    client_update(priors, shards, client_ids, cfg, lrs, spec, [0] * len(priors), 1)
             return info.value.client_id, str(info.value)
 
         alone_0 = failure([start], [small], [0])
@@ -509,7 +605,7 @@ class TestLockstep:
             partition=PartitionCfg(n_clients=5, beta=0.5, min_shard=3),
             federation=FederationCfg(rounds=2, local_epochs=2, batch_size=batch_size),
         )
-        s = setup(cfg, 0)
+        (s,) = setups(cfg, [0])
         if batch_size == 7:
             assert any(shard.n % 7 == 1 for shard in s.train_shards)  # a 1-row minibatch
         methods = TestForkedMethods.METHODS
@@ -518,8 +614,9 @@ class TestLockstep:
             monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
             fed = dataclasses.replace(cfg.federation, threads=threads)
             run_cfg = dataclasses.replace(cfg, federation=fed)
-            spec, start, lrs = model_start(run_cfg, 0, s.train, 30.0)
-            out = train(run_cfg, 0, s.train_shards, spec, lrs, [start] * len(methods), methods)
+            spec, start, lrs = model_start(run_cfg, 0, s.train_shards[0], 30.0)
+            k = len(methods)
+            out = train(run_cfg, [0] * k, [s.train_shards] * k, spec, lrs, [start] * k, methods)
             return [
                 (p.mean.tobytes(), p.var.tobytes(), [r["nll_traces"] for r in f["rounds"]])
                 for f in out
@@ -527,7 +624,7 @@ class TestLockstep:
             ]
 
         one_group = finals(1 << 16, 1)
-        p = models.param_count(model_start(cfg, 0, s.train, 30.0)[0])
+        p = models.param_count(model_start(cfg, 0, s.train_shards[0], 30.0)[0])
         assert one_group == finals(p, 1)  # one job per group
         assert one_group == finals(p, 3)
         assert one_group == finals(2 * p, 3)
@@ -576,7 +673,7 @@ class TestPersonalizeAll:
         cfg = make_cfg()
         rows, _ = run_one(cfg, 0)
         (final,) = train_one(cfg, 0)
-        train, test = build_data(cfg, seed=0)
+        train, test = build_data(cfg)
         spec = model_start(cfg, 0, train, train.n)[0]
         eseed = derived_seed(0, _EVAL_TAG)
         noise = np.random.default_rng(eseed).standard_normal(
@@ -682,7 +779,7 @@ class TestScoreBlocks:
         for cap in (1 << 16, p, 2 * p):
             monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
             scored.clear()
-            out = run_experiment(cfg, 0, methods)
+            (out,) = run_experiment(cfg, [0], methods)
             rows[cap] = [[{k: repr(v) for k, v in row.items()} for row in m] for m, _ in out]
             assert sum(scored) == distinct, cap
         assert rows[p] == rows[1 << 16]
@@ -699,20 +796,20 @@ class TestLiveness:
         local_refs = {}  # round -> weak references to its local posteriors
         alive_at_start = {}  # round -> previous round's locals still reachable
 
-        def tracking(priors, shards, client_ids, cfg, lrs, spec, seed, round_index, *rest):
+        def tracking(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest):
             if round_index not in local_refs:
                 gc.collect()
                 previous = local_refs.get(round_index - 1, [])
                 alive_at_start[round_index] = sum(ref() is not None for ref in previous)
                 local_refs[round_index] = []
             results = client_update(
-                priors, shards, client_ids, cfg, lrs, spec, seed, round_index, *rest
+                priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest
             )
             local_refs[round_index] += [weakref.ref(post) for post, _ in results]
             return results
 
         monkeypatch.setattr(federation, "client_update", tracking)
-        run_experiment(make_cfg(), 0, self.METHODS)
+        run_experiment(make_cfg(), [0], self.METHODS)
         assert [len(refs) for refs in local_refs.values()] == [4, 12, 12]
         assert alive_at_start == {1: 0, 2: 0, 3: 0}
 
@@ -731,7 +828,7 @@ class TestLiveness:
             return out
 
         monkeypatch.setattr(federation, "project", tracking)
-        run_experiment(cfg, 0, self.METHODS)
+        run_experiment(cfg, [0], self.METHODS)
         assert len(rows) == 2
         assert alive_at_call == [0] * 12  # 3 methods x 4 clients
 

@@ -132,6 +132,17 @@ def test_compare_agg_geometry_call_counts(tmp_path, monkeypatch):
     assert calls["geometry.aggregate"] == seeds * methods * rounds == 45
 
 
+def test_compare_agg_trains_every_seed_in_one_lockstep(tmp_path, monkeypatch):
+    # the seeds build their data once and train each round in one group: a
+    # fallback to one pass per seed multiplies these counts by the seeds
+    calls = count_wrapped_calls(monkeypatch)
+    run_command(tmp_path, "compare-agg", COMPARE_CONFIG)
+    rounds = COMPARE_CONFIG["federation"]["rounds"]
+    assert calls["federation.client_update"] == rounds == 3
+    assert calls["federation.build_data"] == 1
+    assert calls["federation.run_experiment"] == 1
+
+
 def test_run_call_counts_at_one_job_blocks(tmp_path, monkeypatch):
     # with one (method, client) job per block, scoring projects and scores
     # one client at a time: one project call, and one evaluate call on its
