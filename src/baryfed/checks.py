@@ -197,12 +197,20 @@ def barycenter_vs_grid(posts, weights) -> dict[AggregationMethod, tuple[float, f
     return out
 
 
+def projection_path(d: Divergence, p_g: DiagGaussian, p_k: DiagGaussian, lambdas) -> list:
+    """One posterior per lambda of the grid: ``p_g`` at 0, ``p_k`` at inf, and
+    between them the rows of ``project`` on the pair as a stack of one."""
+    mean, var = project(d, *[(p.mean[None], p.var[None]) for p in (p_g, p_k)], lambdas)
+    rows = (DiagGaussian(mean=m, var=v) for m, v in zip(mean[0], var[0]))
+    return [p_g if lam == 0.0 else p_k if lam == math.inf else next(rows) for lam in lambdas]
+
+
 def projection_oracle_error(
     d: Divergence, p_g: DiagGaussian, p_k: DiagGaussian, lam: float
 ) -> float:
     """Largest |mean| or |sd| gap between ``project`` and the numeric oracle
     run at the radius the closed form reaches."""
-    closed = project(d, p_g, p_k, [lam])[0]
+    (closed,) = projection_path(d, p_g, p_k, [lam])
     radius = projection_divergence(d, closed, p_k)
     oracle = numeric_projection_oracle(d, p_g, p_k, radius)
     mean_gap = abs(float(closed.mean[0] - oracle.mean[0]))
@@ -215,7 +223,7 @@ def geodesic_monotonicity(
     """Violations along the projection path over an ascending lambda grid:
     the divergence to ``p_k`` may not rise, nor the one to ``p_g`` fall, by
     more than ``slack`` between grid points. Empty means monotone."""
-    path = project(d, p_g, p_k, lambdas)
+    path = projection_path(d, p_g, p_k, lambdas)
     to_k = [projection_divergence(d, q, p_k) for q in path]
     to_g = [projection_divergence(d, q, p_g) for q in path]
     bad = []

@@ -3,9 +3,9 @@
 Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
-confidence bins. ``evaluate`` scores a list of posteriors on one dataset in
-one stacked Monte-Carlo pass and returns one ``{"acc", "ece", "nll"}`` dict
-per posterior, the metric columns of a ``metrics.csv`` row. ``metrics_of``
+confidence bins. ``evaluate`` scores the rows of (M, P) posterior stacks
+on one dataset in one Monte-Carlo pass and returns one ``{"acc", "ece",
+"nll"}`` dict per row, the metric columns of a ``metrics.csv`` row. ``metrics_of``
 reduces each metric over the whole (M, n, C) probability stack in one pass,
 and each posterior's value is bit-identical to reducing its own (n, C)
 block alone. ``summarize`` groups such rows into the mean and population
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import models
 from .data import Dataset
-from .geometry import DiagGaussian
 from .models import MlpSpec
 
 PROB_FLOOR = 1e-12
@@ -78,16 +77,12 @@ def metrics_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[dict[st
     ]
 
 
-def evaluate(
-    spec: MlpSpec,
-    posteriors: list[DiagGaussian],
-    ds: Dataset,
-    noise: np.ndarray,
-    bins: int,
-) -> list[dict[str, float]]:
+def evaluate(spec: MlpSpec, stacks, ds: Dataset, noise: np.ndarray, bins: int) -> list[dict]:
     """All three metrics for each posterior, in order, from its draws
-    mean + std * noise[s]; acc is a percentage."""
-    probs = models.predict_proba_mc(spec, posteriors, ds.inputs, noise)
+    mean + sqrt(var) * noise[s]; acc is a percentage. ``stacks`` is a
+    sequence of (mean, var) pairs of (M_i, P) stacks whose rows are the
+    posteriors, as ``models.predict_proba_mc`` takes them."""
+    probs = models.predict_proba_mc(spec, stacks, ds.inputs, noise)
     return metrics_of(probs, ds.labels, bins)
 
 

@@ -12,16 +12,17 @@ stages that every command composes:
   posterior trains once per client. A round's jobs of all lanes train in
   lockstep groups (``client_update``), so a narrow model takes one stacked
   gradient and optimizer call per step for all seeds and methods;
-- score: ``_evaluate_all`` projects each local posterior onto the whole
-  lambda grid and scores a seed's posteriors in blocks of the training
-  group size, one ``evaluate`` call per test set and block.
+- score: ``_score`` projects a seed's (method, client) jobs onto the
+  whole lambda grid in blocks of the training group size, one (J, L', P)
+  stack per block, and scores each block with one ``evaluate`` call per
+  test set on (M, P) stacks.
 
 ``run_experiment`` runs these stages over the seeds in passes and returns
 each seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
 payload. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
-and ``compare-agg`` GM-GD, yet all four settings are scored: perfbench's
-coverage guard and tests/test_harness_contract.py require ``project``
-calls on the compare-agg workload.
+and ``compare-agg`` only GM-GD. All four settings are scored even so:
+perfbench's coverage guard and tests/test_harness_contract.py require
+``project`` calls on the compare-agg workload (one per seed at P = 51).
 
 Randomness is organized as counter-based streams: the training stream for
 (round, client) is seeded with [master_seed, round, client], so a job's
@@ -33,6 +34,7 @@ master seed through fixed tags.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -253,7 +255,7 @@ def build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """The train/test pair that every master seed partitions, like a fixed
     benchmark split: synthetic draws and the split come from dataset.seed.
     IDX files share one class count, so a test file missing the top class
-    still pairs with its training file."""
+    still pairs with its training file; their images must be of one size."""
     dcfg = cfg.dataset
     if dcfg.kind == "synth":
         ds = synth_blobs(
@@ -266,6 +268,11 @@ def build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return train_test_split(ds, dcfg.test_fraction, derived_seed(dcfg.seed, _SPLIT_TAG))
     train = load_idx(dcfg.train_images, dcfg.train_labels)
     test = load_idx(dcfg.test_images, dcfg.test_labels)
+    if test.dim != train.dim:
+        raise ConfigError(
+            "dataset.test_images",
+            f"images of {test.dim} pixels, but dataset.train_images holds images of {train.dim}",
+        )
     classes = max(train.classes, test.classes)
     train = dataclasses.replace(train, classes=classes)
     test = dataclasses.replace(test, classes=classes)
@@ -458,8 +465,10 @@ def run_experiment(
     model runs every seed in one pass and a wide one a seed per pass. A
     pass splits one ``build_data`` pair into its seeds' shards and frees
     the pooled train set, trains all its (seed, method) lanes in one
-    ``train``, frees the train shards and scores seed by seed; a payload's
-    ``wall_seconds`` is its pass's time. On a failure the pass replays its
+    ``train``, frees the train shards and scores seed by seed. A payload
+    records its pass's costs: ``wall_seconds``, ``score_s`` (scoring),
+    ``personalize_s`` (the part inside ``project``) and ``scored_pairs``
+    (the (posterior, test set) pairs scored). On a failure the pass replays its
     seeds one at a time, so the first seed to fail alone raises, as in a
     seed-by-seed loop.
     """
@@ -498,111 +507,99 @@ def _run_pass(cfg, seeds, methods):
         raise
     del lanes  # the train shards go before scoring
     finals = [finals[i * k : (i + 1) * k] for i in range(len(seeds))]
-    rows = [_evaluate_all(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
-    wall_seconds = time.perf_counter() - t0
+    t_score = time.perf_counter()
+    scored = [_score(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
+    end = time.perf_counter()
+    costs = dict(wall_seconds=end - t0, personalize_s=sum(c for _, _, c in scored),
+                 score_s=end - t_score, scored_pairs=sum(n for _, n, _ in scored))
     return [
         [
-            (r, {**p, "wall_seconds": wall_seconds, "aggregation": f["method"].value.lower(),
-                 "rounds": f["rounds"]})
+            (r, {**p, **costs, "aggregation": f["method"].value.lower(), "rounds": f["rounds"]})
             for f, r in zip(own, own_rows)
         ]
-        for p, own, own_rows in zip(payloads, finals, rows)
+        for p, own, (own_rows, _, _) in zip(payloads, finals, scored)
     ]
 
 
-def _evaluate_all(cfg, seed, spec, finals, test_shards, test_union):
+def _score(cfg, seed, spec, finals, test_shards, test_union):
     """Each method's ``metrics.csv`` rows from its final posteriors (a
-    ``train`` dict) on the client ``test_shards`` and their union: GM-LD
-    per client, GM-GD, then PM-LD and PM-GD per lambda and client.
+    ``train`` dict) on the client ``test_shards`` and their union: GM-LD per
+    client, GM-GD, then PM-LD and PM-GD per lambda and client; with the
+    (posterior, test set) pairs scored and the seconds spent in ``project``.
 
-    The (method, client) jobs are projected and scored in blocks of the
-    training group size, max(1, GROUP_PARAMS // P), by ``_score_block``, so
-    only one block's finite-lambda projections are alive at a time: a
-    51-parameter model scores every job in one block, one ``evaluate`` call
-    per test set, and a 79,510-parameter one projects and scores one client
-    at a time. Each (posterior, test set) pair is scored once: the global
-    and local posteriors, which lambda = 0 and lambda = inf return, keep
-    their scores in a memo across blocks.
+    The (method, client) jobs go in blocks of the training group size,
+    max(1, GROUP_PARAMS // P): one ``project`` call per block, then one
+    ``evaluate`` call per test set the block reads, on the global and local
+    posteriors it scores first (one-row views) and its jobs' slice of the
+    projection stack. No posterior is copied, and one block's projections
+    are alive at a time. A job reads its global posterior and, under FedAvg
+    or with lambda = inf in the grid, its local one; the rows at lambda = 0
+    and inf reuse their scores. A posterior is scored on the union by the
+    first job that reads it and on shard k by that job's method's job for
+    client k, so each distinct pair is scored once, also where jobs share a
+    posterior (one round: the methods' locals; one client: global and local).
     """
-    noise = eval_noise(cfg, seed, spec)
-    bins = cfg.eval.ece_bins
+    noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
     fedavg = cfg.federation.algorithm == "fedavg"
     lambdas = [None] if fedavg else cfg.personalization.lambdas
-
-    # Memo keys are (id(posterior), id(test set)) of the posteriors in
-    # ``kept``: finals and the caller keep them and the test sets alive until
-    # this function returns, so none of these ids is reused. A block-local
-    # projection's id may be reused once the block is freed, so its scores
-    # never enter the memo.
-    kept = {id(p) for final in finals for p in (final["global"], *final["locals"])}
-    memo: dict[tuple[int, int], dict[str, float]] = {}
-    jobs = [(final["global"], p_k, k) for final in finals for k, p_k in enumerate(final["locals"])]
+    inner = {lam: i for i, lam in enumerate(x for x in lambdas if x and math.isfinite(x))}
+    sets, union = [*test_shards, test_union], len(test_shards)
+    jobs = [(final["global"], p_k) for final in finals for p_k in final["locals"]]
+    reads = 2 if fedavg or math.inf in lambdas else 1  # a job's global, then its local
+    # id(posterior) -> the first job that reads it (the lowest j is assigned last)
+    first = {id(p): j for j, ps in reversed(list(enumerate(jobs))) for p in ps[:reads]}
+    # scores by (id(posterior), test set), projection scores by (job, test set)
+    scores, personal, seconds = {}, {}, 0.0
     size = max(1, GROUP_PARAMS // models.param_count(spec))
-    personal = []  # per job: its (PM-LD, PM-GD) scores at each lambda
     for lo in range(0, len(jobs), size):
-        block = jobs[lo : lo + size]
-        personal += _score_block(cfg, spec, noise, block, test_shards, test_union, memo, kept)
+        block, proj = range(lo, min(lo + size, len(jobs))), None
+        if inner:
+            t0 = time.perf_counter()
+            p_g, p_k = ([_rows([p.mean for p in ps]), _rows([p.var for p in ps])]
+                        for ps in zip(*jobs[lo : block.stop]))
+            proj = project(cfg.personalization.divergence, p_g, p_k, list(inner))
+            seconds += time.perf_counter() - t0
+        for t, ds in enumerate(sets):
+            readers = block if t == union else block[(t - lo) % union :: union]
+            if not readers:
+                continue
+            mine = slice(readers.start - lo, readers.stop - lo, readers.step)
+            fresh = {id(p): p for j in readers for p in jobs[j][:reads]
+                     if (j == first[id(p)] if t == union else j // union == first[id(p)] // union)}
+            own = [(p.mean[None], p.var[None]) for p in fresh.values()]
+            own += [tuple(a[mine].reshape(-1, a.shape[-1]) for a in proj)] if proj else []
+            got = evaluate(spec, own, ds, noise, bins)
+            scores.update(((p_id, t), s) for p_id, s in zip(fresh, got))
+            rest = iter(got[len(fresh) :])
+            personal.update(((j, t), [next(rest) for _ in inner]) for j in readers)
+        del proj, own  # the block's projections go before the next block is projected
 
-    clients = len(test_shards)
     method_rows = []
     for i, final in enumerate(finals):
         g = id(final["global"])
-        plan = [("GM-LD", None, k, memo[g, id(shard)]) for k, shard in enumerate(test_shards)]
-        plan.append(("GM-GD", None, "global", memo[g, id(test_union)]))
-        own = personal[i * clients : (i + 1) * clients]
-        for j, lam in enumerate(lambdas):
-            for k, scores in enumerate(own):
-                plan += [("PM-LD", lam, k, scores[j][0]), ("PM-GD", lam, k, scores[j][1])]
+        plan = [("GM-LD", None, k, scores[g, k]) for k in range(union)]
+        plan.append(("GM-GD", None, "global", scores[g, union]))
+        for lam in lambdas:
+            for k in range(union):
+                j = i * union + k
+                for setting, t in (("PM-LD", k), ("PM-GD", union)):
+                    if lam in inner:
+                        metrics = personal[j, t][inner[lam]]
+                    else:  # the global posterior at 0, the local one at inf or under FedAvg
+                        metrics = scores[id(jobs[j][0 if lam == 0.0 else 1]), t]
+                    plan.append((setting, lam, k, metrics))
         method = "fedavg" if fedavg else final["method"].value.lower()
-        method_rows.append(
-            [
-                {
-                    "setting": setting,
-                    "method": method,
-                    "lambda": lam,
-                    "client_id": client_id,
-                    "seed": seed,
-                    **scores,
-                    "mc_samples": cfg.eval.mc_samples,
-                    "bins": bins,
-                }
-                for setting, lam, client_id, scores in plan
-            ]
-        )
-    return method_rows
+        method_rows.append([
+            {"setting": setting, "method": method, "lambda": lam, "client_id": client_id,
+             "seed": seed, **metrics, "mc_samples": cfg.eval.mc_samples, "bins": bins}
+            for setting, lam, client_id, metrics in plan
+        ])
+    return method_rows, len(scores) + len(inner) * len(personal), seconds
 
 
-def _score_block(cfg, spec, noise, jobs, test_shards, test_union, memo, kept):
-    """Per (global, local, client) job: the (PM-LD, PM-GD) scores of its
-    personalized posterior at each lambda (under FedAvg, of its local one).
-
-    Each job's local posterior is projected for the whole lambda grid in one
-    ``project`` call. Each test set the block uses then gets one
-    ``evaluate`` call, on every distinct posterior of the block, global ones
-    included, that has no score on it in ``memo`` yet. New scores of
-    posteriors whose ids are in ``kept`` join the memo. The finite-lambda
-    projections live in this frame alone, so they are freed on return.
-    """
-    if cfg.federation.algorithm == "fedavg":
-        personal = [[p_k] for _, p_k, _ in jobs]
-    else:
-        d, lambdas = cfg.personalization.divergence, cfg.personalization.lambdas
-        personal = [project(d, p_g, p_k, lambdas) for p_g, p_k, _ in jobs]
-    wanted: dict[int, tuple[Dataset, dict[int, DiagGaussian]]] = {}
-    for (p_g, _, k), posteriors in zip(jobs, personal):
-        for ds in (test_shards[k], test_union):
-            for p in (p_g, *posteriors):
-                if (id(p), id(ds)) not in memo:
-                    wanted.setdefault(id(ds), (ds, {}))[1].setdefault(id(p), p)
-    scores = dict(memo)
-    for ds_id, (ds, posteriors) in wanted.items():
-        scored = evaluate(spec, list(posteriors.values()), ds, noise, cfg.eval.ece_bins)
-        scores.update(((p_id, ds_id), s) for p_id, s in zip(posteriors, scored))
-    memo.update((key, s) for key, s in scores.items() if key[0] in kept)
-    return [
-        [(scores[id(p), id(test_shards[k])], scores[id(p), id(test_union)]) for p in posteriors]
-        for (_, _, k), posteriors in zip(jobs, personal)
-    ]
+def _rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """(J, P) stack of P-long vectors; a single vector is viewed, not copied."""
+    return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
 
 
 def _task_split(
@@ -654,7 +651,8 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     method = cfg.federation.aggregation
     w_grid = cfg.incremental.w_grid
     mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
-    on_a, on_b = (evaluate(spec, mixtures, ds, noise, cfg.eval.ece_bins) for ds in (test_a, test_b))
+    stacks = [(m.mean[None], m.var[None]) for m in mixtures]
+    on_a, on_b = (evaluate(spec, stacks, ds, noise, cfg.eval.ece_bins) for ds in (test_a, test_b))
     return [
         {
             "seed": seed,

@@ -7,9 +7,9 @@ aggregation rules (arithmetic averaging of statistics, Wasserstein-2
 barycenter, reverse-KL barycenter). Personalization is the projection of a
 global posterior onto a divergence sphere around a local posterior, computed
 in closed form as a two-point weighted barycenter with weights 1/(lambda+1)
-and lambda/(lambda+1). ``project`` takes a whole lambda grid: its finite
-positive lambdas are the rows of one stacked (L, P) barycenter, made by the
-same formulas, in the same order of operations, as ``aggregate``.
+and lambda/(lambda+1). ``project`` takes (J, P) stacks of (global, local)
+pairs and a whole lambda grid, and makes one stacked (J, L', P) barycenter
+with ``aggregate``'s formulas, in the same order of operations.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -188,30 +188,31 @@ def aggregate(
     if len(survivors) == 1:
         return survivors[0]
     w = w[keep] / w[keep].sum()
-    mean, var = _barycenter(method, list(zip(w, survivors)))
+    mean, var = _barycenter(method, [(wi, p.mean, p.var) for wi, p in zip(w, survivors)])
     return DiagGaussian(mean=mean, var=_floor_variance(var))
 
 
-def _barycenter(method: AggregationMethod, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, var) of the weighted barycenter of (weight, posterior) pairs.
+def _barycenter(method: AggregationMethod, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, var) of the weighted barycenter of (weight, mean, var) terms.
 
-    Scalar weights give P-long vectors. (L, 1) column weights give (L, P)
-    stacks, one barycenter per row: broadcasting makes the same elementwise
-    operations in the same order, so each row has the bits that row's scalar
-    weights give. (At P = 1 that holds below 8 pairs, where NumPy's pairwise
-    sum of a column is a plain running sum; a projection has 2.)
+    Scalar weights on P-long vectors give P-long vectors. (L, 1) column
+    weights on (J, 1, P) rows give (J, L, P) stacks: broadcasting makes the
+    same elementwise operations in the same order, so each entry has the
+    bits its scalar weights give. (At P = 1 that holds below 8 terms, where
+    NumPy's pairwise sum of a column is a plain running sum; a projection
+    has 2.)
     """
     if method is AggregationMethod.EAA:
-        mean = _sum_rows(wi * p.mean for wi, p in pairs)
-        var = _sum_rows(wi * p.var for wi, p in pairs)
+        mean = _sum_rows(wi * m for wi, m, _ in terms)
+        var = _sum_rows(wi * v for wi, _, v in terms)
     elif method is AggregationMethod.W2B:
-        mean = _sum_rows(wi * p.mean for wi, p in pairs)
-        std = _sum_rows(wi * np.sqrt(p.var) for wi, p in pairs)
+        mean = _sum_rows(wi * m for wi, m, _ in terms)
+        std = _sum_rows(wi * np.sqrt(v) for wi, _, v in terms)
         var = std**2
     else:  # RKLB
-        prec = _sum_rows(wi / p.var for wi, p in pairs)
+        prec = _sum_rows(wi / v for wi, _, v in terms)
         var = 1.0 / prec
-        mean = var * _sum_rows(wi * p.mean / p.var for wi, p in pairs)
+        mean = var * _sum_rows(wi * m / v for wi, m, v in terms)
     return mean, var
 
 
@@ -242,21 +243,18 @@ _PROJECTION_METHOD = {
 }
 
 
-def project(
-    d: Divergence,
-    p_g: DiagGaussian,
-    p_k: DiagGaussian,
-    lambdas,
-) -> list[DiagGaussian]:
-    """Project the global posterior onto a divergence sphere around the local
-    one, for every lambda of a grid; one posterior per lambda, in order.
+def project(d: Divergence, p_g, p_k, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Project global posteriors onto divergence spheres around local ones.
 
-    The constrained projection is solved in closed form as the two-point
-    weighted barycenter of (p_g, p_k) with weights (1/(lambda+1),
-    lambda/(lambda+1)); the sphere radius shrinks as lambda grows. lambda = 0
-    gives p_g itself and lambda = inf gives p_k itself. All finite positive
-    lambdas of the grid are the rows of one stacked (L, P) barycenter, floored
-    once; each row has the bits ``aggregate`` gives for that lambda's weights.
+    ``p_g`` and ``p_k`` are (mean, var) pairs of (J, P) stacks whose rows j
+    are the J (global, local) pairs. The constrained projection is solved in
+    closed form as the two-point weighted barycenter of (p_g, p_k) with
+    weights (1/(lambda+1), lambda/(lambda+1)); the sphere radius shrinks as
+    lambda grows. Returns the read-only (mean, var) pair of (J, L', P)
+    stacks for the grid's L' finite positive lambdas, in grid order: one
+    stacked barycenter, floored and checked finite once, whose entry [j, l]
+    has the bits ``aggregate`` gives for pair j at that lambda's weights.
+    lambda = 0 is p_g itself and lambda = inf p_k itself, so they get no row.
 
     Only RKL and W2SQ are supported: their barycenters stay inside the
     diagonal-Gaussian family. Forward KL is rejected.
@@ -264,7 +262,8 @@ def project(
     d = Divergence(d)
     if d not in _PROJECTION_METHOD:
         raise ValueError(f"unsupported divergence for projection: {d.value}")
-    _check_same_dim(p_g, p_k)
+    if len({np.shape(a) for a in (*p_g, *p_k)}) != 1 or np.ndim(p_g[0]) != 2:
+        raise ValueError("need four (J, P) stacks of one shape")
     for lam in lambdas:
         if not lam >= 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -272,6 +271,12 @@ def project(
     inner = lams[(lams > 0.0) & (lams < math.inf)]
     w = _check_weights(2, np.stack([1.0 / (inner + 1.0), inner / (inner + 1.0)], axis=1))
     w = w / w.sum(axis=1, keepdims=True)
-    mean, var = _barycenter(_PROJECTION_METHOD[d], [(w[:, :1], p_g), (w[:, 1:], p_k)])
-    rows = (DiagGaussian(mean=m, var=v) for m, v in zip(mean, _floor_variance(var)))
-    return [p_g if lam == 0.0 else p_k if lam == math.inf else next(rows) for lam in lams]
+    # (L', 1) weights on (J, 1, P) rows broadcast to (J, L', P)
+    terms = [(wi, m[:, None], v[:, None]) for wi, (m, v) in zip((w[:, :1], w[:, 1:]), (p_g, p_k))]
+    mean, var = _barycenter(_PROJECTION_METHOD[d], terms)
+    var = _floor_variance(var)
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise ValueError("mean and var must be finite")
+    mean.setflags(write=False)
+    var.setflags(write=False)
+    return mean, var

@@ -5,19 +5,18 @@ softmax read off the final logits. Parameters live in a single flat float64
 vector so the posterior machinery never needs to know the architecture;
 unpack views the flat vector as per-layer (W, b) pairs.
 ``forward`` also takes a stack (..., P) of vectors, which lets
-``predict_proba_mc`` score every sampled parameter of a list of posteriors
-in one pass instead of one call per posterior and draw. ``loss_and_grad``
-takes a stack (K, P) with a ``Batch`` of K minibatches, so every client of
-a round computes its gradient in one call.
+``predict_proba_mc`` score every sampled parameter of (M, P) posterior
+stacks in one pass instead of one call per posterior and draw.
+``loss_and_grad`` takes a stack (K, P) with a ``Batch`` of K minibatches,
+so every client of a round computes its gradient in one call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import DiagGaussian
 
 # Sampled parameters one stacked forward pass may hold: 4 MiB of float64.
 MC_CHUNK_PARAMS = 1 << 19
@@ -149,7 +148,10 @@ def forward(spec: MlpSpec, thetas: np.ndarray, inputs: np.ndarray) -> np.ndarray
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # max(axis=-1) as a running maximum over the columns: the same values,
+    # without NumPy's slow reduction over a short last axis
+    top = functools.reduce(np.maximum, (logits[..., c : c + 1] for c in range(logits.shape[-1])))
+    shifted = logits - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -221,44 +223,50 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
     return losses, grads
 
 
-def predict_proba_mc(
-    spec: MlpSpec,
-    posteriors: list[DiagGaussian],
-    inputs: np.ndarray,
-    noise: np.ndarray,
-) -> np.ndarray:
+def predict_proba_mc(spec: MlpSpec, stacks, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Class probabilities (M, n, C) of M posteriors, each averaged over the
-    draws mean + std * noise[s].
+    draws mean + sqrt(var) * noise[s].
 
-    ``noise`` is an (S, P) block of standard normals shared by every
-    posterior, so all of them are scored on common random numbers. The
-    posteriors run through ``forward`` as one stack, in chunks of at most
-    MC_CHUNK_PARAMS sampled parameters; a posterior's S draws are never
-    split, so when S * P alone exceeds the budget a chunk holds one
-    posterior. Every (n, C) slice is bit-identical to drawing and summing
-    that posterior's S forward passes one at a time.
+    ``stacks`` is a sequence of (mean, var) pairs of (M_i, P) stacks whose
+    rows, in order, are the M posteriors, so posteriors held in separate
+    arrays are scored in one pass without being copied into one. ``noise``
+    is an (S, P) block of standard normals shared by every posterior (common
+    random numbers). The draws go through ``forward`` in chunks of at most
+    MC_CHUNK_PARAMS sampled parameters, built in one reused buffer by one
+    broadcast multiply-add per stack a chunk takes rows from, with the
+    standard deviations held in the slot of the first draw. A posterior's S
+    draws are never split, so when S * P alone exceeds the budget a chunk
+    holds one posterior. Every (n, C) slice is bit-identical to drawing and
+    summing that posterior's S forward passes one at a time.
     """
     noise = np.asarray(noise, dtype=np.float64)
     dim = param_count(spec)
-    for posterior in posteriors:
-        if posterior.dim != dim:
-            raise ValueError(
-                f"posterior dimension {posterior.dim} != parameter count {dim}"
-            )
+    for mean, var in stacks:
+        if np.ndim(mean) != 2 or np.shape(mean) != np.shape(var) or np.shape(mean)[1] != dim:
+            shapes = f"{np.shape(mean)} and {np.shape(var)}"
+            raise ValueError(f"posterior dimension: need (M, {dim}) mean and var, got {shapes}")
     if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != dim:
         raise ValueError(f"noise must have shape (S >= 1, {dim}), got {noise.shape}")
     samples = noise.shape[0]
+    total = sum(len(mean) for mean, _ in stacks)
     per_chunk = max(1, MC_CHUNK_PARAMS // (samples * dim))
-    probs = np.empty((len(posteriors), np.asarray(inputs).shape[0], spec.n_classes))
+    probs = np.empty((total, np.asarray(inputs).shape[0], spec.n_classes))
     # one reused buffer: fresh multi-MiB blocks per chunk cost page faults
-    buffer = np.empty((min(per_chunk, len(posteriors)), samples, dim))
-    for lo in range(0, len(posteriors), per_chunk):
-        chunk = posteriors[lo : lo + per_chunk]
-        thetas = buffer[: len(chunk)]
-        for block, p in zip(thetas, chunk):
-            np.multiply(p.std, noise, out=block)
-            block += p.mean
-        # summing over the draw axis adds the draws in order, like a loop
-        draws = np.exp(_log_softmax(forward(spec, thetas, inputs)))
-        probs[lo : lo + per_chunk] = draws.sum(axis=1) / samples
+    buffer = np.empty((min(per_chunk, total), samples, dim))
+    done = filled = 0
+    for mean, var in stacks:
+        lo = 0
+        while lo < len(mean):
+            hi = min(len(mean), lo + len(buffer) - filled)
+            block = buffer[filled : filled + hi - lo]
+            std = np.sqrt(var[lo:hi], out=block[:, 0])  # draw 0's slot holds the std
+            np.multiply(std[:, None, :], noise[1:], out=block[:, 1:])
+            std *= noise[0]
+            block += mean[lo:hi, None, :]
+            filled, lo = filled + hi - lo, hi
+            if filled == len(buffer) or done + filled == total:
+                # summing over the draw axis adds the draws in order, like a loop
+                draws = np.exp(_log_softmax(forward(spec, buffer[:filled], inputs)))
+                probs[done : done + filled] = draws.sum(axis=1) / samples
+                done, filled = done + filled, 0
     return probs

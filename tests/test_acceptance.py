@@ -162,7 +162,10 @@ def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
         p_g = final["global"]
         for p_k in final["locals"]:
             for d in (Divergence.RKL, Divergence.W2SQ):
-                at_zero, at_inf = project(d, p_g, p_k, [0.0, math.inf])
+                # no row is projected for the endpoints: they are p_g and p_k
+                pair = [(p.mean[None], p.var[None]) for p in (p_g, p_k)]
+                assert project(d, *pair, [0.0, math.inf])[0].shape == (1, 0, p_g.dim)
+                at_zero, at_inf = checks.projection_path(d, p_g, p_k, [0.0, math.inf])
                 assert np.array_equal(at_zero.mean, p_g.mean)
                 assert np.array_equal(at_zero.var, p_g.var)
                 assert np.array_equal(at_inf.mean, p_k.mean)

@@ -350,13 +350,14 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def write_idx(tmp_path, name, labels):
-    """Tiny IDX image/label pair: 2x2 images whose pixels encode the label."""
+def write_idx(tmp_path, name, labels, side=2):
+    """Tiny IDX image/label pair: side x side images whose pixels encode the label."""
     rng = np.random.default_rng(len(labels))
     labels = np.asarray(labels, dtype=np.uint8)
-    pixels = (labels[:, None] * 80 + rng.integers(0, 40, size=(len(labels), 4))).astype(np.uint8)
+    noise = rng.integers(0, 40, size=(len(labels), side * side))
+    pixels = (labels[:, None] * 80 + noise).astype(np.uint8)
     images = tmp_path / f"{name}-images.idx"
-    images.write_bytes(struct.pack(">4I", 0x803, len(labels), 2, 2) + pixels.tobytes())
+    images.write_bytes(struct.pack(">4I", 0x803, len(labels), side, side) + pixels.tobytes())
     labels_path = tmp_path / f"{name}-labels.idx"
     labels_path.write_bytes(struct.pack(">2I", 0x801, len(labels)) + labels.tobytes())
     return str(images), str(labels_path)
@@ -381,6 +382,18 @@ class TestIdx:
         doc = json.loads((tmp_path / "out" / "rounds_0.json").read_text())
         assert len(doc["client_label_counts"]) == 4
         assert all(len(counts) == 3 for counts in doc["client_label_counts"])
+
+
+    def test_image_sizes_must_match(self, tmp_path, capsys):
+        dataset = idx_dataset(tmp_path, [0, 1, 2] * 20, [0, 1, 2] * 6)
+        dataset["test_images"], dataset["test_labels"] = write_idx(
+            tmp_path, "test3x3", [0, 1, 2] * 6, side=3
+        )
+        assert main(["run", write_config(tmp_path, dataset=dataset)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'dataset.test_images': images of 9 pixels" in err
+        assert "dataset.train_images holds images of 4" in err
+        assert "Traceback" not in err
 
 
 class TestValidateGeometry:
@@ -428,19 +441,20 @@ class TestValidateGeometry:
 
     def test_wrong_barycenter_in_projection_detected(self, capsys, monkeypatch):
         def eaa_projection(d, p_g, p_k, lambdas):
-            def one(lam):
-                if math.isinf(lam):
-                    return p_k
-                weights = [1.0 / (lam + 1.0), lam / (lam + 1.0)]
-                return aggregate(AggregationMethod.EAA, [p_g, p_k], weights)
-
-            return [one(lam) for lam in lambdas]
+            # stacks of one pair, as checks passes them
+            pair = [DiagGaussian(mean=mean[0], var=var[0]) for mean, var in (p_g, p_k)]
+            outs = [
+                aggregate(AggregationMethod.EAA, pair, [1.0 / (lam + 1.0), lam / (lam + 1.0)])
+                for lam in lambdas
+                if 0.0 < lam < math.inf
+            ]
+            return tuple(np.stack([getattr(q, f) for q in outs])[None] for f in ("mean", "var"))
 
         monkeypatch.setattr(checks, "project", eaa_projection)
         self.assert_only_failure(capsys, "projection-oracle-equivalence")
 
     def test_inverted_lambda_detected(self, capsys, monkeypatch):
-        # walks the path backwards: p_k at lambda = 0, p_g at lambda = inf
+        # walks the path between p_g and p_k backwards: 1/lambda for lambda
         def inverted(d, p_g, p_k, lambdas):
             return project(d, p_g, p_k, [math.inf if lam == 0.0 else 1.0 / lam for lam in lambdas])
 

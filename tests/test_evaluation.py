@@ -230,10 +230,11 @@ class TestEvaluate:
         ds = synth_blobs(classes=3, dim=2, n_per_class=5, spread=0.1, seed=0)
         noise = np.random.default_rng(3).standard_normal((4, post.dim))
         other = DiagGaussian(mean=np.full(post.dim, 0.5), var=post.var)
-        reps = evaluate(spec, [post, other], ds, noise, bins=10)
+        both = (np.stack([post.mean, other.mean]), np.stack([post.var, other.var]))
+        reps = evaluate(spec, [both], ds, noise, bins=10)
         assert len(reps) == 2
         for p, rep in zip([post, other], reps):
-            probs = predict_proba_mc(spec, [p], ds.inputs, noise)[0]
+            probs = predict_proba_mc(spec, [(p.mean[None], p.var[None])], ds.inputs, noise)[0]
             assert rep == {
                 "acc": accuracy_of(probs, ds.labels),
                 "ece": ece_of(probs, ds.labels, 10),

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from baryfed.federation import (
     client_rng,
     client_update,
     derived_seed,
+    eval_noise,
     fedavg_var,
     incremental_sweep,
     model_start,
@@ -36,7 +38,8 @@ from baryfed.federation import (
     setups,
     train,
 )
-from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, project
+from baryfed.checks import projection_path
+from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, aggregate, project
 from baryfed.models import predict_proba_mc
 from baryfed.variopt import ivon_restart, ivon_step, posterior_of, sample_params
 
@@ -72,6 +75,11 @@ def bench_cfg(**over) -> ExperimentConfig:
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def one(p: DiagGaussian):
+    """A posterior as a (mean, var) pair of stacks of one."""
+    return p.mean[None], p.var[None]
 
 
 def run_one(cfg, seed):
@@ -297,12 +305,16 @@ class TestForkedMethods:
             assert len(final["locals"]) == len(alone["locals"]) == n_clients
 
 
+# what a payload records of its whole pass, which a seed run alone does not share
+PASS_COSTS = dict.fromkeys(("wall_seconds", "personalize_s", "score_s", "scored_pairs"))
+
+
 def untimed(runs):
-    """run_experiment's output as a repr string, its timings left out."""
+    """run_experiment's output as a repr string, its pass costs left out."""
     return repr(
         [
             [
-                (rows, {**payload, "wall_seconds": None, "rounds": [
+                (rows, {**payload, **PASS_COSTS, "rounds": [
                     {**record, "agg_seconds": None} for record in payload["rounds"]
                 ]})
                 for rows, payload in per_method
@@ -645,7 +657,12 @@ class TestPersonalizeAll:
 
     def test_endpoints_bit_exact(self):
         g, locals_ = self.stand_ins()
-        at_zero, at_inf = zip(*(project(Divergence.W2SQ, g, p, [0.0, math.inf]) for p in locals_))
+        # the endpoints get no projected row: they are the posteriors themselves
+        p_g = (np.stack([g.mean] * 3), np.stack([g.var] * 3))
+        p_k = (np.stack([p.mean for p in locals_]), np.stack([p.var for p in locals_]))
+        assert project(Divergence.W2SQ, p_g, p_k, [0.0, math.inf])[0].shape == (3, 0, 6)
+        paths = (projection_path(Divergence.W2SQ, g, p, [0.0, math.inf]) for p in locals_)
+        at_zero, at_inf = zip(*paths)
         for p in at_zero:
             assert np.array_equal(p.mean, g.mean) and np.array_equal(p.var, g.var)
         for p, loc in zip(at_inf, locals_):
@@ -664,8 +681,9 @@ class TestPersonalizeAll:
         for name in calls:
             monkeypatch.setattr(models, name, refuse(name))
         g, locals_ = self.stand_ins()
-        for p in locals_:
-            project(Divergence.RKL, g, p, [1.0])
+        p_g = (np.stack([g.mean] * 3), np.stack([g.var] * 3))
+        p_k = (np.stack([p.mean for p in locals_]), np.stack([p.var for p in locals_]))
+        project(Divergence.RKL, p_g, p_k, [1.0])
         assert calls == {"forward": 0, "loss_and_grad": 0}
 
     def test_matches_direct_projection(self):
@@ -682,8 +700,9 @@ class TestPersonalizeAll:
         rows = [m for m in rows if m["setting"] == "PM-GD" and m["lambda"] == 1.0]
         assert [m["client_id"] for m in rows] == list(range(len(final["locals"])))
         for m, loc in zip(rows, final["locals"]):
-            (p,) = project(cfg.personalization.divergence, final["global"], loc, [1.0])
-            ref = evaluate(spec, [p], test, noise, cfg.eval.ece_bins)[0]
+            d = cfg.personalization.divergence
+            mean, var = project(d, one(final["global"]), one(loc), [1.0])
+            ref = evaluate(spec, [(mean[0], var[0])], test, noise, cfg.eval.ece_bins)[0]
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
 
@@ -694,17 +713,21 @@ class TestScoreOnce:
     def counted_run(self, monkeypatch, cfg):
         calls = []
 
-        def counting(spec, posteriors, ds, *args):
-            calls.append((ds, posteriors))
-            return evaluate(spec, posteriors, ds, *args)
+        def counting(spec, stacks, ds, *args):
+            # each row's bytes: distinct posteriors have distinct rows here
+            calls.append((ds, [m.tobytes() + v.tobytes() for mean, var in stacks
+                               for m, v in zip(mean, var)]))
+            return evaluate(spec, stacks, ds, *args)
 
         monkeypatch.setattr(federation, "evaluate", counting)
         rows, rounds = run_one(cfg, 0)
         datasets = [id(ds) for ds, _ in calls]
         assert len(set(datasets)) == len(datasets)
         for _, posteriors in calls:
-            assert len({id(p) for p in posteriors}) == len(posteriors)
-        return rows, len(rounds["client_sizes"]), len(calls), sum(len(ps) for _, ps in calls)
+            assert len(set(posteriors)) == len(posteriors)
+        scored = sum(len(ps) for _, ps in calls)
+        assert rounds["scored_pairs"] == scored
+        return rows, len(rounds["client_sizes"]), len(calls), scored
 
     def test_bayes_endpoints_reuse_scores(self, monkeypatch):
         cfg = make_cfg()
@@ -769,9 +792,9 @@ class TestScoreBlocks:
         cfg, methods, distinct = self.CASES[case]
         scored = []
 
-        def counting(spec, posteriors, *args):
-            scored.append(len(posteriors))
-            return predict_proba_mc(spec, posteriors, *args)
+        def counting(spec, stacks, *args):
+            scored.append(sum(len(mean) for mean, _ in stacks))
+            return predict_proba_mc(spec, stacks, *args)
 
         monkeypatch.setattr(models, "predict_proba_mc", counting)
         p = models.param_count(models.MlpSpec(layer_sizes=(2, 8, 3)))
@@ -782,6 +805,8 @@ class TestScoreBlocks:
             (out,) = run_experiment(cfg, [0], methods)
             rows[cap] = [[{k: repr(v) for k, v in row.items()} for row in m] for m, _ in out]
             assert sum(scored) == distinct, cap
+            # the run record counts the pairs its pass scored
+            assert [rounds["scored_pairs"] for _, rounds in out] == [distinct] * len(methods)
         assert rows[p] == rows[1 << 16]
         assert rows[2 * p] == rows[1 << 16]
 
@@ -823,14 +848,103 @@ class TestLiveness:
         def tracking(d, p_g, p_k, lambdas):
             gc.collect()
             alive_at_call.append(sum(ref() is not None for ref in rows))
-            out = project(d, p_g, p_k, lambdas)
-            rows[:] = [weakref.ref(q) for q in out if q is not p_g and q is not p_k]
-            return out
+            mean, var = project(d, p_g, p_k, lambdas)
+            assert mean.shape[:2] == (1, 2)  # one job, lambda 0.5 and 1.0
+            rows[:] = [weakref.ref(mean), weakref.ref(var)]
+            return mean, var
 
         monkeypatch.setattr(federation, "project", tracking)
         run_experiment(cfg, [0], self.METHODS)
         assert len(rows) == 2
         assert alive_at_call == [0] * 12  # 3 methods x 4 clients
+
+
+class TestScoreOracle:
+    """Every metrics.csv row of a run equals ``evaluate`` on a stack of one:
+    the global posterior, the local one, or that row's ``project`` output."""
+
+    FEDAVG = FederationCfg(rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg")
+    ROUND_ONE = FederationCfg(rounds=1, local_epochs=3, batch_size=200)
+    RKLB = (AggregationMethod.RKLB,)
+    CASES = {
+        "w2sq": (PersonalizationCfg(Divergence.W2SQ, (0.0, 0.5, 2.0, math.inf)), None, RKLB),
+        "rkl": (PersonalizationCfg(Divergence.RKL, (0.0, 1.0, math.inf)), None, RKLB),
+        "w2sq-inner-only": (PersonalizationCfg(Divergence.W2SQ, (0.25, 4.0)), None, RKLB),
+        "rkl-inner-only": (PersonalizationCfg(Divergence.RKL, (0.5,)), None, RKLB),
+        "fedavg": (PersonalizationCfg(), FEDAVG, (AggregationMethod.EAA,)),
+        # two methods that keep the same round-1 locals
+        "shared-locals": (
+            PersonalizationCfg(Divergence.RKL, (0.0, 0.5, math.inf)),
+            ROUND_ONE,
+            (AggregationMethod.EAA, AggregationMethod.W2B),
+        ),
+    }
+
+    @pytest.mark.parametrize("blocks", ["default", "one-job"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_equal_stacks_of_one(self, monkeypatch, case, blocks):
+        personalization, fed, methods = self.CASES[case]
+        cfg = make_cfg(personalization=personalization, federation=fed or make_cfg().federation)
+        if blocks == "one-job":
+            p = models.param_count(models.MlpSpec((2, 8, 3)))
+            monkeypatch.setattr(federation, "GROUP_PARAMS", p)
+        (out,) = run_experiment(cfg, [0], methods)
+        finals = train_one(cfg, 0, methods)
+        (s,) = setups(cfg, [0])
+        spec = model_start(cfg, 0, s.train_shards[0], 1.0)[0]
+        noise = eval_noise(cfg, 0, spec)
+        d = cfg.personalization.divergence
+        lambdas = [None] if fed is self.FEDAVG else cfg.personalization.lambdas
+        for (rows, _), final in zip(out, finals):
+            k = len(final["locals"])
+            assert len(rows) == k + 1 + 2 * k * len(lambdas)
+            for row in rows:
+                k, lam = row["client_id"], row["lambda"]
+                ds = s.test if row["setting"].endswith("GD") else s.test_shards[k]
+                if row["setting"].startswith("GM") or lam == 0.0:
+                    stack = one(final["global"])
+                elif lam is None or lam == math.inf:
+                    stack = one(final["locals"][k])
+                else:
+                    mean, var = project(d, one(final["global"]), one(final["locals"][k]), [lam])
+                    stack = (mean[0], var[0])
+                ref = evaluate(spec, [stack], ds, noise, cfg.eval.ece_bins)[0]
+                assert {m: row[m] for m in ref} == ref, row
+
+
+class TestScoringMemory:
+    """At one-job blocks scoring holds no more than it did when posteriors
+    were scored as objects, one ``evaluate`` list of them per test set: that
+    code's scoring peaked at 7,069,562 to 7,069,621 traced bytes on this
+    config in three runs, measured as this test measures it."""
+
+    PARENT_PEAK = 7_069_562
+
+    def test_peak_traced_allocation(self, monkeypatch):
+        cfg = make_cfg(
+            dataset=DatasetCfg(kind="synth", classes=10, dim=784, n_per_class=40, spread=0.1),
+            model=ModelCfg(hidden=(100,)),
+            partition=PartitionCfg(n_clients=8, beta=0.5, min_shard=5),
+            optimizer=OptimizerCfg(lr_initial=2.0, lr_final=0.2, h0=20.0),
+            federation=FederationCfg(rounds=1, local_epochs=1, batch_size=64),
+            eval=EvalCfg(mc_samples=4),
+        )
+        p = models.param_count(models.MlpSpec((784, 100, 10)))
+        monkeypatch.setattr(federation, "GROUP_PARAMS", p)  # one job per block
+        score, peaks = federation._score, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return score(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(federation, "_score", traced)
+        run_one(cfg, 0)
+        assert len(peaks) == 1
+        assert peaks[0] <= self.PARENT_PEAK
 
 
 class TestTrainingBehavior:
@@ -891,6 +1005,28 @@ class TestIncrementalSweep:
         cfg = self.small_cfg(w_grid=(0.5,), split_class=1)
         _, trained = self.traced_sweep(monkeypatch, cfg)
         assert trained == [[0], [1, 2, 3]]
+
+    def test_rows_equal_stacks_of_one(self, monkeypatch):
+        # each mixture's row is evaluate on it alone, as a stack of one
+        cfg = self.small_cfg(w_grid=(0.0, 0.3, 1.0))
+        mixtures, calls = [], []
+
+        def mixing(method, posteriors, weights):
+            mixtures.append(aggregate(method, posteriors, weights))
+            return mixtures[-1]
+
+        def scoring(spec, stacks, ds, noise, bins):
+            calls.append((spec, ds, noise, bins))
+            return evaluate(spec, stacks, ds, noise, bins)
+
+        monkeypatch.setattr(federation, "aggregate", mixing)
+        monkeypatch.setattr(federation, "evaluate", scoring)
+        rows = incremental_sweep(cfg, seed=0)
+        assert len(calls) == 2 and len(mixtures) == len(rows) == 3
+        for row, mixture in zip(rows, mixtures):
+            for (spec, ds, noise, bins), task in zip(calls, "ab"):
+                ref = evaluate(spec, [one(mixture)], ds, noise, bins)[0]
+                assert {m: row[f"{m}_{task}"] for m in ref} == ref
 
     def test_invalid_split(self):
         with pytest.raises(ValueError, match="split_class"):

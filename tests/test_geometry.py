@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryfed import geometry
-from baryfed.checks import geodesic_monotonicity, numeric_projection_oracle, projection_oracle_error
+from baryfed.checks import (
+    geodesic_monotonicity,
+    numeric_projection_oracle,
+    projection_oracle_error,
+    projection_path,
+)
 from baryfed.geometry import (
     AggregationMethod,
     DiagGaussian,
@@ -26,6 +31,11 @@ def g(mean, var):
 
 
 STD_NORMAL = g(0.0, 1.0)
+
+
+def one(p: DiagGaussian):
+    """A posterior as a (mean, var) pair of stacks of one."""
+    return p.mean[None], p.var[None]
 
 
 # Property-test inputs. Means in [-10, 10] and variances in [1e-3, 1e3] keep
@@ -106,10 +116,11 @@ class TestDiagGaussian:
     def test_projected_rows_are_read_only(self):
         p_g, p_k = g([0.0, 1.0], [1.0, 0.5]), g([4.0, -2.0], [9.0, 0.1])
         for d in (Divergence.RKL, Divergence.W2SQ):
-            for p in project(d, p_g, p_k, [0.5, 1.0, 3.0]):
-                assert not p.mean.flags.writeable and not p.var.flags.writeable
-                with pytest.raises(ValueError):
-                    p.var[0] = 1.0
+            mean, var = project(d, one(p_g), one(p_k), [0.5, 1.0, 3.0])
+            assert mean.shape == var.shape == (1, 3, 2)
+            assert not mean.flags.writeable and not var.flags.writeable
+            with pytest.raises(ValueError):
+                var[0, 0, 0] = 1.0
 
 
 class TestDivergences:
@@ -263,13 +274,21 @@ class TestProjectionWeights:
         grid = [1.0, 0.0, 3.0, math.inf]
         weights = [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
         for d, method in pairs.items():
-            *outs, at_inf = project(d, self.p_g, self.p_k, grid)
-            for out, w in zip(outs, weights):
+            # 0 and inf get no row: they are the global and local posteriors
+            mean, var = project(d, one(self.p_g), one(self.p_k), grid)
+            assert mean.shape == (1, 2, 2)
+            for m, v, w in zip(mean[0], var[0], weights[::2]):
                 ref = aggregate(method, [self.p_g, self.p_k], w)
-                assert np.array_equal(out.mean, ref.mean)
-                assert np.array_equal(out.var, ref.var)
+                assert np.array_equal(m, ref.mean)
+                assert np.array_equal(v, ref.var)
+            *_, at_inf = projection_path(d, self.p_g, self.p_k, grid)
             assert at_inf is self.p_k
-        assert project(Divergence.RKL, self.p_g, self.p_k, []) == []
+        mean, var = project(Divergence.RKL, one(self.p_g), one(self.p_k), [])
+        assert mean.shape == var.shape == (1, 0, 2)
+
+    def test_stacks_must_share_one_shape(self):
+        with pytest.raises(ValueError, match="four \\(J, P\\) stacks of one shape"):
+            project(Divergence.W2SQ, one(self.p_g), (self.p_k.mean[None], self.p_k.var), [1.0])
 
     def test_from_lambda_rejects_negative(self, monkeypatch):
         # anywhere in the grid, before any arithmetic
@@ -282,7 +301,7 @@ class TestProjectionWeights:
                 grid = [0.0, 1.0, 1e300, math.inf]
                 grid.insert(at, bad)
                 with pytest.raises(ValueError, match=f"lambda must be >= 0, got {bad}"):
-                    project(Divergence.W2SQ, self.p_g, self.p_k, grid)
+                    project(Divergence.W2SQ, one(self.p_g), one(self.p_k), grid)
 
     @settings(deadline=None, max_examples=150, derandomize=True)
     @given(projection_instances())
@@ -292,30 +311,31 @@ class TestProjectionWeights:
             Divergence.W2SQ: AggregationMethod.W2B,
             Divergence.RKL: AggregationMethod.RKLB,
         }
+        inner = [lam for lam in grid if 0.0 < lam < math.inf]
+        # a block of J = 3 pairs: each row has the bits of its pair alone
+        block = [(p_g, p_k), (p_k, p_g), (p_g, p_g)]
+        stacks = [tuple(np.stack([getattr(q[i], f) for q in block]) for f in ("mean", "var"))
+                  for i in (0, 1)]
         for d, method in pairs.items():
-            outs = project(d, p_g, p_k, grid)
-            assert len(outs) == len(grid)
-            for lam, out in zip(grid, outs):
-                if lam == 0.0:
-                    assert out is p_g
-                elif lam == math.inf:
-                    assert out is p_k
-                else:
-                    ref = aggregate(method, [p_g, p_k], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
-                    assert out.mean.tobytes() == ref.mean.tobytes(), (d, lam)
-                    assert out.var.tobytes() == ref.var.tobytes(), (d, lam)
+            mean, var = project(d, *stacks, grid)
+            assert mean.shape == var.shape == (3, len(inner), p_g.dim)
+            for j, (a, b) in enumerate(block):
+                for l, lam in enumerate(inner):
+                    ref = aggregate(method, [a, b], [1.0 / (lam + 1.0), lam / (lam + 1.0)])
+                    assert mean[j, l].tobytes() == ref.mean.tobytes(), (d, j, lam)
+                    assert var[j, l].tobytes() == ref.var.tobytes(), (d, j, lam)
 
     def test_variance_floor_per_row(self, caplog):
         # a tiny global variance is floored near lambda = 0 only; one warning
         # per grid counts the floored coordinates of every row
         p_g, p_k = g([0.0, 1.0], [1e-14, 1e-14]), g([0.5, -0.0], [1.0, 2.0])
         with caplog.at_level("WARNING"):
-            low, high = project(Divergence.RKL, p_g, p_k, [1e-300, 1e300])
-        assert np.array_equal(low.var, [VAR_FLOOR, VAR_FLOOR])
-        assert high.var.tobytes() == aggregate(
+            _, ((low, high),) = project(Divergence.RKL, one(p_g), one(p_k), [1e-300, 1e300])
+        assert np.array_equal(low, [VAR_FLOOR, VAR_FLOOR])
+        assert high.tobytes() == aggregate(
             AggregationMethod.RKLB, [p_g, p_k], [1.0 / (1e300 + 1.0), 1e300 / (1e300 + 1.0)]
         ).var.tobytes()
-        assert high.var.min() > VAR_FLOOR
+        assert high.min() > VAR_FLOOR
         floors = [r.getMessage() for r in caplog.records if "variance floor" in r.getMessage()]
         assert floors == ["variance floor applied to 2 coordinate(s)"]
 
@@ -325,15 +345,17 @@ class TestProject:
     p_k = g(4.0, 9.0)
 
     def test_w2sq_worked_example(self):
-        (out,) = project(Divergence.W2SQ, self.p_g, self.p_k, [1.0])
-        assert out.mean[0] == pytest.approx(2.0, abs=1e-12)
-        assert out.var[0] == pytest.approx(4.0, abs=1e-12)
+        mean, var = project(Divergence.W2SQ, one(self.p_g), one(self.p_k), [1.0])
+        assert mean[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert var[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
 
     @settings(deadline=None)
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_zero_is_global_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            (out,) = project(d, p_g, p_k, [0.0])
+            # no row is computed: the path at lambda = 0 is p_g itself
+            assert project(d, one(p_g), one(p_k), [0.0])[0].shape == (1, 0, p_g.dim)
+            (out,) = projection_path(d, p_g, p_k, [0.0])
             assert np.array_equal(out.mean, p_g.mean)
             assert np.array_equal(out.var, p_g.var)
 
@@ -341,22 +363,23 @@ class TestProject:
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_inf_is_local_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            (out,) = project(d, p_g, p_k, [math.inf])
+            assert project(d, one(p_g), one(p_k), [math.inf])[0].shape == (1, 0, p_g.dim)
+            (out,) = projection_path(d, p_g, p_k, [math.inf])
             assert np.array_equal(out.mean, p_k.mean)
             assert np.array_equal(out.var, p_k.var)
 
     def test_forward_kl_rejected(self):
         with pytest.raises(ValueError):
-            project(Divergence.KL, self.p_g, self.p_k, [1.0])
+            project(Divergence.KL, one(self.p_g), one(self.p_k), [1.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            project(Divergence.W2SQ, self.p_g, self.p_k, [-1.0])
+            project(Divergence.W2SQ, one(self.p_g), one(self.p_k), [-1.0])
 
     def test_rkl_matches_two_point_fusion(self):
-        (out,) = project(Divergence.RKL, g(0.0, 1.0), g(2.0, 1.0 / 3.0), [1.0])
-        assert out.mean[0] == pytest.approx(1.5, abs=1e-12)
-        assert out.var[0] == pytest.approx(0.5, abs=1e-12)
+        mean, var = project(Divergence.RKL, one(g(0.0, 1.0)), one(g(2.0, 1.0 / 3.0)), [1.0])
+        assert mean[0, 0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert var[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_along_grid(self):
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, math.inf]

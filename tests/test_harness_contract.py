@@ -120,15 +120,15 @@ def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, co
 
 
 def test_compare_agg_geometry_call_counts(tmp_path, monkeypatch):
-    # one project call personalizes a client for the whole lambda grid, and
-    # aggregate runs on the server only: a fallback to one project call per
-    # lambda, or to one aggregate per projection, multiplies these counts
+    # one project call personalizes a block of (method, client) jobs for the
+    # whole lambda grid, and at P = 51 a seed's jobs are one block; aggregate
+    # runs on the server only: a fallback to one project call per client or
+    # per lambda, or to one aggregate per projection, multiplies these counts
     calls = count_wrapped_calls(monkeypatch)
     run_command(tmp_path, "compare-agg", COMPARE_CONFIG)
     seeds, methods = len(COMPARE_CONFIG["seeds"]), len(COMPARE_CONFIG["compare"]["methods"])
-    clients = COMPARE_CONFIG["partition"]["n_clients"]
     rounds = COMPARE_CONFIG["federation"]["rounds"]
-    assert calls["geometry.project"] == seeds * methods * clients == 60
+    assert calls["geometry.project"] == seeds == 5
     assert calls["geometry.aggregate"] == seeds * methods * rounds == 45
 
 

@@ -222,6 +222,31 @@ def noise_block(samples, dim, seed):
     return np.random.default_rng(seed).standard_normal((samples, dim))
 
 
+def one(p: DiagGaussian):
+    """A posterior as a (mean, var) pair of stacks of one."""
+    return p.mean[None], p.var[None]
+
+
+def stacked(posts):
+    """Posteriors as the rows of one (mean, var) pair of (M, P) stacks."""
+    return np.stack([p.mean for p in posts]), np.stack([p.var for p in posts])
+
+
+def test_log_softmax_bits_equal_max_reduction():
+    # the running column maximum gives the values of max(axis=-1): ties,
+    # signed zeros, infinities and NaN included
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+    for classes in (1, 2, 3, 10):
+        logits = rng.normal(size=(4, 5, 50, classes))
+        logits[0] = rng.choice(special, size=(5, 50, classes))
+        logits[1] = np.round(logits[1])  # ties
+        with np.errstate(invalid="ignore"):
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            ref = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            assert _log_softmax(logits).tobytes() == ref.tobytes()
+
+
 class TestPredictiveAndCounters:
     def small_posterior(self):
         theta = init_params(SMALL, seed=5)
@@ -241,11 +266,12 @@ class TestPredictiveAndCounters:
     def test_mc_probabilities(self):
         post = self.small_posterior()
         x = np.random.default_rng(1).normal(size=(8, 2))
-        probs = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 7))
+        probs = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 7))
         assert probs.shape == (1, 8, 2)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.array_equal(probs, predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 7)))
-        other = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 8))
+        again = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 7))
+        assert np.array_equal(probs, again)
+        other = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 8))
         assert not np.array_equal(probs, other)
         assert predict_proba_mc(SMALL, [], x, noise_block(6, post.dim, 7)).shape == (0, 8, 2)
 
@@ -266,7 +292,7 @@ class TestPredictiveAndCounters:
         posts = self.posteriors(spec, 5, seed=3)
         x = np.random.default_rng(4).normal(size=(9, layers[0]))
         noise = noise_block(samples, posts[0].dim, seed)
-        probs = predict_proba_mc(spec, posts, x, noise)
+        probs = predict_proba_mc(spec, [stacked(posts)], x, noise)
         assert probs.shape == (5, 9, spec.n_classes)
         for post, got in zip(posts, probs):
             assert np.array_equal(got, reseeded_proba(spec, post, x, samples, seed))
@@ -276,9 +302,13 @@ class TestPredictiveAndCounters:
         posts = self.posteriors(spec, 7, seed=5)
         x = np.random.default_rng(6).normal(size=(9, 4))
         noise = noise_block(4, posts[0].dim, 9)
-        whole = predict_proba_mc(spec, posts, x, noise)
+        whole = predict_proba_mc(spec, [stacked(posts)], x, noise)
+        # the same rows as three stacks, one of them empty
+        empty = (np.empty((0, posts[0].dim)), np.empty((0, posts[0].dim)))
+        parts = [stacked(posts[:3]), empty, stacked(posts[3:])]
+        assert np.array_equal(predict_proba_mc(spec, parts, x, noise), whole)
 
-        budget = 2 * noise.size + 1  # two posteriors' draws per chunk
+        budget = 2 * noise.size + 1  # two posteriors' draws per chunk: one spans two stacks
         sizes = []
 
         def recording(spec, thetas, inputs):
@@ -287,7 +317,7 @@ class TestPredictiveAndCounters:
 
         monkeypatch.setattr(models, "MC_CHUNK_PARAMS", budget)
         monkeypatch.setattr(models, "forward", recording)
-        chunked = predict_proba_mc(spec, posts, x, noise)
+        chunked = predict_proba_mc(spec, parts, x, noise)
         assert len(sizes) >= 3
         assert max(sizes) <= budget
         assert np.array_equal(chunked, whole)
@@ -296,15 +326,20 @@ class TestPredictiveAndCounters:
         post = self.small_posterior()
         wrong = DiagGaussian(mean=np.zeros(post.dim + 1), var=np.ones(post.dim + 1))
         with pytest.raises(ValueError, match="posterior dimension"):
-            predict_proba_mc(SMALL, [post, wrong], np.zeros((1, 2)), np.zeros((3, post.dim)))
+            predict_proba_mc(
+                SMALL, [one(post), one(wrong)], np.zeros((1, 2)), np.zeros((3, post.dim))
+            )
+        with pytest.raises(ValueError, match="mean and var, got"):
+            mismatched = (post.mean[None], post.var)
+            predict_proba_mc(SMALL, [mismatched], np.zeros((1, 2)), np.zeros((3, post.dim)))
 
     def test_sample_count_validated(self):
         # an empty noise block is zero samples
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((0, post.dim)))
+            predict_proba_mc(SMALL, [one(post)], np.zeros((1, 2)), np.zeros((0, post.dim)))
 
     def test_noise_width_must_be_param_count(self):
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
+            predict_proba_mc(SMALL, [one(post)], np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
