@@ -88,12 +88,16 @@ class DatasetCfg:
 
 
 def _check_dataset(cfg: DatasetCfg, path: str) -> DatasetCfg:
-    """Rules that depend on ``kind``: idx needs its files, synth its bounds."""
+    """Rules that depend on ``kind``: idx needs its files, synth its bounds
+    and no ``limit``."""
     if cfg.kind == "idx":
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
             if not getattr(cfg, name):
                 raise ConfigError(f"{path}.{name}", "required for kind 'idx'")
         return cfg
+    if cfg.limit:
+        # synth_blobs orders examples by class: the first N would be class 0 only
+        raise ConfigError(f"{path}.limit", "applies to kind 'idx' only; must be 0 for 'synth'")
     for f in dataclasses.fields(cfg):
         if "synth" in f.metadata:
             f.metadata["synth"](getattr(cfg, f.name), f"{path}.{f.name}")

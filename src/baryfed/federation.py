@@ -6,16 +6,19 @@ stages that every command composes:
   ``model_start`` builds the spec, the initial posterior and the learning
   rates;
 - train: each round of ``train`` broadcasts the global posterior of each
-  (seed, method) lane, trains every client's private shard and aggregates
-  the locals on the server, which sees posteriors and weights only. A
-  seed's methods share round 1; afterwards each distinct broadcast
-  posterior trains once per client. A round's jobs of all lanes train in
-  lockstep groups (``client_update``), so a narrow model takes one stacked
-  gradient and optimizer call per step for all seeds and methods;
+  ``(seed, method, train_shards)`` lane, trains every client's private
+  shard and aggregates the locals on the server, which sees posteriors and
+  weights only. A seed's methods share round 1; afterwards each distinct
+  broadcast posterior trains once per client. A round's ``(prior, shard,
+  client, seed)`` jobs of all lanes train in lockstep groups
+  (``client_update``), so a narrow model takes one stacked gradient and
+  optimizer call per step for all seeds and methods;
 - score: ``_score`` projects a seed's (method, client) jobs onto the
   whole lambda grid in blocks of the training group size, one (J, L', P)
   stack per block, and scores each block with one ``evaluate`` call per
-  test set on (M, P) stacks.
+  test set on (M, P) stacks, keeping every score in one map.
+
+``fedavg_var`` alone reads from the config whether clients train FedAvg.
 
 ``run_experiment`` runs these stages over the seeds in passes and returns
 each seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
@@ -39,7 +42,6 @@ import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -119,54 +121,46 @@ def failure_context(round_index: int, client_id: int | None = None):
 
 
 def client_update(
-    priors: list[DiagGaussian],
-    shards: list[Dataset],
-    client_ids: list[int],
+    jobs: list[tuple[DiagGaussian, Dataset, int, int]],
     cfg: ExperimentConfig,
     lrs: list[float],
     spec: MlpSpec,
-    seeds: list[int],
     round_index: int,
-    frozen_var: float | None = None,
 ) -> list[tuple[DiagGaussian, list[float]]]:
     """Local phases of a group of jobs, trained in lockstep; one epoch per
-    entry of ``lrs``. Job j trains client ``client_ids[j]`` of master seed
-    ``seeds[j]`` on ``shards[j]`` from the broadcast posterior ``priors[j]``.
+    entry of ``lrs``. A job ``(prior, shard, client, seed)`` trains client
+    ``client`` of master seed ``seed`` on ``shard`` from the broadcast
+    posterior ``prior``.
 
-    Job j draws from client_rng(seeds[j], round_index, client_ids[j]) as
-    it would alone: one permutation of its shard per epoch, then each step's
+    A job draws from client_rng(seed, round_index, client) as it would
+    alone: one permutation of its shard per epoch, then each step's
     posterior draws. It reads cfg.optimizer and cfg.federation.batch_size.
     The optimizer restarts at the prior mean with the Hessian rebuilt from
     the prior variance under the job's own (N_k = shard.n, delta); gradient
     momentum and the step counter start from zero, so no optimizer state
     crosses rounds. Each step averages opt.mc_train_samples posterior
-    draws. With ``frozen_var`` set (FedAvg) the one draw is the mean, the
-    Hessian stays at h0, and the local posterior carries ``frozen_var`` on
-    every coordinate.
+    draws. Under FedAvg (``fedavg_var``) the one draw is the mean, the
+    Hessian stays at h0, and the local posterior carries the frozen variance
+    on every coordinate.
 
     Returns one (local posterior, per-epoch mean minibatch NLL) per job,
     each bit-identical whichever jobs share its group. If jobs fail, the
     failure of the lowest-indexed one (which may fail later than others) is
     raised as RunError(round_index, its client); any other failure as
-    RunError(round_index, client_ids[0]).
+    RunError(round_index, the first job's client).
     """
-    with failure_context(round_index, client_ids[0]):
-        results, failure = _lockstep(
-            priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var
-        )
+    with failure_context(round_index, jobs[0][2]):
+        results, failure = _lockstep(jobs, cfg, lrs, spec, round_index)
     if failure is None:
         return results
     j, message = failure
     if j > 0:
         # a job before j may fail later than j did; this raises if one does
-        client_update(
-            priors[:j], shards[:j], client_ids[:j], cfg, lrs, spec, seeds[:j], round_index,
-            frozen_var,
-        )
-    raise RunError(round_index, client_ids[j], ValueError(message))
+        client_update(jobs[:j], cfg, lrs, spec, round_index)
+    raise RunError(round_index, jobs[j][2], ValueError(message))
 
 
-def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var):
+def _lockstep(jobs, cfg, lrs, spec, round_index):
     """client_update's training loop: (results, None), or (None, (job,
     message)) for the lowest-indexed job among the first to fail.
 
@@ -178,19 +172,21 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, fr
     """
     opt = cfg.optimizer
     batch_size = cfg.federation.batch_size
+    frozen_var = fedavg_var(cfg)
     deterministic = frozen_var is not None
     samples = 1 if deterministic else opt.mc_train_samples
-    jobs = sorted(range(len(shards)), key=lambda j: -shards[j].n)
-    sizes = np.array([shards[j].n for j in jobs])
-    rngs = [client_rng(seeds[j], round_index, client_ids[j]) for j in jobs]
-    state = ivon_restart([priors[j] for j in jobs], opt, sizes.tolist(), frozen=deterministic)
+    ranked = sorted(range(len(jobs)), key=lambda j: -jobs[j][1].n)
+    priors, shards, clients, seeds = zip(*(jobs[j] for j in ranked))
+    sizes = np.array([shard.n for shard in shards])
+    rngs = [client_rng(seed, round_index, k) for seed, k in zip(seeds, clients)]
+    state = ivon_restart(priors, opt, sizes.tolist(), frozen=deterministic)
     dim = state.mean.shape[1]
     # every job's rows in one array, so that a step gathers its batch in one
     # index; a job training alone uses its shard's arrays as they are
-    inputs, labels = shards[jobs[0]].inputs, shards[jobs[0]].labels
+    inputs, labels = shards[0].inputs, shards[0].labels
     if len(jobs) > 1:
-        inputs = np.concatenate([shards[j].inputs for j in jobs])
-        labels = np.concatenate([shards[j].labels for j in jobs])
+        inputs = np.concatenate([shard.inputs for shard in shards])
+        labels = np.concatenate([shard.labels for shard in shards])
     offsets = np.cumsum(sizes) - sizes
     steps = -(-sizes // batch_size)
     draws = np.empty((len(jobs), samples, dim))
@@ -217,13 +213,13 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, fr
             try:
                 losses, grads = models.loss_and_grad(spec, thetas.reshape(-1, dim), batch)
             except RowError as exc:
-                return None, min((jobs[r // samples], m) for r, m in exc.errors.items())
+                return None, min((ranked[r // samples], m) for r, m in exc.errors.items())
             try:
                 ivon_step(
                     view, grads.reshape(thetas.shape), thetas, lr, update_hessian=not deterministic
                 )
             except RowError as exc:
-                return None, min((jobs[r], m) for r, m in exc.errors.items())
+                return None, min((ranked[r], m) for r, m in exc.errors.items())
             # each job's mean over its draws, summed in draw order
             mean_loss = np.zeros(active)
             for s in range(samples):
@@ -239,7 +235,7 @@ def _lockstep(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, fr
     else:
         posts = posterior_of(state)
     results = [None] * len(jobs)
-    for j, post, trace in zip(jobs, posts, traces):
+    for j, post, trace in zip(ranked, posts, traces):
         results[j] = (post, trace)
     return results, None
 
@@ -341,19 +337,20 @@ def fedavg_var(cfg: ExperimentConfig) -> float | None:
 
 
 def model_start(
-    cfg: ExperimentConfig, seed: int, ds: Dataset, ess: float, frozen_var: float | None = None
+    cfg: ExperimentConfig, seed: int, ds: Dataset, ess: float
 ) -> tuple[MlpSpec, DiagGaussian, list[float]]:
     """What training on ``ds`` starts from: the model spec, the initial
     posterior at θ0, and one learning rate per epoch of all rounds (decayed
     linearly from lr_initial to lr_final).
 
     The initial posterior is θ0 with the optimizer's variance at h0 for
-    ``ess`` examples, 1/(ess (h0 + delta)), or, with ``frozen_var`` set
-    (FedAvg), that variance everywhere.
+    ``ess`` examples, 1/(ess (h0 + delta)), or, under FedAvg, the frozen
+    variance of ``fedavg_var`` everywhere.
     """
     spec = MlpSpec(layer_sizes=(ds.dim, *cfg.model.hidden, ds.classes))
     theta0 = models.init_params(spec, derived_seed(seed, _INIT_TAG))
     opt = cfg.optimizer
+    frozen_var = fedavg_var(cfg)
     var = 1.0 / (ess * (opt.h0 + opt.weight_decay)) if frozen_var is None else frozen_var
     start = DiagGaussian(mean=theta0, var=np.full(theta0.shape[0], var))
     epochs = cfg.federation.rounds * cfg.federation.local_epochs
@@ -369,51 +366,49 @@ def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
     return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
 
 
-def _train_round(broadcasts, seeds, train_shards, cfg, lrs, spec, round_index, frozen_var):
+def _train_round(broadcasts, lanes, cfg, lrs, spec, round_index):
     """Per lane i, every client's (local posterior, NLL trace) from
-    ``broadcasts[i]``, trained on seed ``seeds[i]``'s ``train_shards[i]``.
-    Each distinct (seed, posterior) trains once (keys hold ids, and
-    ``broadcasts`` keeps each keyed posterior alive). The (posterior,
-    client) jobs, in lane order, train in lockstep groups of max(1,
-    GROUP_PARAMS // P), one ``client_update`` call per group."""
-    distinct = {(s, id(p)): (p, s, own) for p, s, own in zip(broadcasts, seeds, train_shards)}
+    ``broadcasts[i]``, trained on the lane's seed and train shards. Each
+    distinct (seed, posterior) trains once (keys hold ids, and
+    ``broadcasts`` keeps each keyed posterior alive). Its jobs, in lane
+    order, train in lockstep groups of max(1, GROUP_PARAMS // P), one
+    ``client_update`` call per group."""
+    distinct = {(seed, id(p)): (p, seed, own) for p, (seed, _, own) in zip(broadcasts, lanes)}
     jobs = [(p, shard, k, s) for p, s, own in distinct.values() for k, shard in enumerate(own)]
     size = max(1, GROUP_PARAMS // models.param_count(spec))
     groups = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-    priors, shards, ids, job_seeds = ([[job[f] for job in g] for g in groups] for f in range(4))
-    args = (
-        priors, shards, ids, repeat(cfg), repeat(lrs), repeat(spec), job_seeds, repeat(round_index),
-        repeat(frozen_var),
-    )
+
+    def update(group):
+        return client_update(group, cfg, lrs, spec, round_index)
+
     if cfg.federation.threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # sequential runs skip its import
 
         with ThreadPoolExecutor(max_workers=cfg.federation.threads) as pool:
-            results = list(pool.map(client_update, *args))
+            results = list(pool.map(update, groups))
     else:
-        results = list(map(client_update, *args))
+        results = list(map(update, groups))
     results = iter([result for group in results for result in group])
     trained = {key: [next(results) for _ in own] for key, (_, _, own) in distinct.items()}
-    return [trained[seed, id(p)] for p, seed in zip(broadcasts, seeds)]
+    return [trained[seed, id(p)] for p, (seed, _, _) in zip(broadcasts, lanes)]
 
 
 def train(
     cfg: ExperimentConfig,
-    seeds: list[int],
-    train_shards: list[list[Dataset]],
+    lanes: list[tuple[int, AggregationMethod, list[Dataset]]],
     spec: MlpSpec,
     lrs: list[float],
     globals_: list[DiagGaussian],
-    methods: Sequence[AggregationMethod],
 ) -> list[dict]:
-    """R rounds of broadcast/train/aggregate over lanes: lane i trains seed
-    ``seeds[i]``'s clients on ``train_shards[i]`` under ``methods[i]`` from
-    its global posterior ``globals_[i]``, which is updated in place so that
-    a replaced posterior held nowhere else is freed. One dict per lane, in
-    order: its ``method``, final ``global`` posterior, the clients' final
-    ``locals``, and in ``rounds`` one ``{round, nll_traces, divergences,
-    agg_seconds}`` per round (each client's per-epoch mean minibatch NLL
-    and projection_divergence from local to new global).
+    """R rounds of broadcast/train/aggregate over lanes: lane i, a ``(seed,
+    method, train_shards)`` record, trains the seed's clients on its train
+    shards under its aggregation method from its global posterior
+    ``globals_[i]``, which is updated in place so that a replaced posterior
+    held nowhere else is freed. One dict per lane, in order: its
+    ``method``, final ``global`` posterior, the clients' final ``locals``,
+    and in ``rounds`` one ``{round, nll_traces, divergences, agg_seconds}``
+    per round (each client's per-epoch mean minibatch NLL and
+    projection_divergence from local to new global).
 
     A round trains all lanes in one ``_train_round``, each distinct (seed,
     broadcast posterior) once per client, so a seed's round 1, where its
@@ -424,17 +419,16 @@ def train(
     of local posteriors is alive at a time; the last round's are returned.
     """
     fed = cfg.federation
-    frozen_var = fedavg_var(cfg)
     div = cfg.personalization.divergence
-    rounds = [[] for _ in methods]
+    rounds = [[] for _ in lanes]
     for r in range(1, fed.rounds + 1):
         locals_ = None  # round r-1's locals go before round r trains
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
-        trained = _train_round(globals_, seeds, train_shards, cfg, round_lrs, spec, r, frozen_var)
+        trained = _train_round(globals_, lanes, cfg, round_lrs, spec, r)
         locals_ = [[p for p, _ in own] for own in trained]
         traces = [[trace for _, trace in own] for own in trained]
         del trained
-        for i, (method, shards) in enumerate(zip(methods, train_shards)):
+        for i, (_, method, shards) in enumerate(lanes):
             sizes = np.array([shard.n for shard in shards], dtype=np.float64)
             t_agg = time.perf_counter()
             with failure_context(r):
@@ -444,8 +438,8 @@ def train(
             rounds[i].append(dict(round=r, nll_traces=traces[i], divergences=divergences,
                                   agg_seconds=agg_seconds))
     return [
-        {"method": m, "global": g, "locals": loc, "rounds": rec}
-        for m, g, loc, rec in zip(methods, globals_, locals_, rounds)
+        {"method": method, "global": g, "locals": loc, "rounds": rec}
+        for (_, method, _), g, loc, rec in zip(lanes, globals_, locals_, rounds)
     ]
 
 
@@ -466,11 +460,11 @@ def run_experiment(
     pass splits one ``build_data`` pair into its seeds' shards and frees
     the pooled train set, trains all its (seed, method) lanes in one
     ``train``, frees the train shards and scores seed by seed. A payload
-    records its pass's costs: ``wall_seconds``, ``score_s`` (scoring),
-    ``personalize_s`` (the part inside ``project``) and ``scored_pairs``
-    (the (posterior, test set) pairs scored). On a failure the pass replays its
-    seeds one at a time, so the first seed to fail alone raises, as in a
-    seed-by-seed loop.
+    records its pass's costs: ``wall_seconds``, ``train_s`` (inside
+    ``train``), ``score_s`` (scoring), ``personalize_s`` (the part inside
+    ``project``) and ``scored_pairs`` (the (posterior, test set) pairs
+    scored). On a failure the pass replays its seeds one at a time, so the
+    first seed to fail alone raises, as in a seed-by-seed loop.
     """
     out = []
     while len(out) < len(seeds):
@@ -487,8 +481,8 @@ def _run_pass(cfg, seeds, methods):
         for seed, s in zip(seeds, pending):
             sizes = [shard.n for shard in s.train_shards]
             ess = float(np.mean(sizes))
-            spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess, fedavg_var(cfg))
-            lanes += [s.train_shards] * k
+            spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess)
+            lanes += [(seed, method, s.train_shards) for method in methods]
             globals_ += [start] * k
             test_sets.append((s.test_shards, s.test))
             counts = [shard.label_counts().tolist() for shard in s.train_shards]
@@ -499,8 +493,9 @@ def _run_pass(cfg, seeds, methods):
         pending.close()  # frees the pooled train set
         seeds = seeds[: len(payloads)]
         del s, start  # globals_ alone holds each start, freed once round 1 replaces it
-        lane_seeds = [seed for seed in seeds for _ in methods]
-        finals = train(cfg, lane_seeds, lanes, spec, lrs, globals_, list(methods) * len(seeds))
+        t_train = time.perf_counter()
+        finals = train(cfg, lanes, spec, lrs, globals_)
+        train_s = time.perf_counter() - t_train
     except RunError:
         for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
             run_experiment(cfg, [seed], methods)
@@ -510,7 +505,7 @@ def _run_pass(cfg, seeds, methods):
     t_score = time.perf_counter()
     scored = [_score(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
     end = time.perf_counter()
-    costs = dict(wall_seconds=end - t0, personalize_s=sum(c for _, _, c in scored),
+    costs = dict(wall_seconds=end - t0, train_s=train_s, personalize_s=sum(c for _, _, c in scored),
                  score_s=end - t_score, scored_pairs=sum(n for _, n, _ in scored))
     return [
         [
@@ -529,27 +524,26 @@ def _score(cfg, seed, spec, finals, test_shards, test_union):
 
     The (method, client) jobs go in blocks of the training group size,
     max(1, GROUP_PARAMS // P): one ``project`` call per block, then one
-    ``evaluate`` call per test set the block reads, on the global and local
-    posteriors it scores first (one-row views) and its jobs' slice of the
-    projection stack. No posterior is copied, and one block's projections
-    are alive at a time. A job reads its global posterior and, under FedAvg
-    or with lambda = inf in the grid, its local one; the rows at lambda = 0
-    and inf reuse their scores. A posterior is scored on the union by the
-    first job that reads it and on shard k by that job's method's job for
-    client k, so each distinct pair is scored once, also where jobs share a
-    posterior (one round: the methods' locals; one client: global and local).
+    ``evaluate`` call per test set the block reads, on the posteriors it
+    scores (one-row views) and its jobs' slice of the projection stack. No
+    posterior is copied, and one block's projections are alive at a time.
+    A job reads its global posterior and, under FedAvg or with lambda = inf
+    in the grid, its local one; the rows at lambda = 0 and inf reuse their
+    scores. One map holds every score: a plain posterior's by (id, test
+    set), a projection's by ((job, lambda), test set). Each block scores, on
+    each test set, the posteriors its readers hold there that no earlier
+    block scored, so each distinct pair is scored once, also where jobs
+    share a posterior (one round: the methods' locals; one client: global
+    and local).
     """
     noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
-    fedavg = cfg.federation.algorithm == "fedavg"
+    fedavg = fedavg_var(cfg) is not None
     lambdas = [None] if fedavg else cfg.personalization.lambdas
-    inner = {lam: i for i, lam in enumerate(x for x in lambdas if x and math.isfinite(x))}
+    inner = [lam for lam in lambdas if lam and math.isfinite(lam)]
     sets, union = [*test_shards, test_union], len(test_shards)
     jobs = [(final["global"], p_k) for final in finals for p_k in final["locals"]]
     reads = 2 if fedavg or math.inf in lambdas else 1  # a job's global, then its local
-    # id(posterior) -> the first job that reads it (the lowest j is assigned last)
-    first = {id(p): j for j, ps in reversed(list(enumerate(jobs))) for p in ps[:reads]}
-    # scores by (id(posterior), test set), projection scores by (job, test set)
-    scores, personal, seconds = {}, {}, 0.0
+    scores, seconds = {}, 0.0
     size = max(1, GROUP_PARAMS // models.param_count(spec))
     for lo in range(0, len(jobs), size):
         block, proj = range(lo, min(lo + size, len(jobs))), None
@@ -557,21 +551,19 @@ def _score(cfg, seed, spec, finals, test_shards, test_union):
             t0 = time.perf_counter()
             p_g, p_k = ([_rows([p.mean for p in ps]), _rows([p.var for p in ps])]
                         for ps in zip(*jobs[lo : block.stop]))
-            proj = project(cfg.personalization.divergence, p_g, p_k, list(inner))
+            proj = project(cfg.personalization.divergence, p_g, p_k, inner)
             seconds += time.perf_counter() - t0
         for t, ds in enumerate(sets):
             readers = block if t == union else block[(t - lo) % union :: union]
             if not readers:
                 continue
             mine = slice(readers.start - lo, readers.stop - lo, readers.step)
-            fresh = {id(p): p for j in readers for p in jobs[j][:reads]
-                     if (j == first[id(p)] if t == union else j // union == first[id(p)] // union)}
+            fresh = {id(p): p for j in readers for p in jobs[j][:reads] if (id(p), t) not in scores}
             own = [(p.mean[None], p.var[None]) for p in fresh.values()]
             own += [tuple(a[mine].reshape(-1, a.shape[-1]) for a in proj)] if proj else []
-            got = evaluate(spec, own, ds, noise, bins)
-            scores.update(((p_id, t), s) for p_id, s in zip(fresh, got))
-            rest = iter(got[len(fresh) :])
-            personal.update(((j, t), [next(rest) for _ in inner]) for j in readers)
+            got = iter(evaluate(spec, own, ds, noise, bins))
+            scores.update(((p_id, t), next(got)) for p_id in fresh)
+            scores.update((((j, lam), t), next(got)) for j in readers for lam in inner)
         del proj, own  # the block's projections go before the next block is projected
 
     method_rows = []
@@ -584,7 +576,7 @@ def _score(cfg, seed, spec, finals, test_shards, test_union):
                 j = i * union + k
                 for setting, t in (("PM-LD", k), ("PM-GD", union)):
                     if lam in inner:
-                        metrics = personal[j, t][inner[lam]]
+                        metrics = scores[(j, lam), t]
                     else:  # the global posterior at 0, the local one at inf or under FedAvg
                         metrics = scores[id(jobs[j][0 if lam == 0.0 else 1]), t]
                     plan.append((setting, lam, k, metrics))
@@ -594,7 +586,7 @@ def _score(cfg, seed, spec, finals, test_shards, test_union):
              "seed": seed, **metrics, "mc_samples": cfg.eval.mc_samples, "bins": bins}
             for setting, lam, client_id, metrics in plan
         ])
-    return method_rows, len(scores) + len(inner) * len(personal), seconds
+    return method_rows, len(scores), seconds
 
 
 def _rows(vectors: list[np.ndarray]) -> np.ndarray:
@@ -638,14 +630,14 @@ def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
     gives one ``incremental_tradeoff.csv`` row, whose ``_a`` and ``_b``
     columns hold the scores on task A and task B. Task A trains as round 1
     and task B as round 2, both as client 0, so a failure names its task.
-    Both tasks train IVON posteriors whatever ``federation.algorithm`` says;
-    the ``incremental`` command rejects a FedAvg config.
+    Both tasks train as ``federation.algorithm`` says; the ``incremental``
+    command rejects a FedAvg config.
     """
     (s,) = setups(cfg, [seed], _task_split)
     (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
     spec, start, lrs = model_start(cfg, seed, train_a, train_a.n)
-    ((post_a, _),) = client_update([start], [train_a], [0], cfg, lrs, spec, [seed], 1)
-    ((post_b, _),) = client_update([post_a], [train_b], [0], cfg, lrs, spec, [seed], 2)
+    ((post_a, _),) = client_update([(start, train_a, 0, seed)], cfg, lrs, spec, 1)
+    ((post_b, _),) = client_update([(post_a, train_b, 0, seed)], cfg, lrs, spec, 2)
     noise = eval_noise(cfg, seed, spec)
 
     method = cfg.federation.aggregation

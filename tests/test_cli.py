@@ -622,10 +622,10 @@ class TestErrors:
     def test_failure_in_later_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
         client_update = federation.client_update
 
-        def fail_on_seed_1(priors, shards, client_ids, cfg, lrs, spec, seeds, *rest):
-            if 1 in seeds:
+        def fail_on_seed_1(jobs, *rest):
+            if any(seed == 1 for *_, seed in jobs):
                 raise RunError(1, 0, ValueError("injected"))
-            return client_update(priors, shards, client_ids, cfg, lrs, spec, seeds, *rest)
+            return client_update(jobs, *rest)
 
         monkeypatch.setattr(federation, "client_update", fail_on_seed_1)
         cfg = write_config(tmp_path, seeds=[0, 1])
@@ -640,13 +640,11 @@ class TestErrors:
         client_update, partition_both = federation.client_update, federation.partition_both
         failing = {(0, 2), (1, 1)} if seed_1_fails == "round-1" else {(0, 2)}
 
-        def update(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest):
-            for seed, k in zip(seeds, client_ids):
+        def update(jobs, cfg, lrs, spec, round_index):
+            for _, _, k, seed in jobs:
                 if (seed, round_index) in failing:
                     raise RunError(round_index, k, ValueError(f"seed {seed} diverged"))
-            return client_update(
-                priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest
-            )
+            return client_update(jobs, cfg, lrs, spec, round_index)
 
         def split(cfg, train, test, seed):
             if seed == 1 and seed_1_fails == "set-up":
@@ -676,6 +674,8 @@ class TestErrors:
             ("run", {"dataset": {**BASE_CONFIG["dataset"], "dim": 0}}, "dataset.dim"),
             ("run", {"dataset": {**BASE_CONFIG["dataset"], "seed": -1}}, "dataset.seed"),
             ("run", {"dataset": {**BASE_CONFIG["dataset"], "limit": -1}}, "dataset.limit"),
+            # synthetic examples come ordered by class: a limit would keep class 0 only
+            ("run", {"dataset": {**BASE_CONFIG["dataset"], "limit": 5}}, "dataset.limit"),
             ("incremental", {"incremental": {"split_class": 3}}, "incremental.split_class"),
             ("run", {"personalization": {"lambdas": [0, math.nan]}}, "personalization.lambdas[1]"),
             ("run", {"optimizer": {"lr_initial": 0}}, "optimizer.lr_initial"),
@@ -687,7 +687,7 @@ class TestErrors:
             ("run", {"partition": {"min_shard": 0}}, "partition.min_shard"),
         ],
         ids=[
-            "classes", "dim", "seed", "limit", "split_class", "nan_lambda",
+            "classes", "dim", "seed", "limit", "synth-limit", "split_class", "nan_lambda",
             "lr_initial", "h0", "beta1", "weight_decay", "n_clients", "beta", "min_shard",
         ],
     )

@@ -15,7 +15,7 @@ MINIMAL = {"dataset": {"kind": "synth"}}
 # every field of every section away from its default
 FULL = {
     "dataset": {
-        "kind": "synth", "n_per_class": 50, "classes": 4, "dim": 3, "spread": 0.2,
+        "kind": "idx", "n_per_class": 50, "classes": 4, "dim": 3, "spread": 0.2,
         "seed": 7, "test_fraction": 0.3, "train_images": "a", "train_labels": "b",
         "test_images": "c", "test_labels": "d", "limit": 5,
     },

@@ -95,10 +95,10 @@ def train_one(cfg, seed, methods=None):
     aggregation)."""
     (s,) = setups(cfg, [seed])
     ess = float(np.mean([shard.n for shard in s.train_shards]))
-    spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess, fedavg_var(cfg))
+    spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess)
     methods = methods or (cfg.federation.aggregation,)
-    k = len(methods)
-    return train(cfg, [seed] * k, [s.train_shards] * k, spec, lrs, [start] * k, methods)
+    lanes = [(seed, method, s.train_shards) for method in methods]
+    return train(cfg, lanes, spec, lrs, [start] * len(methods))
 
 
 class TestSeeds:
@@ -264,7 +264,7 @@ class TestForkedMethods:
         calls = []
 
         def counting(*args):
-            calls.extend(args[2])  # the group's client ids, one per trained job
+            calls.extend(k for _, _, k, _ in args[0])  # the group's client ids, one per job
             return client_update(*args)
 
         monkeypatch.setattr(federation, "client_update", counting)
@@ -306,7 +306,9 @@ class TestForkedMethods:
 
 
 # what a payload records of its whole pass, which a seed run alone does not share
-PASS_COSTS = dict.fromkeys(("wall_seconds", "personalize_s", "score_s", "scored_pairs"))
+PASS_COSTS = dict.fromkeys(
+    ("wall_seconds", "train_s", "personalize_s", "score_s", "scored_pairs")
+)
 
 
 def untimed(runs):
@@ -363,7 +365,7 @@ class TestSeedPasses:
         calls, built = [], []
 
         def counting(*args):
-            calls.append(args[6])
+            calls.append([seed for *_, seed in args[0]])
             return client_update(*args)
 
         def building(cfg):
@@ -383,6 +385,10 @@ class TestSeedPasses:
         assert [sorted(set(seeds)) for seeds in calls] == [self.SEEDS] * cfg.federation.rounds
         alone = [run_experiment(cfg, [seed], methods)[0] for seed in self.SEEDS]
         assert untimed(together) == untimed(alone)
+        for per_method in together:
+            for _, payload in per_method:
+                assert payload["train_s"] > 0
+                assert payload["train_s"] + payload["score_s"] <= payload["wall_seconds"]
 
     def test_passes_split_at_the_group_size(self, monkeypatch):
         # 24 jobs per group hold two seeds of 3 methods x 4 clients a pass
@@ -447,9 +453,12 @@ class TestClientUpdate:
         ids=["fedavg", "ivon-mc1", "ivon-mc2", "ivon-mc3"],
     )
     def test_matches_forked_loops(self, mc_train, frozen_var):
+        fed = FederationCfg(rounds=2, local_epochs=3, batch_size=16)
+        if frozen_var is not None:
+            fed = dataclasses.replace(fed, algorithm="fedavg", frozen_var=frozen_var)
         cfg = make_cfg(
             optimizer=OptimizerCfg(lr_initial=0.3, lr_final=0.1, mc_train_samples=mc_train),
-            federation=FederationCfg(rounds=2, local_epochs=3, batch_size=16),
+            federation=fed,
         )
         train, _ = build_data(cfg)
         shard = train.subset(np.arange(0, train.n, 2))
@@ -457,7 +466,7 @@ class TestClientUpdate:
         theta0 = models.init_params(spec, 7)
         prior = h0_prior(theta0, cfg.optimizer, 50.0)
         lrs = [0.3, 0.2, 0.1]
-        ((post, trace),) = client_update([prior], [shard], [3], cfg, lrs, spec, [5], 2, frozen_var)
+        ((post, trace),) = client_update([(prior, shard, 3, 5)], cfg, lrs, spec, 2)
         ref, ref_trace = forked_client_update(
             prior, shard, cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
         )
@@ -474,7 +483,7 @@ class TestClientUpdate:
         prior = h0_prior(theta0, cfg.optimizer, train.n)
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
             with np.errstate(all="ignore"):
-                client_update([prior], [train], [2], cfg, [1e6] * 3, spec, [0], 4)
+                client_update([(prior, train, 2, 0)], cfg, [1e6] * 3, spec, 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
 
     @pytest.mark.parametrize(
@@ -489,14 +498,14 @@ class TestClientUpdate:
         assert start.var.tobytes() == state.var[0].tobytes()
 
 
-def oracle_group(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, frozen_var):
+def oracle_group(jobs, cfg, lrs, spec, round_index):
     """forked_client_update on each job alone, with the job's own stream."""
     return [
         forked_client_update(
             prior, shard, cfg.optimizer, lrs, cfg.federation.batch_size,
-            client_rng(seed, round_index, k), spec, frozen_var,
+            client_rng(seed, round_index, k), spec, fedavg_var(cfg),
         )
-        for prior, shard, k, seed in zip(priors, shards, client_ids, seeds)
+        for prior, shard, k, seed in jobs
     ]
 
 
@@ -548,7 +557,7 @@ def lockstep_case(case):
         priors.append(h0_prior(theta, cfg.optimizer, 20.0 + 7 * j))
     client_ids = rng.permutation(len(shards) + 3)[: len(shards)].tolist()
     seeds = [case["seed"] + j % 2 for j in range(len(shards))]
-    return priors, shards, client_ids, cfg, [0.3, 0.2, 0.1], spec, seeds, 2, fedavg_var(cfg)
+    return list(zip(priors, shards, client_ids, seeds)), cfg, [0.3, 0.2, 0.1], spec, 2
 
 
 class TestLockstep:
@@ -576,7 +585,7 @@ class TestLockstep:
         args = lockstep_case({"sizes": [7, 12, 12, 30], "batch": 8, "dim": 9, "hidden": (16,),
                               "mc": 2, "fedavg": False, "clip": 0.02, "seed": 4})
         clipped = False
-        for (post, trace), (ref, ref_trace), prior in zip(
+        for (post, trace), (ref, ref_trace), (prior, *_) in zip(
             client_update(*args), oracle_group(*args), args[0]
         ):
             assert np.array_equal(post.mean, ref.mean) and np.array_equal(post.var, ref.var)
@@ -601,7 +610,8 @@ class TestLockstep:
         def failure(priors, shards, client_ids):
             with pytest.raises(RunError) as info:
                 with np.errstate(all="ignore"):
-                    client_update(priors, shards, client_ids, cfg, lrs, spec, [0] * len(priors), 1)
+                    jobs = list(zip(priors, shards, client_ids, [0] * len(priors)))
+                    client_update(jobs, cfg, lrs, spec, 1)
             return info.value.client_id, str(info.value)
 
         alone_0 = failure([start], [small], [0])
@@ -627,8 +637,8 @@ class TestLockstep:
             fed = dataclasses.replace(cfg.federation, threads=threads)
             run_cfg = dataclasses.replace(cfg, federation=fed)
             spec, start, lrs = model_start(run_cfg, 0, s.train_shards[0], 30.0)
-            k = len(methods)
-            out = train(run_cfg, [0] * k, [s.train_shards] * k, spec, lrs, [start] * k, methods)
+            lanes = [(0, method, s.train_shards) for method in methods]
+            out = train(run_cfg, lanes, spec, lrs, [start] * len(methods))
             return [
                 (p.mean.tobytes(), p.var.tobytes(), [r["nll_traces"] for r in f["rounds"]])
                 for f in out
@@ -773,10 +783,11 @@ class TestScoreBlocks:
     FEDAVG = FederationCfg(rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg")
     ROUND_ONE = FederationCfg(rounds=1, local_epochs=3, batch_size=200)
     EAA_W2B = (AggregationMethod.EAA, AggregationMethod.W2B)
+    ONE_CLIENT = PartitionCfg(n_clients=1, beta=1.0, min_shard=5)
     # (config, methods, distinct (posterior, test set) pairs) with K = 4
-    # clients: per method the global posterior on K + 1 test sets, and the
-    # posterior at each lambda on its client's shard and the pooled set;
-    # lambda = 0 is the global posterior, lambda = inf the local one
+    # clients unless set: per method the global posterior on K + 1 test
+    # sets, and the posterior at each lambda on its client's shard and the
+    # pooled set; lambda = 0 is the global posterior, lambda = inf the local one
     CASES = {
         # K + 1, plus 2K at 0.5 and 2K at inf
         "bayes": (make_cfg(personalization=LAMBDAS), (AggregationMethod.RKLB,), 21),
@@ -785,6 +796,13 @@ class TestScoreBlocks:
         # round 1 alone: both methods keep the same local posteriors, so the
         # lambda = inf pairs are shared: 2 (K + 1 + 2K) + 2K
         "shared-locals": (make_cfg(federation=ROUND_ONE, personalization=LAMBDAS), EAA_W2B, 34),
+        # one client: aggregate returns the local posterior itself, so from
+        # round 2 on both methods train and hold one posterior, global and
+        # local at once: its 2 pairs, plus each method's lambda = 0.5
+        # projection on the shard and the pooled set
+        "one-client": (
+            make_cfg(partition=ONE_CLIENT, personalization=LAMBDAS), EAA_W2B, 2 + 2 * 2
+        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -821,15 +839,13 @@ class TestLiveness:
         local_refs = {}  # round -> weak references to its local posteriors
         alive_at_start = {}  # round -> previous round's locals still reachable
 
-        def tracking(priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest):
+        def tracking(jobs, cfg, lrs, spec, round_index):
             if round_index not in local_refs:
                 gc.collect()
                 previous = local_refs.get(round_index - 1, [])
                 alive_at_start[round_index] = sum(ref() is not None for ref in previous)
                 local_refs[round_index] = []
-            results = client_update(
-                priors, shards, client_ids, cfg, lrs, spec, seeds, round_index, *rest
-            )
+            results = client_update(jobs, cfg, lrs, spec, round_index)
             local_refs[round_index] += [weakref.ref(post) for post, _ in results]
             return results
 
@@ -983,9 +999,9 @@ class TestIncrementalSweep:
         """The sweep's rows and the classes of each task's training set."""
         trained = []
 
-        def recording(priors, shards, *args):
-            trained.extend(np.unique(shard.labels).tolist() for shard in shards)
-            return client_update(priors, shards, *args)
+        def recording(jobs, *args):
+            trained.extend(np.unique(shard.labels).tolist() for _, shard, _, _ in jobs)
+            return client_update(jobs, *args)
 
         monkeypatch.setattr(federation, "client_update", recording)
         return incremental_sweep(cfg, seed=0), trained
