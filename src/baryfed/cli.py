@@ -120,10 +120,7 @@ def cmd_compare_agg(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_incremental(cfg: ExperimentConfig) -> dict:
-    rows = []
-    for seed in cfg.seeds:
-        rows += incremental_sweep(cfg, seed)
-    return {"incremental_tradeoff.csv": rows}
+    return {"incremental_tradeoff.csv": incremental_sweep(cfg, cfg.seeds)}
 
 
 def cmd_partition(cfg: ExperimentConfig) -> dict:

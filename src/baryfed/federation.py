@@ -22,7 +22,8 @@ stages that every command composes:
 
 ``run_experiment`` runs these stages over the seeds in passes and returns
 each seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
-payload. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
+payload, and ``incremental_sweep`` trains one round per task in such
+passes. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
 and ``compare-agg`` only GM-GD. All four settings are scored even so:
 perfbench's coverage guard and tests/test_harness_contract.py require
 ``project`` calls on the compare-agg workload (one per seed at P = 51).
@@ -618,39 +619,51 @@ def _task_split(
     return split
 
 
-def incremental_sweep(cfg: ExperimentConfig, seed: int) -> list[dict]:
-    """Two-task sequential training, then a barycentric model merge.
+def incremental_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> list[dict]:
+    """Every seed's ``incremental_tradeoff.csv`` rows, in seed order: two-task
+    sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
-    lower half), task B the rest; ``setups`` makes them its two shards.
-    Posterior B starts from posterior A (task-A data is gone by then). The
-    sweep mixes A and B with weights (1-w, w) for each w of
-    ``cfg.incremental.w_grid`` under the configured aggregation, then scores
-    all the mixtures on each task test set in one ``evaluate`` call. Each w
-    gives one ``incremental_tradeoff.csv`` row, whose ``_a`` and ``_b``
-    columns hold the scores on task A and task B. Task A trains as round 1
-    and task B as round 2, both as client 0, so a failure names its task.
-    Both tasks train as ``federation.algorithm`` says; the ``incremental``
-    command rejects a FedAvg config.
+    lower half), task B the rest. Seeds run in passes of max(1, GROUP_PARAMS
+    // P), as in ``run_experiment``: a pass has ``setups`` split one data
+    build into the two tasks, trains task A of its seeds as round 1, then
+    task B from each posterior A as round 2, one ``_train_round`` each and
+    all as client 0, and replays its seeds one at a time if it fails. Each
+    seed mixes A and B, trained as ``federation.algorithm`` says (the command
+    rejects FedAvg), with weights (1-w, w) for each w of
+    ``cfg.incremental.w_grid`` under the configured aggregation, and scores
+    the mixtures on each task test set in one ``evaluate`` call.
     """
-    (s,) = setups(cfg, [seed], _task_split)
-    (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
-    spec, start, lrs = model_start(cfg, seed, train_a, train_a.n)
-    ((post_a, _),) = client_update([(start, train_a, 0, seed)], cfg, lrs, spec, 1)
-    ((post_b, _),) = client_update([(post_a, train_b, 0, seed)], cfg, lrs, spec, 2)
-    noise = eval_noise(cfg, seed, spec)
+    out = []
+    while len(out) < len(seeds):
+        out += _incremental_pass(cfg, seeds[len(out) :])
+    return [row for rows in out for row in rows]
 
-    method = cfg.federation.aggregation
-    w_grid = cfg.incremental.w_grid
-    mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
-    stacks = [(m.mean[None], m.var[None]) for m in mixtures]
-    on_a, on_b = (evaluate(spec, stacks, ds, noise, cfg.eval.ece_bins) for ds in (test_a, test_b))
-    return [
-        {
-            "seed": seed,
-            "w": float(w),
-            **{f"{metric}_a": v for metric, v in a.items()},
-            **{f"{metric}_b": v for metric, v in b.items()},
-        }
-        for w, a, b in zip(w_grid, on_a, on_b)
-    ]
+
+def _incremental_pass(cfg, seeds):
+    """incremental_sweep's rows, per seed, for the leading seeds one pass holds."""
+    method, w_grid, out = cfg.federation.aggregation, cfg.incremental.w_grid, []
+    try:
+        (s,) = setups(cfg, seeds[:1], _task_split)  # one task pair serves every seed
+        (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
+        spec, start, lrs = model_start(cfg, seeds[0], train_a, train_a.n)
+        seeds = seeds[: max(1, GROUP_PARAMS // models.param_count(spec))]
+        starts = [start] + [model_start(cfg, seed, train_a, train_a.n)[1] for seed in seeds[1:]]
+        lanes = [[(seed, method, [shard]) for seed in seeds] for shard in (train_a, train_b)]
+        posts_a = [p for ((p, _),) in _train_round(starts, lanes[0], cfg, lrs, spec, 1)]
+        posts_b = [p for ((p, _),) in _train_round(posts_a, lanes[1], cfg, lrs, spec, 2)]
+    except RunError:
+        for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
+            incremental_sweep(cfg, [seed])
+        raise
+    for seed, post_a, post_b in zip(seeds, posts_a, posts_b):
+        mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
+        stacks = [(m.mean[None], m.var[None]) for m in mixtures]
+        noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
+        on_a, on_b = (evaluate(spec, stacks, ds, noise, bins) for ds in (test_a, test_b))
+        out.append([  # one row per w, scored on task A (_a) and task B (_b)
+            {"seed": seed, "w": float(w), **{f"{metric}_a": v for metric, v in a.items()},
+             **{f"{metric}_b": v for metric, v in b.items()}}
+            for w, a, b in zip(w_grid, on_a, on_b)
+        ])
+    return out

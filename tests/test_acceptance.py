@@ -339,7 +339,7 @@ def test_criterion_08_signed_rank_and_comparison_matrix(tmp_path):
 
 def test_criterion_09_incremental_interior_dominance():
     t0 = time.perf_counter()
-    rows = incremental_sweep(INCREMENTAL_CFG, seed=0)
+    rows = incremental_sweep(INCREMENTAL_CFG, [0])
     acc_a = [row["acc_a"] for row in rows]
     acc_b = [row["acc_b"] for row in rows]
     # each endpoint is strong on its own task; an interior mixture must beat

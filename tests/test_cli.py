@@ -273,20 +273,26 @@ class TestPartition:
         ("run", {}),
         ("sweep-lambda", {}),
         ("compare-agg", {"seeds": [3, 1, 0, 2, 4], "compare": {"methods": ["eaa", "w2b"]}}),
-        ("incremental", {"dataset": {**BASE_CONFIG["dataset"], "classes": 4}}),
+        ("incremental", {"seeds": [3, 1, 0], "dataset": {**BASE_CONFIG["dataset"], "classes": 4}}),
         ("partition", {}),
     ],
 )
-def test_builds_data_once_per_seed(tmp_path, monkeypatch, command, over):
-    """No config command builds the data more than once per seed, counted
-    through whichever module binds build_data: incremental builds it once per
-    seed, the others once for all seeds (one training pass here)."""
-    built = []
-    build_data = federation.build_data
+def test_builds_data_once(tmp_path, monkeypatch, command, over):
+    """Every config command builds the data once for all seeds (one training
+    pass here), counted through whichever module binds build_data; a narrow
+    incremental trains each task of every seed in one client_update call."""
+    built, trained = [], []
+    build_data, client_update = federation.build_data, federation.client_update
 
     def counting(cfg):
         built.append(cfg.seeds)
         return build_data(cfg)
+
+    def training(*args):
+        trained.append(args)
+        return client_update(*args)
+
+    monkeypatch.setattr(federation, "client_update", training)
 
     for name, module in list(sys.modules.items()):
         if name == "baryfed" or name.startswith("baryfed."):
@@ -295,7 +301,9 @@ def test_builds_data_once_per_seed(tmp_path, monkeypatch, command, over):
                     monkeypatch.setattr(module, attr, counting)
     over = {"seeds": [3, 1], **over}
     assert main([command, write_config(tmp_path, **over)]) == 0
-    assert len(built) == (len(over["seeds"]) if command == "incremental" else 1)
+    assert len(built) == 1
+    if command == "incremental":
+        assert len(trained) == 2  # task A of every seed, then task B
 
 
 @pytest.mark.parametrize(
@@ -490,6 +498,14 @@ MISSING_IDX = {
         ),
         (
             "incremental",
+            lambda tmp: {
+                **DIVERGING, "seeds": [0, 1], "dataset": {**BASE_CONFIG["dataset"], "classes": 4}
+            },
+            1,
+            "run failed at round 1, client 0: optimizer step 1: h + delta = 0 ",
+        ),
+        (
+            "incremental",
             lambda tmp: {"dataset": idx_dataset(tmp, [0, 1, 2, 3] * 20, [0, 1] * 10)},
             1,
             "run failed at round 0: task B test set has no examples of classes [2, 3]",
@@ -547,7 +563,8 @@ MISSING_IDX = {
         ),
     ],
     ids=[
-        "run-missing-data", "run-diverging", "incremental-diverging", "incremental-empty-task-b",
+        "run-missing-data", "run-diverging", "incremental-diverging",
+        "incremental-diverging-two-seeds", "incremental-empty-task-b",
         "incremental-split-class", "incremental-fedavg", "partition-min-shard",
         "partition-missing-data", "sweep-lambda-fedavg", "sweep-lambda-diverging",
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",

@@ -1004,7 +1004,7 @@ class TestIncrementalSweep:
             return client_update(jobs, *args)
 
         monkeypatch.setattr(federation, "client_update", recording)
-        return incremental_sweep(cfg, seed=0), trained
+        return incremental_sweep(cfg, [0]), trained
 
     def test_rows_and_settings(self, monkeypatch):
         cfg = self.small_cfg(w_grid=(0.0, 0.5, 1.0))
@@ -1037,7 +1037,7 @@ class TestIncrementalSweep:
 
         monkeypatch.setattr(federation, "aggregate", mixing)
         monkeypatch.setattr(federation, "evaluate", scoring)
-        rows = incremental_sweep(cfg, seed=0)
+        rows = incremental_sweep(cfg, [0])
         assert len(calls) == 2 and len(mixtures) == len(rows) == 3
         for row, mixture in zip(rows, mixtures):
             for (spec, ds, noise, bins), task in zip(calls, "ab"):
@@ -1046,12 +1046,12 @@ class TestIncrementalSweep:
 
     def test_invalid_split(self):
         with pytest.raises(ValueError, match="split_class"):
-            incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=0), seed=0)
+            incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=0), [0])
 
     def test_invalid_weight(self):
         # a w the parser would reject still fails: 1 - w is a negative weight
         with pytest.raises(ValueError, match="negative weight"):
-            incremental_sweep(self.small_cfg(w_grid=(1.5,)), seed=0)
+            incremental_sweep(self.small_cfg(w_grid=(1.5,)), [0])
 
     def test_endpoint_specialization(self):
         # w=0 keeps task-A's posterior, w=1 keeps task-B's; B trains after A
@@ -1059,6 +1059,41 @@ class TestIncrementalSweep:
             dataset=DatasetCfg(kind="synth", classes=4, dim=2, n_per_class=150, spread=0.25),
             incremental=IncrementalCfg(w_grid=(0.0, 1.0)),
         )
-        a_end, b_end = incremental_sweep(cfg, seed=0)
+        a_end, b_end = incremental_sweep(cfg, [0])
         assert a_end["acc_a"] > b_end["acc_a"]
         assert b_end["acc_b"] > a_end["acc_b"]
+
+    def test_seeds_equal_one_seed_sweeps(self, monkeypatch):
+        """A sweep over several seeds gives the rows of one sweep per seed, in
+        seed order: in one pass, in passes of two seeds, and one seed per pass
+        (also with one job per lockstep group on two threads)."""
+        cfg = self.small_cfg(w_grid=(0.0, 0.5, 1.0))
+        seeds = [2, 0, 1]
+        alone = [row for seed in seeds for row in incremental_sweep(cfg, [seed])]
+        p = models.param_count(models.MlpSpec((2, *cfg.model.hidden, 4)))
+        two_threads = dataclasses.replace(cfg.federation, threads=2)
+        threaded = dataclasses.replace(cfg, federation=two_threads)
+        built, build_data = [], federation.build_data
+        monkeypatch.setattr(federation, "build_data", lambda c: built.append(c) or build_data(c))
+        settings = [(1 << 16, cfg, 1), (2 * p, cfg, 2), (p, cfg, 3), (1, threaded, 3)]
+        for cap, run_cfg, passes in settings:
+            monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
+            built.clear()
+            assert incremental_sweep(run_cfg, seeds) == alone
+            assert len(built) == passes  # one data build per pass
+
+    def test_failing_pass_replays_seed_by_seed(self, monkeypatch):
+        """A failing pass raises what a seed-by-seed loop would: seed 1 fails
+        task A here, but seed 0, which runs alone first, fails task B."""
+        train_round = federation._train_round
+        fails = {1: 1, 2: 0}  # per round, the seed whose job fails in it
+
+        def failing(broadcasts, lanes, cfg, lrs, spec, round_index):
+            seeds = [seed for seed, _, _ in lanes]
+            if fails[round_index] in seeds:
+                raise RunError(round_index, 0, ValueError(f"seeds {seeds}"))
+            return train_round(broadcasts, lanes, cfg, lrs, spec, round_index)
+
+        monkeypatch.setattr(federation, "_train_round", failing)
+        with pytest.raises(RunError, match=r"^round 2, client 0: seeds \[0\]$"):
+            incremental_sweep(self.small_cfg(w_grid=(0.5,)), [0, 1])
