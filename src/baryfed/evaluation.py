@@ -4,20 +4,24 @@ Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
 confidence bins. ``evaluate`` scores the rows of (M, P) posterior stacks
-on one dataset in one Monte-Carlo pass and returns one ``{"acc", "ece",
-"nll"}`` dict per row, the metric columns of a ``metrics.csv`` row. ``metrics_of``
-reduces each metric over the whole (M, n, C) probability stack in one pass,
-and each posterior's value is bit-identical to reducing its own (n, C)
-block alone. ``summarize`` groups such rows into the mean and population
-std of each metric. The Wilcoxon signed-rank test takes its exact null
-distribution from a counting recurrence over doubled (integer) ranks for
-small samples and falls back to a tie-corrected normal approximation for
-larger ones.
+on one dataset in one Monte-Carlo pass and returns, per row, one ``{"acc",
+"ece", "nll"}`` dict (the metric columns of a ``metrics.csv`` row) for the
+whole dataset and one for each row group, such as a client's test rows of
+a pooled test set. ``metrics_of`` reduces each metric over the whole (M,
+n, C) probability stack and every row group in one pass, and each value
+is bit-identical to reducing that posterior's (n, C) block, or the
+group's rows of it, alone. ``summarize`` groups such rows into the mean
+and population std of each metric. The Wilcoxon signed-rank test takes its
+exact null distribution from a counting recurrence over doubled (integer)
+ranks for small samples and falls back to a tie-corrected normal
+approximation for larger ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +34,12 @@ PROB_FLOOR = 1e-12
 EXACT_MAX_N = 20
 
 
-def metrics_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[dict[str, float]]:
-    """``{"acc", "ece", "nll"}`` of each (n, C) slice of an (M, n, C) stack.
+def metrics_of(
+    probs: np.ndarray, labels: np.ndarray, bins: int, groups: Sequence[np.ndarray] = ()
+) -> list[list[dict[str, float]]]:
+    """``{"acc", "ece", "nll"}`` of each (n, C) slice of an (M, n, C) stack:
+    per slice, a list of its metrics over all n rows, then over the rows of
+    each group (an index array into the n rows, in its order).
 
     acc is the percentage of argmax-correct predictions (argmax ties go to
     the lowest index) and nll the mean negative log-probability of the label
@@ -39,51 +47,88 @@ def metrics_of(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[dict[st
     ``bins`` equal-width bins on [0, 1]; a confidence exactly at a bin edge
     falls into the higher bin, except 1.0, which stays in the last bin.
 
-    Each reduction runs once over all M slices and gives, bit for bit, what
-    reducing one slice at a time gives. NumPy's pairwise sum depends only on
-    the length of a contiguous run, so a bin's confidences are summed as one
-    contiguous row in their original order, and the bins of a posterior are
-    added up in bin order.
+    Each reduction runs once over every (slice, row set) and gives, bit for
+    bit, what reducing one slice's rows alone gives, so a group's metrics
+    equal those of ``probs[:, group]`` with ``labels[group]``. NumPy's
+    pairwise sum depends only on the length of a contiguous run, so every
+    mean, and each bin's sum of confidences, is taken as NumPy sums one
+    contiguous run of the values in their row order, and the bins of a row
+    set are added up in bin order.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     m, n, _ = probs.shape
-    preds = np.argmax(probs, axis=2)
-    correct = preds == labels
-    acc = 100.0 * np.mean(correct, axis=1)
-    picked = np.take_along_axis(probs, labels[None, :, None], axis=2)[:, :, 0]
-    nll = -np.mean(np.log(np.maximum(picked, PROB_FLOOR)), axis=1)
+    preds, conf = models.class_argmax(probs)
+    picked = probs[:, np.arange(n), labels]
+    # per row: its confidence, 1.0 if correct, and its label's log-probability
+    rows = np.stack([conf, preds == labels, np.log(np.maximum(picked, PROB_FLOOR))])
+    # every row set side by side, in C order: set s holds columns
+    # edges[s]..edges[s + 1] of each of the three (M, rows) matrices
+    sizes = [n, *map(len, groups)]
+    edges = [0, *itertools.accumulate(sizes)]
+    rows = rows.take(np.concatenate([np.arange(n), *groups]), axis=2)
+    # each mean runs over one set's contiguous run, which NumPy sums pairwise
+    # (sums of 0/1 are exact in any order)
+    means = np.stack([rows[1:, :, lo:hi].mean(axis=2) for lo, hi in zip(edges, edges[1:])], axis=2)
+    acc, nll = 100.0 * means[0], -means[1]
+    conf, correct = rows[0], rows[1]
 
-    conf = probs.max(axis=2)
-    which = np.minimum((conf * bins).astype(np.int64), bins - 1)
-    # one stable sort on (posterior, bin) keeps each bin's members in order
-    key = (which + bins * np.arange(m)[:, None]).ravel()
-    order = np.argsort(key, kind="stable")
-    conf, correct = conf.ravel()[order], correct.ravel()[order].astype(np.float64)
-    edges = np.searchsorted(key[order], np.arange(m * bins + 1))
-    starts, counts = edges[:-1], np.diff(edges)
-    terms = np.zeros(m * bins)
-    # the bins with L members are the rows of one contiguous (k, L) matrix
-    for size in sorted(set(counts[counts > 0].tolist())):
-        rows = np.flatnonzero(counts == size)
-        members = starts[rows, None] + np.arange(size)
-        gap = np.abs(conf[members].sum(axis=1) / size - correct[members].sum(axis=1) / size)
-        terms[rows] = (size / n) * gap
-    # cumsum adds sequentially; an empty bin adds an exact 0.0
-    ece = np.cumsum(terms.reshape(m, bins), axis=1)[:, -1]
-    return [
+    # ECE of each (slice, row set) unit, from the sums of each of its bins
+    units = m * len(sizes)
+    unit = np.arange(m)[:, None] * len(sizes) + np.repeat(np.arange(len(sizes)), sizes)
+    # clipped below too: a NaN confidence casts to a negative bin
+    key = (np.clip((conf * bins).astype(np.int64), 0, bins - 1) + bins * unit).ravel()
+    conf = conf.ravel()
+    counts = np.bincount(key, minlength=units * bins)
+    # bincount adds a bin's values one at a time from 0.0 in row order, which
+    # is how NumPy sums a run of fewer than 8; sums of 0/1 are exact anyway
+    sums = np.bincount(key, conf, units * bins)
+    hits = np.bincount(key, correct.ravel(), units * bins)
+    # NumPy sums a longer run of L <= 128 in blocks of 8, then adds the L % 8
+    # left over one at a time, so zeros appended up to width 8k + 7 add
+    # nothing (conf >= +0): the bins of 8 or more members that share that
+    # width (or, above 128, their own) are summed again as the rows of one
+    # zero-padded (k, width) matrix, each row as its own run
+    big = np.flatnonzero(counts >= 8)
+    members = np.flatnonzero(counts[key] >= 8)
+    members = members[np.argsort(key[members], kind="stable")]  # by bin, in row order
+    ordered = np.append(conf[members], 0.0)  # the last slot pads
+    size = counts[big]
+    start = np.cumsum(size) - size
+    width = np.where(size < 128, size | 7, size)
+    for w in set(width.tolist()):
+        at = np.flatnonzero(width == w)
+        cols = np.arange(w)
+        spot = np.where(cols < size[at, None], start[at, None] + cols, len(members))
+        sums[big[at]] = ordered[spot].sum(axis=1)
+    filled = np.flatnonzero(counts)
+    size, owner = counts[filled], filled // bins  # each filled bin's unit
+    gap = np.abs(sums[filled] / size - hits[filled] / size)
+    # each unit adds its bins' terms in bin order, from 0.0; an empty bin
+    # would add an exact 0.0
+    terms = (size / np.array(sizes)[owner % len(sizes)]) * gap
+    ece = np.bincount(owner, terms, units).reshape(m, len(sizes))
+    flat = [
         {"acc": a, "ece": e, "nll": l}
-        for a, e, l in zip(acc.tolist(), ece.tolist(), nll.tolist())
+        for a, e, l in np.stack([acc, ece, nll], axis=2).reshape(-1, 3).tolist()
     ]
+    return [flat[i : i + len(sizes)] for i in range(0, len(flat), len(sizes))]
 
 
-def evaluate(spec: MlpSpec, stacks, ds: Dataset, noise: np.ndarray, bins: int) -> list[dict]:
+def evaluate(
+    spec: MlpSpec, stacks, ds: Dataset, noise: np.ndarray, bins: int,
+    groups: Sequence[np.ndarray] = (),
+) -> list[list[dict]]:
     """All three metrics for each posterior, in order, from its draws
     mean + sqrt(var) * noise[s]; acc is a percentage. ``stacks`` is a
     sequence of (mean, var) pairs of (M_i, P) stacks whose rows are the
-    posteriors, as ``models.predict_proba_mc`` takes them."""
+    posteriors, as ``models.predict_proba_mc`` takes them.
+
+    One predictive of ``ds`` serves every row set: per posterior, a list of
+    its metrics on all of ``ds``, then on each group of ``groups`` (index
+    arrays into the rows of ``ds``), as ``metrics_of`` gives them."""
     probs = models.predict_proba_mc(spec, stacks, ds.inputs, noise)
-    return metrics_of(probs, ds.labels, bins)
+    return metrics_of(probs, ds.labels, bins, groups)
 
 
 def summarize(rows: list[dict], by: tuple[str, ...]) -> list[dict]:

@@ -13,10 +13,12 @@ stages that every command composes:
   client, seed)`` jobs of all lanes train in lockstep groups
   (``client_update``), so a narrow model takes one stacked gradient and
   optimizer call per step for all seeds and methods;
-- score: ``_score`` projects a seed's (method, client) jobs onto the
-  whole lambda grid in blocks of the training group size, one (J, L', P)
-  stack per block, and scores each block with one ``evaluate`` call per
-  test set on (M, P) stacks, keeping every score in one map.
+- score: ``_score`` forwards each of a seed's posteriors once, on the
+  pooled test set, and reads each client's local metrics from the rows of
+  its test shard in that same predictive. One ``evaluate`` call scores the
+  plain global and local posteriors; then the (method, client) jobs are
+  projected onto the whole lambda grid in blocks of the training group
+  size, one (J, L', P) stack and one ``evaluate`` call per block.
 
 ``fedavg_var`` alone reads from the config whether clients train FedAvg.
 
@@ -307,14 +309,14 @@ def partition_both(
 
 @dataclass(frozen=True)
 class Setup:
-    """One seed's shards, one per client (or per task), and the pooled test set."""
+    """One seed's train shards, one per client (or per task), and the pooled
+    test set with each shard's test rows."""
 
     n_train: int  # examples in the pooled train set
     test: Dataset
     train_idx: list  # per shard, its indices into the pooled train set
-    test_idx: list
+    test_idx: list  # per shard, its indices into the pooled test set
     train_shards: list
-    test_shards: list
 
 
 def setups(cfg: ExperimentConfig, seeds: Sequence[int], split=None) -> Iterator[Setup]:
@@ -327,8 +329,7 @@ def setups(cfg: ExperimentConfig, seeds: Sequence[int], split=None) -> Iterator[
         for seed in seeds:
             train_idx, test_idx = (split or partition_both)(cfg, train, test, seed)
             train_shards = [train.subset(i) for i in train_idx]
-            test_shards = [test.subset(i) for i in test_idx]
-            yield Setup(train.n, test, train_idx, test_idx, train_shards, test_shards)
+            yield Setup(train.n, test, train_idx, test_idx, train_shards)
 
 
 def fedavg_var(cfg: ExperimentConfig) -> float | None:
@@ -463,9 +464,9 @@ def run_experiment(
     ``train``, frees the train shards and scores seed by seed. A payload
     records its pass's costs: ``wall_seconds``, ``train_s`` (inside
     ``train``), ``score_s`` (scoring), ``personalize_s`` (the part inside
-    ``project``) and ``scored_pairs`` (the (posterior, test set) pairs
-    scored). On a failure the pass replays its seeds one at a time, so the
-    first seed to fail alone raises, as in a seed-by-seed loop.
+    ``project``) and ``forwarded_posteriors`` (the posteriors forwarded on
+    the pooled test set). On a failure the pass replays its seeds one at a
+    time, so the first seed to fail alone raises, as in a seed-by-seed loop.
     """
     out = []
     while len(out) < len(seeds):
@@ -485,7 +486,7 @@ def _run_pass(cfg, seeds, methods):
             spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess)
             lanes += [(seed, method, s.train_shards) for method in methods]
             globals_ += [start] * k
-            test_sets.append((s.test_shards, s.test))
+            test_sets.append((s.test, s.test_idx))
             counts = [shard.label_counts().tolist() for shard in s.train_shards]
             payloads.append(dict(seed=seed, algorithm=cfg.federation.algorithm,
                                  client_sizes=sizes, client_label_counts=counts))
@@ -507,7 +508,7 @@ def _run_pass(cfg, seeds, methods):
     scored = [_score(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
     end = time.perf_counter()
     costs = dict(wall_seconds=end - t0, train_s=train_s, personalize_s=sum(c for _, _, c in scored),
-                 score_s=end - t_score, scored_pairs=sum(n for _, n, _ in scored))
+                 score_s=end - t_score, forwarded_posteriors=sum(n for _, n, _ in scored))
     return [
         [
             (r, {**p, **costs, "aggregation": f["method"].value.lower(), "rounds": f["rounds"]})
@@ -517,70 +518,65 @@ def _run_pass(cfg, seeds, methods):
     ]
 
 
-def _score(cfg, seed, spec, finals, test_shards, test_union):
+def _score(cfg, seed, spec, finals, test, test_idx):
     """Each method's ``metrics.csv`` rows from its final posteriors (a
-    ``train`` dict) on the client ``test_shards`` and their union: GM-LD per
-    client, GM-GD, then PM-LD and PM-GD per lambda and client; with the
-    (posterior, test set) pairs scored and the seconds spent in ``project``.
+    ``train`` dict) on the pooled ``test`` set and on each client's rows of
+    it (``test_idx[k]``, in shard order): GM-LD per client, GM-GD, then
+    PM-LD and PM-GD per lambda and client; with the number of posteriors
+    forwarded and the seconds spent in ``project``.
 
-    The (method, client) jobs go in blocks of the training group size,
-    max(1, GROUP_PARAMS // P): one ``project`` call per block, then one
-    ``evaluate`` call per test set the block reads, on the posteriors it
-    scores (one-row views) and its jobs' slice of the projection stack. No
-    posterior is copied, and one block's projections are alive at a time.
-    A job reads its global posterior and, under FedAvg or with lambda = inf
-    in the grid, its local one; the rows at lambda = 0 and inf reuse their
-    scores. One map holds every score: a plain posterior's by (id, test
-    set), a projection's by ((job, lambda), test set). Each block scores, on
-    each test set, the posteriors its readers hold there that no earlier
-    block scored, so each distinct pair is scored once, also where jobs
-    share a posterior (one round: the methods' locals; one client: global
-    and local).
+    Every posterior is forwarded once, on the pooled set, by one
+    ``evaluate`` call that also reads its metrics on each client's rows.
+    The first call scores the plain posteriors: every job's global one and,
+    under FedAvg or with lambda = inf in the grid, its local one, each
+    distinct posterior once (jobs share one where a round keeps the
+    methods' locals, or one client makes global and local the same), in
+    stacks of the training group size, max(1, GROUP_PARAMS // P), so that
+    a wide posterior is a one-row view and never copied. The (method,
+    client) jobs then go in blocks of that size: one ``project`` call per
+    block for the finite positive lambdas, and one ``evaluate`` call on the
+    block's (J, L', P) projection stack, so that one block's projections
+    are alive at a time. The rows at lambda = 0 and inf reuse the global
+    and local posteriors' scores.
     """
     noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
     fedavg = fedavg_var(cfg) is not None
     lambdas = [None] if fedavg else cfg.personalization.lambdas
     inner = [lam for lam in lambdas if lam and math.isfinite(lam)]
-    sets, union = [*test_shards, test_union], len(test_shards)
     jobs = [(final["global"], p_k) for final in finals for p_k in final["locals"]]
     reads = 2 if fedavg or math.inf in lambdas else 1  # a job's global, then its local
-    scores, seconds = {}, 0.0
+    plain = {id(job[i]): job[i] for i in range(reads) for job in jobs}
     size = max(1, GROUP_PARAMS // models.param_count(spec))
-    for lo in range(0, len(jobs), size):
-        block, proj = range(lo, min(lo + size, len(jobs))), None
-        if inner:
-            t0 = time.perf_counter()
-            p_g, p_k = ([_rows([p.mean for p in ps]), _rows([p.var for p in ps])]
-                        for ps in zip(*jobs[lo : block.stop]))
-            proj = project(cfg.personalization.divergence, p_g, p_k, inner)
-            seconds += time.perf_counter() - t0
-        for t, ds in enumerate(sets):
-            readers = block if t == union else block[(t - lo) % union :: union]
-            if not readers:
-                continue
-            mine = slice(readers.start - lo, readers.stop - lo, readers.step)
-            fresh = {id(p): p for j in readers for p in jobs[j][:reads] if (id(p), t) not in scores}
-            own = [(p.mean[None], p.var[None]) for p in fresh.values()]
-            own += [tuple(a[mine].reshape(-1, a.shape[-1]) for a in proj)] if proj else []
-            got = iter(evaluate(spec, own, ds, noise, bins))
-            scores.update(((p_id, t), next(got)) for p_id in fresh)
-            scores.update((((j, lam), t), next(got)) for j in readers for lam in inner)
-        del proj, own  # the block's projections go before the next block is projected
+    posts = list(plain.values())
+    stacks = [_stack(posts[i : i + size]) for i in range(0, len(posts), size)]
+    # per scored posterior: its metrics on the pooled set, then on each shard
+    scores = dict(zip(plain, evaluate(spec, stacks, test, noise, bins, test_idx)))
+    seconds = 0.0
+    for lo in range(0, len(jobs), size) if inner else ():
+        block = range(lo, min(lo + size, len(jobs)))
+        t0 = time.perf_counter()
+        p_g, p_k = (_stack(ps) for ps in zip(*jobs[lo : block.stop]))
+        proj = project(cfg.personalization.divergence, p_g, p_k, inner)
+        seconds += time.perf_counter() - t0
+        got = iter(evaluate(spec, [tuple(a.reshape(-1, a.shape[-1]) for a in proj)],
+                            test, noise, bins, test_idx))
+        scores.update(((j, lam), next(got)) for j in block for lam in inner)
+        del proj  # the block's projections go before the next block is projected
 
+    union = len(test_idx)
     method_rows = []
     for i, final in enumerate(finals):
-        g = id(final["global"])
-        plan = [("GM-LD", None, k, scores[g, k]) for k in range(union)]
-        plan.append(("GM-GD", None, "global", scores[g, union]))
+        g = scores[id(final["global"])]
+        plan = [("GM-LD", None, k, g[1 + k]) for k in range(union)]
+        plan.append(("GM-GD", None, "global", g[0]))
         for lam in lambdas:
             for k in range(union):
                 j = i * union + k
-                for setting, t in (("PM-LD", k), ("PM-GD", union)):
-                    if lam in inner:
-                        metrics = scores[(j, lam), t]
-                    else:  # the global posterior at 0, the local one at inf or under FedAvg
-                        metrics = scores[id(jobs[j][0 if lam == 0.0 else 1]), t]
-                    plan.append((setting, lam, k, metrics))
+                if lam in inner:
+                    own = scores[j, lam]
+                else:  # the global posterior at 0, the local one at inf or under FedAvg
+                    own = scores[id(jobs[j][0 if lam == 0.0 else 1])]
+                plan += [("PM-LD", lam, k, own[1 + k]), ("PM-GD", lam, k, own[0])]
         method = "fedavg" if fedavg else final["method"].value.lower()
         method_rows.append([
             {"setting": setting, "method": method, "lambda": lam, "client_id": client_id,
@@ -590,9 +586,12 @@ def _score(cfg, seed, spec, finals, test_shards, test_union):
     return method_rows, len(scores), seconds
 
 
-def _rows(vectors: list[np.ndarray]) -> np.ndarray:
-    """(J, P) stack of P-long vectors; a single vector is viewed, not copied."""
-    return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
+def _stack(posteriors) -> tuple[np.ndarray, np.ndarray]:
+    """(J, P) mean and variance stacks of J posteriors; a single posterior is
+    viewed, not copied."""
+    if len(posteriors) == 1:
+        return posteriors[0].mean[None], posteriors[0].var[None]
+    return np.stack([p.mean for p in posteriors]), np.stack([p.var for p in posteriors])
 
 
 def _task_split(
@@ -624,28 +623,32 @@ def incremental_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> list[dict]
     sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
-    lower half), task B the rest. Seeds run in passes of max(1, GROUP_PARAMS
-    // P), as in ``run_experiment``: a pass has ``setups`` split one data
-    build into the two tasks, trains task A of its seeds as round 1, then
-    task B from each posterior A as round 2, one ``_train_round`` each and
-    all as client 0, and replays its seeds one at a time if it fails. Each
-    seed mixes A and B, trained as ``federation.algorithm`` says (the command
-    rejects FedAvg), with weights (1-w, w) for each w of
-    ``cfg.incremental.w_grid`` under the configured aggregation, and scores
-    the mixtures on each task test set in one ``evaluate`` call.
+    lower half), task B the rest. One ``setups`` call splits one data build
+    into the two tasks, which every seed shares. Seeds run in passes of
+    max(1, GROUP_PARAMS // P), as in ``run_experiment``: a pass trains task
+    A of its seeds as round 1, then task B from each posterior A as round
+    2, one ``_train_round`` each and all as client 0, and replays its seeds
+    one at a time if it fails. Each seed mixes A and B, trained as
+    ``federation.algorithm`` says (the command rejects FedAvg), with weights
+    (1-w, w) for each w of ``cfg.incremental.w_grid`` under the configured
+    aggregation, and scores the mixtures on each task test set in one
+    ``evaluate`` call.
     """
+    (s,) = setups(cfg, seeds[:1], _task_split)  # the split ignores the seed
+    tasks = (*s.train_shards, *(s.test.subset(i) for i in s.test_idx))
+    del s
     out = []
     while len(out) < len(seeds):
-        out += _incremental_pass(cfg, seeds[len(out) :])
+        out += _incremental_pass(cfg, seeds[len(out) :], tasks)
     return [row for rows in out for row in rows]
 
 
-def _incremental_pass(cfg, seeds):
-    """incremental_sweep's rows, per seed, for the leading seeds one pass holds."""
+def _incremental_pass(cfg, seeds, tasks):
+    """incremental_sweep's rows, per seed, for the leading seeds one pass
+    holds, from the task pair ``(train_a, train_b, test_a, test_b)``."""
     method, w_grid, out = cfg.federation.aggregation, cfg.incremental.w_grid, []
+    train_a, train_b, test_a, test_b = tasks
     try:
-        (s,) = setups(cfg, seeds[:1], _task_split)  # one task pair serves every seed
-        (train_a, train_b), (test_a, test_b) = s.train_shards, s.test_shards
         spec, start, lrs = model_start(cfg, seeds[0], train_a, train_a.n)
         seeds = seeds[: max(1, GROUP_PARAMS // models.param_count(spec))]
         starts = [start] + [model_start(cfg, seed, train_a, train_a.n)[1] for seed in seeds[1:]]
@@ -660,7 +663,8 @@ def _incremental_pass(cfg, seeds):
         mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
         stacks = [(m.mean[None], m.var[None]) for m in mixtures]
         noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
-        on_a, on_b = (evaluate(spec, stacks, ds, noise, bins) for ds in (test_a, test_b))
+        on_a, on_b = ([whole for whole, in evaluate(spec, stacks, ds, noise, bins)]
+                      for ds in (test_a, test_b))
         out.append([  # one row per w, scored on task A (_a) and task B (_b)
             {"seed": seed, "w": float(w), **{f"{metric}_a": v for metric, v in a.items()},
              **{f"{metric}_b": v for metric, v in b.items()}}

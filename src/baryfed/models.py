@@ -9,11 +9,12 @@ unpack views the flat vector as per-layer (W, b) pairs.
 stacks in one pass instead of one call per posterior and draw.
 ``loss_and_grad`` takes a stack (K, P) with a ``Batch`` of K minibatches,
 so every client of a round computes its gradient in one call.
+``class_max``, ``class_argmax`` and ``class_sum`` reduce the class axis one
+whole column at a time, with the bits of NumPy's own reductions.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +148,67 @@ def forward(spec: MlpSpec, thetas: np.ndarray, inputs: np.ndarray) -> np.ndarray
     return act
 
 
+# NumPy reduces a short last axis one tiny run at a time, which dominates
+# when there are few classes; these class-axis kernels work on whole class
+# columns instead, one long strided loop per column, and give NumPy's bits.
+
+
+def class_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, as a running maximum of the columns."""
+    top = x[..., :1].copy()
+    for c in range(1, x.shape[-1]):
+        np.maximum(top, x[..., c : c + 1], out=top)
+    return top
+
+
+def class_argmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argmax(x, axis=-1)`` and ``x.max(axis=-1)``: ties go to the lowest
+    class and the first NaN wins, as in NumPy."""
+    top = x[..., 0].copy()
+    index = np.zeros(top.shape, dtype=np.intp)
+    for c in range(1, x.shape[-1]):
+        column = x[..., c]
+        # np.maximum keeps top where top >= column or top is NaN
+        np.copyto(index, c, where=~((top >= column) | np.isnan(top)))
+        np.maximum(top, column, out=top)
+    return index, top
+
+
+def class_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit: NumPy's pairwise order,
+    starting from its identity 0.0."""
+    total = _pairwise(x, 0, x.shape[-1])
+    total += 0.0
+    return total
+
+
+def _pairwise(x, lo, n):
+    """The sum of columns lo..lo+n-1 in the order of NumPy's pairwise_sum:
+    a plain loop from 0.0 below 8 columns; up to 128, 8 accumulators over
+    blocks of 8 columns, added as a tree, then the leftover columns; above
+    that, both halves (split at a multiple of 8) on their own."""
+    if n < 8:
+        total = x[..., lo : lo + 1] + 0.0
+        for c in range(lo + 1, lo + n):
+            total += x[..., c : c + 1]
+        return total
+    if n <= 128:
+        acc = x[..., lo : lo + 8].copy()
+        blocks = lo + n - n % 8
+        for c in range(lo + 8, blocks, 8):
+            acc += x[..., c : c + 8]
+        r = [acc[..., j : j + 1] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(blocks, lo + n):
+            total += x[..., c : c + 1]
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # max(axis=-1) as a running maximum over the columns: the same values,
-    # without NumPy's slow reduction over a short last axis
-    top = functools.reduce(np.maximum, (logits[..., c : c + 1] for c in range(logits.shape[-1])))
-    shifted = logits - top
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - class_max(logits)
+    return shifted - np.log(class_sum(np.exp(shifted)))
 
 
 def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:

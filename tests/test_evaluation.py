@@ -59,7 +59,7 @@ def ece_of(probs, labels, bins):
 
 def one(probs, labels, bins=15):
     """metrics_of on a one-posterior stack."""
-    (scores,) = metrics_of(probs[None], labels, bins)
+    ((scores,),) = metrics_of(probs[None], labels, bins)
     return scores
 
 
@@ -129,6 +129,22 @@ def metric_stacks(draw):
         bins=draw(st.integers(1, 19)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
+
+
+@st.composite
+def grouped_stacks(draw):
+    """A metric stack with row groups over its n rows: a shuffled split into
+    shards, as a run's client test sets are, or index arrays with repeats."""
+    probs, labels, bins = draw(metric_stacks())
+    n = len(labels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(k, n) - 1, replace=False))
+        groups = np.split(rng.permutation(n), cuts)
+    else:
+        groups = [rng.integers(0, n, size=rng.integers(1, n + 1)) for _ in range(k)]
+    return probs, labels, bins, groups
 
 
 def enumerated_p(x, y):
@@ -208,12 +224,25 @@ class TestMetrics:
         probs, labels, bins = case
         scores = metrics_of(probs, labels, bins)
         assert len(scores) == len(probs)
-        for p, got in zip(probs, scores):
+        for p, (got,) in zip(probs, scores):
             assert got == {
                 "acc": accuracy_of(p, labels),
                 "ece": ece_of(p, labels, bins),
                 "nll": nll_of(p, labels),
             }
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(grouped_stacks())
+    @example((*stack_case(m=41, n=400, classes=10, bins=15, seed=0),
+              [np.arange(400)[::-1], np.arange(0, 400, 3), np.arange(150)]))
+    @example((*stack_case(m=2, n=900, classes=2, bins=1, seed=1), [np.arange(900), np.arange(7)]))
+    def test_groups_equal_row_slices(self, case):
+        # a group's metrics are, bit for bit, those of its rows alone
+        probs, labels, bins, groups = case
+        got = metrics_of(probs, labels, bins, groups)
+        ref = [metrics_of(probs, labels, bins)]
+        ref += [metrics_of(probs[:, g], labels[g], bins) for g in groups]
+        assert got == [[r[i][0] for r in ref] for i in range(len(probs))]
 
     def test_empty_stack(self):
         assert metrics_of(np.empty((0, 5, 3)), np.zeros(5, dtype=np.int64), 15) == []
@@ -233,7 +262,7 @@ class TestEvaluate:
         both = (np.stack([post.mean, other.mean]), np.stack([post.var, other.var]))
         reps = evaluate(spec, [both], ds, noise, bins=10)
         assert len(reps) == 2
-        for p, rep in zip([post, other], reps):
+        for p, (rep,) in zip([post, other], reps):
             probs = predict_proba_mc(spec, [(p.mean[None], p.var[None])], ds.inputs, noise)[0]
             assert rep == {
                 "acc": accuracy_of(probs, ds.labels),
@@ -246,6 +275,24 @@ class TestEvaluate:
             assert 0.0 <= rep["ece"] <= 1.0
         assert reps[0] != reps[1]
         assert evaluate(spec, [], ds, noise, bins=10) == []
+
+    def test_groups_read_one_predictive(self):
+        # each posterior is forwarded once; its group rows are that
+        # predictive's rows, scored as metrics_of scores them alone
+        spec = MlpSpec(layer_sizes=(2, 8, 3))
+        from baryfed.data import synth_blobs
+
+        ds = synth_blobs(classes=3, dim=2, n_per_class=20, spread=0.3, seed=1)
+        rng = np.random.default_rng(4)
+        mean = rng.normal(size=(3, param_count(spec)))
+        var = rng.uniform(0.01, 0.1, size=mean.shape)
+        noise = rng.standard_normal((5, param_count(spec)))
+        groups = np.split(rng.permutation(ds.n), [7, 30, 41])
+        got = evaluate(spec, [(mean[:1], var[:1]), (mean[1:], var[1:])], ds, noise, 15, groups)
+        probs = predict_proba_mc(spec, [(mean, var)], ds.inputs, noise)
+        ref = [metrics_of(probs, ds.labels, 15)]
+        ref += [metrics_of(probs[:, g], ds.labels[g], 15) for g in groups]
+        assert got == [[r[i][0] for r in ref] for i in range(3)]
 
 
 class TestRuntimeDependencies:

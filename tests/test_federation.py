@@ -21,7 +21,7 @@ from baryfed.config import (
     PartitionCfg,
     PersonalizationCfg,
 )
-from baryfed.evaluation import evaluate
+from baryfed.evaluation import evaluate, metrics_of
 from baryfed.federation import (
     _EVAL_TAG,
     RunError,
@@ -307,7 +307,7 @@ class TestForkedMethods:
 
 # what a payload records of its whole pass, which a seed run alone does not share
 PASS_COSTS = dict.fromkeys(
-    ("wall_seconds", "train_s", "personalize_s", "score_s", "scored_pairs")
+    ("wall_seconds", "train_s", "personalize_s", "score_s", "forwarded_posteriors")
 )
 
 
@@ -712,51 +712,60 @@ class TestPersonalizeAll:
         for m, loc in zip(rows, final["locals"]):
             d = cfg.personalization.divergence
             mean, var = project(d, one(final["global"]), one(loc), [1.0])
-            ref = evaluate(spec, [(mean[0], var[0])], test, noise, cfg.eval.ece_bins)[0]
+            ((ref, *_),) = evaluate(spec, [(mean[0], var[0])], test, noise, cfg.eval.ece_bins)
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
 
 class TestScoreOnce:
-    """Each (posterior, dataset) pair of a run is scored once, and every
-    posterior scored on one dataset goes through one evaluate call."""
+    """Each posterior of a seed reaches ``predict_proba_mc`` once, on the
+    pooled test set, through the ``evaluate`` call that also reads its
+    metrics on every client's test rows: one call for the plain posteriors,
+    then one per projection block."""
 
     def counted_run(self, monkeypatch, cfg):
-        calls = []
+        calls, forwarded = [], []
 
-        def counting(spec, stacks, ds, *args):
+        def counting(spec, stacks, ds, noise, bins, groups=()):
+            calls.append((ds, groups))
+            return evaluate(spec, stacks, ds, noise, bins, groups)
+
+        def forwarding(spec, stacks, inputs, noise):
             # each row's bytes: distinct posteriors have distinct rows here
-            calls.append((ds, [m.tobytes() + v.tobytes() for mean, var in stacks
-                               for m, v in zip(mean, var)]))
-            return evaluate(spec, stacks, ds, *args)
+            forwarded.extend(m.tobytes() + v.tobytes() for mean, var in stacks
+                             for m, v in zip(mean, var))
+            return predict_proba_mc(spec, stacks, inputs, noise)
 
         monkeypatch.setattr(federation, "evaluate", counting)
+        monkeypatch.setattr(models, "predict_proba_mc", forwarding)
         rows, rounds = run_one(cfg, 0)
-        datasets = [id(ds) for ds, _ in calls]
-        assert len(set(datasets)) == len(datasets)
-        for _, posteriors in calls:
-            assert len(set(posteriors)) == len(posteriors)
-        scored = sum(len(ps) for _, ps in calls)
-        assert rounds["scored_pairs"] == scored
-        return rows, len(rounds["client_sizes"]), len(calls), scored
+        (s,) = setups(cfg, [0])
+        for ds, groups in calls:
+            assert np.array_equal(ds.inputs, s.test.inputs)
+            assert [g.tolist() for g in groups] == [g.tolist() for g in s.test_idx]
+        assert len(set(forwarded)) == len(forwarded)
+        assert rounds["forwarded_posteriors"] == len(forwarded)
+        return rows, len(rounds["client_sizes"]), len(calls), len(forwarded)
 
     def test_bayes_endpoints_reuse_scores(self, monkeypatch):
         cfg = make_cfg()
         lams = cfg.personalization.lambdas
         assert lams[0] == 0.0 and math.isinf(lams[-1])
-        rows, k, calls, scored = self.counted_run(monkeypatch, cfg)
+        rows, k, calls, forwarded = self.counted_run(monkeypatch, cfg)
         assert len(rows) == k + 1 + 2 * k * len(lams)
-        assert calls == k + 1  # the K test shards and the pooled test set
-        # lambda = 0 projects to the global posterior: its 2K rows reuse GM scores
-        assert scored == k + 1 + 2 * k * (len(lams) - 1)
+        assert calls == 2  # the plain posteriors, then one block of projections
+        # lambda = 0 and inf are the global and the local posteriors: their
+        # 4K rows reuse the scores of those K + 1 posteriors
+        assert forwarded == k + 1 + k * (len(lams) - 2)
 
     def test_fedavg_scores_every_row(self, monkeypatch):
         cfg = make_cfg()
         cfg = dataclasses.replace(
             cfg, federation=dataclasses.replace(cfg.federation, algorithm="fedavg")
         )
-        rows, k, calls, scored = self.counted_run(monkeypatch, cfg)
-        assert calls == k + 1
-        assert scored == len(rows) == 3 * k + 1
+        rows, k, calls, forwarded = self.counted_run(monkeypatch, cfg)
+        assert calls == 1  # no projection
+        assert len(rows) == 3 * k + 1
+        assert forwarded == k + 1
 
     def test_lambda_zero_rows_equal_global_rows(self):
         rows, _ = run_one(make_cfg(), 0)
@@ -776,32 +785,31 @@ class TestScoreOnce:
 
 class TestScoreBlocks:
     """Scoring in blocks of max(1, GROUP_PARAMS // P) (method, client) jobs
-    changes no bit of any row and scores no (posterior, test set) pair
-    twice, whatever the block size."""
+    changes no bit of any row and forwards no posterior twice, whatever the
+    block size."""
 
     LAMBDAS = PersonalizationCfg(lambdas=(0.0, 0.5, math.inf))
     FEDAVG = FederationCfg(rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg")
     ROUND_ONE = FederationCfg(rounds=1, local_epochs=3, batch_size=200)
     EAA_W2B = (AggregationMethod.EAA, AggregationMethod.W2B)
     ONE_CLIENT = PartitionCfg(n_clients=1, beta=1.0, min_shard=5)
-    # (config, methods, distinct (posterior, test set) pairs) with K = 4
-    # clients unless set: per method the global posterior on K + 1 test
-    # sets, and the posterior at each lambda on its client's shard and the
-    # pooled set; lambda = 0 is the global posterior, lambda = inf the local one
+    # (config, methods, distinct posteriors forwarded) with K = 4 clients
+    # unless set: per method the global posterior and each client's
+    # posterior at each lambda; lambda = 0 is the global posterior, lambda =
+    # inf the local one
     CASES = {
-        # K + 1, plus 2K at 0.5 and 2K at inf
-        "bayes": (make_cfg(personalization=LAMBDAS), (AggregationMethod.RKLB,), 21),
-        # K + 1, plus the local posteriors' 2K
-        "fedavg": (make_cfg(federation=FEDAVG), (AggregationMethod.EAA,), 13),
+        # 1 global, K at 0.5 and K at inf
+        "bayes": (make_cfg(personalization=LAMBDAS), (AggregationMethod.RKLB,), 9),
+        # 1 global and the K local posteriors
+        "fedavg": (make_cfg(federation=FEDAVG), (AggregationMethod.EAA,), 5),
         # round 1 alone: both methods keep the same local posteriors, so the
-        # lambda = inf pairs are shared: 2 (K + 1 + 2K) + 2K
-        "shared-locals": (make_cfg(federation=ROUND_ONE, personalization=LAMBDAS), EAA_W2B, 34),
+        # lambda = inf ones are shared: 2 (1 + K) + K
+        "shared-locals": (make_cfg(federation=ROUND_ONE, personalization=LAMBDAS), EAA_W2B, 14),
         # one client: aggregate returns the local posterior itself, so from
         # round 2 on both methods train and hold one posterior, global and
-        # local at once: its 2 pairs, plus each method's lambda = 0.5
-        # projection on the shard and the pooled set
+        # local at once: that one, plus each method's lambda = 0.5 projection
         "one-client": (
-            make_cfg(partition=ONE_CLIENT, personalization=LAMBDAS), EAA_W2B, 2 + 2 * 2
+            make_cfg(partition=ONE_CLIENT, personalization=LAMBDAS), EAA_W2B, 1 + 2
         ),
     }
 
@@ -823,8 +831,10 @@ class TestScoreBlocks:
             (out,) = run_experiment(cfg, [0], methods)
             rows[cap] = [[{k: repr(v) for k, v in row.items()} for row in m] for m, _ in out]
             assert sum(scored) == distinct, cap
-            # the run record counts the pairs its pass scored
-            assert [rounds["scored_pairs"] for _, rounds in out] == [distinct] * len(methods)
+            # the run record counts the posteriors its pass forwarded
+            assert [rounds["forwarded_posteriors"] for _, rounds in out] == (
+                [distinct] * len(methods)
+            )
         assert rows[p] == rows[1 << 16]
         assert rows[2 * p] == rows[1 << 16]
 
@@ -876,8 +886,11 @@ class TestLiveness:
 
 
 class TestScoreOracle:
-    """Every metrics.csv row of a run equals ``evaluate`` on a stack of one:
-    the global posterior, the local one, or that row's ``project`` output."""
+    """Every metrics.csv row of a run equals ``metrics_of`` of the pooled
+    predictive of a stack of one (the global posterior, the local one, or
+    that row's ``project`` output), over the pooled rows for a GD row and
+    the client's rows of it for an LD row; a GD row also equals
+    ``evaluate`` on that stack."""
 
     FEDAVG = FederationCfg(rounds=3, local_epochs=3, batch_size=200, algorithm="fedavg")
     ROUND_ONE = FederationCfg(rounds=1, local_epochs=3, batch_size=200)
@@ -909,14 +922,13 @@ class TestScoreOracle:
         (s,) = setups(cfg, [0])
         spec = model_start(cfg, 0, s.train_shards[0], 1.0)[0]
         noise = eval_noise(cfg, 0, spec)
-        d = cfg.personalization.divergence
+        d, bins = cfg.personalization.divergence, cfg.eval.ece_bins
         lambdas = [None] if fed is self.FEDAVG else cfg.personalization.lambdas
         for (rows, _), final in zip(out, finals):
             k = len(final["locals"])
             assert len(rows) == k + 1 + 2 * k * len(lambdas)
             for row in rows:
                 k, lam = row["client_id"], row["lambda"]
-                ds = s.test if row["setting"].endswith("GD") else s.test_shards[k]
                 if row["setting"].startswith("GM") or lam == 0.0:
                     stack = one(final["global"])
                 elif lam is None or lam == math.inf:
@@ -924,7 +936,13 @@ class TestScoreOracle:
                 else:
                     mean, var = project(d, one(final["global"]), one(final["locals"][k]), [lam])
                     stack = (mean[0], var[0])
-                ref = evaluate(spec, [stack], ds, noise, cfg.eval.ece_bins)[0]
+                probs = predict_proba_mc(spec, [stack], s.test.inputs, noise)
+                if row["setting"].endswith("GD"):
+                    ((ref,),) = metrics_of(probs, s.test.labels, bins)
+                    assert [[ref]] == evaluate(spec, [stack], s.test, noise, bins)
+                else:
+                    rows_k = s.test_idx[k]
+                    ((ref,),) = metrics_of(probs[:, rows_k], s.test.labels[rows_k], bins)
                 assert {m: row[m] for m in ref} == ref, row
 
 
@@ -1041,7 +1059,7 @@ class TestIncrementalSweep:
         assert len(calls) == 2 and len(mixtures) == len(rows) == 3
         for row, mixture in zip(rows, mixtures):
             for (spec, ds, noise, bins), task in zip(calls, "ab"):
-                ref = evaluate(spec, [one(mixture)], ds, noise, bins)[0]
+                ((ref,),) = evaluate(spec, [one(mixture)], ds, noise, bins)
                 assert {m: row[f"{m}_{task}"] for m in ref} == ref
 
     def test_invalid_split(self):
@@ -1066,7 +1084,8 @@ class TestIncrementalSweep:
     def test_seeds_equal_one_seed_sweeps(self, monkeypatch):
         """A sweep over several seeds gives the rows of one sweep per seed, in
         seed order: in one pass, in passes of two seeds, and one seed per pass
-        (also with one job per lockstep group on two threads)."""
+        (also with one job per lockstep group on two threads). The data is
+        built once however many passes there are."""
         cfg = self.small_cfg(w_grid=(0.0, 0.5, 1.0))
         seeds = [2, 0, 1]
         alone = [row for seed in seeds for row in incremental_sweep(cfg, [seed])]
@@ -1075,12 +1094,18 @@ class TestIncrementalSweep:
         threaded = dataclasses.replace(cfg, federation=two_threads)
         built, build_data = [], federation.build_data
         monkeypatch.setattr(federation, "build_data", lambda c: built.append(c) or build_data(c))
+        rounds, train_round = [], federation._train_round
+        monkeypatch.setattr(
+            federation, "_train_round", lambda *args: rounds.append(1) or train_round(*args)
+        )
         settings = [(1 << 16, cfg, 1), (2 * p, cfg, 2), (p, cfg, 3), (1, threaded, 3)]
         for cap, run_cfg, passes in settings:
             monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
             built.clear()
+            rounds.clear()
             assert incremental_sweep(run_cfg, seeds) == alone
-            assert len(built) == passes  # one data build per pass
+            assert len(built) == 1
+            assert len(rounds) == 2 * passes  # one round per task and pass
 
     def test_failing_pass_replays_seed_by_seed(self, monkeypatch):
         """A failing pass raises what a seed-by-seed loop would: seed 1 fails

@@ -145,8 +145,8 @@ def test_compare_agg_trains_every_seed_in_one_lockstep(tmp_path, monkeypatch):
 
 def test_run_call_counts_at_one_job_blocks(tmp_path, monkeypatch):
     # with one (method, client) job per block, scoring projects and scores
-    # one client at a time: one project call, and one evaluate call on its
-    # shard and one on the pooled test set
+    # one client at a time: one project call and one evaluate call per
+    # client, after one evaluate call for the global and local posteriors
     data, hidden = RUN_CONFIG["dataset"], RUN_CONFIG["model"]["hidden"]
     layers = (data["dim"], *hidden, data["classes"])
     monkeypatch.setattr(federation, "GROUP_PARAMS", models.param_count(models.MlpSpec(layers)))
@@ -154,4 +154,4 @@ def test_run_call_counts_at_one_job_blocks(tmp_path, monkeypatch):
     run_command(tmp_path, "run", RUN_CONFIG)
     clients = RUN_CONFIG["partition"]["n_clients"]
     assert calls["geometry.project"] == clients == 4
-    assert calls["evaluation.evaluate"] == 2 * clients == 8
+    assert calls["evaluation.evaluate"] == 1 + clients == 5

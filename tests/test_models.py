@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from baryfed import models
 from baryfed.geometry import DiagGaussian
@@ -7,6 +9,9 @@ from baryfed.models import (
     Batch,
     _log_softmax,
     MlpSpec,
+    class_argmax,
+    class_max,
+    class_sum,
     forward,
     init_params,
     loss_and_grad,
@@ -245,6 +250,63 @@ def test_log_softmax_bits_equal_max_reduction():
             shifted = logits - logits.max(axis=-1, keepdims=True)
             ref = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             assert _log_softmax(logits).tobytes() == ref.tobytes()
+
+
+# class counts whose sums take every branch of NumPy's pairwise order: a
+# plain loop below 8, 8 accumulators up to 128, halving above that
+CLASS_COUNTS = [*range(1, 141), 255, 256, 257, 513]
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, np.inf, -np.inf, np.nan])
+
+
+def same_bits_or_nan(got, ref):
+    """Equal bit for bit where NumPy's value is a number, NaN where it is NaN
+    (the sign of a NaN is not kept)."""
+    nan = np.isnan(ref)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@st.composite
+def class_arrays(draw):
+    """(..., C) arrays with wide exponents, special values, ties and signed
+    zeros, for a class count of CLASS_COUNTS."""
+    classes = draw(st.sampled_from(CLASS_COUNTS))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(lead + (classes,)) * 10.0 ** rng.integers(-30, 30, lead + (classes,))
+    special = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    x[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    if draw(st.booleans()):
+        x = np.round(x)  # ties
+    return x
+
+
+class TestClassAxisKernels:
+    """The column kernels give NumPy's class-axis reductions bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (3, 4), (2, 3, 7)])
+    def test_sum_bits_equal_numpy_sum(self, lead):
+        rng = np.random.default_rng(len(lead))
+        for classes in CLASS_COUNTS:
+            x = rng.standard_normal(lead + (classes,)) * 10.0 ** rng.integers(-12, 12, classes)
+            assert class_sum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes(), classes
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(class_arrays())
+    @example(np.full((2, 9), -0.0))
+    @example(np.array([[np.inf, -np.inf, 1.0], [np.nan, 1.0, np.inf]]))
+    def test_sum_matches_numpy_on_any_values(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits_or_nan(class_sum(x), x.sum(axis=-1, keepdims=True))
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(class_arrays())
+    @example(np.array([[1.0, 1.0, 0.5], [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0]]))
+    @example(np.array([[1.0, np.nan, np.nan], [np.nan, np.inf, 1.0], [-np.inf, -np.inf, -np.inf]]))
+    def test_argmax_and_max_equal_numpy(self, x):
+        index, top = class_argmax(x)
+        assert index.tolist() == np.argmax(x, axis=-1).tolist()
+        assert same_bits_or_nan(top, x.max(axis=-1))
+        assert same_bits_or_nan(class_max(x), x.max(axis=-1, keepdims=True))
 
 
 class TestPredictiveAndCounters:
