@@ -48,7 +48,14 @@ from .config import (
     to_jsonable,
 )
 from .evaluation import compare_aggregations, summarize
-from .federation import RunError, incremental_sweep, run_experiment, setups
+from .federation import (
+    RunError,
+    build_data,
+    failure_context,
+    incremental_sweep,
+    partition_both,
+    run_experiment,
+)
 from .geometry import AggregationMethod
 
 
@@ -125,17 +132,19 @@ def cmd_incremental(cfg: ExperimentConfig) -> dict:
 
 def cmd_partition(cfg: ExperimentConfig) -> dict:
     artifacts = {}
-    for seed, s in zip(cfg.seeds, setups(cfg, cfg.seeds)):
-        shards = enumerate(zip(s.train_shards, s.train_idx, s.test_idx))
+    with failure_context(0):
+        train, test = build_data(cfg)
+        splits = [partition_both(cfg, train, test, seed) for seed in cfg.seeds]
+    for seed, (train_idx, test_idx) in zip(cfg.seeds, splits):
         artifacts[f"shards_{seed}.json"] = {
             "seed": seed,
-            "n_train": s.n_train,
-            "n_test": s.test.n,
+            "n_train": train.n,
+            "n_test": test.n,
             "shards": [
-                {"client": k, "train_size": shard.n, "test_size": len(te),
-                 "label_counts": shard.label_counts().tolist(),
+                {"client": k, "train_size": len(tr), "test_size": len(te),
+                 "label_counts": np.bincount(train.labels[tr], minlength=train.classes).tolist(),
                  "train_indices": tr.tolist(), "test_indices": te.tolist()}
-                for k, (shard, tr, te) in shards
+                for k, (tr, te) in enumerate(zip(train_idx, test_idx))
             ],
         }
     return artifacts

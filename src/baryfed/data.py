@@ -68,9 +68,6 @@ class Dataset:
             inputs=self.inputs[indices], labels=self.labels[indices], classes=self.classes
         )
 
-    def label_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.classes)
-
 
 def _read_idx_header(raw: bytes, path: str, expected_magic: int, n_dims: int):
     header_len = 4 * (1 + n_dims)

@@ -1,24 +1,31 @@
 """Round-based federated simulation over exchanged posteriors, in three
 stages that every command composes:
 
-- set up: ``setups`` builds the data once and splits it into each seed's
-  shards (one per client, or per task for ``incremental_sweep``);
+- set up: ``build_data`` builds the pooled train and test sets once per
+  pass, and ``partition_both`` gives each seed's shards as index arrays
+  into them (one per client, or per task for ``incremental_sweep``);
   ``model_start`` builds the spec, the initial posterior and the learning
   rates;
 - train: each round of ``train`` broadcasts the global posterior of each
-  ``(seed, method, train_shards)`` lane, trains every client's private
-  shard and aggregates the locals on the server, which sees posteriors and
-  weights only. A seed's methods share round 1; afterwards each distinct
-  broadcast posterior trains once per client. A round's ``(prior, shard,
-  client, seed)`` jobs of all lanes train in lockstep groups
-  (``client_update``), so a narrow model takes one stacked gradient and
-  optimizer call per step for all seeds and methods;
+  ``(seed, method, train_idx)`` lane, trains every client on its private
+  rows of the pooled train set and aggregates the locals on the server,
+  which sees posteriors and weights only. A seed's methods share round 1;
+  afterwards each distinct broadcast posterior trains once per client. A
+  round's ``(prior, train_idx, client, seed)`` jobs of all lanes train in
+  lockstep groups (``client_update``), which gather each minibatch
+  straight from the pooled arrays, so a narrow model takes one stacked
+  gradient and optimizer call per step for all seeds and methods;
 - score: ``_score`` forwards each of a seed's posteriors once, on the
   pooled test set, and reads each client's local metrics from the rows of
   its test shard in that same predictive. One ``evaluate`` call scores the
   plain global and local posteriors; then the (method, client) jobs are
   projected onto the whole lambda grid in blocks of the training group
   size, one (J, L', P) stack and one ``evaluate`` call per block.
+
+Training and scoring read one data representation: the pooled sets and
+each client's index arrays into them. No client's rows are copied out of
+a pooled set; only ``incremental_sweep`` scores each task's test rows as
+a set of their own.
 
 ``fedavg_var`` alone reads from the config whether clients train FedAvg.
 
@@ -42,9 +49,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,21 +105,24 @@ def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.
 
 
 class RunError(RuntimeError):
-    """Failure during a federated run, tagged with round and client context."""
+    """Failure during a federated run, tagged with round and client context;
+    a failure after training names its stage instead of a round."""
 
-    def __init__(self, round_index: int, client_id: int | None, cause: BaseException):
-        where = f"round {round_index}" + ("" if client_id is None else f", client {client_id}")
+    def __init__(self, round_index: int | str, client_id: int | None, cause: BaseException):
+        where = round_index if isinstance(round_index, str) else f"round {round_index}"
+        where += "" if client_id is None else f", client {client_id}"
         super().__init__(f"{where}: {cause}")
         self.round_index = round_index
         self.client_id = client_id
 
 
 @contextmanager
-def failure_context(round_index: int, client_id: int | None = None):
+def failure_context(round_index: int | str, client_id: int | None = None):
     """Re-raise a failure in the block as RunError(round_index, client_id).
 
-    Round 0 is data set-up. A ConfigError passes through unwrapped, so a bad
-    config still exits 2.
+    Round 0 is data set-up; scoring passes its stage and seed as a string,
+    such as "scoring, seed 3". A ConfigError passes through unwrapped, so a
+    bad config still exits 2.
     """
     try:
         yield
@@ -124,24 +133,27 @@ def failure_context(round_index: int, client_id: int | None = None):
 
 
 def client_update(
-    jobs: list[tuple[DiagGaussian, Dataset, int, int]],
+    jobs: list[tuple[DiagGaussian, np.ndarray, int, int]],
+    train_set: Dataset,
     cfg: ExperimentConfig,
     lrs: list[float],
     spec: MlpSpec,
     round_index: int,
 ) -> list[tuple[DiagGaussian, list[float]]]:
     """Local phases of a group of jobs, trained in lockstep; one epoch per
-    entry of ``lrs``. A job ``(prior, shard, client, seed)`` trains client
-    ``client`` of master seed ``seed`` on ``shard`` from the broadcast
-    posterior ``prior``.
+    entry of ``lrs``. A job ``(prior, train_idx, client, seed)`` trains
+    client ``client`` of master seed ``seed`` on its shard, the rows
+    ``train_idx`` of the pooled ``train_set``, from the broadcast posterior
+    ``prior``. Each minibatch is gathered from the pooled arrays; the shard
+    itself is never copied.
 
     A job draws from client_rng(seed, round_index, client) as it would
     alone: one permutation of its shard per epoch, then each step's
     posterior draws. It reads cfg.optimizer and cfg.federation.batch_size.
     The optimizer restarts at the prior mean with the Hessian rebuilt from
-    the prior variance under the job's own (N_k = shard.n, delta); gradient
-    momentum and the step counter start from zero, so no optimizer state
-    crosses rounds. Each step averages opt.mc_train_samples posterior
+    the prior variance under the job's own (N_k = len(train_idx), delta);
+    gradient momentum and the step counter start from zero, so no
+    optimizer state crosses rounds. Each step averages opt.mc_train_samples posterior
     draws. Under FedAvg (``fedavg_var``) the one draw is the mean, the
     Hessian stays at h0, and the local posterior carries the frozen variance
     on every coordinate.
@@ -153,17 +165,17 @@ def client_update(
     RunError(round_index, the first job's client).
     """
     with failure_context(round_index, jobs[0][2]):
-        results, failure = _lockstep(jobs, cfg, lrs, spec, round_index)
+        results, failure = _lockstep(jobs, train_set, cfg, lrs, spec, round_index)
     if failure is None:
         return results
     j, message = failure
     if j > 0:
         # a job before j may fail later than j did; this raises if one does
-        client_update(jobs[:j], cfg, lrs, spec, round_index)
+        client_update(jobs[:j], train_set, cfg, lrs, spec, round_index)
     raise RunError(round_index, jobs[j][2], ValueError(message))
 
 
-def _lockstep(jobs, cfg, lrs, spec, round_index):
+def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
     """client_update's training loop: (results, None), or (None, (job,
     message)) for the lowest-indexed job among the first to fail.
 
@@ -178,29 +190,22 @@ def _lockstep(jobs, cfg, lrs, spec, round_index):
     frozen_var = fedavg_var(cfg)
     deterministic = frozen_var is not None
     samples = 1 if deterministic else opt.mc_train_samples
-    ranked = sorted(range(len(jobs)), key=lambda j: -jobs[j][1].n)
+    ranked = sorted(range(len(jobs)), key=lambda j: -len(jobs[j][1]))
     priors, shards, clients, seeds = zip(*(jobs[j] for j in ranked))
-    sizes = np.array([shard.n for shard in shards])
+    sizes = np.array([len(idx) for idx in shards])
     rngs = [client_rng(seed, round_index, k) for seed, k in zip(seeds, clients)]
     state = ivon_restart(priors, opt, sizes.tolist(), frozen=deterministic)
     dim = state.mean.shape[1]
-    # every job's rows in one array, so that a step gathers its batch in one
-    # index; a job training alone uses its shard's arrays as they are
-    inputs, labels = shards[0].inputs, shards[0].labels
-    if len(jobs) > 1:
-        inputs = np.concatenate([shard.inputs for shard in shards])
-        labels = np.concatenate([shard.labels for shard in shards])
-    offsets = np.cumsum(sizes) - sizes
     steps = -(-sizes // batch_size)
     draws = np.empty((len(jobs), samples, dim))
     nll = np.empty((len(jobs), steps[0]))  # per job and step of an epoch
     traces = [[] for _ in jobs]
     for lr in lrs:
-        # each job's minibatches in order, as rows of inputs; the padding
-        # after a job's rows only fills out the stacked batch
+        # each job's minibatches in order, as rows of the pooled set; the
+        # padding after a job's rows only fills out the stacked batch
         order = np.zeros((len(jobs), steps[0] * batch_size), dtype=np.int64)
-        for r, (rng, n) in enumerate(zip(rngs, sizes)):
-            order[r, :n] = offsets[r] + rng.permutation(n)
+        for r, (rng, idx) in enumerate(zip(rngs, shards)):
+            order[r, : len(idx)] = idx[rng.permutation(len(idx))]
         for t in range(steps[0]):
             active = int(np.count_nonzero(steps > t))
             counts = np.minimum(sizes[:active] - t * batch_size, batch_size)
@@ -212,7 +217,9 @@ def _lockstep(jobs, cfg, lrs, spec, round_index):
                 thetas = sample_params(view, rngs[:active], out=draws[:active])
             if samples > 1:
                 rows, counts = np.repeat(rows, samples, axis=0), np.repeat(counts, samples)
-            batch = models.Batch(inputs=inputs[rows], labels=labels[rows], counts=counts)
+            batch = models.Batch(
+                inputs=train_set.inputs[rows], labels=train_set.labels[rows], counts=counts
+            )
             try:
                 losses, grads = models.loss_and_grad(spec, thetas.reshape(-1, dim), batch)
             except RowError as exc:
@@ -307,31 +314,6 @@ def partition_both(
     )
 
 
-@dataclass(frozen=True)
-class Setup:
-    """One seed's train shards, one per client (or per task), and the pooled
-    test set with each shard's test rows."""
-
-    n_train: int  # examples in the pooled train set
-    test: Dataset
-    train_idx: list  # per shard, its indices into the pooled train set
-    test_idx: list  # per shard, its indices into the pooled test set
-    train_shards: list
-
-
-def setups(cfg: ExperimentConfig, seeds: Sequence[int], split=None) -> Iterator[Setup]:
-    """Each seed's Setup, all split from one ``build_data`` pair, which the
-    iterator alone holds; any failure is raised as RunError at round 0.
-    ``split(cfg, train, test, seed)`` gives each shard's train and test
-    indices; by default ``partition_both`` gives one shard per client."""
-    with failure_context(0):
-        train, test = build_data(cfg)
-        for seed in seeds:
-            train_idx, test_idx = (split or partition_both)(cfg, train, test, seed)
-            train_shards = [train.subset(i) for i in train_idx]
-            yield Setup(train.n, test, train_idx, test_idx, train_shards)
-
-
 def fedavg_var(cfg: ExperimentConfig) -> float | None:
     """FedAvg's frozen posterior variance; None when clients train IVON posteriors."""
     fed = cfg.federation
@@ -368,20 +350,20 @@ def eval_noise(cfg: ExperimentConfig, seed: int, spec: MlpSpec) -> np.ndarray:
     return rng.standard_normal((cfg.eval.mc_samples, models.param_count(spec)))
 
 
-def _train_round(broadcasts, lanes, cfg, lrs, spec, round_index):
+def _train_round(broadcasts, lanes, train_set, cfg, lrs, spec, round_index):
     """Per lane i, every client's (local posterior, NLL trace) from
-    ``broadcasts[i]``, trained on the lane's seed and train shards. Each
-    distinct (seed, posterior) trains once (keys hold ids, and
-    ``broadcasts`` keeps each keyed posterior alive). Its jobs, in lane
-    order, train in lockstep groups of max(1, GROUP_PARAMS // P), one
+    ``broadcasts[i]``, trained on the lane's seed and shards of
+    ``train_set``. Each distinct (seed, posterior) trains once (keys hold
+    ids, and ``broadcasts`` keeps each keyed posterior alive). Its jobs, in
+    lane order, train in lockstep groups of max(1, GROUP_PARAMS // P), one
     ``client_update`` call per group."""
     distinct = {(seed, id(p)): (p, seed, own) for p, (seed, _, own) in zip(broadcasts, lanes)}
-    jobs = [(p, shard, k, s) for p, s, own in distinct.values() for k, shard in enumerate(own)]
+    jobs = [(p, idx, k, s) for p, s, own in distinct.values() for k, idx in enumerate(own)]
     size = max(1, GROUP_PARAMS // models.param_count(spec))
     groups = [jobs[i : i + size] for i in range(0, len(jobs), size)]
 
     def update(group):
-        return client_update(group, cfg, lrs, spec, round_index)
+        return client_update(group, train_set, cfg, lrs, spec, round_index)
 
     if cfg.federation.threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # sequential runs skip its import
@@ -397,16 +379,19 @@ def _train_round(broadcasts, lanes, cfg, lrs, spec, round_index):
 
 def train(
     cfg: ExperimentConfig,
-    lanes: list[tuple[int, AggregationMethod, list[Dataset]]],
+    train_set: Dataset,
+    lanes: list[tuple[int, AggregationMethod, list[np.ndarray]]],
     spec: MlpSpec,
     lrs: list[float],
     globals_: list[DiagGaussian],
 ) -> list[dict]:
     """R rounds of broadcast/train/aggregate over lanes: lane i, a ``(seed,
-    method, train_shards)`` record, trains the seed's clients on its train
-    shards under its aggregation method from its global posterior
-    ``globals_[i]``, which is updated in place so that a replaced posterior
-    held nowhere else is freed. One dict per lane, in order: its
+    method, train_idx)`` record, trains the seed's clients on their rows
+    ``train_idx[k]`` of the pooled ``train_set`` under its aggregation
+    method from its global posterior ``globals_[i]``, which is updated in
+    place so that a replaced posterior held nowhere else is freed. A
+    client's aggregation weight is its share of the seed's train rows. One
+    dict per lane, in order: its
     ``method``, final ``global`` posterior, the clients' final ``locals``,
     and in ``rounds`` one ``{round, nll_traces, divergences, agg_seconds}``
     per round (each client's per-epoch mean minibatch NLL and
@@ -426,12 +411,12 @@ def train(
     for r in range(1, fed.rounds + 1):
         locals_ = None  # round r-1's locals go before round r trains
         round_lrs = lrs[(r - 1) * fed.local_epochs : r * fed.local_epochs]
-        trained = _train_round(globals_, lanes, cfg, round_lrs, spec, r)
+        trained = _train_round(globals_, lanes, train_set, cfg, round_lrs, spec, r)
         locals_ = [[p for p, _ in own] for own in trained]
         traces = [[trace for _, trace in own] for own in trained]
         del trained
-        for i, (_, method, shards) in enumerate(lanes):
-            sizes = np.array([shard.n for shard in shards], dtype=np.float64)
+        for i, (_, method, train_idx) in enumerate(lanes):
+            sizes = np.array([len(idx) for idx in train_idx], dtype=np.float64)
             t_agg = time.perf_counter()
             with failure_context(r):
                 globals_[i] = server_aggregate(method, locals_[i], sizes / sizes.sum())
@@ -459,14 +444,18 @@ def run_experiment(
     Seeds run in passes of max(1, G // (methods x clients)) seeds, G =
     max(1, GROUP_PARAMS // P) being the training group size, so a narrow
     model runs every seed in one pass and a wide one a seed per pass. A
-    pass splits one ``build_data`` pair into its seeds' shards and frees
-    the pooled train set, trains all its (seed, method) lanes in one
-    ``train``, frees the train shards and scores seed by seed. A payload
-    records its pass's costs: ``wall_seconds``, ``train_s`` (inside
-    ``train``), ``score_s`` (scoring), ``personalize_s`` (the part inside
-    ``project``) and ``forwarded_posteriors`` (the posteriors forwarded on
-    the pooled test set). On a failure the pass replays its seeds one at a
-    time, so the first seed to fail alone raises, as in a seed-by-seed loop.
+    pass builds one ``build_data`` pair, partitions it into its seeds'
+    shard indices, trains all its (seed, method) lanes in one ``train`` on
+    the pooled train set, frees that set and scores seed by seed. Each pass
+    builds its own pair so that the train set can go before scoring: held
+    through scoring, it would set the peak memory of a wide run (README,
+    Performance). A payload records its pass's costs: ``wall_seconds``,
+    ``train_s`` (inside ``train``), ``score_s`` (scoring),
+    ``personalize_s`` (the part inside ``project``) and
+    ``forwarded_posteriors`` (the posteriors forwarded on the pooled test
+    set). On a failure in set-up or training the pass
+    replays its seeds one at a time, so the first seed to fail alone
+    raises, as in a seed-by-seed loop; a scoring failure names its seed.
     """
     out = []
     while len(out) < len(seeds):
@@ -477,35 +466,38 @@ def run_experiment(
 def _run_pass(cfg, seeds, methods):
     """run_experiment's entries for the leading seeds that one pass holds."""
     t0 = time.perf_counter()
-    k, lanes, globals_, test_sets, payloads = len(methods), [], [], [], []
+    k = len(methods)
     try:
-        pending = setups(cfg, seeds)
-        for seed, s in zip(seeds, pending):
-            sizes = [shard.n for shard in s.train_shards]
-            ess = float(np.mean(sizes))
-            spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess)
-            lanes += [(seed, method, s.train_shards) for method in methods]
-            globals_ += [start] * k
-            test_sets.append((s.test, s.test_idx))
-            counts = [shard.label_counts().tolist() for shard in s.train_shards]
+        with failure_context(0):
+            train_set, test = build_data(cfg)
+            spec, _, lrs = model_start(cfg, seeds[0], train_set, 1.0)  # the same for all seeds
+            per_seed = models.param_count(spec) * k * cfg.partition.n_clients
+            seeds = seeds[: max(1, GROUP_PARAMS // per_seed)]
+            splits = [partition_both(cfg, train_set, test, seed) for seed in seeds]
+        lanes, globals_, payloads = [], [], []
+        for seed, (train_idx, _) in zip(seeds, splits):
+            sizes = [len(idx) for idx in train_idx]
+            # one start per seed, held by globals_ alone and shared by its lanes
+            globals_ += [model_start(cfg, seed, train_set, float(np.mean(sizes)))[1]] * k
+            lanes += [(seed, method, train_idx) for method in methods]
+            counts = [np.bincount(train_set.labels[idx], minlength=train_set.classes).tolist()
+                      for idx in train_idx]
             payloads.append(dict(seed=seed, algorithm=cfg.federation.algorithm,
                                  client_sizes=sizes, client_label_counts=counts))
-            if len(payloads) == max(1, GROUP_PARAMS // (models.param_count(spec) * k * len(sizes))):
-                break
-        pending.close()  # frees the pooled train set
-        seeds = seeds[: len(payloads)]
-        del s, start  # globals_ alone holds each start, freed once round 1 replaces it
         t_train = time.perf_counter()
-        finals = train(cfg, lanes, spec, lrs, globals_)
+        finals = train(cfg, train_set, lanes, spec, lrs, globals_)
         train_s = time.perf_counter() - t_train
     except RunError:
         for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
             run_experiment(cfg, [seed], methods)
         raise
-    del lanes  # the train shards go before scoring
+    del train_set  # the pooled train set goes before scoring
     finals = [finals[i * k : (i + 1) * k] for i in range(len(seeds))]
     t_score = time.perf_counter()
-    scored = [_score(cfg, seed, spec, f, *t) for seed, f, t in zip(seeds, finals, test_sets)]
+    scored = []
+    for seed, f, (_, test_idx) in zip(seeds, finals, splits):
+        with failure_context(f"scoring, seed {seed}"):
+            scored.append(_score(cfg, seed, spec, f, test, test_idx))
     end = time.perf_counter()
     costs = dict(wall_seconds=end - t0, train_s=train_s, personalize_s=sum(c for _, _, c in scored),
                  score_s=end - t_score, forwarded_posteriors=sum(n for _, n, _ in scored))
@@ -595,10 +587,10 @@ def _stack(posteriors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _task_split(
-    cfg: ExperimentConfig, train: Dataset, test: Dataset, seed: int
+    cfg: ExperimentConfig, train: Dataset, test: Dataset
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Train and test indices of task A (classes below split_class) and
-    task B (the rest); a ``setups`` split that ignores the seed."""
+    task B (the rest); every seed shares them."""
     classes = train.classes
     split_class = cfg.incremental.split_class
     if split_class is None:
@@ -623,48 +615,55 @@ def incremental_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> list[dict]
     sequential training, then a barycentric model merge.
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
-    lower half), task B the rest. One ``setups`` call splits one data build
-    into the two tasks, which every seed shares. Seeds run in passes of
-    max(1, GROUP_PARAMS // P), as in ``run_experiment``: a pass trains task
-    A of its seeds as round 1, then task B from each posterior A as round
-    2, one ``_train_round`` each and all as client 0, and replays its seeds
-    one at a time if it fails. Each seed mixes A and B, trained as
-    ``federation.algorithm`` says (the command rejects FedAvg), with weights
-    (1-w, w) for each w of ``cfg.incremental.w_grid`` under the configured
-    aggregation, and scores the mixtures on each task test set in one
-    ``evaluate`` call.
+    lower half), task B the rest. One ``build_data`` pair is split once into
+    the two tasks' row indices, which every seed shares. Each task's test
+    rows are copied into a set of their own and forwarded alone, since a
+    row's predictive can differ in its last bits when it shares a forward
+    with other rows. Seeds run in passes of max(1,
+    GROUP_PARAMS // P), as in ``run_experiment``: a pass trains task A of
+    its seeds as round 1, then task B from each posterior A as round 2, one
+    ``_train_round`` each on the pooled train set and all as client 0, and
+    replays its seeds one at a time if it fails. Each seed mixes A and B,
+    trained as ``federation.algorithm`` says (the command rejects FedAvg),
+    with weights (1-w, w) for each w of ``cfg.incremental.w_grid`` under the
+    configured aggregation, and scores the mixtures on each task test set
+    in one ``evaluate`` call; a failure there names the seed.
     """
-    (s,) = setups(cfg, seeds[:1], _task_split)  # the split ignores the seed
-    tasks = (*s.train_shards, *(s.test.subset(i) for i in s.test_idx))
-    del s
+    with failure_context(0):
+        train_set, test = build_data(cfg)
+        train_idx, test_idx = _task_split(cfg, train_set, test)
+        tests = [test.subset(idx) for idx in test_idx]
+    del test  # the task test sets are copies
     out = []
     while len(out) < len(seeds):
-        out += _incremental_pass(cfg, seeds[len(out) :], tasks)
+        out += _incremental_pass(cfg, seeds[len(out) :], train_set, train_idx, tests)
     return [row for rows in out for row in rows]
 
 
-def _incremental_pass(cfg, seeds, tasks):
+def _incremental_pass(cfg, seeds, train_set, train_idx, tests):
     """incremental_sweep's rows, per seed, for the leading seeds one pass
-    holds, from the task pair ``(train_a, train_b, test_a, test_b)``."""
+    holds, from the pooled ``train_set`` with each task's rows
+    ``train_idx`` and the task test sets ``tests``."""
     method, w_grid, out = cfg.federation.aggregation, cfg.incremental.w_grid, []
-    train_a, train_b, test_a, test_b = tasks
+    ess = len(train_idx[0])  # task A's examples
     try:
-        spec, start, lrs = model_start(cfg, seeds[0], train_a, train_a.n)
+        spec, start, lrs = model_start(cfg, seeds[0], train_set, ess)
         seeds = seeds[: max(1, GROUP_PARAMS // models.param_count(spec))]
-        starts = [start] + [model_start(cfg, seed, train_a, train_a.n)[1] for seed in seeds[1:]]
-        lanes = [[(seed, method, [shard]) for seed in seeds] for shard in (train_a, train_b)]
-        posts_a = [p for ((p, _),) in _train_round(starts, lanes[0], cfg, lrs, spec, 1)]
-        posts_b = [p for ((p, _),) in _train_round(posts_a, lanes[1], cfg, lrs, spec, 2)]
+        starts = [start] + [model_start(cfg, seed, train_set, ess)[1] for seed in seeds[1:]]
+        lanes = [[(seed, method, [idx]) for seed in seeds] for idx in train_idx]
+        posts_a = [p for ((p, _),) in _train_round(starts, lanes[0], train_set, cfg, lrs, spec, 1)]
+        posts_b = [p for ((p, _),) in _train_round(posts_a, lanes[1], train_set, cfg, lrs, spec, 2)]
     except RunError:
         for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
             incremental_sweep(cfg, [seed])
         raise
     for seed, post_a, post_b in zip(seeds, posts_a, posts_b):
-        mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
-        stacks = [(m.mean[None], m.var[None]) for m in mixtures]
-        noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
-        on_a, on_b = ([whole for whole, in evaluate(spec, stacks, ds, noise, bins)]
-                      for ds in (test_a, test_b))
+        with failure_context(f"merge and scoring, seed {seed}"):
+            mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
+            stacks = [(m.mean[None], m.var[None]) for m in mixtures]
+            noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
+            on_a, on_b = ([whole for whole, in evaluate(spec, stacks, ds, noise, bins)]
+                          for ds in tests)
         out.append([  # one row per w, scored on task A (_a) and task B (_b)
             {"seed": seed, "w": float(w), **{f"{metric}_a": v for metric, v in a.items()},
              **{f"{metric}_b": v for metric, v in b.items()}}

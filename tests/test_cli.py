@@ -474,6 +474,7 @@ DIVERGING = {
     "optimizer": {"lr_initial": 1e6, "lr_final": 1e6, "h0": 1e-6, "weight_decay": 0},
     "federation": {"rounds": 3, "local_epochs": 3, "batch_size": 8},
 }
+SCORING_TOO_BIG = {"eval": {"mc_samples": 10**12}}
 REPEATED_SEEDS = "'seeds': expected a non-empty list of distinct non-negative integers"
 MISSING_IDX = {
     "kind": "idx",
@@ -561,6 +562,20 @@ MISSING_IDX = {
             1,
             "run failed at round 1, client 0: ",
         ),
+        # 10^12 draws of 51 or 60 parameters: more bytes than the address
+        # space, so the allocation fails at once and touches no memory
+        (
+            "run",
+            lambda tmp: SCORING_TOO_BIG,
+            1,
+            "run failed at scoring, seed 0: Unable to allocate",
+        ),
+        (
+            "incremental",
+            lambda tmp: SCORING_TOO_BIG,
+            1,
+            "run failed at merge and scoring, seed 0: Unable to allocate",
+        ),
     ],
     ids=[
         "run-missing-data", "run-diverging", "incremental-diverging",
@@ -569,7 +584,7 @@ MISSING_IDX = {
         "partition-missing-data", "sweep-lambda-fedavg", "sweep-lambda-diverging",
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
-        "compare-agg-diverging",
+        "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
     ],
 )
 def test_failure_is_one_stderr_line(tmp_path, capsys, command, over, code, message):
@@ -657,11 +672,11 @@ class TestErrors:
         client_update, partition_both = federation.client_update, federation.partition_both
         failing = {(0, 2), (1, 1)} if seed_1_fails == "round-1" else {(0, 2)}
 
-        def update(jobs, cfg, lrs, spec, round_index):
+        def update(jobs, train_set, cfg, lrs, spec, round_index):
             for _, _, k, seed in jobs:
                 if (seed, round_index) in failing:
                     raise RunError(round_index, k, ValueError(f"seed {seed} diverged"))
-            return client_update(jobs, cfg, lrs, spec, round_index)
+            return client_update(jobs, train_set, cfg, lrs, spec, round_index)
 
         def split(cfg, train, test, seed):
             if seed == 1 and seed_1_fails == "set-up":

@@ -45,7 +45,7 @@ class TestDataset:
         ds = synth_blobs(classes=3, dim=2, n_per_class=10, spread=0.1, seed=0)
         sub = ds.subset(np.array([0, 5, 6]))
         assert sub.n == 3
-        assert np.array_equal(ds.label_counts(), [10, 10, 10])
+        assert np.array_equal(np.bincount(ds.labels, minlength=ds.classes), [10, 10, 10])
 
 
 class TestSynthBlobs:
@@ -53,7 +53,7 @@ class TestSynthBlobs:
         ds = synth_blobs(classes=4, dim=3, n_per_class=25, spread=0.2, seed=1)
         assert ds.n == 100
         assert ds.dim == 3
-        assert np.array_equal(ds.label_counts(), [25, 25, 25, 25])
+        assert np.array_equal(np.bincount(ds.labels, minlength=ds.classes), [25, 25, 25, 25])
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
 
     def test_seed_determinism(self):
@@ -121,8 +121,8 @@ class TestSplit:
     def test_stratified_exact(self):
         ds = synth_blobs(classes=3, dim=2, n_per_class=40, spread=0.1, seed=2)
         tr, te = train_test_split(ds, test_fraction=0.25, seed=2)
-        assert np.array_equal(tr.label_counts(), [30, 30, 30])
-        assert np.array_equal(te.label_counts(), [10, 10, 10])
+        assert np.array_equal(np.bincount(tr.labels, minlength=tr.classes), [30, 30, 30])
+        assert np.array_equal(np.bincount(te.labels, minlength=te.classes), [10, 10, 10])
 
     def test_disjoint_cover(self):
         ds = synth_blobs(classes=2, dim=2, n_per_class=20, spread=0.1, seed=3)

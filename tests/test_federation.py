@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from baryfed import federation, models
+from baryfed import data, federation, models
 from baryfed.config import (
     DatasetCfg,
     EvalCfg,
@@ -35,7 +35,6 @@ from baryfed.federation import (
     model_start,
     partition_both,
     run_experiment,
-    setups,
     train,
 )
 from baryfed.checks import projection_path
@@ -89,16 +88,23 @@ def run_one(cfg, seed):
     return rows, rounds
 
 
+def split_one(cfg, seed):
+    """The pooled train and test sets and one seed's shard indices into
+    them, as a pass sets them up."""
+    train_set, test = build_data(cfg)
+    return (train_set, test, *partition_both(cfg, train_set, test, seed))
+
+
 def train_one(cfg, seed, methods=None):
     """The final posteriors and round records of the stages run_experiment
     composes, for one seed under ``methods`` (default: the configured
     aggregation)."""
-    (s,) = setups(cfg, [seed])
-    ess = float(np.mean([shard.n for shard in s.train_shards]))
-    spec, start, lrs = model_start(cfg, seed, s.train_shards[0], ess)
+    train_set, _, train_idx, _ = split_one(cfg, seed)
+    ess = float(np.mean([len(idx) for idx in train_idx]))
+    spec, start, lrs = model_start(cfg, seed, train_set, ess)
     methods = methods or (cfg.federation.aggregation,)
-    lanes = [(seed, method, s.train_shards) for method in methods]
-    return train(cfg, lanes, spec, lrs, [start] * len(methods))
+    lanes = [(seed, method, train_idx) for method in methods]
+    return train(cfg, train_set, lanes, spec, lrs, [start] * len(methods))
 
 
 class TestSeeds:
@@ -119,17 +125,17 @@ class TestSeeds:
 
 class TestBuildData:
     def test_fixed_across_master_seeds(self):
-        # master seeds only partition one train/test pair, built once
+        # master seeds only partition one train/test pair, built once: each
+        # seed's shards are index arrays that cover the pooled sets
         cfg = make_cfg()
         train, test = build_data(cfg)
         again, _ = build_data(cfg)
         assert np.array_equal(train.inputs, again.inputs)
-        a, b = setups(cfg, [0, 17])
-        assert a.test is b.test and a.n_train == b.n_train == train.n
-        for s in (a, b):
-            rows = np.concatenate([shard.inputs for shard in s.train_shards])
-            assert np.array_equal(np.unique(rows, axis=0), np.unique(train.inputs, axis=0))
-            assert np.array_equal(s.test.labels, test.labels)
+        a, b = (partition_both(cfg, train, test, seed) for seed in (0, 17))
+        for train_idx, test_idx in (a, b):
+            assert np.array_equal(np.sort(np.concatenate(train_idx)), np.arange(train.n))
+            assert np.array_equal(np.sort(np.concatenate(test_idx)), np.arange(test.n))
+        assert any(not np.array_equal(x, y) for x, y in zip(a[0], b[0]))
 
     def test_dataset_seed_changes_draw(self):
         a, _ = build_data(make_cfg())
@@ -461,14 +467,14 @@ class TestClientUpdate:
             federation=fed,
         )
         train, _ = build_data(cfg)
-        shard = train.subset(np.arange(0, train.n, 2))
+        idx = np.arange(0, train.n, 2)
         spec = model_start(cfg, 0, train, train.n)[0]
         theta0 = models.init_params(spec, 7)
         prior = h0_prior(theta0, cfg.optimizer, 50.0)
         lrs = [0.3, 0.2, 0.1]
-        ((post, trace),) = client_update([(prior, shard, 3, 5)], cfg, lrs, spec, 2)
+        ((post, trace),) = client_update([(prior, idx, 3, 5)], train, cfg, lrs, spec, 2)
         ref, ref_trace = forked_client_update(
-            prior, shard, cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
+            prior, train.subset(idx), cfg.optimizer, lrs, 16, client_rng(5, 2, 3), spec, frozen_var
         )
         assert np.array_equal(post.mean, ref.mean)
         assert np.array_equal(post.var, ref.var)
@@ -483,7 +489,8 @@ class TestClientUpdate:
         prior = h0_prior(theta0, cfg.optimizer, train.n)
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
             with np.errstate(all="ignore"):
-                client_update([(prior, train, 2, 0)], cfg, [1e6] * 3, spec, 4)
+                job = (prior, np.arange(train.n), 2, 0)
+                client_update([job], train, cfg, [1e6] * 3, spec, 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
 
     @pytest.mark.parametrize(
@@ -498,14 +505,15 @@ class TestClientUpdate:
         assert start.var.tobytes() == state.var[0].tobytes()
 
 
-def oracle_group(jobs, cfg, lrs, spec, round_index):
-    """forked_client_update on each job alone, with the job's own stream."""
+def oracle_group(jobs, train_set, cfg, lrs, spec, round_index):
+    """forked_client_update on each job alone, with the job's own stream and
+    its shard copied out of the pooled set."""
     return [
         forked_client_update(
-            prior, shard, cfg.optimizer, lrs, cfg.federation.batch_size,
+            prior, train_set.subset(idx), cfg.optimizer, lrs, cfg.federation.batch_size,
             client_rng(seed, round_index, k), spec, fedavg_var(cfg),
         )
-        for prior, shard, k, seed in jobs
+        for prior, idx, k, seed in jobs
     ]
 
 
@@ -533,8 +541,9 @@ def lockstep_groups(draw):
 
 def lockstep_case(case):
     """The client_update arguments of a ``lockstep_groups`` case: distinct
-    priors, shards of the given sizes, distinct client ids and two master
-    seeds, alternating between jobs."""
+    priors, shards of the given sizes as unsorted indices into the pooled
+    train set, distinct client ids and two master seeds, alternating
+    between jobs."""
     cfg = make_cfg(
         dataset=DatasetCfg(kind="synth", classes=3, dim=case["dim"], n_per_class=30, spread=0.5),
         model=ModelCfg(hidden=case["hidden"]),
@@ -550,14 +559,14 @@ def lockstep_case(case):
     rng = np.random.default_rng(case["seed"])
     train, _ = build_data(cfg)
     spec = model_start(cfg, 0, train, train.n)[0]
-    shards = [train.subset(rng.choice(train.n, size=n, replace=False)) for n in case["sizes"]]
+    shards = [rng.choice(train.n, size=n, replace=False) for n in case["sizes"]]
     priors = []
     for j in range(len(shards)):
         theta = models.init_params(spec, case["seed"] + j)
         priors.append(h0_prior(theta, cfg.optimizer, 20.0 + 7 * j))
     client_ids = rng.permutation(len(shards) + 3)[: len(shards)].tolist()
     seeds = [case["seed"] + j % 2 for j in range(len(shards))]
-    return list(zip(priors, shards, client_ids, seeds)), cfg, [0.3, 0.2, 0.1], spec, 2
+    return list(zip(priors, shards, client_ids, seeds)), train, cfg, [0.3, 0.2, 0.1], spec, 2
 
 
 class TestLockstep:
@@ -604,14 +613,14 @@ class TestLockstep:
         train, _ = build_data(cfg)
         spec, start, _ = model_start(cfg, 0, train, train.n)
         blown = DiagGaussian(mean=start.mean * 1e160, var=start.var)
-        small, big = train.subset(np.arange(30)), train.subset(np.arange(30, 90))
+        small, big = np.arange(30), np.arange(30, 90)
         lrs = [0.1, 0.1, math.inf]
 
         def failure(priors, shards, client_ids):
             with pytest.raises(RunError) as info:
                 with np.errstate(all="ignore"):
                     jobs = list(zip(priors, shards, client_ids, [0] * len(priors)))
-                    client_update(jobs, cfg, lrs, spec, 1)
+                    client_update(jobs, train, cfg, lrs, spec, 1)
             return info.value.client_id, str(info.value)
 
         alone_0 = failure([start], [small], [0])
@@ -627,18 +636,18 @@ class TestLockstep:
             partition=PartitionCfg(n_clients=5, beta=0.5, min_shard=3),
             federation=FederationCfg(rounds=2, local_epochs=2, batch_size=batch_size),
         )
-        (s,) = setups(cfg, [0])
+        train_set, _, train_idx, _ = split_one(cfg, 0)
         if batch_size == 7:
-            assert any(shard.n % 7 == 1 for shard in s.train_shards)  # a 1-row minibatch
+            assert any(len(idx) % 7 == 1 for idx in train_idx)  # a 1-row minibatch
         methods = TestForkedMethods.METHODS
 
         def finals(cap, threads):
             monkeypatch.setattr(federation, "GROUP_PARAMS", cap)
             fed = dataclasses.replace(cfg.federation, threads=threads)
             run_cfg = dataclasses.replace(cfg, federation=fed)
-            spec, start, lrs = model_start(run_cfg, 0, s.train_shards[0], 30.0)
-            lanes = [(0, method, s.train_shards) for method in methods]
-            out = train(run_cfg, lanes, spec, lrs, [start] * len(methods))
+            spec, start, lrs = model_start(run_cfg, 0, train_set, 30.0)
+            lanes = [(0, method, train_idx) for method in methods]
+            out = train(run_cfg, train_set, lanes, spec, lrs, [start] * len(methods))
             return [
                 (p.mean.tobytes(), p.var.tobytes(), [r["nll_traces"] for r in f["rounds"]])
                 for f in out
@@ -646,7 +655,7 @@ class TestLockstep:
             ]
 
         one_group = finals(1 << 16, 1)
-        p = models.param_count(model_start(cfg, 0, s.train_shards[0], 30.0)[0])
+        p = models.param_count(model_start(cfg, 0, train_set, 30.0)[0])
         assert one_group == finals(p, 1)  # one job per group
         assert one_group == finals(p, 3)
         assert one_group == finals(2 * p, 3)
@@ -738,10 +747,10 @@ class TestScoreOnce:
         monkeypatch.setattr(federation, "evaluate", counting)
         monkeypatch.setattr(models, "predict_proba_mc", forwarding)
         rows, rounds = run_one(cfg, 0)
-        (s,) = setups(cfg, [0])
+        _, test, _, test_idx = split_one(cfg, 0)
         for ds, groups in calls:
-            assert np.array_equal(ds.inputs, s.test.inputs)
-            assert [g.tolist() for g in groups] == [g.tolist() for g in s.test_idx]
+            assert np.array_equal(ds.inputs, test.inputs)
+            assert [g.tolist() for g in groups] == [g.tolist() for g in test_idx]
         assert len(set(forwarded)) == len(forwarded)
         assert rounds["forwarded_posteriors"] == len(forwarded)
         return rows, len(rounds["client_sizes"]), len(calls), len(forwarded)
@@ -849,13 +858,13 @@ class TestLiveness:
         local_refs = {}  # round -> weak references to its local posteriors
         alive_at_start = {}  # round -> previous round's locals still reachable
 
-        def tracking(jobs, cfg, lrs, spec, round_index):
+        def tracking(jobs, train_set, cfg, lrs, spec, round_index):
             if round_index not in local_refs:
                 gc.collect()
                 previous = local_refs.get(round_index - 1, [])
                 alive_at_start[round_index] = sum(ref() is not None for ref in previous)
                 local_refs[round_index] = []
-            results = client_update(jobs, cfg, lrs, spec, round_index)
+            results = client_update(jobs, train_set, cfg, lrs, spec, round_index)
             local_refs[round_index] += [weakref.ref(post) for post, _ in results]
             return results
 
@@ -883,6 +892,39 @@ class TestLiveness:
         run_experiment(cfg, [0], self.METHODS)
         assert len(rows) == 2
         assert alive_at_call == [0] * 12  # 3 methods x 4 clients
+
+
+class TestPooledTrainSet:
+    """Set-up and training read every client's rows from the one pooled
+    train set a pass builds: no shard is copied out of it."""
+
+    @pytest.mark.parametrize("methods", [TestLiveness.METHODS[:1], TestLiveness.METHODS],
+                             ids=["run", "compare-agg"])
+    def test_no_shard_copies(self, monkeypatch, methods):
+        pooled, copied, trained_on = [], [], []
+        build, subset, update = federation.build_data, data.Dataset.subset, client_update
+
+        def building(cfg):
+            pair = build(cfg)
+            pooled.append(pair[0])
+            return pair
+
+        def copying(ds, indices):
+            copied.append(ds)
+            return subset(ds, indices)
+
+        def updating(jobs, train_set, *args):
+            trained_on.append(train_set)
+            return update(jobs, train_set, *args)
+
+        monkeypatch.setattr(federation, "build_data", building)
+        monkeypatch.setattr(data.Dataset, "subset", copying)
+        monkeypatch.setattr(federation, "client_update", updating)
+        run_experiment(make_cfg(), [0, 1], methods)
+        (train_set,) = pooled  # one pass
+        assert len(trained_on) == make_cfg().federation.rounds
+        assert all(ds is train_set for ds in trained_on)
+        assert not any(ds is train_set for ds in copied)
 
 
 class TestScoreOracle:
@@ -919,8 +961,8 @@ class TestScoreOracle:
             monkeypatch.setattr(federation, "GROUP_PARAMS", p)
         (out,) = run_experiment(cfg, [0], methods)
         finals = train_one(cfg, 0, methods)
-        (s,) = setups(cfg, [0])
-        spec = model_start(cfg, 0, s.train_shards[0], 1.0)[0]
+        train_set, test, _, test_idx = split_one(cfg, 0)
+        spec = model_start(cfg, 0, train_set, 1.0)[0]
         noise = eval_noise(cfg, 0, spec)
         d, bins = cfg.personalization.divergence, cfg.eval.ece_bins
         lambdas = [None] if fed is self.FEDAVG else cfg.personalization.lambdas
@@ -936,13 +978,13 @@ class TestScoreOracle:
                 else:
                     mean, var = project(d, one(final["global"]), one(final["locals"][k]), [lam])
                     stack = (mean[0], var[0])
-                probs = predict_proba_mc(spec, [stack], s.test.inputs, noise)
+                probs = predict_proba_mc(spec, [stack], test.inputs, noise)
                 if row["setting"].endswith("GD"):
-                    ((ref,),) = metrics_of(probs, s.test.labels, bins)
-                    assert [[ref]] == evaluate(spec, [stack], s.test, noise, bins)
+                    ((ref,),) = metrics_of(probs, test.labels, bins)
+                    assert [[ref]] == evaluate(spec, [stack], test, noise, bins)
                 else:
-                    rows_k = s.test_idx[k]
-                    ((ref,),) = metrics_of(probs[:, rows_k], s.test.labels[rows_k], bins)
+                    rows_k = test_idx[k]
+                    ((ref,),) = metrics_of(probs[:, rows_k], test.labels[rows_k], bins)
                 assert {m: row[m] for m in ref} == ref, row
 
 
@@ -1017,9 +1059,9 @@ class TestIncrementalSweep:
         """The sweep's rows and the classes of each task's training set."""
         trained = []
 
-        def recording(jobs, *args):
-            trained.extend(np.unique(shard.labels).tolist() for _, shard, _, _ in jobs)
-            return client_update(jobs, *args)
+        def recording(jobs, train_set, *args):
+            trained.extend(np.unique(train_set.labels[idx]).tolist() for _, idx, _, _ in jobs)
+            return client_update(jobs, train_set, *args)
 
         monkeypatch.setattr(federation, "client_update", recording)
         return incremental_sweep(cfg, [0]), trained
@@ -1067,8 +1109,9 @@ class TestIncrementalSweep:
             incremental_sweep(self.small_cfg(w_grid=(0.5,), split_class=0), [0])
 
     def test_invalid_weight(self):
-        # a w the parser would reject still fails: 1 - w is a negative weight
-        with pytest.raises(ValueError, match="negative weight"):
+        # a w the parser would reject still fails: 1 - w is a negative
+        # weight, reported as a failure of the merge of that seed
+        with pytest.raises(RunError, match="^merge and scoring, seed 0: negative weight"):
             incremental_sweep(self.small_cfg(w_grid=(1.5,)), [0])
 
     def test_endpoint_specialization(self):
@@ -1113,11 +1156,11 @@ class TestIncrementalSweep:
         train_round = federation._train_round
         fails = {1: 1, 2: 0}  # per round, the seed whose job fails in it
 
-        def failing(broadcasts, lanes, cfg, lrs, spec, round_index):
+        def failing(broadcasts, lanes, train_set, cfg, lrs, spec, round_index):
             seeds = [seed for seed, _, _ in lanes]
             if fails[round_index] in seeds:
                 raise RunError(round_index, 0, ValueError(f"seeds {seeds}"))
-            return train_round(broadcasts, lanes, cfg, lrs, spec, round_index)
+            return train_round(broadcasts, lanes, train_set, cfg, lrs, spec, round_index)
 
         monkeypatch.setattr(federation, "_train_round", failing)
         with pytest.raises(RunError, match=r"^round 2, client 0: seeds \[0\]$"):
