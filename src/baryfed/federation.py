@@ -23,16 +23,18 @@ stages that every command composes:
   size, one (J, L', P) stack and one ``evaluate`` call per block.
 
 Training and scoring read one data representation: the pooled sets and
-each client's index arrays into them. No client's rows are copied out of
-a pooled set; only ``incremental_sweep`` scores each task's test rows as
-a set of their own.
+each client's (or task's) index arrays into them. No row is copied out of
+a pooled set.
 
 ``fedavg_var`` alone reads from the config whether clients train FedAvg.
 
-``run_experiment`` runs these stages over the seeds in passes and returns
-each seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
-payload, and ``incremental_sweep`` trains one round per task in such
-passes. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
+``_in_passes`` runs the seeds in passes for every command: it calls a
+pass on the seeds not yet done and, if the pass fails, replays them one
+at a time. ``run_experiment``'s passes run these stages and return each
+seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
+payload; ``incremental_sweep``'s train one round per task and score each
+seed's merges on the pooled test set, the tasks' test rows as its row
+groups. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
 and ``compare-agg`` only GM-GD. All four settings are scored even so:
 perfbench's coverage guard and tests/test_harness_contract.py require
 ``project`` calls on the compare-agg workload (one per seed at P = 51).
@@ -203,7 +205,7 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
     for lr in lrs:
         # each job's minibatches in order, as rows of the pooled set; the
         # padding after a job's rows only fills out the stacked batch
-        order = np.zeros((len(jobs), steps[0] * batch_size), dtype=np.int64)
+        order = np.zeros((len(jobs), sizes[0]), dtype=np.int64)
         for r, (rng, idx) in enumerate(zip(rngs, shards)):
             order[r, : len(idx)] = idx[rng.permutation(len(idx))]
         for t in range(steps[0]):
@@ -453,13 +455,27 @@ def run_experiment(
     ``train_s`` (inside ``train``), ``score_s`` (scoring),
     ``personalize_s`` (the part inside ``project``) and
     ``forwarded_posteriors`` (the posteriors forwarded on the pooled test
-    set). On a failure in set-up or training the pass
-    replays its seeds one at a time, so the first seed to fail alone
-    raises, as in a seed-by-seed loop; a scoring failure names its seed.
+    set). A failing pass is replayed one seed at a time (``_in_passes``),
+    so the first seed to fail alone raises, as in a seed-by-seed loop; a
+    scoring failure names its seed.
     """
+    return _in_passes(seeds, lambda rest: _run_pass(cfg, rest, methods))
+
+
+def _in_passes(seeds, run_pass):
+    """Every seed's entry, in order, from passes ``run_pass(rest)`` over the
+    seeds not yet done; a pass returns the entries of the leading seeds it
+    holds. A pass that raises RunError is replayed one seed at a time, so
+    the first seed to fail alone raises, as in a seed-by-seed loop."""
     out = []
     while len(out) < len(seeds):
-        out += _run_pass(cfg, seeds[len(out) :], methods)
+        try:
+            out += run_pass(seeds[len(out) :])
+        except RunError:
+            # the first to fail alone raises; if none does, the pass's error stands for the last
+            for seed in seeds[len(out) : -1]:
+                run_pass([seed])
+            raise
     return out
 
 
@@ -467,30 +483,25 @@ def _run_pass(cfg, seeds, methods):
     """run_experiment's entries for the leading seeds that one pass holds."""
     t0 = time.perf_counter()
     k = len(methods)
-    try:
-        with failure_context(0):
-            train_set, test = build_data(cfg)
-            spec, _, lrs = model_start(cfg, seeds[0], train_set, 1.0)  # the same for all seeds
-            per_seed = models.param_count(spec) * k * cfg.partition.n_clients
-            seeds = seeds[: max(1, GROUP_PARAMS // per_seed)]
-            splits = [partition_both(cfg, train_set, test, seed) for seed in seeds]
-        lanes, globals_, payloads = [], [], []
-        for seed, (train_idx, _) in zip(seeds, splits):
-            sizes = [len(idx) for idx in train_idx]
-            # one start per seed, held by globals_ alone and shared by its lanes
-            globals_ += [model_start(cfg, seed, train_set, float(np.mean(sizes)))[1]] * k
-            lanes += [(seed, method, train_idx) for method in methods]
-            counts = [np.bincount(train_set.labels[idx], minlength=train_set.classes).tolist()
-                      for idx in train_idx]
-            payloads.append(dict(seed=seed, algorithm=cfg.federation.algorithm,
-                                 client_sizes=sizes, client_label_counts=counts))
-        t_train = time.perf_counter()
-        finals = train(cfg, train_set, lanes, spec, lrs, globals_)
-        train_s = time.perf_counter() - t_train
-    except RunError:
-        for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
-            run_experiment(cfg, [seed], methods)
-        raise
+    with failure_context(0):
+        train_set, test = build_data(cfg)
+        spec, _, lrs = model_start(cfg, seeds[0], train_set, 1.0)  # the same for all seeds
+        per_seed = models.param_count(spec) * k * cfg.partition.n_clients
+        seeds = seeds[: max(1, GROUP_PARAMS // per_seed)]
+        splits = [partition_both(cfg, train_set, test, seed) for seed in seeds]
+    lanes, globals_, payloads = [], [], []
+    for seed, (train_idx, _) in zip(seeds, splits):
+        sizes = [len(idx) for idx in train_idx]
+        # one start per seed, held by globals_ alone and shared by its lanes
+        globals_ += [model_start(cfg, seed, train_set, float(np.mean(sizes)))[1]] * k
+        lanes += [(seed, method, train_idx) for method in methods]
+        counts = [np.bincount(train_set.labels[idx], minlength=train_set.classes).tolist()
+                  for idx in train_idx]
+        payloads.append(dict(seed=seed, algorithm=cfg.federation.algorithm,
+                             client_sizes=sizes, client_label_counts=counts))
+    t_train = time.perf_counter()
+    finals = train(cfg, train_set, lanes, spec, lrs, globals_)
+    train_s = time.perf_counter() - t_train
     del train_set  # the pooled train set goes before scoring
     finals = [finals[i * k : (i + 1) * k] for i in range(len(seeds))]
     t_score = time.perf_counter()
@@ -522,14 +533,13 @@ def _score(cfg, seed, spec, finals, test, test_idx):
     The first call scores the plain posteriors: every job's global one and,
     under FedAvg or with lambda = inf in the grid, its local one, each
     distinct posterior once (jobs share one where a round keeps the
-    methods' locals, or one client makes global and local the same), in
-    stacks of the training group size, max(1, GROUP_PARAMS // P), so that
-    a wide posterior is a one-row view and never copied. The (method,
-    client) jobs then go in blocks of that size: one ``project`` call per
-    block for the finite positive lambdas, and one ``evaluate`` call on the
-    block's (J, L', P) projection stack, so that one block's projections
-    are alive at a time. The rows at lambda = 0 and inf reuse the global
-    and local posteriors' scores.
+    methods' locals, or one client makes global and local the same), each
+    as a one-row view, never copied. The (method, client) jobs then go in
+    blocks of the training group size, max(1, GROUP_PARAMS // P): one
+    ``project`` call per block for the finite positive lambdas, and one
+    ``evaluate`` call on the block's (J, L', P) projection stack, so that
+    one block's projections are alive at a time. The rows at lambda = 0
+    and inf reuse the global and local posteriors' scores.
     """
     noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
     fedavg = fedavg_var(cfg) is not None
@@ -538,11 +548,10 @@ def _score(cfg, seed, spec, finals, test, test_idx):
     jobs = [(final["global"], p_k) for final in finals for p_k in final["locals"]]
     reads = 2 if fedavg or math.inf in lambdas else 1  # a job's global, then its local
     plain = {id(job[i]): job[i] for i in range(reads) for job in jobs}
-    size = max(1, GROUP_PARAMS // models.param_count(spec))
-    posts = list(plain.values())
-    stacks = [_stack(posts[i : i + size]) for i in range(0, len(posts), size)]
+    stacks = [(p.mean[None], p.var[None]) for p in plain.values()]
     # per scored posterior: its metrics on the pooled set, then on each shard
     scores = dict(zip(plain, evaluate(spec, stacks, test, noise, bins, test_idx)))
+    size = max(1, GROUP_PARAMS // models.param_count(spec))
     seconds = 0.0
     for lo in range(0, len(jobs), size) if inner else ():
         block = range(lo, min(lo + size, len(jobs)))
@@ -616,57 +625,47 @@ def incremental_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> list[dict]
 
     Task A holds classes below ``cfg.incremental.split_class`` (default: the
     lower half), task B the rest. One ``build_data`` pair is split once into
-    the two tasks' row indices, which every seed shares. Each task's test
-    rows are copied into a set of their own and forwarded alone, since a
-    row's predictive can differ in its last bits when it shares a forward
-    with other rows. Seeds run in passes of max(1,
-    GROUP_PARAMS // P), as in ``run_experiment``: a pass trains task A of
-    its seeds as round 1, then task B from each posterior A as round 2, one
-    ``_train_round`` each on the pooled train set and all as client 0, and
-    replays its seeds one at a time if it fails. Each seed mixes A and B,
+    the two tasks' row indices, which every seed shares. Seeds run in
+    passes of max(1, GROUP_PARAMS // P) through ``_in_passes``, as in
+    ``run_experiment``: a pass trains task A of its seeds as round 1, then
+    task B from each posterior A as round 2, one ``_train_round`` each on
+    the pooled train set and all as client 0. Each seed mixes A and B,
     trained as ``federation.algorithm`` says (the command rejects FedAvg),
     with weights (1-w, w) for each w of ``cfg.incremental.w_grid`` under the
-    configured aggregation, and scores the mixtures on each task test set
-    in one ``evaluate`` call; a failure there names the seed.
+    configured aggregation, and scores the mixtures in one ``evaluate``
+    call on the pooled test set, each task's test rows a group of it; a
+    failure there names the seed.
     """
     with failure_context(0):
         train_set, test = build_data(cfg)
         train_idx, test_idx = _task_split(cfg, train_set, test)
-        tests = [test.subset(idx) for idx in test_idx]
-    del test  # the task test sets are copies
-    out = []
-    while len(out) < len(seeds):
-        out += _incremental_pass(cfg, seeds[len(out) :], train_set, train_idx, tests)
+    out = _in_passes(
+        seeds, lambda rest: _incremental_pass(cfg, rest, train_set, train_idx, test, test_idx)
+    )
     return [row for rows in out for row in rows]
 
 
-def _incremental_pass(cfg, seeds, train_set, train_idx, tests):
+def _incremental_pass(cfg, seeds, train_set, train_idx, test, test_idx):
     """incremental_sweep's rows, per seed, for the leading seeds one pass
-    holds, from the pooled ``train_set`` with each task's rows
-    ``train_idx`` and the task test sets ``tests``."""
+    holds, from the pooled ``train_set`` and ``test`` sets with each task's
+    rows ``train_idx`` and ``test_idx`` of them."""
     method, w_grid, out = cfg.federation.aggregation, cfg.incremental.w_grid, []
     ess = len(train_idx[0])  # task A's examples
-    try:
-        spec, start, lrs = model_start(cfg, seeds[0], train_set, ess)
-        seeds = seeds[: max(1, GROUP_PARAMS // models.param_count(spec))]
-        starts = [start] + [model_start(cfg, seed, train_set, ess)[1] for seed in seeds[1:]]
-        lanes = [[(seed, method, [idx]) for seed in seeds] for idx in train_idx]
-        posts_a = [p for ((p, _),) in _train_round(starts, lanes[0], train_set, cfg, lrs, spec, 1)]
-        posts_b = [p for ((p, _),) in _train_round(posts_a, lanes[1], train_set, cfg, lrs, spec, 2)]
-    except RunError:
-        for seed in seeds[:-1]:  # if none of these fails alone, the last seed failed
-            incremental_sweep(cfg, [seed])
-        raise
+    spec, start, lrs = model_start(cfg, seeds[0], train_set, ess)
+    seeds = seeds[: max(1, GROUP_PARAMS // models.param_count(spec))]
+    starts = [start] + [model_start(cfg, seed, train_set, ess)[1] for seed in seeds[1:]]
+    lanes = [[(seed, method, [idx]) for seed in seeds] for idx in train_idx]
+    posts_a = [p for ((p, _),) in _train_round(starts, lanes[0], train_set, cfg, lrs, spec, 1)]
+    posts_b = [p for ((p, _),) in _train_round(posts_a, lanes[1], train_set, cfg, lrs, spec, 2)]
     for seed, post_a, post_b in zip(seeds, posts_a, posts_b):
         with failure_context(f"merge and scoring, seed {seed}"):
             mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
             stacks = [(m.mean[None], m.var[None]) for m in mixtures]
             noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
-            on_a, on_b = ([whole for whole, in evaluate(spec, stacks, ds, noise, bins)]
-                          for ds in tests)
+            scores = evaluate(spec, stacks, test, noise, bins, test_idx)
         out.append([  # one row per w, scored on task A (_a) and task B (_b)
             {"seed": seed, "w": float(w), **{f"{metric}_a": v for metric, v in a.items()},
              **{f"{metric}_b": v for metric, v in b.items()}}
-            for w, a, b in zip(w_grid, on_a, on_b)
+            for w, (_, a, b) in zip(w_grid, scores)
         ])
     return out

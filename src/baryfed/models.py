@@ -217,6 +217,7 @@ def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
     return [(lo, hi, int(counts[lo])) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
+@np.errstate(all="ignore")  # a non-finite row is a RowError, not a warning
 def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
     """Mean cross-entropy of each minibatch and its exact flat gradient.
 

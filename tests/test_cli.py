@@ -475,6 +475,7 @@ DIVERGING = {
     "federation": {"rounds": 3, "local_epochs": 3, "batch_size": 8},
 }
 SCORING_TOO_BIG = {"eval": {"mc_samples": 10**12}}
+OVERFLOWING = {"optimizer": {"lr_initial": 1e300, "lr_final": 0.1}}
 REPEATED_SEEDS = "'seeds': expected a non-empty list of distinct non-negative integers"
 MISSING_IDX = {
     "kind": "idx",
@@ -576,6 +577,13 @@ MISSING_IDX = {
             1,
             "run failed at merge and scoring, seed 0: Unable to allocate",
         ),
+        # overflows to inf in the first forward pass
+        (
+            "run",
+            lambda tmp: OVERFLOWING,
+            1,
+            "run failed at round 1, client 0: non-finite activation",
+        ),
     ],
     ids=[
         "run-missing-data", "run-diverging", "incremental-diverging",
@@ -585,16 +593,41 @@ MISSING_IDX = {
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
         "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
+        "run-overflowing",
     ],
 )
-def test_failure_is_one_stderr_line(tmp_path, capsys, command, over, code, message):
-    """Every failing command returns its exit code, prints one line, no traceback,
-    and writes no artifact."""
+def test_failure_is_one_stderr_line(tmp_path, capsys, recwarn, command, over, code, message):
+    """Every failing command returns its exit code, prints one line, no traceback
+    and no warning (which the command line prints to stderr), and writes no
+    artifact."""
     cfg = write_config(tmp_path, **over(tmp_path))
     assert main([command, cfg]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert message in err, err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("run", "scoring"), ("incremental", "merge and scoring")]
+)
+def test_scoring_failure_names_its_seed(tmp_path, capsys, monkeypatch, command, stage):
+    """Seeds 0 and 1 train in one pass and only seed 1 fails to score: the
+    failure names seed 1, as a seed-by-seed loop would."""
+    noise, scored = federation.eval_noise, []
+
+    def failing(cfg, seed, spec):
+        scored.append(seed)
+        if seed == 1:
+            raise MemoryError("no room for the draws")
+        return noise(cfg, seed, spec)
+
+    monkeypatch.setattr(federation, "eval_noise", failing)
+    assert main([command, write_config(tmp_path, seeds=[0, 1])]) == 1
+    assert capsys.readouterr().err == f"run failed at {stage}, seed 1: no room for the draws\n"
+    assert scored[:2] == [0, 1]  # one pass scored seed 0, then failed on seed 1
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
 

@@ -195,30 +195,70 @@ def passing(values, rule, path: str):
     return values.map(lambda v: ruled(rule, v, path)).filter(lambda v: v is not REJECTED)
 
 
-def field_values(spec, path: str):
-    """Values of one schema field as the parser stores them: a draw by type
-    (infinity only where the field allows it, tuples in drawn and in sorted
-    order, None for optional fields), then ``each`` and ``check`` as the
-    parser runs them (``dataset_sections`` adds the ``synth`` rules)."""
+def accepts(rule, value, path: str) -> bool:
+    return rule is None or ruled(rule, value, path) is not REJECTED
+
+
+# Floats are drawn from [-2, 50]; every float rule bounds its range at one
+# of these edges, so it accepts all of a segment between two edges or none.
+FLOAT_EDGES = (-2.0, 0.0, 1.0, 50.0)
+
+
+def scalar_values(kind, ok, inf: bool):
+    """The scalars of ``kind`` that the predicate ``ok`` accepts (None: any),
+    drawn from those only: ints in 0..40, floats in [-2, 50] (and infinity
+    if ``inf``), enum members, and WORDS (free text if ``ok`` is None); with
+    two distinct accepted values, in order, to probe a tuple's rule with."""
+    if kind is str and ok is None:  # free text would almost never pass a rule
+        return st.text(max_size=8), ("a", "b")
+    ok = ok or (lambda v: True)
+    if kind is float:
+        # a segment accepted at its midpoint is drawn whole, each end as ``ok`` says
+        segments = [(a, b) for a, b in zip(FLOAT_EDGES, FLOAT_EDGES[1:]) if ok((a + b) / 2)]
+        pieces = [
+            st.floats(a, b, exclude_min=not ok(a), exclude_max=not ok(b)) for a, b in segments
+        ]
+        infinite = [st.just(math.inf)] if inf and ok(math.inf) else []
+        a, b = segments[0]
+        return st.one_of(pieces + infinite), ((2 * a + b) / 3, (a + 2 * b) / 3)
+    if kind is bool:
+        candidates = [False, True]
+    else:
+        candidates = list(kind) if issubclass(kind, Enum) else WORDS if kind is str else range(41)
+    accepted = [v for v in candidates if ok(v)]
+    return st.sampled_from(accepted), accepted[:2]
+
+
+def field_values(spec, path: str, synth=None):
+    """Values of one schema field as the parser stores them, built to pass
+    its rules (and ``synth``, if given) rather than filtered through them:
+    a draw by type (infinity only where the field allows it, None for
+    optional fields); for a tuple, elements that pass ``each`` and pass
+    ``check`` alone, in the shape ``check`` accepts (non-empty, distinct,
+    sorted as it asks; else in drawn and in sorted order). ``each`` and
+    ``check`` then run as the parser runs them, which may normalize a
+    value (``dataset_sections`` passes the ``synth`` rules)."""
     kind, rules = spec.kind, spec.field.metadata
-    rule = rules.get("each" if spec.many else "check")
+    each, check = rules.get("each"), rules.get("check")
+    # per rule, whether it judges an element as a tuple of one
+    judges = [(r, alone) for r, alone in ((each, False), (check, spec.many), (synth, False)) if r]
+    ok = lambda v: all(accepts(r, (v,) if alone else v, path) for r, alone in judges)
     if spec.section:
         one = sections(kind, path)
-    elif issubclass(kind, Enum):
-        one = st.sampled_from(list(kind))
-    elif kind is float:
-        one = st.floats(0.0, 1.0) | st.floats(-2.0, 50.0)
-        one = one | st.just(math.inf) if rules.get("inf") else one
-    elif kind is str:  # free text would almost never pass a rule
-        words = [w for w in WORDS if rule and ruled(rule, w, path) is not REJECTED]
-        one = st.sampled_from(words) if rule else st.text(max_size=8)
     else:
-        one = st.booleans() if kind is bool else st.integers(0, 40)
+        one, probes = scalar_values(kind, ok if judges else None, rules.get("inf"))
     if spec.many:
-        one = passing(one, rule, path) if rule else one
-        one = st.lists(one, max_size=4) | st.lists(one, max_size=4, unique=True).map(sorted)
+        a, b = probes
+        one = passing(one, each, path) if each else one
+        size = dict(min_size=0 if accepts(check, (), path) else 1, max_size=4)
+        if not accepts(check, (b, a), path):
+            one = st.lists(one, unique=True, **size).map(sorted)
+        elif not accepts(check, (a, a), path):
+            one = st.lists(one, unique=True, **size)
+        else:
+            one = st.lists(one, **size) | st.lists(one, unique=True, **size).map(sorted)
         one = one.map(tuple)
-    one = passing(one, rules["check"], path) if "check" in rules else one
+    one = passing(one, check, path) if check else one
     return st.none() | one if spec.nullable else one
 
 
@@ -243,9 +283,8 @@ def dataset_sections(path: str):
             elif kind == "idx" and name in IDX_FILES:
                 one = st.text(min_size=1, max_size=8)
             else:
-                one = field_values(spec, at)
-                if kind == "synth" and "synth" in spec.field.metadata:
-                    one = passing(one, spec.field.metadata["synth"], at)
+                synth = spec.field.metadata.get("synth") if kind == "synth" else None
+                one = field_values(spec, at, synth)
             fields[name] = one
         return st.fixed_dictionaries(fields).map(lambda values: DatasetCfg(**values))
 

@@ -235,6 +235,16 @@ class TestRunExperiment:
         (a,), (b,) = train_one(make_cfg(), 0), train_one(make_cfg(), 1)
         assert not np.array_equal(a["global"].mean, b["global"].mean)
 
+    def test_batch_beyond_every_shard_is_full_batch(self):
+        # a batch larger than every shard is one full batch, however large
+        n_train = build_data(make_cfg())[0].n
+        full, huge = (
+            make_cfg(federation=FederationCfg(rounds=3, local_epochs=3, batch_size=b))
+            for b in (n_train, 10**15)
+        )
+        assert run_one(huge, 0)[0] == run_one(full, 0)[0]
+        assert incremental_sweep(huge, [0]) == incremental_sweep(full, [0])
+
     def test_run_error_tags_context(self):
         bad = make_cfg(
             dataset=DatasetCfg(
@@ -1083,7 +1093,8 @@ class TestIncrementalSweep:
         assert trained == [[0], [1, 2, 3]]
 
     def test_rows_equal_stacks_of_one(self, monkeypatch):
-        # each mixture's row is evaluate on it alone, as a stack of one
+        # each mixture's row is evaluate on it alone, as a stack of one, on
+        # the pooled test set with the two tasks' test rows as groups
         cfg = self.small_cfg(w_grid=(0.0, 0.3, 1.0))
         mixtures, calls = [], []
 
@@ -1091,17 +1102,22 @@ class TestIncrementalSweep:
             mixtures.append(aggregate(method, posteriors, weights))
             return mixtures[-1]
 
-        def scoring(spec, stacks, ds, noise, bins):
-            calls.append((spec, ds, noise, bins))
-            return evaluate(spec, stacks, ds, noise, bins)
+        def scoring(spec, stacks, ds, noise, bins, groups=()):
+            calls.append((spec, ds, noise, bins, groups))
+            return evaluate(spec, stacks, ds, noise, bins, groups)
 
         monkeypatch.setattr(federation, "aggregate", mixing)
         monkeypatch.setattr(federation, "evaluate", scoring)
         rows = incremental_sweep(cfg, [0])
-        assert len(calls) == 2 and len(mixtures) == len(rows) == 3
+        assert len(mixtures) == len(rows) == 3
+        ((spec, ds, noise, bins, groups),) = calls
+        _, test = build_data(cfg)
+        assert np.array_equal(ds.inputs, test.inputs) and np.array_equal(ds.labels, test.labels)
+        tasks = [np.flatnonzero(test.labels < 2), np.flatnonzero(test.labels >= 2)]
+        assert [g.tolist() for g in groups] == [t.tolist() for t in tasks]
         for row, mixture in zip(rows, mixtures):
-            for (spec, ds, noise, bins), task in zip(calls, "ab"):
-                ((ref,),) = evaluate(spec, [one(mixture)], ds, noise, bins)
+            (_, *refs) = evaluate(spec, [one(mixture)], test, noise, bins, groups)[0]
+            for ref, task in zip(refs, "ab"):
                 assert {m: row[f"{m}_{task}"] for m in ref} == ref
 
     def test_invalid_split(self):
