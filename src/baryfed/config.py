@@ -150,7 +150,7 @@ class PersonalizationCfg:
         metadata={
             "check": _rule(
                 lambda d: d is not Divergence.KL,
-                "forward kl admits no two-point pullback; use rkl or w2sq",
+                "the forward kl projection is not implemented; use rkl or w2sq",
             )
         },
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PartitionCfg
+from .config import ConfigError, PartitionCfg
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -198,7 +198,9 @@ def partition_with_draw(
 def train_test_split(
     ds: Dataset, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """Stratified split: the same fraction of every class goes to test."""
+    """Stratified split: the same fraction of every class goes to test, at
+    least one example of each. A split that leaves no training example is
+    a ConfigError on ``dataset.test_fraction``."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -212,4 +214,7 @@ def train_test_split(
     mask = np.ones(ds.n, dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
+    if train_idx.size == 0:
+        detail = f"holding out {test_fraction} of each class, at least 1, leaves no training row"
+        raise ConfigError("dataset.test_fraction", detail)
     return ds.subset(train_idx), ds.subset(test_idx)

@@ -237,17 +237,13 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
             for s in range(samples):
                 mean_loss += losses[s::samples] / samples
             nll[:active, t] = mean_loss
-        # steps never increases down the stack, so equal counts are runs
-        for lo, hi, n_steps in models._runs(steps):
-            for trace, mean in zip(traces[lo:hi], np.mean(nll[lo:hi, :n_steps], axis=1)):
-                trace.append(float(mean))
+        for trace, row, n_steps in zip(traces, nll, steps.tolist()):
+            trace.append(float(np.mean(row[:n_steps])))
 
     if deterministic:
-        posts = [DiagGaussian(mean=m.copy(), var=np.full(dim, frozen_var)) for m in state.mean]
-    else:
-        posts = posterior_of(state)
+        state.var[...] = frozen_var  # the local posterior carries FedAvg's frozen variance
     results = [None] * len(jobs)
-    for j, post, trace in zip(ranked, posts, traces):
+    for j, post, trace in zip(ranked, posterior_of(state), traces):
         results[j] = (post, trace)
     return results, None
 

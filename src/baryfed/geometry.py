@@ -177,10 +177,8 @@ def aggregate(
     method = AggregationMethod(method)
     if len(posteriors) == 0:
         raise ValueError("need at least one posterior")
-    dim = posteriors[0].dim
     for p in posteriors[1:]:
-        if p.dim != dim:
-            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
+        _check_same_dim(p, posteriors[0])
     w = _check_weights(len(posteriors), weights)
 
     keep = w > 0.0

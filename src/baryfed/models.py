@@ -9,8 +9,9 @@ unpack views the flat vector as per-layer (W, b) pairs.
 stacks in one pass instead of one call per posterior and draw.
 ``loss_and_grad`` takes a stack (K, P) with a ``Batch`` of K minibatches,
 so every client of a round computes its gradient in one call.
-``class_max``, ``class_argmax`` and ``class_sum`` reduce the class axis one
-whole column at a time, with the bits of NumPy's own reductions.
+``class_max`` and ``class_argmax`` reduce the class axis one whole column at
+a time, and so does ``class_sum`` below 8 classes; from 8 on it is NumPy's
+own sum. All three give the bits of NumPy's own reductions.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def forward(spec: MlpSpec, thetas: np.ndarray, inputs: np.ndarray) -> np.ndarray
 # NumPy reduces a short last axis one tiny run at a time, which dominates
 # when there are few classes; these class-axis kernels work on whole class
 # columns instead, one long strided loop per column, and give NumPy's bits.
+# A sum over 8 or more classes pays NumPy's pairwise blocks back, so
+# class_sum leaves it to NumPy.
 
 
 def class_max(x: np.ndarray) -> np.ndarray:
@@ -175,35 +178,15 @@ def class_argmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def class_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)`` bit for bit: NumPy's pairwise order,
-    starting from its identity 0.0."""
-    total = _pairwise(x, 0, x.shape[-1])
-    total += 0.0
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit. Below 8 classes NumPy's
+    pairwise sum is a plain loop from 0.0, which whole columns repeat; from
+    8 on it is NumPy's own sum."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1, keepdims=True)
+    total = x[..., :1] + 0.0
+    for c in range(1, x.shape[-1]):
+        total += x[..., c : c + 1]
     return total
-
-
-def _pairwise(x, lo, n):
-    """The sum of columns lo..lo+n-1 in the order of NumPy's pairwise_sum:
-    a plain loop from 0.0 below 8 columns; up to 128, 8 accumulators over
-    blocks of 8 columns, added as a tree, then the leftover columns; above
-    that, both halves (split at a multiple of 8) on their own."""
-    if n < 8:
-        total = x[..., lo : lo + 1] + 0.0
-        for c in range(lo + 1, lo + n):
-            total += x[..., c : c + 1]
-        return total
-    if n <= 128:
-        acc = x[..., lo : lo + 8].copy()
-        blocks = lo + n - n % 8
-        for c in range(lo + 8, blocks, 8):
-            acc += x[..., c : c + 8]
-        r = [acc[..., j : j + 1] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for c in range(blocks, lo + n):
-            total += x[..., c : c + 1]
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

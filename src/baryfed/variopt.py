@@ -4,9 +4,11 @@ The optimizer tracks a per-coordinate mean, Hessian estimate, and gradient
 momentum. The posterior variance is tied to the Hessian through
 var = 1/(N*(h + delta)) with N the effective sample size and delta the
 weight decay, so the covariance can be reconstructed from the Hessian and
-vice versa. Updates use a sampled-gradient second-order rule: a reparameterized
-per-coordinate Hessian estimate feeds an exponential moving average, and the
-mean moves along the momentum direction preconditioned by the Hessian.
+vice versa: ``ivon_restart`` inverts it for a whole stack of posteriors in
+one expression, rectified at 0 with one warning per restart. Updates use a
+sampled-gradient second-order rule: a reparameterized per-coordinate Hessian
+estimate feeds an exponential moving average, and the mean moves along the
+momentum direction preconditioned by the Hessian.
 
 A state is a stack (K, P) of K independent states, one per client of a
 round, each row with its own effective sample size and step count. Every
@@ -78,20 +80,28 @@ def ivon_restart(
 ) -> IvonState:
     """A stack of restarts, row k at ``posts[k]`` for ``esses[k]`` examples:
     its mean, the Hessian its variance implies under (ess, delta) or, with
-    ``frozen``, h0, and zero momentum and step count."""
+    ``frozen``, h0, and zero momentum and step count.
+
+    The implied Hessian inverts the variance relation, h = 1/(N*var) -
+    delta, for the whole stack at once, and is rectified at 0 with one
+    warning that counts the rectified coordinates of every row.
+    """
     mean = np.stack([post.mean for post in posts])
+    ess = np.array(esses, dtype=np.float64)[:, None]
     if frozen:
         hess = np.full(mean.shape, float(opt.h0))
     else:
-        hess = np.stack(
-            [hessian_of(post, ess, opt.weight_decay) for post, ess in zip(posts, esses)]
-        )
+        hess = 1.0 / (ess * np.stack([post.var for post in posts])) - opt.weight_decay
+        negative = int(np.count_nonzero(hess < 0.0))
+        if negative:
+            log.warning("hessian rectified at 0 for %d coordinate(s)", negative)
+            np.maximum(hess, 0.0, out=hess)
     return IvonState(
         mean=mean,
         hess=hess,
         grad_momentum=np.zeros(mean.shape),
         opt=opt,
-        ess=np.array(esses, dtype=np.float64)[:, None],
+        ess=ess,
         step_count=np.zeros(len(posts), dtype=np.int64),
     )
 
@@ -99,17 +109,6 @@ def ivon_restart(
 def posterior_of(state: IvonState) -> list[DiagGaussian]:
     """The posterior each row implies, in arrays of its own."""
     return [DiagGaussian(mean=m.copy(), var=v.copy()) for m, v in zip(state.mean, state.var)]
-
-
-def hessian_of(post: DiagGaussian, ess: float, delta: float) -> np.ndarray:
-    """Invert the variance relation: h = 1/(N*var) - delta, rectified at 0."""
-    h = 1.0 / (ess * post.var) - delta
-    if np.any(h < 0.0):
-        log.warning(
-            "hessian rectified at 0 for %d coordinate(s)", int(np.sum(h < 0.0))
-        )
-        h = np.maximum(h, 0.0)
-    return h
 
 
 def sample_params(state: IvonState, rngs, out: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from baryfed.geometry import (
 )
 from baryfed.models import Batch, MlpSpec, init_params, loss_and_grad
 from baryfed.variopt import (
-    hessian_of,
     ivon_restart,
     ivon_step,
     linear_lr,
@@ -188,9 +187,10 @@ def test_criterion_04_variance_duality():
         n = int(rng.integers(10, 100000))
         h = float(rng.uniform(0.01, 50.0))
         delta = float(rng.uniform(1e-6, 1e-2))
-        (post,) = posterior_of(fresh_state(3, OptimizerCfg(weight_decay=delta, h0=h), n))
+        opt = OptimizerCfg(weight_decay=delta, h0=h)
+        (post,) = posterior_of(fresh_state(3, opt, n))
         assert np.allclose(post.var, 1.0 / (n * (h + delta)), rtol=1e-12)
-        assert np.allclose(hessian_of(post, n, delta), h, rtol=1e-12)
+        assert np.allclose(ivon_restart([post], opt, [n]).hess[0], h, rtol=1e-12)
 
     pinned = fresh_state(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
     assert posterior_of(pinned)[0].var[0] == pytest.approx(1.99992e-4, rel=1e-5)

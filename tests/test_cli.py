@@ -476,6 +476,7 @@ DIVERGING = {
 }
 SCORING_TOO_BIG = {"eval": {"mc_samples": 10**12}}
 OVERFLOWING = {"optimizer": {"lr_initial": 1e300, "lr_final": 0.1}}
+EMPTY_TRAIN = "config field 'dataset.test_fraction': "
 REPEATED_SEEDS = "'seeds': expected a non-empty list of distinct non-negative integers"
 MISSING_IDX = {
     "kind": "idx",
@@ -584,6 +585,31 @@ MISSING_IDX = {
             1,
             "run failed at round 1, client 0: non-finite activation",
         ),
+        # the split holds out at least one example of each class, here every one
+        (
+            "run",
+            lambda tmp: {"dataset": {**BASE_CONFIG["dataset"], "n_per_class": 1}},
+            2,
+            EMPTY_TRAIN,
+        ),
+        (
+            "partition",
+            lambda tmp: {
+                "dataset": {**BASE_CONFIG["dataset"], "n_per_class": 2, "test_fraction": 0.75}
+            },
+            2,
+            EMPTY_TRAIN,
+        ),
+        (
+            "incremental",
+            lambda tmp: {
+                "dataset": {
+                    **BASE_CONFIG["dataset"], "classes": 4, "n_per_class": 3, "test_fraction": 0.9
+                }
+            },
+            2,
+            EMPTY_TRAIN,
+        ),
     ],
     ids=[
         "run-missing-data", "run-diverging", "incremental-diverging",
@@ -593,7 +619,8 @@ MISSING_IDX = {
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
         "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
-        "run-overflowing",
+        "run-overflowing", "run-no-train-row", "partition-no-train-row",
+        "incremental-no-train-row",
     ],
 )
 def test_failure_is_one_stderr_line(tmp_path, capsys, recwarn, command, over, code, message):

@@ -119,8 +119,9 @@ class TestLambdas:
             parse_config(with_section("personalization", {"lambdas": ["infinite"]}))
 
     def test_forward_kl_rejected(self):
-        with pytest.raises(ConfigError, match="rkl or w2sq"):
+        with pytest.raises(ConfigError, match="rkl or w2sq") as info:
             parse_config(with_section("personalization", {"divergence": "kl"}))
+        assert "forward kl projection is not implemented" in str(info.value)
 
     def test_divergence_case_insensitive(self):
         cfg = parse_config(with_section("personalization", {"divergence": "RKL"}))

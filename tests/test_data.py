@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,24 +84,23 @@ class TestIdxLoader:
 
     def test_bad_magic(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
-        raw = bytearray(open(img, "rb").read())
+        raw = bytearray(Path(img).read_bytes())
         raw[3] = 0x99
-        open(img, "wb").write(bytes(raw))
+        Path(img).write_bytes(bytes(raw))
         with pytest.raises(IdxFormatError) as err:
             load_idx(img, lab)
         assert err.value.code == "idx-bad-magic"
 
     def test_truncated_payload(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
-        raw = open(img, "rb").read()
-        open(img, "wb").write(raw[:-3])
+        Path(img).write_bytes(Path(img).read_bytes()[:-3])
         with pytest.raises(IdxFormatError) as err:
             load_idx(img, lab)
         assert err.value.code == "idx-truncated"
 
     def test_truncated_header(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
-        open(img, "wb").write(b"\x00\x00\x08")
+        Path(img).write_bytes(b"\x00\x00\x08")
         with pytest.raises(IdxFormatError) as err:
             load_idx(img, lab)
         assert err.value.code == "idx-truncated"

@@ -7,7 +7,6 @@ from baryfed.geometry import DiagGaussian, kl_gaussian
 from baryfed.models import RowError
 from baryfed.variopt import (
     IvonState,
-    hessian_of,
     ivon_restart,
     ivon_step,
     linear_lr,
@@ -49,7 +48,7 @@ class TestDuality:
             d = float(rng.uniform(1e-6, 1e-2))
             (post,) = posterior_of(fresh(4, weight_decay=d, h0=h, ess=n))
             assert np.allclose(post.var, 1.0 / (n * (h + d)), rtol=1e-12)
-            back = hessian_of(post, n, d)
+            back = ivon_restart([post], OptimizerCfg(weight_decay=d), [n]).hess[0]
             assert np.allclose(back, h, rtol=1e-12)
 
     def test_pinned_substitution(self):
@@ -59,9 +58,27 @@ class TestDuality:
     def test_rectification_logs(self, caplog):
         post = DiagGaussian(mean=np.zeros(2), var=np.array([1.0, 1e6]))
         with caplog.at_level("WARNING"):
-            h = hessian_of(post, 10, 0.5)
+            h = ivon_restart([post], OptimizerCfg(weight_decay=0.5), [10]).hess[0]
         assert h[1] == 0.0
         assert any("rectified" in r.message for r in caplog.records)
+
+    def test_stacked_restart_rectifies_once(self, caplog):
+        """A restarted stack inverts each row's variance under its own
+        effective sample size, bit for bit, and one warning counts the
+        rectified coordinates of every row."""
+        delta, esses = 0.01, [10.0, 40.0, 7.0]
+        posts = [
+            DiagGaussian(mean=np.zeros(3), var=np.array(var))
+            for var in ([1e-3, 20.0, 2e-3], [1e-3, 2e-3, 3e-3], [50.0, 1e-2, 90.0])
+        ]
+        with caplog.at_level("WARNING"):
+            st = ivon_restart(posts, OptimizerCfg(weight_decay=delta), esses)
+        for row, post, n in zip(st.hess, posts, esses):
+            expect = np.maximum(1.0 / (n * post.var) - delta, 0.0)
+            assert row.tobytes() == expect.tobytes()
+        assert (st.hess == 0.0).sum(axis=1).tolist() == [1, 0, 2]
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warnings] == ["hessian rectified at 0 for 3 coordinate(s)"]
 
 
 class TestStep:
@@ -162,7 +179,7 @@ class TestStep:
         post = DiagGaussian(mean=np.array([0.5, -1.0]), var=np.array([1e-3, 2e-3]))
         st = ivon_restart([post], OptimizerCfg(weight_decay=0.01), [40])
         assert np.array_equal(st.mean[0], post.mean) and st.step_count.tolist() == [0]
-        assert np.array_equal(st.hess[0], hessian_of(post, 40, 0.01))
+        assert np.array_equal(st.hess[0], 1.0 / (40 * post.var) - 0.01)
         assert np.allclose(posterior_of(st)[0].var, post.var, rtol=1e-12)
 
 
