@@ -6,6 +6,13 @@ projection against a derivative-free constrained oracle
 (``projection_oracle_error``), and monotone divergences along the lambda path
 (``geodesic_monotonicity``). In one dimension brute force is exact enough to
 serve as ground truth.
+
+Both brute-force searches score candidates with one elementwise function,
+``divergence``, written from the divergences' definitions alone: the
+oracle's sphere constraint and objective, and the W2B and RKLB grid
+objectives. The oracle solves each candidate mean's best sd by bisection
+on that function, with no closed form that could share an error with
+:mod:`baryfed.geometry`.
 """
 
 from __future__ import annotations
@@ -36,37 +43,16 @@ def random_instance(rng: np.random.Generator) -> tuple[DiagGaussian, DiagGaussia
     )
 
 
-def _feasible_var_window(mus, vk_mu_cost, v_ref, radius):
-    """Per-mu variance interval where the KL-family constraint holds.
-
-    For fixed mu the constraint c(v) = vk_mu_cost + (v/v_ref - ln(v/v_ref)
-    - 1)/2 is unimodal in v with its minimum at v = v_ref, so each side of
-    the interval is found by bisection. Infeasible mus get an empty window
-    (lo > hi).
-    """
-    slack = radius - vk_mu_cost
-    feasible = slack >= 0.0
-    # z - ln z - 1 = 2*slack in z = v/v_ref; bracket the two roots
-    z_hi0 = np.full_like(mus, 2.0 + 4.0 * max(radius, 1e-30))
-    z_lo0 = np.full_like(mus, math.exp(-(1.0 + 2.0 * max(radius, 1e-30))))
-
-    def g(z):
-        return 0.5 * (z - np.log(z) - 1.0)
-
-    lo_a, lo_b = z_lo0, np.ones_like(mus)
-    hi_a, hi_b = np.ones_like(mus), z_hi0
-    for _ in range(80):
-        mid = 0.5 * (lo_a + lo_b)
-        too_high = g(mid) > slack
-        lo_a = np.where(too_high, mid, lo_a)
-        lo_b = np.where(too_high, lo_b, mid)
-        mid = 0.5 * (hi_a + hi_b)
-        too_high = g(mid) > slack
-        hi_b = np.where(too_high, mid, hi_b)
-        hi_a = np.where(too_high, hi_a, mid)
-    v_lo = np.where(feasible, lo_b * v_ref, np.inf)
-    v_hi = np.where(feasible, hi_a * v_ref, -np.inf)
-    return v_lo, v_hi
+def divergence(d: Divergence, mu, sd, ref: DiagGaussian) -> np.ndarray:
+    """D(N(mu, sd^2) || ref) elementwise over arrays of candidate means and
+    sds, for a 1-D reference: the candidate is scored against the reference,
+    as ``projection_divergence`` does. W2SQ is the squared Wasserstein-2
+    distance; the KL family is the mode-seeking KL(candidate || ref)."""
+    ref_mu, ref_var = float(ref.mean[0]), float(ref.var[0])
+    if d is Divergence.W2SQ:
+        return (mu - ref_mu) ** 2 + (sd - math.sqrt(ref_var)) ** 2
+    ratio = sd**2 / ref_var
+    return 0.5 * (ratio - np.log(ratio) - 1.0) + 0.5 * (mu - ref_mu) ** 2 / ref_var
 
 
 def _reduced_objective(
@@ -74,34 +60,26 @@ def _reduced_objective(
 ):
     """Objective minimized exactly over sigma for every candidate mu.
 
-    The sphere constraint pins sigma to an interval per mu (solved in closed
-    form for W2SQ, by bisection for the KL family), and the objective is
-    unimodal in sigma with a known unconstrained minimizer, so clipping that
-    minimizer into the interval is exact. Returns (values, sds); infeasible
-    mus carry +inf.
+    For fixed mu the constraint D(. || p_k) <= radius holds on a sigma
+    interval around p_k's sd, and the objective D(. || p_g) is unimodal in
+    sigma with its minimum at p_g's sd. So the best feasible sigma is p_g's
+    sd if that is feasible, and otherwise the sphere point between the two
+    sds, which a bisection of [sd_k, sd_g] finds: it keeps a feasible and an
+    infeasible end and halves until the bracket stops shrinking. Returns
+    (values, sds); infeasible mus carry +inf.
     """
-    mg, vg = float(p_g.mean[0]), float(p_g.var[0])
-    mk, vk = float(p_k.mean[0]), float(p_k.var[0])
-    if d is Divergence.W2SQ:
-        sk = math.sqrt(vk)
-        sg = math.sqrt(vg)
-        gap = radius - (mus - mk) ** 2
-        feasible = gap >= 0.0
-        half = np.sqrt(np.maximum(gap, 0.0))
-        sd_lo = np.maximum(sk - half, 0.0)
-        sd_hi = sk + half
-        sd = np.clip(sg, sd_lo, sd_hi)
-        value = (mus - mg) ** 2 + (sd - sg) ** 2
-        return np.where(feasible, value, np.inf), sd
-    # KL family: constraint KL(cand || p_k) <= radius, objective KL(cand || p_g)
-    mu_cost_k = 0.5 * (mus - mk) ** 2 / vk
-    v_lo, v_hi = _feasible_var_window(mus, mu_cost_k, vk, radius)
-    v = np.clip(vg, v_lo, v_hi)
-    feasible = v_lo <= v_hi
-    v_safe = np.where(feasible, v, vg)
-    ratio = v_safe / vg
-    value = 0.5 * (ratio - np.log(ratio) - 1.0) + 0.5 * (mus - mg) ** 2 / vg
-    return np.where(feasible, value, np.inf), np.sqrt(v_safe)
+    sd_k, sd_g = float(p_k.std[0]), float(p_g.std[0])
+    feasible = divergence(d, mus, sd_k, p_k) <= radius
+    inside = np.where(divergence(d, mus, sd_g, p_k) <= radius, sd_g, sd_k)
+    outside = np.full_like(mus, sd_g)
+    while True:
+        mid = 0.5 * (inside + outside)
+        if ((mid == inside) | (mid == outside)).all():
+            break
+        ok = divergence(d, mus, mid, p_k) <= radius
+        inside = np.where(ok, mid, inside)
+        outside = np.where(ok, outside, mid)
+    return np.where(feasible, divergence(d, mus, inside, p_g), np.inf), inside
 
 
 def numeric_projection_oracle(
@@ -159,17 +137,11 @@ def barycenter_objective(
     """
     total = np.zeros_like(cand_mu)
     for post, w in zip(posts, weights):
-        mu_k = float(post.mean[0])
-        sd_k = float(post.std[0])
         if method is AggregationMethod.EAA:
-            term = (cand_mu - mu_k) ** 2 + (cand_sd**2 - sd_k**2) ** 2
-        elif method is AggregationMethod.W2B:
-            term = (cand_mu - mu_k) ** 2 + (cand_sd - sd_k) ** 2
+            term = (cand_mu - post.mean[0]) ** 2 + (cand_sd**2 - post.var[0]) ** 2
         else:
-            var_k, cand_var = sd_k**2, cand_sd**2
-            term = 0.5 * (
-                cand_var / var_k + (cand_mu - mu_k) ** 2 / var_k - 1.0 + np.log(var_k / cand_var)
-            )
+            d = Divergence.W2SQ if method is AggregationMethod.W2B else Divergence.RKL
+            term = divergence(d, cand_mu, cand_sd, post)
         total += w * term
     return total
 

@@ -162,7 +162,10 @@ class PersonalizationCfg:
 @dataclass(frozen=True)
 class EvalCfg:
     mc_samples: int = field(default=10, metadata={"check": POSITIVE})
-    ece_bins: int = field(default=15, metadata={"check": POSITIVE})
+    # metrics_of keys each bin by an int64
+    ece_bins: int = field(
+        default=15, metadata={"check": _rule(lambda v: 0 < v <= 2**62, "must lie in [1, 2**62]")}
+    )
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ def synth_blobs(n_per_class: int, classes: int, dim: int, spread: float, seed: i
     """Balanced Gaussian clusters at seeded random centers, scaled to [0, 1].
 
     ``spread`` is the cluster standard deviation relative to the unit cube the
-    centers are drawn from; smaller values give more separable classes.
+    centers are drawn from; smaller values give more separable classes. A
+    spread so large that the features overflow is a ConfigError on
+    ``dataset.spread``.
     """
     if n_per_class < 1 or classes < 2 or dim < 1:
         raise ValueError("n_per_class >= 1, classes >= 2, dim >= 1 required")
@@ -128,15 +130,17 @@ def synth_blobs(n_per_class: int, classes: int, dim: int, spread: float, seed: i
         raise ValueError("spread must be > 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, 1.0, size=(classes, dim))
-    inputs = np.repeat(centers, n_per_class, axis=0) + spread * rng.standard_normal(
-        (classes * n_per_class, dim)
-    )
+    with np.errstate(all="ignore"):  # an overflow is the ConfigError below
+        inputs = np.repeat(centers, n_per_class, axis=0) + spread * rng.standard_normal(
+            (classes * n_per_class, dim)
+        )
+        lo = inputs.min(axis=0)
+        span = inputs.max(axis=0) - lo
+        span[span == 0.0] = 1.0
+        inputs = (inputs - lo) / span
+    if not np.isfinite(inputs).all():
+        raise ConfigError("dataset.spread", f"{spread} overflows the features")
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
-
-    lo = inputs.min(axis=0)
-    span = inputs.max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    inputs = (inputs - lo) / span
     return Dataset(inputs=inputs, labels=labels, classes=classes)
 
 

@@ -413,15 +413,19 @@ def train(
         locals_ = [[p for p, _ in own] for own in trained]
         traces = [[trace for _, trace in own] for own in trained]
         del trained
-        for i, (_, method, train_idx) in enumerate(lanes):
-            sizes = np.array([len(idx) for idx in train_idx], dtype=np.float64)
-            t_agg = time.perf_counter()
-            with failure_context(r):
-                globals_[i] = server_aggregate(method, locals_[i], sizes / sizes.sum())
-            agg_seconds = time.perf_counter() - t_agg
-            divergences = [float(projection_divergence(div, p, globals_[i])) for p in locals_[i]]
-            rounds[i].append(dict(round=r, nll_traces=traces[i], divergences=divergences,
-                                  agg_seconds=agg_seconds))
+        # an overflowing divergence reads inf, and a non-finite aggregate
+        # fails its round: neither warns
+        with np.errstate(all="ignore"):
+            for i, (_, method, train_idx) in enumerate(lanes):
+                sizes = np.array([len(idx) for idx in train_idx], dtype=np.float64)
+                t_agg = time.perf_counter()
+                with failure_context(r):
+                    globals_[i] = server_aggregate(method, locals_[i], sizes / sizes.sum())
+                agg_seconds = time.perf_counter() - t_agg
+                divergences = [float(projection_divergence(div, p, globals_[i]))
+                               for p in locals_[i]]
+                rounds[i].append(dict(round=r, nll_traces=traces[i], divergences=divergences,
+                                      agg_seconds=agg_seconds))
     return [
         {"method": method, "global": g, "locals": loc, "rounds": rec}
         for (_, method, _), g, loc, rec in zip(lanes, globals_, locals_, rounds)

@@ -1,13 +1,16 @@
 """Divergences, barycenters, and projections on the diagonal-Gaussian manifold.
 
 Every distribution here is a Gaussian with independent coordinates, stored as
-a mean vector and a per-coordinate variance vector. Three divergences are
-supported (forward KL, reverse KL, squared Wasserstein-2), and three weighted
-aggregation rules (arithmetic averaging of statistics, Wasserstein-2
-barycenter, reverse-KL barycenter). Personalization is the projection of a
-global posterior onto a divergence sphere around a local posterior, computed
-in closed form as a two-point weighted barycenter with weights 1/(lambda+1)
-and lambda/(lambda+1). ``project`` takes (J, P) stacks of (global, local)
+a mean vector and a per-coordinate variance vector. Two divergences are
+supported, reverse KL (the mode-seeking KL(q || p) of a candidate q from a
+reference p) and squared Wasserstein-2, and three weighted aggregation rules
+(arithmetic averaging of statistics, Wasserstein-2 barycenter, reverse-KL
+barycenter). ``Divergence.KL`` (forward KL) is named but not supported: the
+config and ``project`` reject it, and ``projection_divergence`` scores it as
+reverse KL. Personalization is the projection of a global posterior onto a
+divergence sphere around a local posterior, computed in closed form as a
+two-point weighted barycenter with weights 1/(lambda+1) and
+lambda/(lambda+1). ``project`` takes (J, P) stacks of (global, local)
 pairs and a whole lambda grid, and makes one stacked (J, L', P) barycenter
 with ``aggregate``'s formulas, in the same order of operations.
 

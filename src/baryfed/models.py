@@ -263,6 +263,7 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
     return losses, grads
 
 
+@np.errstate(all="ignore")  # a non-finite predictive is a ValueError, not a warning
 def predict_proba_mc(spec: MlpSpec, stacks, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Class probabilities (M, n, C) of M posteriors, each averaged over the
     draws mean + sqrt(var) * noise[s].
@@ -277,7 +278,9 @@ def predict_proba_mc(spec: MlpSpec, stacks, inputs: np.ndarray, noise: np.ndarra
     standard deviations held in the slot of the first draw. A posterior's S
     draws are never split, so when S * P alone exceeds the budget a chunk
     holds one posterior. Every (n, C) slice is bit-identical to drawing and
-    summing that posterior's S forward passes one at a time.
+    summing that posterior's S forward passes one at a time. Raises
+    ValueError if any probability is non-finite, as an overflowing forward
+    pass makes it.
     """
     noise = np.asarray(noise, dtype=np.float64)
     dim = param_count(spec)
@@ -309,4 +312,6 @@ def predict_proba_mc(spec: MlpSpec, stacks, inputs: np.ndarray, noise: np.ndarra
                 draws = np.exp(_log_softmax(forward(spec, buffer[:filled], inputs)))
                 probs[done : done + filled] = draws.sum(axis=1) / samples
                 done, filled = done + filled, 0
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite predictive probabilities")
     return probs

@@ -256,6 +256,17 @@ class TestPartition:
         assert all(s["test_size"] >= 1 for s in doc["shards"])
         assert all(len(s["label_counts"]) == 3 for s in doc["shards"])
 
+    @pytest.mark.parametrize("limit, kept", [(45, 45), (60, 60), (1000, 60)])
+    def test_idx_limit(self, tmp_path, limit, kept):
+        # the first min(n, limit) rows of each 60-row file, each in one shard
+        dataset = {**idx_dataset(tmp_path, [0, 1, 2] * 20, [0, 1, 2] * 20), "limit": limit}
+        assert main(["partition", write_config(tmp_path, dataset=dataset)]) == 0
+        doc = json.loads((tmp_path / "out" / "shards_0.json").read_text())
+        assert (doc["n_train"], doc["n_test"]) == (kept, kept)
+        for part in ("train", "test"):
+            rows = sorted(i for s in doc["shards"] for i in s[f"{part}_indices"])
+            assert rows == list(range(kept))
+
     def test_shards_match_run(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1])
         assert main(["partition", cfg, "--out-dir", str(tmp_path / "partition")]) == 0
@@ -476,6 +487,13 @@ DIVERGING = {
 }
 SCORING_TOO_BIG = {"eval": {"mc_samples": 10**12}}
 OVERFLOWING = {"optimizer": {"lr_initial": 1e300, "lr_final": 0.1}}
+# trains to finite posteriors whose predictive overflows
+OVERFLOWING_PREDICTIVE = {
+    "optimizer": {"lr_final": 1e300},
+    "federation": {"rounds": 2, "local_epochs": 1, "batch_size": 200},
+    "eval": {"mc_samples": 2},
+}
+NON_FINITE_PREDICTIVE = ": non-finite predictive probabilities"
 EMPTY_TRAIN = "config field 'dataset.test_fraction': "
 REPEATED_SEEDS = "'seeds': expected a non-empty list of distinct non-negative integers"
 MISSING_IDX = {
@@ -585,6 +603,33 @@ MISSING_IDX = {
             1,
             "run failed at round 1, client 0: non-finite activation",
         ),
+        (
+            "run",
+            lambda tmp: OVERFLOWING_PREDICTIVE,
+            1,
+            "run failed at scoring, seed 0" + NON_FINITE_PREDICTIVE,
+        ),
+        (
+            "compare-agg",
+            lambda tmp: {**OVERFLOWING_PREDICTIVE, "seeds": [0, 1, 2, 3, 4]},
+            1,
+            "run failed at scoring, seed 0" + NON_FINITE_PREDICTIVE,
+        ),
+        (
+            "run",
+            lambda tmp: {"dataset": {**BASE_CONFIG["dataset"], "spread": 1e308}},
+            2,
+            "config field 'dataset.spread': ",
+        ),
+        ("run", lambda tmp: {"eval": {"ece_bins": 10**21}}, 2, "config field 'eval.ece_bins': "),
+        # one test row per class leaves a client's test shard empty in every attempt
+        (
+            "run",
+            lambda tmp: {"dataset": {**BASE_CONFIG["dataset"], "test_fraction": 1e-300}},
+            1,
+            "run failed at round 0: could not partition train and test jointly: "
+            "a test shard was empty in all 20 attempts",
+        ),
         # the split holds out at least one example of each class, here every one
         (
             "run",
@@ -619,7 +664,8 @@ MISSING_IDX = {
         "compare-agg-one-method", "compare-agg-duplicate-methods", "compare-agg-fedavg",
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
         "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
-        "run-overflowing", "run-no-train-row", "partition-no-train-row",
+        "run-overflowing", "run-overflowing-predictive", "compare-agg-overflowing-predictive",
+        "run-overflowing-spread", "run-too-many-bins", "run-empty-test-shard", "run-no-train-row", "partition-no-train-row",
         "incremental-no-train-row",
     ],
 )

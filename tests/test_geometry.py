@@ -11,6 +11,7 @@ from baryfed.checks import (
     numeric_projection_oracle,
     projection_oracle_error,
     projection_path,
+    random_instance,
 )
 from baryfed.geometry import (
     AggregationMethod,
@@ -411,6 +412,20 @@ class TestNumericOracle:
         for d in (Divergence.RKL, Divergence.W2SQ):
             for lam in (0.25, 1.0, 4.0):
                 assert projection_oracle_error(d, p_g, p_k, lam) < 2e-3
+
+    @pytest.mark.parametrize("d", [Divergence.RKL, Divergence.W2SQ])
+    def test_candidate_on_sphere_between_sds(self, d):
+        # p_g outside the sphere: the best candidate lies on it, its sd
+        # between p_k's and p_g's
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p_g, p_k = random_instance(rng)
+            radius = rng.uniform(0.05, 0.95) * projection_divergence(d, p_g, p_k)
+            cand = numeric_projection_oracle(d, p_g, p_k, radius)
+            gap = abs(projection_divergence(d, cand, p_k) - radius)
+            assert gap <= 1e-9 * max(1.0, radius), (p_g, p_k, radius, gap)
+            lo, hi = sorted((p_k.std[0], p_g.std[0]))
+            assert lo <= cand.std[0] <= hi
 
     def test_rejects_multidim(self):
         with pytest.raises(ValueError):
