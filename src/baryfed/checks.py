@@ -47,7 +47,7 @@ def divergence(d: Divergence, mu, sd, ref: DiagGaussian) -> np.ndarray:
     """D(N(mu, sd^2) || ref) elementwise over arrays of candidate means and
     sds, for a 1-D reference: the candidate is scored against the reference,
     as ``projection_divergence`` does. W2SQ is the squared Wasserstein-2
-    distance; the KL family is the mode-seeking KL(candidate || ref)."""
+    distance; RKL is the mode-seeking KL(candidate || ref)."""
     ref_mu, ref_var = float(ref.mean[0]), float(ref.var[0])
     if d is Divergence.W2SQ:
         return (mu - ref_mu) ** 2 + (sd - math.sqrt(ref_var)) ** 2

@@ -145,15 +145,7 @@ class FederationCfg:
 
 @dataclass(frozen=True)
 class PersonalizationCfg:
-    divergence: Divergence = field(
-        default=Divergence.W2SQ,
-        metadata={
-            "check": _rule(
-                lambda d: d is not Divergence.KL,
-                "the forward kl projection is not implemented; use rkl or w2sq",
-            )
-        },
-    )
+    divergence: Divergence = Divergence.W2SQ
     lambdas: tuple[float, ...] = field(
         default=DEFAULT_LAMBDAS, metadata={"inf": True, "each": NON_NEGATIVE, "check": ASCENDING}
     )

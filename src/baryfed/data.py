@@ -168,6 +168,10 @@ def _split_by_proportions(
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
 
+class MinShardError(ValueError):
+    """No Dirichlet draw gave every shard ``min_shard`` examples."""
+
+
 def partition_indices(
     ds: Dataset, pcfg: PartitionCfg, seed: int
 ) -> tuple[list[np.ndarray], PartitionDraw]:
@@ -175,7 +179,8 @@ def partition_indices(
 
     Each draw gives every class a Dirichlet(beta) split over the n_clients.
     Draws are resampled until every shard holds at least min_shard examples,
-    up to MAX_PARTITION_ATTEMPTS; features never influence the assignment.
+    up to MAX_PARTITION_ATTEMPTS, then MinShardError is raised; features
+    never influence the assignment.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_PARTITION_ATTEMPTS + 1):
@@ -183,7 +188,7 @@ def partition_indices(
         shards = _split_by_proportions(ds, proportions, rng)
         if min(len(s) for s in shards) >= pcfg.min_shard:
             return shards, PartitionDraw(proportions=proportions, attempts=attempt)
-    raise ValueError(
+    raise MinShardError(
         f"no draw met min_shard={pcfg.min_shard} in {MAX_PARTITION_ATTEMPTS} attempts; "
         "increase beta, reduce n_clients, or lower min_shard"
     )

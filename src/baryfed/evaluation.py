@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .config import ConfigError
 from .data import Dataset
 from .models import MlpSpec
 
@@ -75,6 +76,9 @@ def metrics_of(
 
     # ECE of each (slice, row set) unit, from the sums of each of its bins
     units = m * len(sizes)
+    if units * bins > np.iinfo(np.int64).max:
+        detail = f"{bins} bins for {units} (posterior, row set) units overflow the int64 bin keys"
+        raise ConfigError("eval.ece_bins", detail)
     unit = np.arange(m)[:, None] * len(sizes) + np.repeat(np.arange(len(sizes)), sizes)
     # clipped below too: a NaN confidence casts to a negative bin
     key = (np.clip((conf * bins).astype(np.int64), 0, bins - 1) + bins * unit).ravel()

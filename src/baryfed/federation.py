@@ -60,6 +60,7 @@ from . import models
 from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
+    MinShardError,
     load_idx,
     partition_indices,
     partition_with_draw,
@@ -292,13 +293,18 @@ def partition_both(
     """Train and test shard indices for every client.
 
     partition_indices already resamples the train draw until it meets
-    min_shard, so its failure propagates at once. Only an empty test shard
-    moves on to the next partition seed.
+    min_shard, so its failure is at once a ConfigError on
+    ``partition.min_shard``. The test draw's own failure (at min_shard 1,
+    when the test split is not shared) stays a ValueError. Only an empty
+    test shard moves on to the next partition seed.
     """
     base = derived_seed(seed, _PARTITION_TAG)
     pcfg = cfg.partition
     for attempt in range(_TEST_SHARD_ATTEMPTS):
-        train_idx, draw = partition_indices(train, pcfg, base + attempt)
+        try:
+            train_idx, draw = partition_indices(train, pcfg, base + attempt)
+        except MinShardError as exc:
+            raise ConfigError("partition.min_shard", str(exc)) from None
         if pcfg.shared_test_draw:
             test_idx = partition_with_draw(test, draw, base + attempt)
         else:

@@ -1,13 +1,11 @@
 """Divergences, barycenters, and projections on the diagonal-Gaussian manifold.
 
 Every distribution here is a Gaussian with independent coordinates, stored as
-a mean vector and a per-coordinate variance vector. Two divergences are
-supported, reverse KL (the mode-seeking KL(q || p) of a candidate q from a
+a mean vector and a per-coordinate variance vector. There are two
+divergences, reverse KL (the mode-seeking KL(q || p) of a candidate q from a
 reference p) and squared Wasserstein-2, and three weighted aggregation rules
 (arithmetic averaging of statistics, Wasserstein-2 barycenter, reverse-KL
-barycenter). ``Divergence.KL`` (forward KL) is named but not supported: the
-config and ``project`` reject it, and ``projection_divergence`` scores it as
-reverse KL. Personalization is the projection of a global posterior onto a
+barycenter). Personalization is the projection of a global posterior onto a
 divergence sphere around a local posterior, computed in closed form as a
 two-point weighted barycenter with weights 1/(lambda+1) and
 lambda/(lambda+1). ``project`` takes (J, P) stacks of (global, local)
@@ -82,7 +80,6 @@ class DiagGaussian:
 class Divergence(str, Enum):
     """Scalar divergence on pairs of diagonal Gaussians."""
 
-    KL = "KL"
     RKL = "RKL"
     W2SQ = "W2SQ"
 
@@ -100,55 +97,37 @@ def _check_same_dim(q: DiagGaussian, p: DiagGaussian):
         raise ValueError(f"dimension mismatch: {q.dim} vs {p.dim}")
 
 
-def kl_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
-    """Forward KL divergence KL(q || p) in closed form.
+def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float:
+    """The divergence of a candidate q from a reference p, summed over
+    coordinates, as it enters the sphere constraint and projection objective.
 
-    Sum over coordinates of
-    (var_q/var_p + (mu_p - mu_q)^2/var_p - 1 + ln(var_p/var_q)) / 2.
+    W2SQ is the squared Wasserstein-2 distance,
+    (mu_q - mu_p)^2 + (sd_q - sd_p)^2. RKL is the mode-seeking KL(q || p),
+    (var_q/var_p + (mu_p - mu_q)^2/var_p - 1 - ln(var_q/var_p)) / 2. Each is
+    the objective its two-point barycenter minimizes over q: the Wasserstein
+    barycenter for W2SQ, precision fusion (the product-of-experts objective)
+    for RKL. That is what makes the constrained projection equal to the
+    weighted barycenter.
     """
+    d = Divergence(d)
     _check_same_dim(q, p)
+    if d is Divergence.W2SQ:
+        return float(np.sum((q.mean - p.mean) ** 2 + (q.std - p.std) ** 2))
     ratio = q.var / p.var
     mahal = (p.mean - q.mean) ** 2 / p.var
     return float(0.5 * np.sum(ratio + mahal - 1.0 - np.log(ratio)))
 
 
-def w2sq_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
-    """Squared Wasserstein-2 distance: sum of (mu_q-mu_p)^2 + (sd_q-sd_p)^2."""
-    _check_same_dim(q, p)
-    return float(np.sum((q.mean - p.mean) ** 2 + (q.std - p.std) ** 2))
-
-
-def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float:
-    """The divergence of a candidate q from a reference p as it enters the
-    sphere constraint and projection objective.
-
-    The two-point closed forms minimize this quantity over q: the Wasserstein
-    barycenter minimizes the squared W2 distance, and the precision-fusion
-    barycenter minimizes the mode-seeking direction KL(q || p) (the product-
-    of-experts objective). Using any other direction for the RKL family would
-    break the equivalence between the constrained projection and the weighted
-    barycenter, because the Lagrangian would no longer be the barycenter
-    objective.
-    """
-    d = Divergence(d)
-    if d is Divergence.W2SQ:
-        return w2sq_gaussian(q, p)
-    return kl_gaussian(q, p)
-
-
 def _check_weights(n: int, weights) -> np.ndarray:
-    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL, or an
-    (L, n) matrix whose every row is such a weight vector."""
+    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.shape[-1] != n:
+    if w.ndim != 1 or w.shape[0] != n:
         raise ValueError(f"need {n} weights, got shape {w.shape}")
     if (w < 0.0).any():
-        bad = ", ".join(map(str, np.argwhere(w < 0.0)[0]))
+        bad = int(np.argmax(w < 0.0))
         raise ValueError(f"negative weight at index {bad}")
-    totals = np.atleast_1d(w.sum(axis=-1))
-    off = ~(np.abs(totals - 1.0) <= WEIGHT_SUM_TOL)  # NaN is off too
-    if off.any():
-        total = float(totals[off][0])
+    total = float(w.sum())
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
     return w
 
@@ -248,21 +227,17 @@ def project(d: Divergence, p_g, p_k, lambdas) -> tuple[np.ndarray, np.ndarray]:
     """Project global posteriors onto divergence spheres around local ones.
 
     ``p_g`` and ``p_k`` are (mean, var) pairs of (J, P) stacks whose rows j
-    are the J (global, local) pairs. The constrained projection is solved in
-    closed form as the two-point weighted barycenter of (p_g, p_k) with
-    weights (1/(lambda+1), lambda/(lambda+1)); the sphere radius shrinks as
-    lambda grows. Returns the read-only (mean, var) pair of (J, L', P)
-    stacks for the grid's L' finite positive lambdas, in grid order: one
-    stacked barycenter, floored and checked finite once, whose entry [j, l]
-    has the bits ``aggregate`` gives for pair j at that lambda's weights.
-    lambda = 0 is p_g itself and lambda = inf p_k itself, so they get no row.
-
-    Only RKL and W2SQ are supported: their barycenters stay inside the
-    diagonal-Gaussian family. Forward KL is rejected.
+    are the J (global, local) pairs. The projection of p_g onto the sphere
+    of divergence ``d`` around p_k is the two-point barycenter of (p_g, p_k)
+    that minimizes ``d``: W2B for W2SQ, RKLB for RKL, with weights
+    (1/(lambda+1), lambda/(lambda+1)), renormalized as ``aggregate`` does.
+    The sphere radius shrinks as lambda grows. Returns the read-only
+    (mean, var) pair of (J, L', P) stacks for the grid's L' finite positive
+    lambdas, in grid order: one stacked barycenter, floored and checked
+    finite once, whose entry [j, l] has the bits ``aggregate`` gives for
+    pair j at that lambda's weights. lambda = 0 is p_g itself and
+    lambda = inf p_k itself, so they get no row.
     """
-    d = Divergence(d)
-    if d not in _PROJECTION_METHOD:
-        raise ValueError(f"unsupported divergence for projection: {d.value}")
     if len({np.shape(a) for a in (*p_g, *p_k)}) != 1 or np.ndim(p_g[0]) != 2:
         raise ValueError("need four (J, P) stacks of one shape")
     for lam in lambdas:
@@ -270,11 +245,11 @@ def project(d: Divergence, p_g, p_k, lambdas) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"lambda must be >= 0, got {lam}")
     lams = np.asarray(lambdas, dtype=np.float64)
     inner = lams[(lams > 0.0) & (lams < math.inf)]
-    w = _check_weights(2, np.stack([1.0 / (inner + 1.0), inner / (inner + 1.0)], axis=1))
+    w = np.stack([1.0 / (inner + 1.0), inner / (inner + 1.0)], axis=1)
     w = w / w.sum(axis=1, keepdims=True)
     # (L', 1) weights on (J, 1, P) rows broadcast to (J, L', P)
     terms = [(wi, m[:, None], v[:, None]) for wi, (m, v) in zip((w[:, :1], w[:, 1:]), (p_g, p_k))]
-    mean, var = _barycenter(_PROJECTION_METHOD[d], terms)
+    mean, var = _barycenter(_PROJECTION_METHOD[Divergence(d)], terms)
     var = _floor_variance(var)
     if not (np.isfinite(mean).all() and np.isfinite(var).all()):
         raise ValueError("mean and var must be finite")

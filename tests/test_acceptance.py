@@ -32,8 +32,8 @@ from baryfed.geometry import (
     DiagGaussian,
     Divergence,
     aggregate,
-    kl_gaussian,
     project,
+    projection_divergence,
 )
 from baryfed.models import Batch, MlpSpec, init_params, loss_and_grad
 from baryfed.variopt import (
@@ -218,7 +218,7 @@ def test_criterion_05_optimizer_convergence_and_gradients():
         sample_params(state, [step_rng], theta)
         grad = -(X.T @ (y - X @ theta[0, 0])) / n
         ivon_step(state, grad[None, None], theta, lr=linear_lr(0.1, 0.01, step, total))
-    gap = kl_gaussian(posterior_of(state)[0], analytic)
+    gap = projection_divergence(Divergence.RKL, posterior_of(state)[0], analytic)
     assert gap < 0.05, f"KL to analytic posterior {gap:.4f}"
 
     worst = 0.0

@@ -505,7 +505,6 @@ MISSING_IDX = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, over, code, message",
     [
@@ -544,8 +543,8 @@ MISSING_IDX = {
                 "dataset": {**BASE_CONFIG["dataset"], "n_per_class": 20},
                 "partition": {"n_clients": 10, "beta": 1.0, "min_shard": 10},
             },
-            1,
-            "run failed at round 0: no draw met min_shard=10",
+            2,
+            "config field 'partition.min_shard': no draw met min_shard=10",
         ),
         ("partition", lambda tmp: {"dataset": MISSING_IDX}, 1, "run failed at round 0: "),
         (
@@ -622,6 +621,13 @@ MISSING_IDX = {
             "config field 'dataset.spread': ",
         ),
         ("run", lambda tmp: {"eval": {"ece_bins": 10**21}}, 2, "config field 'eval.ece_bins': "),
+        # passes the config rule, but the (unit, bin) keys overflow an int64
+        (
+            "run",
+            lambda tmp: {"eval": {"ece_bins": 2**62}},
+            2,
+            "config field 'eval.ece_bins': 4611686018427387904 bins for ",
+        ),
         # one test row per class leaves a client's test shard empty in every attempt
         (
             "run",
@@ -665,7 +671,8 @@ MISSING_IDX = {
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
         "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
         "run-overflowing", "run-overflowing-predictive", "compare-agg-overflowing-predictive",
-        "run-overflowing-spread", "run-too-many-bins", "run-empty-test-shard", "run-no-train-row", "partition-no-train-row",
+        "run-overflowing-spread", "run-too-many-bins", "run-overflowing-bin-keys",
+        "run-empty-test-shard", "run-no-train-row", "partition-no-train-row",
         "incremental-no-train-row",
     ],
 )
@@ -726,7 +733,6 @@ class TestErrors:
         assert main(["run", cfg]) == 1
         assert "round 0" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_run_failure_names_client(self, tmp_path, capsys, threads):
         cfg = write_config(
@@ -753,8 +759,8 @@ class TestErrors:
             dataset={**BASE_CONFIG["dataset"], "n_per_class": 20},
             partition={"n_clients": 10, "beta": 1.0, "min_shard": 10},
         )
-        assert main(["run", cfg]) == 1
-        assert "min_shard=10" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert "config field 'partition.min_shard': no draw met min_shard=10" in capsys.readouterr().err
         assert len(splits) <= data_mod.MAX_PARTITION_ATTEMPTS
 
     def test_failure_in_later_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):

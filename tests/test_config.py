@@ -119,9 +119,11 @@ class TestLambdas:
             parse_config(with_section("personalization", {"lambdas": ["infinite"]}))
 
     def test_forward_kl_rejected(self):
-        with pytest.raises(ConfigError, match="rkl or w2sq") as info:
+        # forward KL has no projection: the enum names only the two that do
+        with pytest.raises(ConfigError) as info:
             parse_config(with_section("personalization", {"divergence": "kl"}))
-        assert "forward kl projection is not implemented" in str(info.value)
+        assert info.value.path == "personalization.divergence"
+        assert "expected one of ['rkl', 'w2sq'], got 'kl'" in str(info.value)
 
     def test_divergence_case_insensitive(self):
         cfg = parse_config(with_section("personalization", {"divergence": "RKL"}))

@@ -498,9 +498,8 @@ class TestClientUpdate:
         theta0 = models.init_params(spec, 0)
         prior = h0_prior(theta0, cfg.optimizer, train.n)
         with pytest.raises(RunError, match="round 4, client 2: optimizer step") as info:
-            with np.errstate(all="ignore"):
-                job = (prior, np.arange(train.n), 2, 0)
-                client_update([job], train, cfg, [1e6] * 3, spec, 4)
+            job = (prior, np.arange(train.n), 2, 0)
+            client_update([job], train, cfg, [1e6] * 3, spec, 4)
         assert (info.value.round_index, info.value.client_id) == (4, 2)
 
     @pytest.mark.parametrize(
@@ -628,9 +627,8 @@ class TestLockstep:
 
         def failure(priors, shards, client_ids):
             with pytest.raises(RunError) as info:
-                with np.errstate(all="ignore"):
-                    jobs = list(zip(priors, shards, client_ids, [0] * len(priors)))
-                    client_update(jobs, train, cfg, lrs, spec, 1)
+                jobs = list(zip(priors, shards, client_ids, [0] * len(priors)))
+                client_update(jobs, train, cfg, lrs, spec, 1)
             return info.value.client_id, str(info.value)
 
         alone_0 = failure([start], [small], [0])

@@ -7,22 +7,22 @@ from hypothesis import strategies as st
 
 from baryfed import geometry
 from baryfed.checks import (
+    divergence,
     geodesic_monotonicity,
     numeric_projection_oracle,
     projection_oracle_error,
     projection_path,
     random_instance,
 )
+from baryfed.config import parse_config
 from baryfed.geometry import (
     AggregationMethod,
     DiagGaussian,
     Divergence,
     VAR_FLOOR,
     aggregate,
-    kl_gaussian,
     project,
     projection_divergence,
-    w2sq_gaussian,
 )
 
 
@@ -124,42 +124,76 @@ class TestDiagGaussian:
                 var[0, 0, 0] = 1.0
 
 
+RKL, W2SQ = Divergence.RKL, Divergence.W2SQ
+
+
 class TestDivergences:
     def test_kl_pinned_values(self):
         # mean shift only: 0.5 * 1^2 / 1
-        assert kl_gaussian(g(1.0, 1.0), STD_NORMAL) == pytest.approx(0.5, abs=1e-15)
+        assert projection_divergence(RKL, g(1.0, 1.0), STD_NORMAL) == pytest.approx(
+            0.5, abs=1e-15
+        )
         # variance ratio 2: 0.5 * (2 - 1 - ln 2)
         expect = 0.5 * (2.0 - 1.0 - math.log(2.0))
-        assert kl_gaussian(g(0.0, 2.0), STD_NORMAL) == pytest.approx(expect, abs=1e-15)
-        assert kl_gaussian(STD_NORMAL, STD_NORMAL) == 0.0
+        assert projection_divergence(RKL, g(0.0, 2.0), STD_NORMAL) == pytest.approx(
+            expect, abs=1e-15
+        )
+        assert projection_divergence(RKL, STD_NORMAL, STD_NORMAL) == 0.0
 
     def test_kl_asymmetry(self):
         a, b = g(0.0, 1.0), g(0.0, 4.0)
-        assert kl_gaussian(a, b) != pytest.approx(kl_gaussian(b, a), abs=1e-6)
+        assert projection_divergence(RKL, a, b) != pytest.approx(
+            projection_divergence(RKL, b, a), abs=1e-6
+        )
 
     def test_w2sq_pinned_values(self):
-        assert w2sq_gaussian(g(4.0, 9.0), g(1.0, 9.0)) == pytest.approx(9.0)
-        assert w2sq_gaussian(g(0.0, 4.0), g(0.0, 1.0)) == pytest.approx(1.0)
-        assert w2sq_gaussian(g(2.0, 3.0), g(2.0, 3.0)) == 0.0
+        assert projection_divergence(W2SQ, g(4.0, 9.0), g(1.0, 9.0)) == pytest.approx(9.0)
+        assert projection_divergence(W2SQ, g(0.0, 4.0), g(0.0, 1.0)) == pytest.approx(1.0)
+        assert projection_divergence(W2SQ, g(2.0, 3.0), g(2.0, 3.0)) == 0.0
 
     def test_w2sq_symmetric(self):
         a, b = g(1.0, 2.0), g(-3.0, 0.25)
-        assert w2sq_gaussian(a, b) == pytest.approx(w2sq_gaussian(b, a), abs=1e-15)
-
-    def test_projection_divergence_is_candidate_first(self):
-        # both KL-family entries score the candidate against the reference
-        cand, ref = g(0.5, 2.0), g(0.0, 1.0)
-        for d in (Divergence.KL, Divergence.RKL):
-            assert projection_divergence(d, cand, ref) == pytest.approx(
-                kl_gaussian(cand, ref), abs=1e-15
-            )
-        assert projection_divergence(Divergence.W2SQ, cand, ref) == pytest.approx(
-            w2sq_gaussian(cand, ref), abs=1e-15
+        assert projection_divergence(W2SQ, a, b) == pytest.approx(
+            projection_divergence(W2SQ, b, a), abs=1e-15
         )
 
+    def test_projection_divergence_is_candidate_first(self):
+        # the candidate (first argument) is scored against the reference
+        cand, ref = g(0.5, 2.0), g(0.0, 1.0)
+        rkl = 0.5 * (2.0 + 0.5**2 - 1.0 - math.log(2.0))  # KL(cand || ref)
+        assert projection_divergence(RKL, cand, ref) == pytest.approx(rkl, abs=1e-15)
+        w2sq = 0.5**2 + (math.sqrt(2.0) - 1.0) ** 2
+        assert projection_divergence(W2SQ, cand, ref) == pytest.approx(w2sq, abs=1e-15)
+
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_gaussian(g([0.0, 0.0], [1.0, 1.0]), STD_NORMAL)
+        for d in Divergence:
+            with pytest.raises(ValueError):
+                projection_divergence(d, g([0.0, 0.0], [1.0, 1.0]), STD_NORMAL)
+
+    @pytest.mark.parametrize("d", list(Divergence))
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_closed_form_is_sum_of_coordinate_definitions(self, d, dim):
+        # checks.divergence is written from the definitions, one coordinate
+        # at a time; the closed form must be its sum over coordinates
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            q, p = (g(rng.uniform(-2.0, 2.0, dim), rng.uniform(0.1, 3.0, dim)) for _ in "qp")
+            coords = [
+                divergence(d, q.mean[i], q.std[i], g(p.mean[i], p.var[i])) for i in range(dim)
+            ]
+            assert projection_divergence(d, q, p) == pytest.approx(math.fsum(coords), rel=1e-12)
+
+    @pytest.mark.parametrize("d", list(Divergence))
+    def test_every_divergence_is_computed(self, d):
+        # no member is named without a config entry, a projection and a score
+        body = {"dataset": {"kind": "synth"}, "personalization": {"divergence": d.value.lower()}}
+        assert parse_config(body).personalization.divergence is d
+        p_g, p_k = g([0.0, 1.0], [1.0, 0.5]), g([4.0, -2.0], [9.0, 0.1])
+        mean, var = project(d, one(p_g), one(p_k), [0.5, 2.0])
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
+        q = g(mean[0, 0], var[0, 0])
+        assert math.isfinite(projection_divergence(d, q, p_k))
+        assert np.isfinite(divergence(d, q.mean[0], q.std[0], g(p_k.mean[0], p_k.var[0])))
 
 
 class TestAggregate:
@@ -368,10 +402,6 @@ class TestProject:
             (out,) = projection_path(d, p_g, p_k, [math.inf])
             assert np.array_equal(out.mean, p_k.mean)
             assert np.array_equal(out.var, p_k.var)
-
-    def test_forward_kl_rejected(self):
-        with pytest.raises(ValueError):
-            project(Divergence.KL, one(self.p_g), one(self.p_k), [1.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
