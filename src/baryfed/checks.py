@@ -172,8 +172,7 @@ def barycenter_vs_grid(posts, weights) -> dict[AggregationMethod, tuple[float, f
 def projection_path(d: Divergence, p_g: DiagGaussian, p_k: DiagGaussian, lambdas) -> list:
     """One posterior per lambda of the grid: ``p_g`` at 0, ``p_k`` at inf, and
     between them the rows of ``project`` on the pair as a stack of one."""
-    mean, var = project(d, *[(p.mean[None], p.var[None]) for p in (p_g, p_k)], lambdas)
-    rows = (DiagGaussian(mean=m, var=v) for m, v in zip(mean[0], var[0]))
+    rows = iter(project(d, p_g[None], p_k[None], lambdas)[0])
     return [p_g if lam == 0.0 else p_k if lam == math.inf else next(rows) for lam in lambdas]
 
 

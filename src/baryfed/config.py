@@ -117,7 +117,6 @@ class PartitionCfg:
     n_clients: int = field(default=10, metadata={"check": POSITIVE})
     beta: float = field(default=0.5, metadata={"check": POSITIVE})
     min_shard: int = field(default=10, metadata={"check": POSITIVE})
-    shared_test_draw: bool = True
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Two sources: IDX image/label file pairs (big-endian, standard magic numbers)
 and synthetic Gaussian blobs. Partitioning draws per-class client proportions
-from a symmetric Dirichlet, assigns examples by label only, and can reuse the
-same draw for a paired test split so each client's test shard mirrors its
+from a symmetric Dirichlet, assigns examples by label only, and reuses the
+same draw for the paired test split, so each client's test shard mirrors its
 training skew.
 """
 
@@ -168,10 +168,6 @@ def _split_by_proportions(
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
 
-class MinShardError(ValueError):
-    """No Dirichlet draw gave every shard ``min_shard`` examples."""
-
-
 def partition_indices(
     ds: Dataset, pcfg: PartitionCfg, seed: int
 ) -> tuple[list[np.ndarray], PartitionDraw]:
@@ -179,8 +175,9 @@ def partition_indices(
 
     Each draw gives every class a Dirichlet(beta) split over the n_clients.
     Draws are resampled until every shard holds at least min_shard examples,
-    up to MAX_PARTITION_ATTEMPTS, then MinShardError is raised; features
-    never influence the assignment.
+    up to MAX_PARTITION_ATTEMPTS, then a ConfigError on
+    ``partition.min_shard`` is raised; features never influence the
+    assignment.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_PARTITION_ATTEMPTS + 1):
@@ -188,9 +185,10 @@ def partition_indices(
         shards = _split_by_proportions(ds, proportions, rng)
         if min(len(s) for s in shards) >= pcfg.min_shard:
             return shards, PartitionDraw(proportions=proportions, attempts=attempt)
-    raise MinShardError(
+    raise ConfigError(
+        "partition.min_shard",
         f"no draw met min_shard={pcfg.min_shard} in {MAX_PARTITION_ATTEMPTS} attempts; "
-        "increase beta, reduce n_clients, or lower min_shard"
+        "increase beta, reduce n_clients, or lower min_shard",
     )
 
 

@@ -3,11 +3,11 @@
 Metrics operate on Monte-Carlo-averaged predictive probabilities: accuracy
 by argmax (ties resolved to the lowest class index), negative log-likelihood
 with a probability floor, and expected calibration error over equal-width
-confidence bins. ``evaluate`` scores the rows of (M, P) posterior stacks
-on one dataset in one Monte-Carlo pass and returns, per row, one ``{"acc",
-"ece", "nll"}`` dict (the metric columns of a ``metrics.csv`` row) for the
-whole dataset and one for each row group, such as a client's test rows of
-a pooled test set. ``metrics_of`` reduces each metric over the whole (M,
+confidence bins. ``evaluate`` scores posteriors and posterior stacks on
+one dataset in one Monte-Carlo pass and returns, per posterior, one
+``{"acc", "ece", "nll"}`` dict (the metric columns of a ``metrics.csv``
+row) for the whole dataset and one for each row group, such as a client's
+test rows of a pooled test set. ``metrics_of`` reduces each metric over the whole (M,
 n, C) probability stack and every row group in one pass, and each value
 is bit-identical to reducing that posterior's (n, C) block, or the
 group's rows of it, alone. ``summarize`` groups such rows into the mean
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .config import ConfigError
 from .data import Dataset
 from .models import MlpSpec
 
@@ -74,20 +73,22 @@ def metrics_of(
     acc, nll = 100.0 * means[0], -means[1]
     conf, correct = rows[0], rows[1]
 
-    # ECE of each (slice, row set) unit, from the sums of each of its bins
+    # ECE of each (slice, row set) unit, from the sums of each of its bins;
+    # the bins that hold a row are renumbered 0..filled-1 in bin order, so
+    # the keys span units x filled bins, however many bins there are
     units = m * len(sizes)
-    if units * bins > np.iinfo(np.int64).max:
-        detail = f"{bins} bins for {units} (posterior, row set) units overflow the int64 bin keys"
-        raise ConfigError("eval.ece_bins", detail)
     unit = np.arange(m)[:, None] * len(sizes) + np.repeat(np.arange(len(sizes)), sizes)
     # clipped below too: a NaN confidence casts to a negative bin
-    key = (np.clip((conf * bins).astype(np.int64), 0, bins - 1) + bins * unit).ravel()
+    bin_of = np.clip((conf * bins).astype(np.int64), 0, bins - 1).ravel()
+    used, rank = np.unique(bin_of, return_inverse=True)
+    key = rank + len(used) * unit.ravel()
+    slots = units * len(used)
     conf = conf.ravel()
-    counts = np.bincount(key, minlength=units * bins)
+    counts = np.bincount(key, minlength=slots)
     # bincount adds a bin's values one at a time from 0.0 in row order, which
     # is how NumPy sums a run of fewer than 8; sums of 0/1 are exact anyway
-    sums = np.bincount(key, conf, units * bins)
-    hits = np.bincount(key, correct.ravel(), units * bins)
+    sums = np.bincount(key, conf, slots)
+    hits = np.bincount(key, correct.ravel(), slots)
     # NumPy sums a longer run of L <= 128 in blocks of 8, then adds the L % 8
     # left over one at a time, so zeros appended up to width 8k + 7 add
     # nothing (conf >= +0): the bins of 8 or more members that share that
@@ -106,7 +107,7 @@ def metrics_of(
         spot = np.where(cols < size[at, None], start[at, None] + cols, len(members))
         sums[big[at]] = ordered[spot].sum(axis=1)
     filled = np.flatnonzero(counts)
-    size, owner = counts[filled], filled // bins  # each filled bin's unit
+    size, owner = counts[filled], filled // len(used)  # each filled bin's unit
     gap = np.abs(sums[filled] / size - hits[filled] / size)
     # each unit adds its bins' terms in bin order, from 0.0; an empty bin
     # would add an exact 0.0
@@ -120,18 +121,18 @@ def metrics_of(
 
 
 def evaluate(
-    spec: MlpSpec, stacks, ds: Dataset, noise: np.ndarray, bins: int,
+    spec: MlpSpec, posteriors, ds: Dataset, noise: np.ndarray, bins: int,
     groups: Sequence[np.ndarray] = (),
 ) -> list[list[dict]]:
     """All three metrics for each posterior, in order, from its draws
-    mean + sqrt(var) * noise[s]; acc is a percentage. ``stacks`` is a
-    sequence of (mean, var) pairs of (M_i, P) stacks whose rows are the
-    posteriors, as ``models.predict_proba_mc`` takes them.
+    mean + sqrt(var) * noise[s]; acc is a percentage. ``posteriors`` is a
+    sequence of ``DiagGaussian``s, each one posterior or a stack of them, as
+    ``models.predict_proba_mc`` takes them.
 
     One predictive of ``ds`` serves every row set: per posterior, a list of
     its metrics on all of ``ds``, then on each group of ``groups`` (index
     arrays into the rows of ``ds``), as ``metrics_of`` gives them."""
-    probs = models.predict_proba_mc(spec, stacks, ds.inputs, noise)
+    probs = models.predict_proba_mc(spec, posteriors, ds.inputs, noise)
     return metrics_of(probs, ds.labels, bins, groups)
 
 

@@ -60,7 +60,6 @@ from . import models
 from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
-    MinShardError,
     load_idx,
     partition_indices,
     partition_with_draw,
@@ -80,7 +79,6 @@ from .variopt import (
     ivon_restart,
     ivon_step,
     linear_lr,
-    posterior_of,
     sample_params,
 )
 
@@ -162,7 +160,8 @@ def client_update(
     on every coordinate.
 
     Returns one (local posterior, per-epoch mean minibatch NLL) per job,
-    each bit-identical whichever jobs share its group. If jobs fail, the
+    each bit-identical whichever jobs share its group; a local posterior is
+    a read-only row of the group's final optimizer state. If jobs fail, the
     failure of the lowest-indexed one (which may fail later than others) is
     raised as RunError(round_index, its client); any other failure as
     RunError(round_index, the first job's client).
@@ -243,10 +242,10 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
 
     if deterministic:
         state.var[...] = frozen_var  # the local posterior carries FedAvg's frozen variance
-    results = [None] * len(jobs)
-    for j, post, trace in zip(ranked, posterior_of(state), traces):
-        results[j] = (post, trace)
-    return results, None
+    # each job's local posterior is its row of the final state, not a copy;
+    # this freezes the state's arrays in place, so no step may follow
+    locals_ = DiagGaussian(mean=state.mean, var=state.var)
+    return [(locals_[r], traces[r]) for r in np.argsort(ranked).tolist()], None
 
 
 def server_aggregate(
@@ -290,26 +289,18 @@ def build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def partition_both(
     cfg: ExperimentConfig, train: Dataset, test: Dataset, seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Train and test shard indices for every client.
+    """Train and test shard indices for every client: the test set is split
+    with the train draw's proportions, so each client's test rows mirror its
+    label skew.
 
     partition_indices already resamples the train draw until it meets
-    min_shard, so its failure is at once a ConfigError on
-    ``partition.min_shard``. The test draw's own failure (at min_shard 1,
-    when the test split is not shared) stays a ValueError. Only an empty
-    test shard moves on to the next partition seed.
+    min_shard, and raises a ConfigError on ``partition.min_shard`` if none
+    does. Only an empty test shard moves on to the next partition seed.
     """
     base = derived_seed(seed, _PARTITION_TAG)
-    pcfg = cfg.partition
     for attempt in range(_TEST_SHARD_ATTEMPTS):
-        try:
-            train_idx, draw = partition_indices(train, pcfg, base + attempt)
-        except MinShardError as exc:
-            raise ConfigError("partition.min_shard", str(exc)) from None
-        if pcfg.shared_test_draw:
-            test_idx = partition_with_draw(test, draw, base + attempt)
-        else:
-            test_pcfg = dataclasses.replace(pcfg, min_shard=1)
-            test_idx, _ = partition_indices(test, test_pcfg, base + attempt + 1)
+        train_idx, draw = partition_indices(train, cfg.partition, base + attempt)
+        test_idx = partition_with_draw(test, draw, base + attempt)
         if min(len(s) for s in test_idx) >= 1:
             return train_idx, test_idx
     raise ValueError(
@@ -540,7 +531,7 @@ def _score(cfg, seed, spec, finals, test, test_idx):
     under FedAvg or with lambda = inf in the grid, its local one, each
     distinct posterior once (jobs share one where a round keeps the
     methods' locals, or one client makes global and local the same), each
-    as a one-row view, never copied. The (method, client) jobs then go in
+    passed as it is, never copied. The (method, client) jobs then go in
     blocks of the training group size, max(1, GROUP_PARAMS // P): one
     ``project`` call per block for the finite positive lambdas, and one
     ``evaluate`` call on the block's (J, L', P) projection stack, so that
@@ -554,9 +545,8 @@ def _score(cfg, seed, spec, finals, test, test_idx):
     jobs = [(final["global"], p_k) for final in finals for p_k in final["locals"]]
     reads = 2 if fedavg or math.inf in lambdas else 1  # a job's global, then its local
     plain = {id(job[i]): job[i] for i in range(reads) for job in jobs}
-    stacks = [(p.mean[None], p.var[None]) for p in plain.values()]
     # per scored posterior: its metrics on the pooled set, then on each shard
-    scores = dict(zip(plain, evaluate(spec, stacks, test, noise, bins, test_idx)))
+    scores = dict(zip(plain, evaluate(spec, list(plain.values()), test, noise, bins, test_idx)))
     size = max(1, GROUP_PARAMS // models.param_count(spec))
     seconds = 0.0
     for lo in range(0, len(jobs), size) if inner else ():
@@ -565,8 +555,7 @@ def _score(cfg, seed, spec, finals, test, test_idx):
         p_g, p_k = (_stack(ps) for ps in zip(*jobs[lo : block.stop]))
         proj = project(cfg.personalization.divergence, p_g, p_k, inner)
         seconds += time.perf_counter() - t0
-        got = iter(evaluate(spec, [tuple(a.reshape(-1, a.shape[-1]) for a in proj)],
-                            test, noise, bins, test_idx))
+        got = iter(evaluate(spec, [proj], test, noise, bins, test_idx))
         scores.update(((j, lam), next(got)) for j in block for lam in inner)
         del proj  # the block's projections go before the next block is projected
 
@@ -593,12 +582,13 @@ def _score(cfg, seed, spec, finals, test, test_idx):
     return method_rows, len(scores), seconds
 
 
-def _stack(posteriors) -> tuple[np.ndarray, np.ndarray]:
-    """(J, P) mean and variance stacks of J posteriors; a single posterior is
-    viewed, not copied."""
+def _stack(posteriors) -> DiagGaussian:
+    """The (J, P) stack of J posteriors; a single posterior is viewed, not
+    copied."""
     if len(posteriors) == 1:
-        return posteriors[0].mean[None], posteriors[0].var[None]
-    return np.stack([p.mean for p in posteriors]), np.stack([p.var for p in posteriors])
+        return posteriors[0][None]
+    return DiagGaussian(mean=np.stack([p.mean for p in posteriors]),
+                        var=np.stack([p.var for p in posteriors]))
 
 
 def _task_split(
@@ -666,9 +656,8 @@ def _incremental_pass(cfg, seeds, train_set, train_idx, test, test_idx):
     for seed, post_a, post_b in zip(seeds, posts_a, posts_b):
         with failure_context(f"merge and scoring, seed {seed}"):
             mixtures = [aggregate(method, [post_a, post_b], [1.0 - w, w]) for w in w_grid]
-            stacks = [(m.mean[None], m.var[None]) for m in mixtures]
             noise, bins = eval_noise(cfg, seed, spec), cfg.eval.ece_bins
-            scores = evaluate(spec, stacks, test, noise, bins, test_idx)
+            scores = evaluate(spec, mixtures, test, noise, bins, test_idx)
         out.append([  # one row per w, scored on task A (_a) and task B (_b)
             {"seed": seed, "w": float(w), **{f"{metric}_a": v for metric, v in a.items()},
              **{f"{metric}_b": v for metric, v in b.items()}}

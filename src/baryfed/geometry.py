@@ -8,9 +8,10 @@ reference p) and squared Wasserstein-2, and three weighted aggregation rules
 barycenter). Personalization is the projection of a global posterior onto a
 divergence sphere around a local posterior, computed in closed form as a
 two-point weighted barycenter with weights 1/(lambda+1) and
-lambda/(lambda+1). ``project`` takes (J, P) stacks of (global, local)
-pairs and a whole lambda grid, and makes one stacked (J, L', P) barycenter
-with ``aggregate``'s formulas, in the same order of operations.
+lambda/(lambda+1). A ``DiagGaussian`` holds one posterior or a stack of
+them, and ``project`` takes (J, P) stacks of (global, local) pairs and a
+whole lambda grid, and makes one stacked (J, L', P) barycenter with
+``aggregate``'s formulas, in the same order of operations.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -33,14 +34,17 @@ WEIGHT_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Gaussian with diagonal covariance over a flat parameter vector.
+    """Gaussian with diagonal covariance over a flat parameter vector, or a
+    stack of them.
 
-    ``mean`` and ``var`` are float64 vectors of equal length; every variance
-    must be strictly positive. A contiguous float64 array is not copied: it
-    is frozen in place and shared, so the caller's own array turns read-only.
-    Any other input is converted into a new frozen array. A caller that keeps
-    writing to an array passes a copy (as ``variopt.posterior_of`` does for
-    each row of an optimizer state).
+    ``mean`` and ``var`` are float64 arrays of one shape (..., P): one
+    posterior of dimension P, or a stack of posteriors along the leading
+    axes. Every value must be finite and every variance strictly positive.
+    ``post[i]`` is ``DiagGaussian(mean[i], var[i])``, so ``post[None]`` is a
+    stack of one. A contiguous float64 array is not copied: it is frozen in
+    place and shared, so the caller's own array turns read-only. Any other
+    input is converted into a new frozen array. A caller that keeps writing
+    to an array passes a copy.
     """
 
     mean: np.ndarray
@@ -49,28 +53,26 @@ class DiagGaussian:
     def __post_init__(self):
         mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         var = np.ascontiguousarray(self.var, dtype=np.float64)
-        if mean.ndim != 1 or var.ndim != 1:
-            raise ValueError("mean and var must be 1-D vectors")
         if mean.shape != var.shape:
-            raise ValueError(
-                f"dimension mismatch: mean has length {mean.shape[0]}, "
-                f"var has length {var.shape[0]}"
-            )
-        if mean.shape[0] < 1:
+            raise ValueError(f"shape mismatch: mean is {mean.shape}, var is {var.shape}")
+        if mean.shape[-1] < 1:
             raise ValueError("dimension must be >= 1")
         if not np.isfinite(mean).all() or not np.isfinite(var).all():
             raise ValueError("mean and var must be finite")
         if (var <= 0.0).any():
-            bad = int(np.argmax(var <= 0.0))
+            bad = int(np.argmax(var <= 0.0)) % var.shape[-1]
             raise ValueError(f"non-positive variance at coordinate {bad}")
         mean.setflags(write=False)
         var.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
+    def __getitem__(self, rows) -> DiagGaussian:
+        return DiagGaussian(mean=self.mean[rows], var=self.var[rows])
+
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @property
     def std(self) -> np.ndarray:
@@ -223,23 +225,22 @@ _PROJECTION_METHOD = {
 }
 
 
-def project(d: Divergence, p_g, p_k, lambdas) -> tuple[np.ndarray, np.ndarray]:
+def project(d: Divergence, p_g: DiagGaussian, p_k: DiagGaussian, lambdas) -> DiagGaussian:
     """Project global posteriors onto divergence spheres around local ones.
 
-    ``p_g`` and ``p_k`` are (mean, var) pairs of (J, P) stacks whose rows j
-    are the J (global, local) pairs. The projection of p_g onto the sphere
-    of divergence ``d`` around p_k is the two-point barycenter of (p_g, p_k)
-    that minimizes ``d``: W2B for W2SQ, RKLB for RKL, with weights
-    (1/(lambda+1), lambda/(lambda+1)), renormalized as ``aggregate`` does.
-    The sphere radius shrinks as lambda grows. Returns the read-only
-    (mean, var) pair of (J, L', P) stacks for the grid's L' finite positive
-    lambdas, in grid order: one stacked barycenter, floored and checked
-    finite once, whose entry [j, l] has the bits ``aggregate`` gives for
-    pair j at that lambda's weights. lambda = 0 is p_g itself and
+    ``p_g`` and ``p_k`` are (J, P) stacks whose rows j are the J (global,
+    local) pairs. The projection of p_g onto the sphere of divergence ``d``
+    around p_k is the two-point barycenter of (p_g, p_k) that minimizes
+    ``d``: W2B for W2SQ, RKLB for RKL, with weights (1/(lambda+1),
+    lambda/(lambda+1)), renormalized as ``aggregate`` does. The sphere
+    radius shrinks as lambda grows. Returns the (J, L', P) stack for the
+    grid's L' finite positive lambdas, in grid order: one stacked
+    barycenter, floored once, whose entry [j, l] has the bits ``aggregate``
+    gives for pair j at that lambda's weights. lambda = 0 is p_g itself and
     lambda = inf p_k itself, so they get no row.
     """
-    if len({np.shape(a) for a in (*p_g, *p_k)}) != 1 or np.ndim(p_g[0]) != 2:
-        raise ValueError("need four (J, P) stacks of one shape")
+    if p_g.mean.ndim != 2 or p_g.mean.shape != p_k.mean.shape:
+        raise ValueError("need two (J, P) stacks of one shape")
     for lam in lambdas:
         if not lam >= 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -248,11 +249,6 @@ def project(d: Divergence, p_g, p_k, lambdas) -> tuple[np.ndarray, np.ndarray]:
     w = np.stack([1.0 / (inner + 1.0), inner / (inner + 1.0)], axis=1)
     w = w / w.sum(axis=1, keepdims=True)
     # (L', 1) weights on (J, 1, P) rows broadcast to (J, L', P)
-    terms = [(wi, m[:, None], v[:, None]) for wi, (m, v) in zip((w[:, :1], w[:, 1:]), (p_g, p_k))]
+    terms = [(wi, p.mean[:, None], p.var[:, None]) for wi, p in zip((w[:, :1], w[:, 1:]), (p_g, p_k))]
     mean, var = _barycenter(_PROJECTION_METHOD[Divergence(d)], terms)
-    var = _floor_variance(var)
-    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-        raise ValueError("mean and var must be finite")
-    mean.setflags(write=False)
-    var.setflags(write=False)
-    return mean, var
+    return DiagGaussian(mean=mean, var=_floor_variance(var))

@@ -5,8 +5,8 @@ softmax read off the final logits. Parameters live in a single flat float64
 vector so the posterior machinery never needs to know the architecture;
 unpack views the flat vector as per-layer (W, b) pairs.
 ``forward`` also takes a stack (..., P) of vectors, which lets
-``predict_proba_mc`` score every sampled parameter of (M, P) posterior
-stacks in one pass instead of one call per posterior and draw.
+``predict_proba_mc`` score every sampled parameter of stacked posteriors
+in one pass instead of one call per posterior and draw.
 ``loss_and_grad`` takes a stack (K, P) with a ``Batch`` of K minibatches,
 so every client of a round computes its gradient in one call.
 ``class_max`` and ``class_argmax`` reduce the class axis one whole column at
@@ -264,32 +264,32 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
 
 
 @np.errstate(all="ignore")  # a non-finite predictive is a ValueError, not a warning
-def predict_proba_mc(spec: MlpSpec, stacks, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def predict_proba_mc(spec: MlpSpec, posteriors, inputs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Class probabilities (M, n, C) of M posteriors, each averaged over the
     draws mean + sqrt(var) * noise[s].
 
-    ``stacks`` is a sequence of (mean, var) pairs of (M_i, P) stacks whose
-    rows, in order, are the M posteriors, so posteriors held in separate
-    arrays are scored in one pass without being copied into one. ``noise``
-    is an (S, P) block of standard normals shared by every posterior (common
-    random numbers). The draws go through ``forward`` in chunks of at most
-    MC_CHUNK_PARAMS sampled parameters, built in one reused buffer by one
-    broadcast multiply-add per stack a chunk takes rows from, with the
-    standard deviations held in the slot of the first draw. A posterior's S
-    draws are never split, so when S * P alone exceeds the budget a chunk
-    holds one posterior. Every (n, C) slice is bit-identical to drawing and
-    summing that posterior's S forward passes one at a time. Raises
-    ValueError if any probability is non-finite, as an overflowing forward
-    pass makes it.
+    ``posteriors`` is a sequence of ``DiagGaussian``s, each one posterior or
+    a stack of them, whose posteriors in order (a stack's in C order) are
+    the M, so posteriors held in separate arrays are scored in one pass
+    without being copied into one. ``noise`` is an (S, P) block of standard
+    normals shared by every posterior (common random numbers). The draws go
+    through ``forward`` in chunks of at most MC_CHUNK_PARAMS sampled
+    parameters, built in one reused buffer by one broadcast multiply-add per
+    stack a chunk takes rows from, with the standard deviations held in the
+    slot of the first draw. A posterior's S draws are never split, so when
+    S * P alone exceeds the budget a chunk holds one posterior. Every (n, C)
+    slice is bit-identical to drawing and summing that posterior's S
+    forward passes one at a time. Raises ValueError if any probability is
+    non-finite, as an overflowing forward pass makes it.
     """
     noise = np.asarray(noise, dtype=np.float64)
     dim = param_count(spec)
-    for mean, var in stacks:
-        if np.ndim(mean) != 2 or np.shape(mean) != np.shape(var) or np.shape(mean)[1] != dim:
-            shapes = f"{np.shape(mean)} and {np.shape(var)}"
-            raise ValueError(f"posterior dimension: need (M, {dim}) mean and var, got {shapes}")
+    for post in posteriors:
+        if post.dim != dim:
+            raise ValueError(f"posterior dimension: need {dim}, got {post.dim}")
     if noise.ndim != 2 or noise.shape[0] < 1 or noise.shape[1] != dim:
         raise ValueError(f"noise must have shape (S >= 1, {dim}), got {noise.shape}")
+    stacks = [(post.mean.reshape(-1, dim), post.var.reshape(-1, dim)) for post in posteriors]
     samples = noise.shape[0]
     total = sum(len(mean) for mean, _ in stacks)
     per_chunk = max(1, MC_CHUNK_PARAMS // (samples * dim))

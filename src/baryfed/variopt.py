@@ -106,11 +106,6 @@ def ivon_restart(
     )
 
 
-def posterior_of(state: IvonState) -> list[DiagGaussian]:
-    """The posterior each row implies, in arrays of its own."""
-    return [DiagGaussian(mean=m.copy(), var=v.copy()) for m, v in zip(state.mean, state.var)]
-
-
 def sample_params(state: IvonState, rngs, out: np.ndarray) -> np.ndarray:
     """Draws mean + std * z from each row's posterior.
 

@@ -40,7 +40,6 @@ from baryfed.variopt import (
     ivon_restart,
     ivon_step,
     linear_lr,
-    posterior_of,
     sample_params,
 )
 
@@ -162,8 +161,8 @@ def test_criterion_03_pullback_endpoints_and_monotonicity(bench_runs):
         for p_k in final["locals"]:
             for d in (Divergence.RKL, Divergence.W2SQ):
                 # no row is projected for the endpoints: they are p_g and p_k
-                pair = [(p.mean[None], p.var[None]) for p in (p_g, p_k)]
-                assert project(d, *pair, [0.0, math.inf])[0].shape == (1, 0, p_g.dim)
+                proj = project(d, p_g[None], p_k[None], [0.0, math.inf])
+                assert proj.mean.shape == (1, 0, p_g.dim)
                 at_zero, at_inf = checks.projection_path(d, p_g, p_k, [0.0, math.inf])
                 assert np.array_equal(at_zero.mean, p_g.mean)
                 assert np.array_equal(at_zero.var, p_g.var)
@@ -180,6 +179,12 @@ def fresh_state(dim, opt, ess):
     return ivon_restart([origin], opt, [ess], frozen=True)
 
 
+def posterior(state):
+    """The posterior of the stack of one ``state``: its row, not a copy, so
+    the state's arrays freeze and it may not step again."""
+    return DiagGaussian(mean=state.mean, var=state.var)[0]
+
+
 def test_criterion_04_variance_duality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
@@ -188,12 +193,12 @@ def test_criterion_04_variance_duality():
         h = float(rng.uniform(0.01, 50.0))
         delta = float(rng.uniform(1e-6, 1e-2))
         opt = OptimizerCfg(weight_decay=delta, h0=h)
-        (post,) = posterior_of(fresh_state(3, opt, n))
+        post = posterior(fresh_state(3, opt, n))
         assert np.allclose(post.var, 1.0 / (n * (h + delta)), rtol=1e-12)
         assert np.allclose(ivon_restart([post], opt, [n]).hess[0], h, rtol=1e-12)
 
     pinned = fresh_state(1, OptimizerCfg(weight_decay=2e-4, h0=5.0), 1000)
-    assert posterior_of(pinned)[0].var[0] == pytest.approx(1.99992e-4, rel=1e-5)
+    assert posterior(pinned).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
     verdict(4, "posterior-hessian-duality", t0)
 
 
@@ -218,7 +223,7 @@ def test_criterion_05_optimizer_convergence_and_gradients():
         sample_params(state, [step_rng], theta)
         grad = -(X.T @ (y - X @ theta[0, 0])) / n
         ivon_step(state, grad[None, None], theta, lr=linear_lr(0.1, 0.01, step, total))
-    gap = projection_divergence(Divergence.RKL, posterior_of(state)[0], analytic)
+    gap = projection_divergence(Divergence.RKL, posterior(state), analytic)
     assert gap < 0.05, f"KL to analytic posterior {gap:.4f}"
 
     worst = 0.0

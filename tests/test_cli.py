@@ -461,13 +461,13 @@ class TestValidateGeometry:
     def test_wrong_barycenter_in_projection_detected(self, capsys, monkeypatch):
         def eaa_projection(d, p_g, p_k, lambdas):
             # stacks of one pair, as checks passes them
-            pair = [DiagGaussian(mean=mean[0], var=var[0]) for mean, var in (p_g, p_k)]
+            pair = [p_g[0], p_k[0]]
             outs = [
                 aggregate(AggregationMethod.EAA, pair, [1.0 / (lam + 1.0), lam / (lam + 1.0)])
                 for lam in lambdas
                 if 0.0 < lam < math.inf
             ]
-            return tuple(np.stack([getattr(q, f) for q in outs])[None] for f in ("mean", "var"))
+            return federation._stack(outs)[None]
 
         monkeypatch.setattr(checks, "project", eaa_projection)
         self.assert_only_failure(capsys, "projection-oracle-equivalence")
@@ -621,13 +621,6 @@ MISSING_IDX = {
             "config field 'dataset.spread': ",
         ),
         ("run", lambda tmp: {"eval": {"ece_bins": 10**21}}, 2, "config field 'eval.ece_bins': "),
-        # passes the config rule, but the (unit, bin) keys overflow an int64
-        (
-            "run",
-            lambda tmp: {"eval": {"ece_bins": 2**62}},
-            2,
-            "config field 'eval.ece_bins': 4611686018427387904 bins for ",
-        ),
         # one test row per class leaves a client's test shard empty in every attempt
         (
             "run",
@@ -671,7 +664,7 @@ MISSING_IDX = {
         "compare-agg-four-seeds", "run-repeated-seeds", "compare-agg-repeated-seeds",
         "compare-agg-diverging", "run-scoring-fails", "incremental-scoring-fails",
         "run-overflowing", "run-overflowing-predictive", "compare-agg-overflowing-predictive",
-        "run-overflowing-spread", "run-too-many-bins", "run-overflowing-bin-keys",
+        "run-overflowing-spread", "run-too-many-bins",
         "run-empty-test-shard", "run-no-train-row", "partition-no-train-row",
         "incremental-no-train-row",
     ],

@@ -27,7 +27,7 @@ FULL = {
         "test_images": "c", "test_labels": "d", "limit": 5,
     },
     "model": {"hidden": [16, 8]},
-    "partition": {"n_clients": 5, "beta": 2.0, "min_shard": 3, "shared_test_draw": False},
+    "partition": {"n_clients": 5, "beta": 2.0, "min_shard": 3},
     "optimizer": {
         "lr_initial": 0.5, "lr_final": 0.05, "weight_decay": 0.0, "beta1": 0.5,
         "beta2": 0.99, "h0": 1.0, "clip_radius": 2.5, "mc_train_samples": 3,

@@ -207,6 +207,21 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics_of(np.array([[[1.0, 0.0]]]), np.array([0]), bins=0)
 
+    def test_ece_at_the_largest_bin_count(self):
+        # at 2**62 bins distinct confidences fill one bin each, so ECE adds
+        # the terms (1/n)|conf - correct| from 0.0 in ascending-confidence order;
+        # memory follows the filled bins, not the bin count
+        rng = np.random.default_rng(0)
+        n = 50
+        top = rng.uniform(0.5, 1.0, n)
+        assert len(np.unique(top)) == n
+        probs = np.column_stack([top, 1.0 - top])
+        labels = rng.integers(0, 2, n)
+        expected = 0.0
+        for i in np.argsort(top):
+            expected += (1 / n) * abs(top[i] - float(labels[i] == 0))
+        assert one(probs, labels, 2**62)["ece"] == expected
+
     @given(ece_cases())
     @example((np.array([[1.0, 0.0]]), np.array([1]), 1))
     @example((np.array([[0.5, 0.5]]), np.array([0]), 15))
@@ -259,11 +274,12 @@ class TestEvaluate:
         ds = synth_blobs(classes=3, dim=2, n_per_class=5, spread=0.1, seed=0)
         noise = np.random.default_rng(3).standard_normal((4, post.dim))
         other = DiagGaussian(mean=np.full(post.dim, 0.5), var=post.var)
-        both = (np.stack([post.mean, other.mean]), np.stack([post.var, other.var]))
+        both = DiagGaussian(mean=np.stack([post.mean, other.mean]),
+                            var=np.stack([post.var, other.var]))
         reps = evaluate(spec, [both], ds, noise, bins=10)
         assert len(reps) == 2
         for p, (rep,) in zip([post, other], reps):
-            probs = predict_proba_mc(spec, [(p.mean[None], p.var[None])], ds.inputs, noise)[0]
+            probs = predict_proba_mc(spec, [p], ds.inputs, noise)[0]
             assert rep == {
                 "acc": accuracy_of(probs, ds.labels),
                 "ece": ece_of(probs, ds.labels, 10),
@@ -286,10 +302,11 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         mean = rng.normal(size=(3, param_count(spec)))
         var = rng.uniform(0.01, 0.1, size=mean.shape)
+        posts = DiagGaussian(mean=mean, var=var)
         noise = rng.standard_normal((5, param_count(spec)))
         groups = np.split(rng.permutation(ds.n), [7, 30, 41])
-        got = evaluate(spec, [(mean[:1], var[:1]), (mean[1:], var[1:])], ds, noise, 15, groups)
-        probs = predict_proba_mc(spec, [(mean, var)], ds.inputs, noise)
+        got = evaluate(spec, [posts[0], posts[1:]], ds, noise, 15, groups)
+        probs = predict_proba_mc(spec, [posts], ds.inputs, noise)
         ref = [metrics_of(probs, ds.labels, 15)]
         ref += [metrics_of(probs[:, g], ds.labels[g], 15) for g in groups]
         assert got == [[r[i][0] for r in ref] for i in range(3)]

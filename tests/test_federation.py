@@ -40,7 +40,7 @@ from baryfed.federation import (
 from baryfed.checks import projection_path
 from baryfed.geometry import AggregationMethod, DiagGaussian, Divergence, aggregate, project
 from baryfed.models import predict_proba_mc
-from baryfed.variopt import ivon_restart, ivon_step, posterior_of, sample_params
+from baryfed.variopt import ivon_restart, ivon_step, sample_params
 
 METRICS_COLUMNS = [
     "setting", "method", "lambda", "client_id", "seed",
@@ -74,11 +74,6 @@ def bench_cfg(**over) -> ExperimentConfig:
     )
     base.update(over)
     return ExperimentConfig(**base)
-
-
-def one(p: DiagGaussian):
-    """A posterior as a (mean, var) pair of stacks of one."""
-    return p.mean[None], p.var[None]
 
 
 def run_one(cfg, seed):
@@ -161,20 +156,6 @@ class TestPartitionBoth:
         a, _ = partition_both(cfg, train, test, seed=0)
         b, _ = partition_both(cfg, train, test, seed=1)
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_separate_test_draw(self):
-        cfg = make_cfg()
-        separate = make_cfg(partition=dataclasses.replace(cfg.partition, shared_test_draw=False))
-        train, test = build_data(cfg)
-        _, shared = partition_both(cfg, train, test, seed=0)
-        tr_idx, te_idx = partition_both(separate, train, test, seed=0)
-        assert len(te_idx) == 4
-        assert min(len(s) for s in te_idx) >= 1
-        assert np.array_equal(np.sort(np.concatenate(te_idx)), np.arange(test.n))
-        assert any(not np.array_equal(x, y) for x, y in zip(te_idx, shared))
-        tr_again, te_again = partition_both(separate, train, test, seed=0)
-        assert all(np.array_equal(x, y) for x, y in zip(tr_idx, tr_again))
-        assert all(np.array_equal(x, y) for x, y in zip(te_idx, te_again))
 
 
 class TestRunExperiment:
@@ -421,7 +402,8 @@ class TestSeedPasses:
 def h0_prior(theta, opt, ess):
     """The posterior at ``theta`` of an optimizer state with its Hessian at h0."""
     start = DiagGaussian(mean=theta, var=np.ones(theta.shape[0]))
-    return posterior_of(ivon_restart([start], opt, [ess], frozen=True))[0]
+    state = ivon_restart([start], opt, [ess], frozen=True)
+    return DiagGaussian(mean=state.mean, var=state.var)[0]
 
 
 def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spec, frozen_var):
@@ -457,7 +439,7 @@ def forked_client_update(global_posterior, shard, opt, lrs, batch_size, rng, spe
         trace.append(float(np.mean(losses)))
     if deterministic:
         return DiagGaussian(mean=state.mean[0], var=np.full(dim, frozen_var)), trace
-    return posterior_of(state)[0], trace
+    return DiagGaussian(mean=state.mean, var=state.var)[0], trace
 
 
 class TestClientUpdate:
@@ -685,9 +667,9 @@ class TestPersonalizeAll:
     def test_endpoints_bit_exact(self):
         g, locals_ = self.stand_ins()
         # the endpoints get no projected row: they are the posteriors themselves
-        p_g = (np.stack([g.mean] * 3), np.stack([g.var] * 3))
-        p_k = (np.stack([p.mean for p in locals_]), np.stack([p.var for p in locals_]))
-        assert project(Divergence.W2SQ, p_g, p_k, [0.0, math.inf])[0].shape == (3, 0, 6)
+        p_g = DiagGaussian(mean=np.stack([g.mean] * 3), var=np.stack([g.var] * 3))
+        p_k = federation._stack(locals_)
+        assert project(Divergence.W2SQ, p_g, p_k, [0.0, math.inf]).mean.shape == (3, 0, 6)
         paths = (projection_path(Divergence.W2SQ, g, p, [0.0, math.inf]) for p in locals_)
         at_zero, at_inf = zip(*paths)
         for p in at_zero:
@@ -708,9 +690,8 @@ class TestPersonalizeAll:
         for name in calls:
             monkeypatch.setattr(models, name, refuse(name))
         g, locals_ = self.stand_ins()
-        p_g = (np.stack([g.mean] * 3), np.stack([g.var] * 3))
-        p_k = (np.stack([p.mean for p in locals_]), np.stack([p.var for p in locals_]))
-        project(Divergence.RKL, p_g, p_k, [1.0])
+        p_g = DiagGaussian(mean=np.stack([g.mean] * 3), var=np.stack([g.var] * 3))
+        project(Divergence.RKL, p_g, federation._stack(locals_), [1.0])
         assert calls == {"forward": 0, "loss_and_grad": 0}
 
     def test_matches_direct_projection(self):
@@ -728,8 +709,8 @@ class TestPersonalizeAll:
         assert [m["client_id"] for m in rows] == list(range(len(final["locals"])))
         for m, loc in zip(rows, final["locals"]):
             d = cfg.personalization.divergence
-            mean, var = project(d, one(final["global"]), one(loc), [1.0])
-            ((ref, *_),) = evaluate(spec, [(mean[0], var[0])], test, noise, cfg.eval.ece_bins)
+            proj = project(d, final["global"][None], loc[None], [1.0])
+            ((ref, *_),) = evaluate(spec, [proj], test, noise, cfg.eval.ece_bins)
             assert (m["acc"], m["nll"], m["ece"]) == (ref["acc"], ref["nll"], ref["ece"])
 
 
@@ -742,15 +723,15 @@ class TestScoreOnce:
     def counted_run(self, monkeypatch, cfg):
         calls, forwarded = [], []
 
-        def counting(spec, stacks, ds, noise, bins, groups=()):
+        def counting(spec, posts, ds, noise, bins, groups=()):
             calls.append((ds, groups))
-            return evaluate(spec, stacks, ds, noise, bins, groups)
+            return evaluate(spec, posts, ds, noise, bins, groups)
 
-        def forwarding(spec, stacks, inputs, noise):
-            # each row's bytes: distinct posteriors have distinct rows here
-            forwarded.extend(m.tobytes() + v.tobytes() for mean, var in stacks
-                             for m, v in zip(mean, var))
-            return predict_proba_mc(spec, stacks, inputs, noise)
+        def forwarding(spec, posts, inputs, noise):
+            # each posterior's bytes: distinct posteriors have distinct rows here
+            forwarded.extend(m.tobytes() + v.tobytes() for p in posts for m, v in
+                             zip(p.mean.reshape(-1, p.dim), p.var.reshape(-1, p.dim)))
+            return predict_proba_mc(spec, posts, inputs, noise)
 
         monkeypatch.setattr(federation, "evaluate", counting)
         monkeypatch.setattr(models, "predict_proba_mc", forwarding)
@@ -835,9 +816,9 @@ class TestScoreBlocks:
         cfg, methods, distinct = self.CASES[case]
         scored = []
 
-        def counting(spec, stacks, *args):
-            scored.append(sum(len(mean) for mean, _ in stacks))
-            return predict_proba_mc(spec, stacks, *args)
+        def counting(spec, posts, *args):
+            scored.append(sum(p.mean.size // p.dim for p in posts))
+            return predict_proba_mc(spec, posts, *args)
 
         monkeypatch.setattr(models, "predict_proba_mc", counting)
         p = models.param_count(models.MlpSpec(layer_sizes=(2, 8, 3)))
@@ -891,10 +872,10 @@ class TestLiveness:
         def tracking(d, p_g, p_k, lambdas):
             gc.collect()
             alive_at_call.append(sum(ref() is not None for ref in rows))
-            mean, var = project(d, p_g, p_k, lambdas)
-            assert mean.shape[:2] == (1, 2)  # one job, lambda 0.5 and 1.0
-            rows[:] = [weakref.ref(mean), weakref.ref(var)]
-            return mean, var
+            proj = project(d, p_g, p_k, lambdas)
+            assert proj.mean.shape[:2] == (1, 2)  # one job, lambda 0.5 and 1.0
+            rows[:] = [weakref.ref(proj.mean), weakref.ref(proj.var)]
+            return proj
 
         monkeypatch.setattr(federation, "project", tracking)
         run_experiment(cfg, [0], self.METHODS)
@@ -980,12 +961,11 @@ class TestScoreOracle:
             for row in rows:
                 k, lam = row["client_id"], row["lambda"]
                 if row["setting"].startswith("GM") or lam == 0.0:
-                    stack = one(final["global"])
+                    stack = final["global"][None]
                 elif lam is None or lam == math.inf:
-                    stack = one(final["locals"][k])
+                    stack = final["locals"][k][None]
                 else:
-                    mean, var = project(d, one(final["global"]), one(final["locals"][k]), [lam])
-                    stack = (mean[0], var[0])
+                    stack = project(d, final["global"][None], final["locals"][k][None], [lam])[0]
                 probs = predict_proba_mc(spec, [stack], test.inputs, noise)
                 if row["setting"].endswith("GD"):
                     ((ref,),) = metrics_of(probs, test.labels, bins)
@@ -1100,9 +1080,9 @@ class TestIncrementalSweep:
             mixtures.append(aggregate(method, posteriors, weights))
             return mixtures[-1]
 
-        def scoring(spec, stacks, ds, noise, bins, groups=()):
+        def scoring(spec, posts, ds, noise, bins, groups=()):
             calls.append((spec, ds, noise, bins, groups))
-            return evaluate(spec, stacks, ds, noise, bins, groups)
+            return evaluate(spec, posts, ds, noise, bins, groups)
 
         monkeypatch.setattr(federation, "aggregate", mixing)
         monkeypatch.setattr(federation, "evaluate", scoring)
@@ -1114,7 +1094,7 @@ class TestIncrementalSweep:
         tasks = [np.flatnonzero(test.labels < 2), np.flatnonzero(test.labels >= 2)]
         assert [g.tolist() for g in groups] == [t.tolist() for t in tasks]
         for row, mixture in zip(rows, mixtures):
-            (_, *refs) = evaluate(spec, [one(mixture)], test, noise, bins, groups)[0]
+            (_, *refs) = evaluate(spec, [mixture[None]], test, noise, bins, groups)[0]
             for ref, task in zip(refs, "ab"):
                 assert {m: row[f"{m}_{task}"] for m in ref} == ref
 

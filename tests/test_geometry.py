@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from baryfed import geometry
 from baryfed.checks import (
@@ -32,11 +33,6 @@ def g(mean, var):
 
 
 STD_NORMAL = g(0.0, 1.0)
-
-
-def one(p: DiagGaussian):
-    """A posterior as a (mean, var) pair of stacks of one."""
-    return p.mean[None], p.var[None]
 
 
 # Property-test inputs. Means in [-10, 10] and variances in [1e-3, 1e3] keep
@@ -114,10 +110,38 @@ class TestDiagGaussian:
         q = DiagGaussian(mean=ints, var=ints)
         assert q.var is not ints and ints.flags.writeable and not q.var.flags.writeable
 
+    def test_stack_rows_are_posteriors(self):
+        # a (2, 3, P) stack: dim is the last axis, post[i] views row i, and
+        # post[None] is a stack of one
+        rng = np.random.default_rng(0)
+        mean, var = rng.normal(size=(2, 3, 4)), rng.uniform(0.5, 2.0, size=(2, 3, 4))
+        stack = DiagGaussian(mean=mean, var=var)
+        assert stack.dim == 4 and stack.std.shape == (2, 3, 4)
+        row = stack[1, 2]
+        assert row.mean.shape == (4,) and np.shares_memory(row.mean, mean)
+        assert np.array_equal(row.var, var[1, 2])
+        assert stack[None].mean.shape == (1, 2, 3, 4)
+        assert [p.mean.shape for p in stack] == [(3, 4), (3, 4)]
+        with pytest.raises(ValueError):
+            row.mean[0] = 1.0
+
+    def test_stack_validation(self):
+        var = np.ones((2, 3))
+        var[1, 2] = 0.0
+        with pytest.raises(ValueError, match="non-positive variance at coordinate 2"):
+            DiagGaussian(mean=np.zeros((2, 3)), var=var)
+        with pytest.raises(ValueError, match="finite"):
+            DiagGaussian(mean=np.full((2, 3), np.nan), var=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            DiagGaussian(mean=np.zeros((2, 3)), var=np.ones((1, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            DiagGaussian(mean=np.zeros((2, 0)), var=np.ones((2, 0)))
+
     def test_projected_rows_are_read_only(self):
         p_g, p_k = g([0.0, 1.0], [1.0, 0.5]), g([4.0, -2.0], [9.0, 0.1])
         for d in (Divergence.RKL, Divergence.W2SQ):
-            mean, var = project(d, one(p_g), one(p_k), [0.5, 1.0, 3.0])
+            proj = project(d, p_g[None], p_k[None], [0.5, 1.0, 3.0])
+            mean, var = proj.mean, proj.var
             assert mean.shape == var.shape == (1, 3, 2)
             assert not mean.flags.writeable and not var.flags.writeable
             with pytest.raises(ValueError):
@@ -189,9 +213,9 @@ class TestDivergences:
         body = {"dataset": {"kind": "synth"}, "personalization": {"divergence": d.value.lower()}}
         assert parse_config(body).personalization.divergence is d
         p_g, p_k = g([0.0, 1.0], [1.0, 0.5]), g([4.0, -2.0], [9.0, 0.1])
-        mean, var = project(d, one(p_g), one(p_k), [0.5, 2.0])
-        assert np.isfinite(mean).all() and np.isfinite(var).all()
-        q = g(mean[0, 0], var[0, 0])
+        proj = project(d, p_g[None], p_k[None], [0.5, 2.0])
+        assert np.isfinite(proj.mean).all() and np.isfinite(proj.var).all()
+        q = proj[0, 0]
         assert math.isfinite(projection_divergence(d, q, p_k))
         assert np.isfinite(divergence(d, q.mean[0], q.std[0], g(p_k.mean[0], p_k.var[0])))
 
@@ -310,20 +334,22 @@ class TestProjectionWeights:
         weights = [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
         for d, method in pairs.items():
             # 0 and inf get no row: they are the global and local posteriors
-            mean, var = project(d, one(self.p_g), one(self.p_k), grid)
-            assert mean.shape == (1, 2, 2)
-            for m, v, w in zip(mean[0], var[0], weights[::2]):
+            proj = project(d, self.p_g[None], self.p_k[None], grid)
+            assert proj.mean.shape == (1, 2, 2)
+            for m, v, w in zip(proj.mean[0], proj.var[0], weights[::2]):
                 ref = aggregate(method, [self.p_g, self.p_k], w)
                 assert np.array_equal(m, ref.mean)
                 assert np.array_equal(v, ref.var)
             *_, at_inf = projection_path(d, self.p_g, self.p_k, grid)
             assert at_inf is self.p_k
-        mean, var = project(Divergence.RKL, one(self.p_g), one(self.p_k), [])
-        assert mean.shape == var.shape == (1, 0, 2)
+        proj = project(Divergence.RKL, self.p_g[None], self.p_k[None], [])
+        assert proj.mean.shape == proj.var.shape == (1, 0, 2)
 
     def test_stacks_must_share_one_shape(self):
-        with pytest.raises(ValueError, match="four \\(J, P\\) stacks of one shape"):
-            project(Divergence.W2SQ, one(self.p_g), (self.p_k.mean[None], self.p_k.var), [1.0])
+        pair = DiagGaussian(mean=np.zeros((2, 2)), var=np.ones((2, 2)))
+        for p_g, p_k in [(self.p_g[None], self.p_k), (self.p_g, self.p_k), (self.p_g[None], pair)]:
+            with pytest.raises(ValueError, match="two \\(J, P\\) stacks of one shape"):
+                project(Divergence.W2SQ, p_g, p_k, [1.0])
 
     def test_from_lambda_rejects_negative(self, monkeypatch):
         # anywhere in the grid, before any arithmetic
@@ -336,7 +362,7 @@ class TestProjectionWeights:
                 grid = [0.0, 1.0, 1e300, math.inf]
                 grid.insert(at, bad)
                 with pytest.raises(ValueError, match=f"lambda must be >= 0, got {bad}"):
-                    project(Divergence.W2SQ, one(self.p_g), one(self.p_k), grid)
+                    project(Divergence.W2SQ, self.p_g[None], self.p_k[None], grid)
 
     @settings(deadline=None, max_examples=150, derandomize=True)
     @given(projection_instances())
@@ -349,10 +375,11 @@ class TestProjectionWeights:
         inner = [lam for lam in grid if 0.0 < lam < math.inf]
         # a block of J = 3 pairs: each row has the bits of its pair alone
         block = [(p_g, p_k), (p_k, p_g), (p_g, p_g)]
-        stacks = [tuple(np.stack([getattr(q[i], f) for q in block]) for f in ("mean", "var"))
-                  for i in (0, 1)]
+        stacks = [DiagGaussian(mean=np.stack([q[i].mean for q in block]),
+                               var=np.stack([q[i].var for q in block])) for i in (0, 1)]
         for d, method in pairs.items():
-            mean, var = project(d, *stacks, grid)
+            proj = project(d, *stacks, grid)
+            mean, var = proj.mean, proj.var
             assert mean.shape == var.shape == (3, len(inner), p_g.dim)
             for j, (a, b) in enumerate(block):
                 for l, lam in enumerate(inner):
@@ -365,7 +392,7 @@ class TestProjectionWeights:
         # per grid counts the floored coordinates of every row
         p_g, p_k = g([0.0, 1.0], [1e-14, 1e-14]), g([0.5, -0.0], [1.0, 2.0])
         with caplog.at_level("WARNING"):
-            _, ((low, high),) = project(Divergence.RKL, one(p_g), one(p_k), [1e-300, 1e300])
+            ((low, high),) = project(Divergence.RKL, p_g[None], p_k[None], [1e-300, 1e300]).var
         assert np.array_equal(low, [VAR_FLOOR, VAR_FLOOR])
         assert high.tobytes() == aggregate(
             AggregationMethod.RKLB, [p_g, p_k], [1.0 / (1e300 + 1.0), 1e300 / (1e300 + 1.0)]
@@ -380,16 +407,16 @@ class TestProject:
     p_k = g(4.0, 9.0)
 
     def test_w2sq_worked_example(self):
-        mean, var = project(Divergence.W2SQ, one(self.p_g), one(self.p_k), [1.0])
-        assert mean[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert var[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
+        proj = project(Divergence.W2SQ, self.p_g[None], self.p_k[None], [1.0])
+        assert proj.mean[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert proj.var[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
 
     @settings(deadline=None)
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_zero_is_global_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
             # no row is computed: the path at lambda = 0 is p_g itself
-            assert project(d, one(p_g), one(p_k), [0.0])[0].shape == (1, 0, p_g.dim)
+            assert project(d, p_g[None], p_k[None], [0.0]).mean.shape == (1, 0, p_g.dim)
             (out,) = projection_path(d, p_g, p_k, [0.0])
             assert np.array_equal(out.mean, p_g.mean)
             assert np.array_equal(out.var, p_g.var)
@@ -398,19 +425,19 @@ class TestProject:
     @given(POSTERIORS, POSTERIORS)
     def test_lambda_inf_is_local_bit_exact(self, p_g, p_k):
         for d in (Divergence.RKL, Divergence.W2SQ):
-            assert project(d, one(p_g), one(p_k), [math.inf])[0].shape == (1, 0, p_g.dim)
+            assert project(d, p_g[None], p_k[None], [math.inf]).mean.shape == (1, 0, p_g.dim)
             (out,) = projection_path(d, p_g, p_k, [math.inf])
             assert np.array_equal(out.mean, p_k.mean)
             assert np.array_equal(out.var, p_k.var)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            project(Divergence.W2SQ, one(self.p_g), one(self.p_k), [-1.0])
+            project(Divergence.W2SQ, self.p_g[None], self.p_k[None], [-1.0])
 
     def test_rkl_matches_two_point_fusion(self):
-        mean, var = project(Divergence.RKL, one(g(0.0, 1.0)), one(g(2.0, 1.0 / 3.0)), [1.0])
-        assert mean[0, 0, 0] == pytest.approx(1.5, abs=1e-12)
-        assert var[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+        proj = project(Divergence.RKL, g(0.0, 1.0)[None], g(2.0, 1.0 / 3.0)[None], [1.0])
+        assert proj.mean[0, 0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert proj.var[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_along_grid(self):
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, math.inf]
@@ -467,3 +494,78 @@ class TestNumericOracle:
         with pytest.raises(ValueError):
             numeric_projection_oracle(Divergence.W2SQ, self.p_g, self.p_k, -0.1)
 
+
+def summed_divergence(d, mu, sd, coords) -> float:
+    """D(N(mu, sd^2) || ref) summed over coordinates: ``checks.divergence`` of
+    each coordinate against ``coords``, the reference's coordinates as 1-D
+    posteriors."""
+    return math.fsum(float(divergence(d, m, s, c)) for m, s, c in zip(mu, sd, coords))
+
+
+def slsqp_projection(d, p_g, p_k, radius, rng):
+    """(mean, sd) minimizing D(q || p_g) subject to D(q || p_k) <= radius over
+    (mean, log sd) in R^{2P}: the best feasible SLSQP end point from p_k, p_g
+    and a perturbed p_k."""
+    dim = p_g.dim
+    coords_g, coords_k = (list(DiagGaussian(mean=p.mean[:, None], var=p.var[:, None]))
+                          for p in (p_g, p_k))
+
+    def split(x):
+        return x[:dim], np.exp(x[dim:])
+
+    def slack(x):
+        return radius - summed_divergence(d, *split(x), coords_k)
+
+    starts = [np.concatenate([p.mean, np.log(p.std)]) for p in (p_k, p_g)]
+    starts.append(starts[0] + rng.normal(scale=0.3, size=2 * dim))
+    best = None
+    for x0 in starts:
+        res = minimize(lambda x: summed_divergence(d, *split(x), coords_g), x0, method="SLSQP",
+                       constraints=[{"type": "ineq", "fun": slack}],
+                       options={"ftol": 1e-15, "maxiter": 1000})
+        if slack(res.x) >= -1e-12 and (best is None or res.fun < best.fun):
+            best = res
+    return split(best.x)
+
+
+def oracle_gap(d, p_g, p_k, q, rng) -> float:
+    """Largest |mean| or |sd| gap between q and the SLSQP projection at the
+    radius q reaches."""
+    mean, sd = slsqp_projection(d, p_g, p_k, projection_divergence(d, q, p_k), rng)
+    return max(np.abs(mean - q.mean).max(), np.abs(sd - q.std).max())
+
+
+class TestProjectionOracleInP:
+    """In P dimensions the sphere constraint sums the divergence over
+    coordinates, so one lambda must serve every coordinate; a 1-D oracle
+    cannot see a per-coordinate radius or a lambda mis-shared across
+    coordinates. An independent SLSQP oracle over R^{2P} can."""
+
+    LAMBDAS = (0.25, 1.0, 4.0)
+
+    @staticmethod
+    def instances(count):
+        """(p_g, p_k) pairs at P = 2, 3, 4 in turn: means in [-1, 1], sds in [0.3, 1.3]."""
+        rng = np.random.default_rng(0)
+        for i in range(count):
+            dim = (2, 3, 4)[i % 3]
+            yield tuple(g(rng.uniform(-1.0, 1.0, dim), rng.uniform(0.3, 1.3, dim) ** 2)
+                        for _ in "gk")
+
+    @pytest.mark.parametrize("d", list(Divergence))
+    def test_project_solves_the_constrained_problem(self, d):
+        rng = np.random.default_rng(1)
+        for p_g, p_k in self.instances(6):
+            path = project(d, p_g[None], p_k[None], self.LAMBDAS)[0]
+            for q, lam in zip(path, self.LAMBDAS):
+                assert oracle_gap(d, p_g, p_k, q, rng) <= 1e-6, (p_g.dim, lam)
+
+    @pytest.mark.parametrize("d", list(Divergence))
+    def test_mis_weighted_coordinate_detected(self, d):
+        # coordinate 0 of the lambda = 1 projection taken at lambda = 4
+        rng = np.random.default_rng(2)
+        for p_g, p_k in self.instances(3):
+            q, other = project(d, p_g[None], p_k[None], [1.0, 4.0])[0]
+            mean, var = q.mean.copy(), q.var.copy()
+            mean[0], var[0] = other.mean[0], other.var[0]
+            assert oracle_gap(d, p_g, p_k, g(mean, var), rng) > 1e-3

@@ -1,19 +1,23 @@
-"""The functions perfbench/child.py wraps in a traced run exist as it expects.
+"""The functions perfbench/child.py wraps in a traced run exist, are called
+and yield positive work, as it expects.
 
 A traced benchmark run patches every ``baryfed.<module>.<fn>`` named in
-child.py's WRAPPED and reads two arguments by position or name to compute
-work per call. Its coverage guard then fails a workload on which a wrapped
-function recorded no call. Renaming one of those functions or arguments, or
-a command that stops calling one, would only show up as a missing wrapper
-or a failed traced run; these tests catch it here. The harness file is
-parsed, not imported or changed.
+child.py's WRAPPED and computes work per call from some calls' arguments or
+results: ``_aggregate_bytes`` reads ``posteriors[0].dim``, ``_grad_flops``
+reads ``spec.layer_sizes`` and ``batch.size``, and ``partition_indices``'s
+work is its draw's ``attempts``. Its coverage guard then fails a workload on
+which a wrapped function recorded no call. These tests run commands in
+process under child.py's own ``Tracer``, so a renamed function or argument,
+a command that stops calling one, or a work function that no longer reads
+its call fails here, not only in a traced benchmark run. The harness is
+imported, never changed.
 """
 
-import ast
 import importlib
 import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,17 +25,13 @@ import pytest
 from baryfed import federation, models
 from baryfed.cli import main
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))  # child.py imports its sibling spans.py
+import child  # noqa: E402
 
-
-def wrapped_names() -> list[str]:
-    tree = ast.parse(CHILD.read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
-        ):
-            return [f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in node.value.elts]
-    raise AssertionError(f"no WRAPPED tuple in {CHILD}")
+WRAPPED = [f"{module}.{fn}" for module, fn, _ in child.WRAPPED]
+WITH_WORK = {f"{module}.{fn}" for module, fn, work in child.WRAPPED if work is not None}
 
 
 def wrapped(name: str):
@@ -40,10 +40,11 @@ def wrapped(name: str):
 
 
 def test_wrapped_list_is_read():
-    assert "evaluation.evaluate" in wrapped_names()
+    assert "evaluation.evaluate" in WRAPPED
+    assert WITH_WORK == {"data.partition_indices", "models.loss_and_grad", "geometry.aggregate"}
 
 
-@pytest.mark.parametrize("name", wrapped_names())
+@pytest.mark.parametrize("name", WRAPPED)
 def test_wrapped_function_exists(name):
     assert callable(wrapped(name))
 
@@ -76,33 +77,28 @@ RUN_CONFIG = {
 }
 
 
-def count_wrapped_calls(monkeypatch) -> dict[str, int]:
-    """Calls per wrapped function from here on, counted on every binding of
-    it, as child.py's Tracer does."""
-    calls = dict.fromkeys(wrapped_names(), 0)
-    modules = [m for n, m in sys.modules.items() if n == "baryfed" or n.startswith("baryfed.")]
-
-    def counter(name, fn):
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counting
-
-    for name in calls:
-        original = wrapped(name)
-        counting = counter(name, original)
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is original:
-                    monkeypatch.setattr(m, attr, counting)
-    return calls
-
-
 def run_command(tmp_path, command, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
     assert main([command, str(path)]) == 0
+
+
+def traced(tmp_path, command, config) -> Counter:
+    """Calls per wrapped function of one command run in process under
+    child.py's Tracer, which wraps every binding of each; the tracer finds
+    every function, restores every binding, and every work value it
+    records is positive."""
+    tracer = child.Tracer("test")
+    tracer.install()
+    try:
+        run_command(tmp_path, command, config)
+    finally:
+        restored = tracer.uninstall()
+    assert tracer.missing == []
+    assert restored
+    spans = [(name, work) for _, _, name, _, _, work in tracer.spans]
+    assert [(name, work) for name, work in spans if name in WITH_WORK and not work > 0] == []
+    return Counter(name for _, _, name, *_ in tracer.spans)
 
 
 @pytest.mark.parametrize(
@@ -113,30 +109,27 @@ def run_command(tmp_path, command, config):
     ],
     ids=["compare-agg", "run"],
 )
-def test_command_calls_every_wrapped_function(tmp_path, monkeypatch, command, config, optional):
-    calls = count_wrapped_calls(monkeypatch)
-    run_command(tmp_path, command, config)
-    assert [name for name, n in calls.items() if n == 0 and name not in optional] == []
+def test_command_calls_every_wrapped_function(tmp_path, command, config, optional):
+    calls = traced(tmp_path, command, config)
+    assert [name for name in WRAPPED if calls[name] == 0 and name not in optional] == []
 
 
-def test_compare_agg_geometry_call_counts(tmp_path, monkeypatch):
+def test_compare_agg_geometry_call_counts(tmp_path):
     # one project call personalizes a block of (method, client) jobs for the
     # whole lambda grid, and at P = 51 a seed's jobs are one block; aggregate
     # runs on the server only: a fallback to one project call per client or
     # per lambda, or to one aggregate per projection, multiplies these counts
-    calls = count_wrapped_calls(monkeypatch)
-    run_command(tmp_path, "compare-agg", COMPARE_CONFIG)
+    calls = traced(tmp_path, "compare-agg", COMPARE_CONFIG)
     seeds, methods = len(COMPARE_CONFIG["seeds"]), len(COMPARE_CONFIG["compare"]["methods"])
     rounds = COMPARE_CONFIG["federation"]["rounds"]
     assert calls["geometry.project"] == seeds == 5
     assert calls["geometry.aggregate"] == seeds * methods * rounds == 45
 
 
-def test_compare_agg_trains_every_seed_in_one_lockstep(tmp_path, monkeypatch):
+def test_compare_agg_trains_every_seed_in_one_lockstep(tmp_path):
     # the seeds build their data once and train each round in one group: a
     # fallback to one pass per seed multiplies these counts by the seeds
-    calls = count_wrapped_calls(monkeypatch)
-    run_command(tmp_path, "compare-agg", COMPARE_CONFIG)
+    calls = traced(tmp_path, "compare-agg", COMPARE_CONFIG)
     rounds = COMPARE_CONFIG["federation"]["rounds"]
     assert calls["federation.client_update"] == rounds == 3
     assert calls["federation.build_data"] == 1
@@ -150,8 +143,7 @@ def test_run_call_counts_at_one_job_blocks(tmp_path, monkeypatch):
     data, hidden = RUN_CONFIG["dataset"], RUN_CONFIG["model"]["hidden"]
     layers = (data["dim"], *hidden, data["classes"])
     monkeypatch.setattr(federation, "GROUP_PARAMS", models.param_count(models.MlpSpec(layers)))
-    calls = count_wrapped_calls(monkeypatch)
-    run_command(tmp_path, "run", RUN_CONFIG)
+    calls = traced(tmp_path, "run", RUN_CONFIG)
     clients = RUN_CONFIG["partition"]["n_clients"]
     assert calls["geometry.project"] == clients == 4
     assert calls["evaluation.evaluate"] == 1 + clients == 5

@@ -227,14 +227,9 @@ def noise_block(samples, dim, seed):
     return np.random.default_rng(seed).standard_normal((samples, dim))
 
 
-def one(p: DiagGaussian):
-    """A posterior as a (mean, var) pair of stacks of one."""
-    return p.mean[None], p.var[None]
-
-
 def stacked(posts):
-    """Posteriors as the rows of one (mean, var) pair of (M, P) stacks."""
-    return np.stack([p.mean for p in posts]), np.stack([p.var for p in posts])
+    """Posteriors as the rows of one (M, P) stack."""
+    return DiagGaussian(mean=np.stack([p.mean for p in posts]), var=np.stack([p.var for p in posts]))
 
 
 def test_log_softmax_bits_equal_max_reduction():
@@ -328,12 +323,13 @@ class TestPredictiveAndCounters:
     def test_mc_probabilities(self):
         post = self.small_posterior()
         x = np.random.default_rng(1).normal(size=(8, 2))
-        probs = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 7))
+        probs = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 7))
         assert probs.shape == (1, 8, 2)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        again = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 7))
+        # a posterior and its stack of one score alike
+        again = predict_proba_mc(SMALL, [post[None]], x, noise_block(6, post.dim, 7))
         assert np.array_equal(probs, again)
-        other = predict_proba_mc(SMALL, [one(post)], x, noise_block(6, post.dim, 8))
+        other = predict_proba_mc(SMALL, [post], x, noise_block(6, post.dim, 8))
         assert not np.array_equal(probs, other)
         assert predict_proba_mc(SMALL, [], x, noise_block(6, post.dim, 7)).shape == (0, 8, 2)
 
@@ -366,7 +362,7 @@ class TestPredictiveAndCounters:
         noise = noise_block(4, posts[0].dim, 9)
         whole = predict_proba_mc(spec, [stacked(posts)], x, noise)
         # the same rows as three stacks, one of them empty
-        empty = (np.empty((0, posts[0].dim)), np.empty((0, posts[0].dim)))
+        empty = DiagGaussian(mean=np.empty((0, posts[0].dim)), var=np.empty((0, posts[0].dim)))
         parts = [stacked(posts[:3]), empty, stacked(posts[3:])]
         assert np.array_equal(predict_proba_mc(spec, parts, x, noise), whole)
 
@@ -384,24 +380,31 @@ class TestPredictiveAndCounters:
         assert max(sizes) <= budget
         assert np.array_equal(chunked, whole)
 
+    def test_stack_scores_its_posteriors_in_c_order(self):
+        spec = MlpSpec(layer_sizes=(4, 5, 3))
+        flat = stacked(self.posteriors(spec, 6, seed=5))
+        x = np.random.default_rng(6).normal(size=(9, 4))
+        noise = noise_block(4, flat.dim, 9)
+        cube = DiagGaussian(mean=flat.mean.reshape(2, 3, -1), var=flat.var.reshape(2, 3, -1))
+        got = predict_proba_mc(spec, [cube], x, noise)
+        assert np.array_equal(got, predict_proba_mc(spec, [flat], x, noise))
+
     def test_posterior_dimension_validated(self):
         post = self.small_posterior()
         wrong = DiagGaussian(mean=np.zeros(post.dim + 1), var=np.ones(post.dim + 1))
         with pytest.raises(ValueError, match="posterior dimension"):
-            predict_proba_mc(
-                SMALL, [one(post), one(wrong)], np.zeros((1, 2)), np.zeros((3, post.dim))
-            )
-        with pytest.raises(ValueError, match="mean and var, got"):
-            mismatched = (post.mean[None], post.var)
-            predict_proba_mc(SMALL, [mismatched], np.zeros((1, 2)), np.zeros((3, post.dim)))
+            predict_proba_mc(SMALL, [post, wrong], np.zeros((1, 2)), np.zeros((3, post.dim)))
+        with pytest.raises(ValueError, match=f"need {post.dim}, got {post.dim + 1}"):
+            stack = stacked([wrong, wrong])[None]
+            predict_proba_mc(SMALL, [post[None], stack], np.zeros((1, 2)), np.zeros((3, post.dim)))
 
     def test_sample_count_validated(self):
         # an empty noise block is zero samples
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, [one(post)], np.zeros((1, 2)), np.zeros((0, post.dim)))
+            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((0, post.dim)))
 
     def test_noise_width_must_be_param_count(self):
         post = self.small_posterior()
         with pytest.raises(ValueError, match="noise"):
-            predict_proba_mc(SMALL, [one(post)], np.zeros((1, 2)), np.zeros((3, post.dim - 1)))
+            predict_proba_mc(SMALL, [post], np.zeros((1, 2)), np.zeros((3, post.dim - 1)))

@@ -10,7 +10,6 @@ from baryfed.variopt import (
     ivon_restart,
     ivon_step,
     linear_lr,
-    posterior_of,
     sample_params,
 )
 
@@ -39,6 +38,12 @@ def draw(st, rng):
     return sample_params(st, [rng], np.empty((1, 1, st.mean.shape[1])))[0, 0]
 
 
+def posterior(st):
+    """The posterior of the stack of one ``st``: its row, not a copy, so the
+    state's arrays freeze and it may not step again."""
+    return DiagGaussian(mean=st.mean, var=st.var)[0]
+
+
 class TestDuality:
     def test_round_trip_tight(self):
         rng = np.random.default_rng(0)
@@ -46,14 +51,14 @@ class TestDuality:
             n = int(rng.integers(10, 100000))
             h = float(rng.uniform(0.01, 50.0))
             d = float(rng.uniform(1e-6, 1e-2))
-            (post,) = posterior_of(fresh(4, weight_decay=d, h0=h, ess=n))
+            post = posterior(fresh(4, weight_decay=d, h0=h, ess=n))
             assert np.allclose(post.var, 1.0 / (n * (h + d)), rtol=1e-12)
             back = ivon_restart([post], OptimizerCfg(weight_decay=d), [n]).hess[0]
             assert np.allclose(back, h, rtol=1e-12)
 
     def test_pinned_substitution(self):
         st = fresh(1, weight_decay=2e-4, h0=5.0, ess=1000)
-        assert posterior_of(st)[0].var[0] == pytest.approx(1.99992e-4, rel=1e-5)
+        assert posterior(st).var[0] == pytest.approx(1.99992e-4, rel=1e-5)
 
     def test_rectification_logs(self, caplog):
         post = DiagGaussian(mean=np.zeros(2), var=np.array([1.0, 1e6]))
@@ -179,7 +184,7 @@ class TestStep:
         st = ivon_restart([post], OptimizerCfg(weight_decay=0.01), [40])
         assert np.array_equal(st.mean[0], post.mean) and st.step_count.tolist() == [0]
         assert np.array_equal(st.hess[0], 1.0 / (40 * post.var) - 0.01)
-        assert np.allclose(posterior_of(st)[0].var, post.var, rtol=1e-12)
+        assert np.allclose(posterior(st).var, post.var, rtol=1e-12)
 
 
 class TestStack:
@@ -224,7 +229,7 @@ class TestStack:
 
     def test_prefix_view_steps_in_place(self):
         opt = OptimizerCfg()
-        stack = ivon_restart(posterior_of(fresh(dim=4)) * 3, opt, [5.0, 6.0, 7.0])
+        stack = ivon_restart([posterior(fresh(dim=4))] * 3, opt, [5.0, 6.0, 7.0])
         untouched = stack.mean[2].copy()
         view = stack[:2]
         ivon_step(view, np.ones((2, 1, 4)), view.mean[:, None], LR, update_hessian=False)
@@ -234,7 +239,7 @@ class TestStack:
 
     def test_failed_rows_named_and_others_stepped(self):
         opt = OptimizerCfg(weight_decay=0.0)
-        stack = ivon_restart(posterior_of(fresh(dim=3)) * 3, opt, [100.0, 100.0, 100.0])
+        stack = ivon_restart([posterior(fresh(dim=3))] * 3, opt, [100.0, 100.0, 100.0])
         grads = np.ones((3, 1, 3))
         grads[1, 0, 2] = np.nan
         good = stepped(stack, grads[0], stack.mean[0], LR, update_hessian=False)
@@ -273,7 +278,7 @@ class TestConvergence:
             sample_params(state, [step_rng], theta)
             grad = -(X.T @ (y - X @ theta[0, 0])) / n
             ivon_step(state, grad[None, None], theta, lr=linear_lr(0.1, 0.01, t, total))
-        gap = projection_divergence(Divergence.RKL, posterior_of(state)[0], analytic)
+        gap = projection_divergence(Divergence.RKL, posterior(state), analytic)
         assert gap < 0.05
 
 
