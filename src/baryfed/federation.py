@@ -14,7 +14,10 @@ stages that every command composes:
   round's ``(prior, train_idx, client, seed)`` jobs of all lanes train in
   lockstep groups (``client_update``), which gather each minibatch
   straight from the pooled arrays, so a narrow model takes one stacked
-  gradient and optimizer call per step for all seeds and methods;
+  gradient and optimizer call per step for all seeds and methods. The
+  server step then takes one ``server_aggregate`` call per method, on
+  (L, P) stacks of the method's lanes, and one ``projection_divergence``
+  call per client stack;
 - score: ``_score`` forwards each of a seed's posteriors once, on the
   pooled test set, and reads each client's local metrics from the rows of
   its test shard in that same predictive. One ``evaluate`` call scores the
@@ -201,8 +204,9 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
     steps = -(-sizes // batch_size)
     draws = np.empty((len(jobs), samples, dim))
     nll = np.empty((len(jobs), steps[0]))  # per job and step of an epoch
-    traces = [[] for _ in jobs]
-    for lr in lrs:
+    traces = np.empty((len(jobs), len(lrs)))  # per job and epoch
+    runs = models._runs(steps)  # the jobs of equal step counts are adjacent rows
+    for e, lr in enumerate(lrs):
         # each job's minibatches in order, as rows of the pooled set; the
         # padding after a job's rows only fills out the stacked batch
         order = np.zeros((len(jobs), sizes[0]), dtype=np.int64)
@@ -237,21 +241,25 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
             for s in range(samples):
                 mean_loss += losses[s::samples] / samples
             nll[:active, t] = mean_loss
-        for trace, row, n_steps in zip(traces, nll, steps.tolist()):
-            trace.append(float(np.mean(row[:n_steps])))
+        for lo, hi, n_steps in runs:
+            traces[lo:hi, e] = np.mean(nll[lo:hi, :n_steps], axis=1)
 
     if deterministic:
         state.var[...] = frozen_var  # the local posterior carries FedAvg's frozen variance
     # each job's local posterior is its row of the final state, not a copy;
     # this freezes the state's arrays in place, so no step may follow
     locals_ = DiagGaussian(mean=state.mean, var=state.var)
+    traces = traces.tolist()
     return [(locals_[r], traces[r]) for r in np.argsort(ranked).tolist()], None
 
 
 def server_aggregate(
     method: AggregationMethod, posteriors: list[DiagGaussian], weights: np.ndarray
 ) -> DiagGaussian:
-    """Fuse the clients' local posteriors; the server sees posteriors and weights only."""
+    """Fuse the clients' local posteriors; the server sees posteriors and
+    weights only. ``posteriors`` holds one (L, P) stack per client, row l
+    from lane l, and ``weights`` the (L, K) shard shares; returns the (L, P)
+    stack of the lanes' global posteriors (``aggregate``)."""
     return aggregate(method, posteriors, weights)
 
 
@@ -390,18 +398,28 @@ def train(
     ``method``, final ``global`` posterior, the clients' final ``locals``,
     and in ``rounds`` one ``{round, nll_traces, divergences, agg_seconds}``
     per round (each client's per-epoch mean minibatch NLL and
-    projection_divergence from local to new global).
+    projection_divergence from local to new global, and the seconds of the
+    aggregation call that fused the lane).
 
     A round trains all lanes in one ``_train_round``, each distinct (seed,
     broadcast posterior) once per client, so a seed's round 1, where its
-    lanes start from the same posterior, trains once. A lane aggregates
-    with its seed's weights; its dict equals training that seed under that
-    method alone. A round's locals are dropped once they are aggregated and
-    their divergences recorded, before the next round trains, so one round
-    of local posteriors is alive at a time; the last round's are returned.
+    lanes start from the same posterior, trains once. The server step then
+    runs once per method: one ``server_aggregate`` call fuses the method's
+    lanes as (L, P) stacks, one row per lane, each lane with its seed's
+    weights, and one ``projection_divergence`` call per client scores them
+    all. A lane's dict equals training that seed under that method alone.
+    A round's locals and their stacks are dropped once they are aggregated
+    and their divergences recorded, before the next round trains, so one
+    round of local posteriors is alive at a time; the last round's are
+    returned.
     """
     fed = cfg.federation
     div = cfg.personalization.divergence
+    groups = {}  # method -> (its lanes in lane order, their (L, K) shard shares)
+    for method in dict.fromkeys(method for _, method, _ in lanes):
+        group = [i for i, lane in enumerate(lanes) if lane[1] is method]
+        sizes = np.array([[len(idx) for idx in lanes[i][2]] for i in group], dtype=np.float64)
+        groups[method] = group, sizes / sizes.sum(axis=1, keepdims=True)
     rounds = [[] for _ in lanes]
     for r in range(1, fed.rounds + 1):
         locals_ = None  # round r-1's locals go before round r trains
@@ -413,16 +431,23 @@ def train(
         # an overflowing divergence reads inf, and a non-finite aggregate
         # fails its round: neither warns
         with np.errstate(all="ignore"):
-            for i, (_, method, train_idx) in enumerate(lanes):
-                sizes = np.array([len(idx) for idx in train_idx], dtype=np.float64)
+            for method, (group, shares) in groups.items():
+                # client k's locals of the method's lanes, row l from lane group[l]
+                stacks = [_stack(own) for own in zip(*(locals_[i] for i in group))]
                 t_agg = time.perf_counter()
                 with failure_context(r):
-                    globals_[i] = server_aggregate(method, locals_[i], sizes / sizes.sum())
+                    fused = server_aggregate(method, stacks, shares)
                 agg_seconds = time.perf_counter() - t_agg
-                divergences = [float(projection_divergence(div, p, globals_[i]))
-                               for p in locals_[i]]
-                rounds[i].append(dict(round=r, nll_traces=traces[i], divergences=divergences,
-                                      agg_seconds=agg_seconds))
+                divergences = np.stack([projection_divergence(div, s, fused) for s in stacks], -1)
+                # a lone survivor comes back as its stack: each lane keeps its
+                # own local, so lanes that shared a broadcast still share one
+                lone = next((k for k, s in enumerate(stacks) if s is fused), None)
+                for row, i in enumerate(group):
+                    globals_[i] = fused[row] if lone is None else locals_[i][lone]
+                    rounds[i].append(dict(round=r, nll_traces=traces[i],
+                                          divergences=divergences[row].tolist(),
+                                          agg_seconds=agg_seconds))
+                del stacks, fused  # the stacks hold this round's locals
     return [
         {"method": method, "global": g, "locals": loc, "rounds": rec}
         for (_, method, _), g, loc, rec in zip(lanes, globals_, locals_, rounds)

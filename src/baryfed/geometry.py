@@ -9,9 +9,13 @@ barycenter). Personalization is the projection of a global posterior onto a
 divergence sphere around a local posterior, computed in closed form as a
 two-point weighted barycenter with weights 1/(lambda+1) and
 lambda/(lambda+1). A ``DiagGaussian`` holds one posterior or a stack of
-them, and ``project`` takes (J, P) stacks of (global, local) pairs and a
-whole lambda grid, and makes one stacked (J, L', P) barycenter with
-``aggregate``'s formulas, in the same order of operations.
+them. ``aggregate`` fuses K posteriors, or K (L, P) stacks with (L, K)
+weights, L independent fusions in one call; ``projection_divergence``
+scores two stacks of one shape row by row; and ``project`` takes (J, P)
+stacks of (global, local) pairs and a whole lambda grid, and makes one
+stacked (J, L', P) barycenter with ``aggregate``'s formulas. A stacked
+call makes the same operations in the same order as a call per row, so
+each row has that call's bits.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently.
@@ -41,10 +45,11 @@ class DiagGaussian:
     posterior of dimension P, or a stack of posteriors along the leading
     axes. Every value must be finite and every variance strictly positive.
     ``post[i]`` is ``DiagGaussian(mean[i], var[i])``, so ``post[None]`` is a
-    stack of one. A contiguous float64 array is not copied: it is frozen in
-    place and shared, so the caller's own array turns read-only. Any other
-    input is converted into a new frozen array. A caller that keeps writing
-    to an array passes a copy.
+    stack of one; a row or a stack of one is a view, not checked again. A
+    contiguous float64 array is not copied: it is frozen in place and
+    shared, so the caller's own array turns read-only. Any other input is
+    converted into a new frozen array. A caller that keeps writing to an
+    array passes a copy.
     """
 
     mean: np.ndarray
@@ -68,6 +73,13 @@ class DiagGaussian:
         object.__setattr__(self, "var", var)
 
     def __getitem__(self, rows) -> DiagGaussian:
+        if rows is None or (isinstance(rows, int) and self.mean.ndim > 1):
+            # one row of a stack, or a stack of one, is a contiguous view of
+            # checked, read-only arrays: it needs no second check
+            view = object.__new__(DiagGaussian)
+            object.__setattr__(view, "mean", self.mean[rows])
+            object.__setattr__(view, "var", self.var[rows])
+            return view
         return DiagGaussian(mean=self.mean[rows], var=self.var[rows])
 
     @property
@@ -94,14 +106,17 @@ class AggregationMethod(str, Enum):
     RKLB = "RKLB"
 
 
-def _check_same_dim(q: DiagGaussian, p: DiagGaussian):
-    if q.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {q.dim} vs {p.dim}")
+def _check_same_shape(q: DiagGaussian, p: DiagGaussian):
+    if q.mean.shape != p.mean.shape:
+        raise ValueError(f"shape mismatch: {q.mean.shape} vs {p.mean.shape}")
 
 
-def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float:
+def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> float | np.ndarray:
     """The divergence of a candidate q from a reference p, summed over
     coordinates, as it enters the sphere constraint and projection objective.
+    q and p are of one shape: two posteriors give a float, and two (..., P)
+    stacks the (...) divergences of their rows, each with the bits of its
+    own pair.
 
     W2SQ is the squared Wasserstein-2 distance,
     (mu_q - mu_p)^2 + (sd_q - sd_p)^2. RKL is the mode-seeking KL(q || p),
@@ -112,24 +127,25 @@ def projection_divergence(d: Divergence, q: DiagGaussian, p: DiagGaussian) -> fl
     weighted barycenter.
     """
     d = Divergence(d)
-    _check_same_dim(q, p)
+    _check_same_shape(q, p)
     if d is Divergence.W2SQ:
-        return float(np.sum((q.mean - p.mean) ** 2 + (q.std - p.std) ** 2))
+        return np.sum((q.mean - p.mean) ** 2 + (q.std - p.std) ** 2, axis=-1)
     ratio = q.var / p.var
     mahal = (p.mean - q.mean) ** 2 / p.var
-    return float(0.5 * np.sum(ratio + mahal - 1.0 - np.log(ratio)))
+    return 0.5 * np.sum(ratio + mahal - 1.0 - np.log(ratio), axis=-1)
 
 
-def _check_weights(n: int, weights) -> np.ndarray:
-    """n non-negative weights summing to 1 within WEIGHT_SUM_TOL."""
+def _check_weights(shape: tuple[int, ...], weights) -> np.ndarray:
+    """Non-negative weights of ``shape``, each row (last axis) summing to 1
+    within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != n:
-        raise ValueError(f"need {n} weights, got shape {w.shape}")
+    if w.shape != shape:
+        raise ValueError(f"need weights of shape {shape}, got {w.shape}")
     if (w < 0.0).any():
-        bad = int(np.argmax(w < 0.0))
+        bad = int(np.argmax(w < 0.0)) % shape[-1]
         raise ValueError(f"negative weight at index {bad}")
-    total = float(w.sum())
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
+    total = w.sum(axis=-1)
+    if not (np.abs(total - 1.0) <= WEIGHT_SUM_TOL).all():  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}")
     return w
 
@@ -153,36 +169,49 @@ def aggregate(
     deviations (variance is the squared averaged std); RKLB fuses precisions
     (precision-weighted mean, harmonic combination of variances).
 
-    Weights must be non-negative and sum to 1 within 1e-9; they are
-    renormalized internally. Zero-weight entries are dropped before any
-    arithmetic, so degenerate weight vectors return the surviving posterior
-    unchanged.
+    The K ``posteriors`` are of one shape: K posteriors of dimension P with
+    K weights, or K (L, P) stacks with (L, K) weights, which fuse L
+    independent sets at once, row l of each stack weighted by row l of the
+    weights. A stack's row l of the result has the bits that a call on the
+    rows l and the weights of row l gives: the same operations in the same
+    order.
+
+    Weights must be non-negative and each row must sum to 1 within 1e-9;
+    they are renormalized internally. Zero-weight members are dropped before
+    any arithmetic, so a degenerate weight vector returns the surviving
+    posterior itself, unchanged; in a stack, a member's weight must be zero
+    in every row or in none.
     """
     method = AggregationMethod(method)
     if len(posteriors) == 0:
         raise ValueError("need at least one posterior")
     for p in posteriors[1:]:
-        _check_same_dim(p, posteriors[0])
-    w = _check_weights(len(posteriors), weights)
+        _check_same_shape(p, posteriors[0])
+    w = _check_weights(posteriors[0].mean.shape[:-1] + (len(posteriors),), weights)
 
-    keep = w > 0.0
+    kept = (w > 0.0).reshape(-1, len(posteriors))  # one row per fused set
+    keep = kept[0]
+    if (kept != keep).any():
+        raise ValueError("a zero weight must be zero in every row of the weights")
     survivors = [p for p, k in zip(posteriors, keep) if k]
     if len(survivors) == 1:
         return survivors[0]
-    w = w[keep] / w[keep].sum()
-    mean, var = _barycenter(method, [(wi, p.mean, p.var) for wi, p in zip(w, survivors)])
+    w = np.compress(keep, w, axis=-1)  # C order, unlike w[..., keep], so each row sums pairwise
+    w = w / w.sum(axis=-1, keepdims=True)
+    # (..., 1) weight columns broadcast over each stack's last axis
+    terms = [(w[..., i, None], p.mean, p.var) for i, p in enumerate(survivors)]
+    mean, var = _barycenter(method, terms)
     return DiagGaussian(mean=mean, var=_floor_variance(var))
 
 
 def _barycenter(method: AggregationMethod, terms) -> tuple[np.ndarray, np.ndarray]:
     """(mean, var) of the weighted barycenter of (weight, mean, var) terms.
 
-    Scalar weights on P-long vectors give P-long vectors. (L, 1) column
-    weights on (J, 1, P) rows give (J, L, P) stacks: broadcasting makes the
-    same elementwise operations in the same order, so each entry has the
-    bits its scalar weights give. (At P = 1 that holds below 8 terms, where
-    NumPy's pairwise sum of a column is a plain running sum; a projection
-    has 2.)
+    Weights broadcast against the rows: (1,) weights on P-long vectors give
+    P-long vectors, (L, 1) weights on (L, P) stacks give (L, P) stacks, and
+    (L', 1) weights on (J, 1, P) rows give (J, L', P) stacks. Broadcasting
+    makes the same elementwise operations in the same order, so each entry
+    has the bits that scalar weights on its own vectors give.
     """
     if method is AggregationMethod.EAA:
         mean = _sum_rows(wi * m for wi, m, _ in terms)
@@ -205,13 +234,14 @@ def _sum_rows(rows) -> np.ndarray:
     axis=0)`` makes over the stacked rows, so the bits are the same; but only
     the running total and one row are alive at a time, never a (K, P) stack
     and its temporaries. NumPy sums a single column pairwise, so arrays whose
-    last axis has length 1 are stacked and summed by NumPy to keep those bits
-    too.
+    last axis has length 1 are summed by NumPy along a new last axis, which
+    sums each entry's K terms pairwise as a lone (K, 1) column does, however
+    many entries share the call.
     """
     rows = iter(rows)
     first = next(rows)
     if first.shape[-1] == 1:
-        return np.sum(np.stack([first, *rows]), axis=0)
+        return np.sum(np.stack([first, *rows], axis=-1), axis=-1)
     total = np.zeros_like(first)
     total += first
     for row in rows:

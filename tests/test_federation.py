@@ -844,8 +844,11 @@ class TestLiveness:
     METHODS = (AggregationMethod.EAA, AggregationMethod.W2B, AggregationMethod.RKLB)
 
     def test_round_locals_freed_before_next_round(self, monkeypatch):
-        local_refs = {}  # round -> weak references to its local posteriors
-        alive_at_start = {}  # round -> previous round's locals still reachable
+        # the references are to the arrays that own each local's mean and
+        # var, not to its wrapper: a view held past its round, such as a
+        # one-lane stack, keeps them alive
+        local_refs = {}  # round -> weak references to its locals' owning arrays
+        alive_at_start = {}  # round -> previous round's owning arrays still reachable
 
         def tracking(jobs, train_set, cfg, lrs, spec, round_index):
             if round_index not in local_refs:
@@ -854,12 +857,16 @@ class TestLiveness:
                 alive_at_start[round_index] = sum(ref() is not None for ref in previous)
                 local_refs[round_index] = []
             results = client_update(jobs, train_set, cfg, lrs, spec, round_index)
-            local_refs[round_index] += [weakref.ref(post) for post, _ in results]
+            local_refs[round_index] += [
+                weakref.ref(a if a.base is None else a.base)
+                for post, _ in results
+                for a in (post.mean, post.var)
+            ]
             return results
 
         monkeypatch.setattr(federation, "client_update", tracking)
         run_experiment(make_cfg(), [0], self.METHODS)
-        assert [len(refs) for refs in local_refs.values()] == [4, 12, 12]
+        assert [len(refs) for refs in local_refs.values()] == [8, 24, 24]  # 2 per local
         assert alive_at_start == {1: 0, 2: 0, 3: 0}
 
     def test_one_block_of_projections_alive(self, monkeypatch):

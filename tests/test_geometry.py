@@ -124,6 +124,11 @@ class TestDiagGaussian:
         assert [p.mean.shape for p in stack] == [(3, 4), (3, 4)]
         with pytest.raises(ValueError):
             row.mean[0] = 1.0
+        # one row, or a stack of one, is a contiguous read-only view
+        for view in (stack[1], stack[1][2], stack[None], stack[1][None]):
+            assert np.shares_memory(view.var, var) and view.var.flags.c_contiguous
+            assert not view.mean.flags.writeable and not view.var.flags.writeable
+        assert np.array_equal(stack[1][2].var, var[1, 2])
 
     def test_stack_validation(self):
         var = np.ones((2, 3))
@@ -317,6 +322,69 @@ class TestAggregate:
         with caplog.at_level("WARNING"):
             out = aggregate(AggregationMethod.EAA, tiny, self.half)
         assert out.var[0] >= VAR_FLOOR
+
+
+class TestLaneStacks:
+    """The server step on (L, P) lane stacks: aggregate fuses K client
+    stacks with (L, K) weights, and projection_divergence scores two stacks
+    row by row; each row has the bits of a call on that lane alone."""
+
+    LANES = 5
+
+    @staticmethod
+    def client_stacks(rng, k, lanes, dim):
+        scale = 10.0 ** rng.integers(-4, 5, (k, lanes, 1))
+        means = rng.standard_normal((k, lanes, dim)) * scale
+        variances = np.exp(3.0 * rng.standard_normal((k, lanes, dim)))
+        return [DiagGaussian(mean=m, var=v) for m, v in zip(means, variances)]
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 129])
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_rows_bit_equal_per_lane_calls(self, k, dim):
+        # k = 9 sums each weight row, and at dim = 1 each coordinate's k
+        # terms, with NumPy's unrolled pairwise sum
+        rng = np.random.default_rng(100 * k + dim)
+        stacks = self.client_stacks(rng, k, self.LANES, dim)
+        w = rng.random((self.LANES, k))
+        w /= w.sum(axis=1, keepdims=True)
+        for method in AggregationMethod:
+            out = aggregate(method, stacks, w)
+            assert out.mean.shape == out.var.shape == (self.LANES, dim)
+            for lane in range(self.LANES):
+                ref = aggregate(method, [s[lane] for s in stacks], w[lane])
+                assert out.mean[lane].tobytes() == ref.mean.tobytes(), (method, lane)
+                assert out.var[lane].tobytes() == ref.var.tobytes(), (method, lane)
+            for d in Divergence:
+                for s in stacks:
+                    got = projection_divergence(d, s, out)
+                    ref = [projection_divergence(d, s[lane], out[lane]) for lane in range(self.LANES)]
+                    assert got.shape == (self.LANES,)
+                    assert got.tobytes() == np.array(ref).tobytes(), (method, d)
+
+    def test_lone_survivor_is_the_stack_itself(self):
+        stacks = self.client_stacks(np.random.default_rng(0), 2, self.LANES, 3)
+        for method in AggregationMethod:
+            assert aggregate(method, stacks[:1], np.ones((self.LANES, 1))) is stacks[0]
+            w = np.tile([0.0, 1.0], (self.LANES, 1))
+            assert aggregate(method, stacks, w) is stacks[1]
+
+    def test_weights_must_match_the_stacks(self):
+        stacks = self.client_stacks(np.random.default_rng(0), 2, self.LANES, 3)
+        with pytest.raises(ValueError, match="shape"):
+            aggregate(AggregationMethod.EAA, stacks, [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape"):
+            aggregate(AggregationMethod.EAA, [stacks[0], stacks[1][0]], [0.5, 0.5])
+        mixed = np.full((self.LANES, 2), 0.5)
+        mixed[1] = [0.0, 1.0]  # one lane drops a member the others keep
+        with pytest.raises(ValueError, match="every row"):
+            aggregate(AggregationMethod.EAA, stacks, mixed)
+
+    def test_divergence_needs_equal_shapes(self):
+        # a stack against one posterior would broadcast: it is refused
+        stack = self.client_stacks(np.random.default_rng(0), 1, self.LANES, 3)[0]
+        for d in Divergence:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                projection_divergence(d, stack, stack[0])
 
 
 class TestProjectionWeights:

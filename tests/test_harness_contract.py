@@ -117,13 +117,17 @@ def test_command_calls_every_wrapped_function(tmp_path, command, config, optiona
 def test_compare_agg_geometry_call_counts(tmp_path):
     # one project call personalizes a block of (method, client) jobs for the
     # whole lambda grid, and at P = 51 a seed's jobs are one block; aggregate
-    # runs on the server only: a fallback to one project call per client or
-    # per lambda, or to one aggregate per projection, multiplies these counts
+    # runs on the server only, once per (round, method) for the lanes of all
+    # seeds, and projection_divergence once per client of each such call: a
+    # fallback to one project call per client or per lambda, or to one
+    # aggregate or divergence call per lane, multiplies these counts
     calls = traced(tmp_path, "compare-agg", COMPARE_CONFIG)
     seeds, methods = len(COMPARE_CONFIG["seeds"]), len(COMPARE_CONFIG["compare"]["methods"])
     rounds = COMPARE_CONFIG["federation"]["rounds"]
+    clients = COMPARE_CONFIG["partition"]["n_clients"]
     assert calls["geometry.project"] == seeds == 5
-    assert calls["geometry.aggregate"] == seeds * methods * rounds == 45
+    assert calls["geometry.aggregate"] == methods * rounds == 9
+    assert calls["geometry.projection_divergence"] == methods * rounds * clients == 36
 
 
 def test_compare_agg_trains_every_seed_in_one_lockstep(tmp_path):
