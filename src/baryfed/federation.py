@@ -31,16 +31,20 @@ a pooled set.
 
 ``fedavg_var`` alone reads from the config whether clients train FedAvg.
 
-``_in_passes`` runs the seeds in passes for every command: it calls a
-pass on the seeds not yet done and, if the pass fails, replays them one
-at a time. ``run_experiment``'s passes run these stages and return each
-seed's and method's ``metrics.csv`` rows and ``rounds_<seed>.json``
-payload; ``incremental_sweep``'s train one round per task and score each
-seed's merges on the pooled test set, the tasks' test rows as its row
-groups. ``run`` writes every row, ``sweep-lambda`` reads PM-LD and PM-GD
-and ``compare-agg`` only GM-GD. All four settings are scored even so:
-perfbench's coverage guard and tests/test_harness_contract.py require
-``project`` calls on the compare-agg workload (one per seed at P = 51).
+A job that fails keeps stepping, on meaningless values that touch no
+other job, to the end of its round; its group then raises the first
+failure of its lowest-indexed failed job, and no job is trained twice.
+The one replay left is per seed: ``_in_passes`` runs the seeds in passes
+for every command, calling a pass on the seeds not yet done, and if the
+pass fails, replays them one at a time. ``run_experiment``'s passes run
+these stages and return each seed's and method's ``metrics.csv`` rows and
+``rounds_<seed>.json`` payload; ``incremental_sweep``'s train one round
+per task and score each seed's merges on the pooled test set, the tasks'
+test rows as its row groups. ``run`` writes every row, ``sweep-lambda``
+reads PM-LD and PM-GD and ``compare-agg`` only GM-GD. All four settings
+are scored even so: perfbench's coverage guard and
+tests/test_harness_contract.py require ``project`` calls on the
+compare-agg workload (one per seed at P = 51).
 
 Randomness is organized as counter-based streams: the training stream for
 (round, client) is seeded with [master_seed, round, client], so a job's
@@ -77,7 +81,7 @@ from .geometry import (
     project,
     projection_divergence,
 )
-from .models import MlpSpec, RowError
+from .models import MlpSpec
 from .variopt import (
     ivon_restart,
     ivon_step,
@@ -162,33 +166,21 @@ def client_update(
     Hessian stays at h0, and the local posterior carries the frozen variance
     on every coordinate.
 
-    Returns one (local posterior, per-epoch mean minibatch NLL) per job,
-    each bit-identical whichever jobs share its group; a local posterior is
-    a read-only row of the group's final optimizer state. If jobs fail, the
-    failure of the lowest-indexed one (which may fail later than others) is
-    raised as RunError(round_index, its client); any other failure as
-    RunError(round_index, the first job's client).
-    """
-    with failure_context(round_index, jobs[0][2]):
-        results, failure = _lockstep(jobs, train_set, cfg, lrs, spec, round_index)
-    if failure is None:
-        return results
-    j, message = failure
-    if j > 0:
-        # a job before j may fail later than j did; this raises if one does
-        client_update(jobs[:j], train_set, cfg, lrs, spec, round_index)
-    raise RunError(round_index, jobs[j][2], ValueError(message))
-
-
-def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
-    """client_update's training loop: (results, None), or (None, (job,
-    message)) for the lowest-indexed job among the first to fail.
-
     The jobs' optimizer states are the rows of one stack, largest shard
     first, so at each step the jobs still inside their epoch's
     ceil(n_k / B) steps are a prefix of the stack; the others sit out with
     their rows untouched. Each step samples, takes gradients and steps the
     optimizer for that prefix in one call each.
+
+    Returns one (local posterior, per-epoch mean minibatch NLL) per job,
+    each bit-identical whichever jobs share its group; a local posterior is
+    a read-only row of the group's final optimizer state. A job fails at its
+    first NaN loss (non-finite logits) or failed optimizer step, and keeps
+    stepping to the end of the round on meaningless values that touch no
+    other row. The group then raises the first failure of its
+    lowest-indexed failed job, which is what that job alone raises, as
+    RunError(round_index, its client); any other failure as
+    RunError(round_index, the first job's client).
     """
     opt = cfg.optimizer
     batch_size = cfg.federation.batch_size
@@ -196,53 +188,57 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
     deterministic = frozen_var is not None
     samples = 1 if deterministic else opt.mc_train_samples
     ranked = sorted(range(len(jobs)), key=lambda j: -len(jobs[j][1]))
-    priors, shards, clients, seeds = zip(*(jobs[j] for j in ranked))
-    sizes = np.array([len(idx) for idx in shards])
-    rngs = [client_rng(seed, round_index, k) for seed, k in zip(seeds, clients)]
-    state = ivon_restart(priors, opt, sizes.tolist(), frozen=deterministic)
-    dim = state.mean.shape[1]
-    steps = -(-sizes // batch_size)
-    draws = np.empty((len(jobs), samples, dim))
-    nll = np.empty((len(jobs), steps[0]))  # per job and step of an epoch
-    traces = np.empty((len(jobs), len(lrs)))  # per job and epoch
-    runs = models._runs(steps)  # the jobs of equal step counts are adjacent rows
-    for e, lr in enumerate(lrs):
-        # each job's minibatches in order, as rows of the pooled set; the
-        # padding after a job's rows only fills out the stacked batch
-        order = np.zeros((len(jobs), sizes[0]), dtype=np.int64)
-        for r, (rng, idx) in enumerate(zip(rngs, shards)):
-            order[r, : len(idx)] = idx[rng.permutation(len(idx))]
-        for t in range(steps[0]):
-            active = int(np.count_nonzero(steps > t))
-            counts = np.minimum(sizes[:active] - t * batch_size, batch_size)
-            rows = order[:active, t * batch_size : t * batch_size + counts[0]]
-            view = state[:active]
-            if deterministic:
-                thetas = view.mean[:, None]
-            else:
-                thetas = sample_params(view, rngs[:active], out=draws[:active])
-            if samples > 1:
-                rows, counts = np.repeat(rows, samples, axis=0), np.repeat(counts, samples)
-            batch = models.Batch(
-                inputs=train_set.inputs[rows], labels=train_set.labels[rows], counts=counts
-            )
-            try:
+    failed = {}  # job -> its first failure
+    # a failed job's values warn as it trains on; its failure is recorded instead
+    with failure_context(round_index, jobs[0][2]), np.errstate(all="ignore"):
+        priors, shards, clients, seeds = zip(*(jobs[j] for j in ranked))
+        sizes = np.array([len(idx) for idx in shards])
+        rngs = [client_rng(seed, round_index, k) for seed, k in zip(seeds, clients)]
+        state = ivon_restart(priors, opt, sizes.tolist(), frozen=deterministic)
+        dim = state.mean.shape[1]
+        steps = -(-sizes // batch_size)
+        draws = np.empty((len(jobs), samples, dim))
+        nll = np.empty((len(jobs), steps[0]))  # per job and step of an epoch
+        traces = np.empty((len(jobs), len(lrs)))  # per job and epoch
+        runs = models._runs(steps)  # the jobs of equal step counts are adjacent rows
+        for e, lr in enumerate(lrs):
+            # each job's minibatches in order, as rows of the pooled set; the
+            # padding after a job's rows only fills out the stacked batch
+            order = np.zeros((len(jobs), sizes[0]), dtype=np.int64)
+            for r, (rng, idx) in enumerate(zip(rngs, shards)):
+                order[r, : len(idx)] = idx[rng.permutation(len(idx))]
+            for t in range(steps[0]):
+                active = int(np.count_nonzero(steps > t))
+                counts = np.minimum(sizes[:active] - t * batch_size, batch_size)
+                rows = order[:active, t * batch_size : t * batch_size + counts[0]]
+                view = state[:active]
+                if deterministic:
+                    thetas = view.mean[:, None]
+                else:
+                    thetas = sample_params(view, rngs[:active], out=draws[:active])
+                if samples > 1:
+                    rows, counts = np.repeat(rows, samples, axis=0), np.repeat(counts, samples)
+                batch = models.Batch(
+                    inputs=train_set.inputs[rows], labels=train_set.labels[rows], counts=counts
+                )
                 losses, grads = models.loss_and_grad(spec, thetas.reshape(-1, dim), batch)
-            except RowError as exc:
-                return None, min((ranked[r // samples], m) for r, m in exc.errors.items())
-            try:
-                ivon_step(
+                for r in np.flatnonzero(np.isnan(losses)).tolist():
+                    failed.setdefault(ranked[r // samples], "non-finite activation in forward pass")
+                errors = ivon_step(
                     view, grads.reshape(thetas.shape), thetas, lr, update_hessian=not deterministic
                 )
-            except RowError as exc:
-                return None, min((ranked[r], m) for r, m in exc.errors.items())
-            # each job's mean over its draws, summed in draw order
-            mean_loss = np.zeros(active)
-            for s in range(samples):
-                mean_loss += losses[s::samples] / samples
-            nll[:active, t] = mean_loss
-        for lo, hi, n_steps in runs:
-            traces[lo:hi, e] = np.mean(nll[lo:hi, :n_steps], axis=1)
+                for r, message in errors.items():
+                    failed.setdefault(ranked[r], message)
+                # each job's mean over its draws, summed in draw order
+                mean_loss = np.zeros(active)
+                for s in range(samples):
+                    mean_loss += losses[s::samples] / samples
+                nll[:active, t] = mean_loss
+            for lo, hi, n_steps in runs:
+                traces[lo:hi, e] = np.mean(nll[lo:hi, :n_steps], axis=1)
+    if failed:
+        j = min(failed)
+        raise RunError(round_index, jobs[j][2], ValueError(failed[j]))
 
     if deterministic:
         state.var[...] = frozen_var  # the local posterior carries FedAvg's frozen variance
@@ -250,7 +246,7 @@ def _lockstep(jobs, train_set, cfg, lrs, spec, round_index):
     # this freezes the state's arrays in place, so no step may follow
     locals_ = DiagGaussian(mean=state.mean, var=state.var)
     traces = traces.tolist()
-    return [(locals_[r], traces[r]) for r in np.argsort(ranked).tolist()], None
+    return [(locals_[r], traces[r]) for r in np.argsort(ranked).tolist()]
 
 
 def server_aggregate(
@@ -487,13 +483,14 @@ def run_experiment(
 def _in_passes(seeds, run_pass):
     """Every seed's entry, in order, from passes ``run_pass(rest)`` over the
     seeds not yet done; a pass returns the entries of the leading seeds it
-    holds. A pass that raises RunError is replayed one seed at a time, so
-    the first seed to fail alone raises, as in a seed-by-seed loop."""
+    holds. A pass that raises RunError or ConfigError is replayed one seed
+    at a time, so the first seed to fail alone raises, as in a seed-by-seed
+    loop."""
     out = []
     while len(out) < len(seeds):
         try:
             out += run_pass(seeds[len(out) :])
-        except RunError:
+        except (RunError, ConfigError):
             # the first to fail alone raises; if none does, the pass's error stands for the last
             for seed in seeds[len(out) : -1]:
                 run_pass([seed])

@@ -24,16 +24,6 @@ import numpy as np
 MC_CHUNK_PARAMS = 1 << 19
 
 
-class RowError(ValueError):
-    """Rows of a stacked call that failed, ``errors`` = {row: message}; the
-    message is the lowest failing row's, which is what a call on that row
-    alone raises."""
-
-    def __init__(self, errors: dict[int, str]):
-        self.errors = dict(sorted(errors.items()))
-        super().__init__(next(iter(self.errors.values())))
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """Architecture: layer_sizes[0] inputs through layer_sizes[-1] logits."""
@@ -200,7 +190,7 @@ def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
     return [(lo, hi, int(counts[lo])) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-@np.errstate(all="ignore")  # a non-finite row is a RowError, not a warning
+@np.errstate(all="ignore")  # a non-finite row is a NaN loss, not a warning
 def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
     """Mean cross-entropy of each minibatch and its exact flat gradient.
 
@@ -209,8 +199,9 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
     bit-identical to a stack of one with that vector and those rows alone.
     Every matrix product runs on real rows only, one stacked product per
     run of rows with equal counts, because the BLAS result for a row
-    depends on how many rows share the product. Raises RowError naming the
-    rows whose logits are non-finite, before any gradient is computed.
+    depends on how many rows share the product. A row whose real logits
+    are not all finite gets a NaN loss and a meaningless gradient; finite
+    logits never give a NaN loss, so a NaN loss marks exactly such a row.
     """
     inputs, labels, counts = batch.inputs, batch.labels, batch.counts
     if thetas.ndim != 2 or thetas.shape[0] != labels.shape[0]:
@@ -234,15 +225,14 @@ def loss_and_grad(spec: MlpSpec, thetas: np.ndarray, batch: Batch):
         acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
     logits = acts[-1]
     real = np.arange(n) < counts[:, None]
-    bad = np.flatnonzero(np.any(~np.isfinite(logits).all(axis=-1) & real, axis=1))
-    if bad.size:
-        raise RowError({int(r): "non-finite activation in forward pass" for r in bad})
+    bad = np.any(~np.isfinite(logits).all(axis=-1) & real, axis=1)
 
     log_probs = _log_softmax(logits)
     picked = log_probs[np.arange(k)[:, None], np.arange(n), labels]
     losses = np.empty(k)
     for lo, hi, m in runs:
         losses[lo:hi] = -np.mean(picked[lo:hi, :m], axis=1)
+    losses[bad] = np.nan
 
     delta = np.exp(log_probs)
     delta[np.arange(k)[:, None], np.arange(n), labels] -= 1.0

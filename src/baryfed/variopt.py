@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import OptimizerCfg
 from .geometry import DiagGaussian
-from .models import RowError
 
 log = logging.getLogger(__name__)
 
@@ -126,7 +125,7 @@ def ivon_step(
     theta_sampled: np.ndarray,
     lr: float,
     update_hessian: bool = True,
-) -> None:
+) -> dict[int, str]:
     """One optimizer step of size ``lr`` for every row of ``state``, in place,
     from gradients at posterior samples.
 
@@ -141,10 +140,10 @@ def ivon_step(
     momentum step.
 
     A non-finite gradient, a Hessian with h + delta <= 0 or a non-finite
-    new mean fails its row: once every row is stepped, RowError names the
-    step and the first bad coordinate of each failed row, whose values are
-    then meaningless. Floating-point warnings are silenced, as each one
-    ends in a failed row.
+    new mean fails its row, whose values are then meaningless; every row is
+    stepped all the same. Returns {row: message} for the failed rows, each
+    message naming the step and the first bad coordinate. Floating-point
+    warnings are silenced, as each one ends in a failed row.
     """
     opt = state.opt
     grad = np.asarray(grad, dtype=np.float64)
@@ -224,8 +223,7 @@ def ivon_step(
         np.divide(1.0, var, out=var)
         np.sqrt(var, out=std)
     state.step_count += 1
-    if errors:
-        raise RowError(errors)
+    return errors
 
 
 def linear_lr(initial: float, final: float, step: int, total_steps: int) -> float:

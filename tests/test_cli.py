@@ -13,6 +13,7 @@ import pytest
 from baryfed import checks, federation
 from baryfed import data as data_mod
 from baryfed.cli import main
+from baryfed.config import ConfigError
 from baryfed.federation import RunError
 from baryfed.geometry import AggregationMethod, DiagGaussian, aggregate, project
 
@@ -770,10 +771,11 @@ class TestErrors:
         assert "round 1, client 0: injected" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("seed_1_fails", ["round-1", "set-up"])
+    @pytest.mark.parametrize("seed_1_fails", ["round-1", "set-up", "set-up-config"])
     def test_first_seed_to_fail_is_reported(self, tmp_path, capsys, monkeypatch, seed_1_fails):
-        # seed 0 fails at round 2 and seed 1 before it, at round 1 or in set-up,
-        # while both train in one pass; a seed-by-seed loop reports seed 0
+        # seed 0 fails at round 2 and seed 1 before it, at round 1 or in set-up
+        # (on a bad config for that seed, too), while both train in one pass;
+        # a seed-by-seed loop reports seed 0
         client_update, partition_both = federation.client_update, federation.partition_both
         failing = {(0, 2), (1, 1)} if seed_1_fails == "round-1" else {(0, 2)}
 
@@ -786,14 +788,17 @@ class TestErrors:
         def split(cfg, train, test, seed):
             if seed == 1 and seed_1_fails == "set-up":
                 raise ValueError("seed 1 has no partition")
+            if seed == 1 and seed_1_fails == "set-up-config":
+                raise ConfigError("partition.min_shard", "no draw for seed 1")
             return partition_both(cfg, train, test, seed)
 
         monkeypatch.setattr(federation, "client_update", update)
         monkeypatch.setattr(federation, "partition_both", split)
         cfg = write_config(tmp_path, seeds=[0, 1])
         errors = []
-        for override in (["--seed", "0"], ["--seed", "1"], []):
-            assert main(["run", cfg, *override]) == 1
+        seed_1_exit = 2 if seed_1_fails == "set-up-config" else 1
+        for override, code in ((["--seed", "0"], 1), (["--seed", "1"], seed_1_exit), ([], 1)):
+            assert main(["run", cfg, *override]) == code
             errors.append(capsys.readouterr().err)
         alone_0, alone_1, together = errors
         assert alone_1 != alone_0

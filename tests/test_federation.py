@@ -560,6 +560,16 @@ def lockstep_case(case):
     return list(zip(priors, shards, client_ids, seeds)), train, cfg, [0.3, 0.2, 0.1], spec, 2
 
 
+@st.composite
+def failing_groups(draw):
+    """A ``lockstep_groups`` case in which the jobs in ``blown`` start from
+    their prior mean times 1e160, and with ``inf_lr`` the last epoch's
+    learning rate is infinite."""
+    case = draw(lockstep_groups())
+    blown = draw(st.sets(st.integers(0, len(case["sizes"]) - 1)))
+    return {**case, "blown": sorted(blown), "inf_lr": draw(st.booleans())}
+
+
 class TestLockstep:
     """A group trains every job exactly as the per-client oracle does."""
 
@@ -593,7 +603,29 @@ class TestLockstep:
             clipped |= np.linalg.norm(post.mean - prior.mean) <= 3 * 3 * 0.02 + 1e-12
         assert clipped  # the radius bounds each step, so it bounds the phase
 
-    def test_lowest_failing_job_is_reported(self):
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @example(case={"sizes": [3, 12, 5], "batch": 4, "dim": 9, "hidden": (8,), "mc": 2,
+                   "fedavg": False, "clip": None, "seed": 5, "blown": [1, 2], "inf_lr": True})
+    @given(case=failing_groups())
+    def test_failing_group_raises_what_its_lowest_failing_job_raises_alone(self, case):
+        jobs, train_set, cfg, lrs, spec, round_index = lockstep_case(case)
+        if case["inf_lr"]:
+            lrs = [*lrs[:-1], math.inf]
+        for j in case["blown"]:
+            prior, *rest = jobs[j]
+            jobs[j] = (DiagGaussian(mean=prior.mean * 1e160, var=prior.var), *rest)
+
+        def outcome(group):
+            try:
+                client_update(group, train_set, cfg, lrs, spec, round_index)
+            except RunError as exc:
+                return exc.client_id, str(exc)
+            return None
+
+        alone = [outcome([job]) for job in jobs]
+        assert outcome(jobs) == next((o for o in alone if o is not None), None)
+
+    def test_lowest_failing_job_is_reported(self, monkeypatch):
         # client 2 fails at step 1 in the forward pass; client 0 only when
         # epoch 3's infinite learning rate makes its mean non-finite, at
         # step 5 (two steps per epoch). The lowest-indexed job is reported.
@@ -607,10 +639,19 @@ class TestLockstep:
         small, big = np.arange(30), np.arange(30, 90)
         lrs = [0.1, 0.1, math.inf]
 
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return client_update(*args)
+
+        monkeypatch.setattr(federation, "client_update", counting)
+
         def failure(priors, shards, client_ids):
+            calls.clear()
             with pytest.raises(RunError) as info:
                 jobs = list(zip(priors, shards, client_ids, [0] * len(priors)))
-                client_update(jobs, train, cfg, lrs, spec, 1)
+                federation.client_update(jobs, train, cfg, lrs, spec, 1)
             return info.value.client_id, str(info.value)
 
         alone_0 = failure([start], [small], [0])
@@ -618,6 +659,7 @@ class TestLockstep:
         assert alone_2 == (2, "round 1, client 2: non-finite activation in forward pass")
         assert alone_0[0] == 0 and "optimizer step 5: non-finite mean" in alone_0[1]
         assert failure([start, blown], [small, big], [0, 2]) == alone_0
+        assert len(calls) == 1  # the group trains once: no job is replayed
         assert failure([blown, start], [big, small], [2, 0]) == alone_2
 
     @pytest.mark.parametrize("batch_size", [200, 7], ids=["full-batch", "ragged"])
